@@ -122,3 +122,91 @@ func TestScratchReuseAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// newSusRetrySim builds a one-node full-reconfiguration simulator
+// whose suspension queue holds queueLen tasks resolved to a
+// configuration the node never hosts, and two tasks, a and b, resolved
+// to the one it does: a is running, b is queued behind the rest. Every
+// release of the node therefore walks the whole queue's metering while
+// only one queued task fits.
+func newSusRetrySim(tb testing.TB, queueLen int) (s *Simulator, a, b *model.Task) {
+	tb.Helper()
+	p := smallParams(1, 1, false)
+	p.Spec.Configs = 2
+	p.Spec.ConfigAreaLow, p.Spec.ConfigAreaHigh = 1000, 1000
+	p.Spec.NodeAreaLow, p.Spec.NodeAreaHigh = 1500, 1500
+	p.Source = emptySource{}
+	s, err := New(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfgs := s.mgr.Configs()
+	a = model.NewTask(0, 1000, 0, 50, 0)
+	s.handleArrival(a, 0)
+	if a.Status != model.TaskRunning {
+		tb.Fatalf("setup task not placed: %v", a)
+	}
+	for no := 1; no <= queueLen; no++ {
+		t := model.NewTask(no, 1000, 1, 50, 0)
+		t.Resolved = cfgs[1]
+		s.sus.Add(t)
+	}
+	b = model.NewTask(queueLen+1, 1000, 0, 50, 0)
+	b.Resolved = cfgs[0]
+	s.sus.Add(b)
+	s.c.GeneratedTasks += int64(queueLen + 1) // keep task conservation balanced
+	return s, a, b
+}
+
+// susRetryCycle fires the running task's completion, whose retry walk
+// places the queued fitting task, then queues the finished task again
+// for the next cycle. It returns the pair swapped.
+func susRetryCycle(tb testing.TB, s *Simulator, running, queued *model.Task) (*model.Task, *model.Task) {
+	s.eng.Step()
+	if s.err != nil {
+		tb.Fatal(s.err)
+	}
+	if queued.Status != model.TaskRunning {
+		tb.Fatalf("the release did not place the fitting task: %v", queued)
+	}
+	running.StartTime, running.CompletionTime = -1, -1
+	s.sus.Add(running)
+	s.c.GeneratedTasks++ // the finished task re-enters as a new arrival
+	return queued, running
+}
+
+// BenchmarkSusRetry measures one node release against a 10k-task
+// suspension queue in which one task fits: the walk meters all 10k
+// links but visits only the fitting task. It must report 0 allocs/op;
+// CI gates on the allocs/op column.
+func BenchmarkSusRetry(b *testing.B) {
+	s, running, queued := newSusRetrySim(b, 10000)
+	for i := 0; i < 8; i++ {
+		running, queued = susRetryCycle(b, s, running, queued)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		running, queued = susRetryCycle(b, s, running, queued)
+	}
+}
+
+// TestSusRetryZeroAlloc is the test-suite form of the benchmark gate,
+// and checks the release is metered as the full walk.
+func TestSusRetryZeroAlloc(t *testing.T) {
+	s, running, queued := newSusRetrySim(t, 1000)
+	before := s.c.SusRetries
+	running, queued = susRetryCycle(t, s, running, queued)
+	if got := s.c.SusRetries - before; got != 1001 {
+		t.Fatalf("one release metered %d retry steps, want the full queue of 1001", got)
+	}
+	if invariant.Enabled || invariant.RaceEnabled {
+		return // assertions and race instrumentation allocate
+	}
+	for i := 0; i < 8; i++ {
+		running, queued = susRetryCycle(t, s, running, queued)
+	}
+	if avg := testing.AllocsPerRun(200, func() { running, queued = susRetryCycle(t, s, running, queued) }); avg != 0 {
+		t.Fatalf("suspension retry allocates: %.1f allocs/op", avg)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"dreamsim/internal/model"
+	"dreamsim/internal/reslists"
 	"dreamsim/internal/sched"
 	"dreamsim/internal/sim"
 )
@@ -61,6 +62,10 @@ type RunContext struct {
 	phases    [phaseCount]int64
 	idle      []bool // summarize scratch, config no -> idle region present
 
+	// sus is the run's suspension queue; its element arena survives
+	// across runs.
+	sus reslists.SusQueue
+
 	// Dependency bookkeeping (task-graph workloads), indexed by task
 	// number; zero-length on runs without Deps.
 	children        [][]int
@@ -90,16 +95,17 @@ func growClear[T any](s []T, n int) []T {
 }
 
 // prepare readies the context for a fresh run over nodeCount nodes
-// and cfgCount configurations. depMax is the highest task number
+// and the given configurations. depMax is the highest task number
 // named by Params.Deps (-1 when absent); faults sizes the fault
 // slices. All state from the previous run is cleared; backing arrays
 // are kept.
-func (ctx *RunContext) prepare(nodeCount, cfgCount, depMax int, faults bool) {
+func (ctx *RunContext) prepare(nodeCount int, configs []*model.Config, depMax int, faults bool) {
 	ctx.eng.Reset()
 	ctx.used = growClear(ctx.used, nodeCount)
 	ctx.usedCount = 0
 	clear(ctx.phases[:])
-	ctx.idle = growClear(ctx.idle, cfgCount)
+	ctx.idle = growClear(ctx.idle, len(configs))
+	ctx.sus.Reset(configs)
 
 	n := depMax + 1
 	ctx.terminal = growClear(ctx.terminal, n)

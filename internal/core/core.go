@@ -300,7 +300,7 @@ func New(params Params) (*Simulator, error) {
 			}
 		}
 	}
-	ctx.prepare(len(nodes), len(configs), depMax, plan.Enabled())
+	ctx.prepare(len(nodes), mgr.Configs(), depMax, plan.Enabled())
 
 	s := &Simulator{
 		params: params,
@@ -311,7 +311,7 @@ func New(params Params) (*Simulator, error) {
 		//lint:rngflow the checkpoint must capture the very stream the policy consumes; a Split substream would diverge from it
 		policyRNG: policyRNG,
 		source:    source,
-		sus:       reslists.NewSusQueue(),
+		sus:       &ctx.sus,
 		c:         counters,
 	}
 	if params.Stream && params.OnEvent == nil {
@@ -1010,13 +1010,18 @@ func (sum nodeSummary) fits(cfg *model.Config) bool {
 // placing every queued task the node can still host. Each explored
 // queue link is one scheduler search step (the Table I "search links
 // explored" unit); the policy is consulted only for tasks the digest
-// says could fit, so a miss costs exactly one step.
+// says could fit, so a miss costs exactly one step. The steps are the
+// paper's full FIFO walk, charged arithmetically by SusQueue.Walk: the
+// host visits only the tasks whose configuration passes the digest,
+// unless the retry cap needs every task's count checked.
 func (s *Simulator) retrySuspended(node *model.Node, now int64) {
 	if s.sus.Len() == 0 {
 		return
 	}
 	sum := s.summarize(node)
-	steps := s.sus.Each(func(qt *model.Task) bool {
+	steps := s.sus.Walk(s.params.MaxSusRetries > 0, func(cfg *model.Config) bool {
+		return sum.fits(cfg)
+	}, func(qt *model.Task) bool {
 		if s.err != nil {
 			return false
 		}
@@ -1050,6 +1055,7 @@ func (s *Simulator) drainQueue(now int64) {
 		progress := false
 		s.drainScratch = s.sus.AppendTasks(s.drainScratch[:0])
 		for _, qt := range s.drainScratch {
+			was := qt.Resolved
 			//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
 			d := s.policy.Decide(s.mgr, qt)
 			switch {
@@ -1069,6 +1075,8 @@ func (s *Simulator) drainQueue(now int64) {
 				s.sus.Remove(qt)
 				s.discard(qt, now)
 				progress = true
+			default:
+				s.sus.Refile(qt, was) // still queued: keep its bucket current
 			}
 		}
 		if !progress {

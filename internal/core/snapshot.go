@@ -117,6 +117,10 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 	w.I64(s.retryPending)
 	w.Bool(s.drainCheckQueued)
 
+	// Queued tasks' retry counts are credited lazily; settle them
+	// before the registry records them.
+	s.sus.Materialize()
+
 	// Task registry: every live task struct, once, sorted by number.
 	// Identity matters — the task referenced by a node entry and by
 	// its completion event must restore as the SAME struct — so all

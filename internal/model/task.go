@@ -48,7 +48,11 @@ type Task struct {
 	ConfigDelay int64
 
 	// SusRetry counts how many times the task was re-examined while
-	// sitting in the suspension queue.
+	// sitting in the suspension queue: once for every retry walk that
+	// reached it, whether or not the walk asked the policy about it.
+	// The queue credits walks lazily, so while the task is queued the
+	// field may lag; it is exact once the task leaves the queue and
+	// whenever the engine checkpoints.
 	SusRetry int64
 	// Retries counts how many times the task was displaced by a node
 	// crash and re-dispatched; bounded by the run's retry budget.
@@ -61,6 +65,9 @@ type Task struct {
 	Resolved *Config
 	// ResolvedClosest records that Resolved is the closest match.
 	ResolvedClosest bool
+	// SusSlot is the task's element in the suspension queue's arena;
+	// 0 when the task is not queued. Managed by reslists.SusQueue.
+	SusSlot int32
 
 	// Status is the lifecycle state.
 	Status TaskStatus

@@ -1,6 +1,8 @@
 package reslists
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -260,34 +262,78 @@ func TestSusQueueDoubleAddPanics(t *testing.T) {
 	q.Add(task)
 }
 
-func TestSusQueueEachBumpsRetry(t *testing.T) {
+func TestSusQueueWalkBumpsRetry(t *testing.T) {
 	q := NewSusQueue()
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks {
 		q.Add(task)
 	}
-	steps := q.Each(func(task *model.Task) bool { return task.No != 2 })
-	if steps != 2 {
-		t.Fatalf("steps=%d, want 2 (early stop)", steps)
+	steps := q.Walk(false, nil, func(task *model.Task) bool { return task.No != 2 })
+	if steps != 3 {
+		t.Fatalf("steps=%d, want 3 (the queue length at walk start)", steps)
 	}
-	if tasks[0].SusRetry != 1 || tasks[1].SusRetry != 1 || tasks[2].SusRetry != 0 {
+	q.Materialize()
+	if tasks[0].SusRetry != 1 || tasks[1].SusRetry != 1 || tasks[2].SusRetry != 1 {
 		t.Fatalf("retry counters: %d %d %d", tasks[0].SusRetry, tasks[1].SusRetry, tasks[2].SusRetry)
 	}
 }
 
-func TestSusQueueEachAllowsRemoval(t *testing.T) {
+func TestSusQueueWalkAllowsRemoval(t *testing.T) {
 	q := NewSusQueue()
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks {
 		q.Add(task)
 	}
 	// Remove every visited task during traversal.
-	q.Each(func(task *model.Task) bool {
+	var seen []int
+	q.Walk(false, nil, func(task *model.Task) bool {
+		seen = append(seen, task.No)
 		q.Remove(task)
 		return true
 	})
-	if q.Len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.Len())
+	if q.Len() != 0 || len(seen) != 3 {
+		t.Fatalf("queue not drained: %d left, visited %v", q.Len(), seen)
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range tasks {
+		if task.SusRetry != 1 || task.SusSlot != 0 {
+			t.Fatalf("%v: SusRetry %d, SusSlot %d after removal", task, task.SusRetry, task.SusSlot)
+		}
+	}
+}
+
+// TestSusQueueWalkVisitsOnlyFittingBuckets pins the host-side saving:
+// a filtered walk visits only tasks whose configuration passes the
+// filter, in FIFO order, yet meters and credits the whole queue.
+func TestSusQueueWalkVisitsOnlyFittingBuckets(t *testing.T) {
+	cfgs := mkConfigs(3)
+	q := NewSusQueue()
+	q.Reset(cfgs)
+	var tasks []*model.Task
+	for i := 0; i < 9; i++ {
+		task := mkTask(i)
+		task.Resolved = cfgs[i%3]
+		tasks = append(tasks, task)
+		q.Add(task)
+	}
+	var seen []int
+	steps := q.Walk(false, func(cfg *model.Config) bool { return cfg.No == 1 }, func(task *model.Task) bool {
+		seen = append(seen, task.No)
+		return true
+	})
+	if steps != 9 || len(seen) != 3 || seen[0] != 1 || seen[1] != 4 || seen[2] != 7 {
+		t.Fatalf("steps %d, visited %v; want 9 steps visiting [1 4 7]", steps, seen)
+	}
+	if tasks[0].SusRetry != 0 || tasks[1].SusRetry != 1 {
+		t.Fatalf("eager credit: unvisited %d, visited %d", tasks[0].SusRetry, tasks[1].SusRetry)
+	}
+	q.Materialize()
+	for _, task := range tasks {
+		if task.SusRetry != 1 {
+			t.Fatalf("%v: SusRetry %d after materialize, want 1", task, task.SusRetry)
+		}
 	}
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -320,47 +366,186 @@ func TestQuickListOps(t *testing.T) {
 	}
 }
 
-// Property: suspension queue preserves FIFO order of surviving tasks
-// under arbitrary add/remove interleavings.
-func TestQuickSusQueueOrder(t *testing.T) {
-	f := func(ops []uint8) bool {
-		q := NewSusQueue()
-		pool := make([]*model.Task, 8)
-		for i := range pool {
-			pool[i] = mkTask(i)
+func mkConfigs(n int) []*model.Config {
+	cfgs := make([]*model.Config, n)
+	for i := range cfgs {
+		cfgs[i] = &model.Config{No: i, ReqArea: 500, ConfigTime: 10}
+	}
+	return cfgs
+}
+
+// refQueue is the reference model of the suspension queue: a plain
+// slice in FIFO order walked exactly as the engine's original linked
+// list was — every task the walk reaches is one step and one SusRetry,
+// the next link is read before each visit, and the walk ends after
+// visiting the task that was the tail when its visit began.
+type refQueue struct{ tasks []*model.Task }
+
+func (r *refQueue) index(task *model.Task) int {
+	for i, x := range r.tasks {
+		if x == task {
+			return i
 		}
-		var order []*model.Task
-		for _, op := range ops {
-			task := pool[op%8]
-			if op&0x80 != 0 {
-				if q.Remove(task) {
-					for i, x := range order {
-						if x == task {
-							order = append(order[:i], order[i+1:]...)
-							break
-						}
+	}
+	return -1
+}
+
+func (r *refQueue) add(task *model.Task) { r.tasks = append(r.tasks, task) }
+
+func (r *refQueue) remove(task *model.Task) bool {
+	i := r.index(task)
+	if i < 0 {
+		return false
+	}
+	r.tasks = append(r.tasks[:i], r.tasks[i+1:]...)
+	return true
+}
+
+func (r *refQueue) each(visit func(*model.Task) bool) (steps uint64) {
+	if len(r.tasks) == 0 {
+		return 0
+	}
+	for cur := r.tasks[0]; cur != nil; {
+		var next *model.Task
+		if i := r.index(cur); i+1 < len(r.tasks) {
+			next = r.tasks[i+1]
+		}
+		steps++
+		cur.SusRetry++
+		if !visit(cur) {
+			return steps
+		}
+		cur = next
+	}
+	return steps
+}
+
+// walkTwin is one side of the reference comparison: its own task
+// structs, its filter and its record of what the walks did.
+type walkTwin struct {
+	tasks   []*model.Task
+	fits    uint8 // bit c set: configuration c passes the filter
+	rng     *rand.Rand
+	visited []int
+	steps   []uint64
+}
+
+// Property: under arbitrary interleavings of add, remove and walks —
+// filtered or not, with filters that shrink mid-walk, visits that
+// remove or re-append the visited task, append other tasks or change
+// its resolved configuration — the queue keeps FIFO order and its
+// invariants, and its walks visit the passing tasks in the reference
+// walk's order with the reference step counts and SusRetry values.
+func TestQuickSusQueueOrder(t *testing.T) {
+	const nCfg, nTask = 4, 10
+	f := func(ops []uint8, seed int64) bool {
+		cfgs := mkConfigs(nCfg)
+		q := NewSusQueue()
+		q.Reset(cfgs)
+		ref := &refQueue{}
+		twins := [2]*walkTwin{}
+		for i := range twins {
+			tw := &walkTwin{rng: rand.New(rand.NewSource(seed))}
+			for no := 0; no < nTask; no++ {
+				task := mkTask(no)
+				if no%5 != 0 { // every fifth task stays unresolved
+					task.Resolved = cfgs[no%nCfg]
+				}
+				tw.tasks = append(tw.tasks, task)
+			}
+			twins[i] = tw
+		}
+		live, mirror := twins[0], twins[1]
+		add := func(no int) {
+			if !q.Contains(live.tasks[no]) {
+				q.Add(live.tasks[no])
+				ref.add(mirror.tasks[no])
+			}
+		}
+		remove := func(no int) {
+			if q.Remove(live.tasks[no]) != ref.remove(mirror.tasks[no]) {
+				panic("membership diverged")
+			}
+		}
+		// body is the engine-shaped visit: skip tasks whose resolved
+		// configuration fails the filter, otherwise act at random. Both
+		// twins draw from identically seeded streams, and only on
+		// passing visits, so equal visit sequences act identically.
+		body := func(tw *walkTwin, inQueue func(*model.Task) bool, rm func(int), ad func(int)) func(*model.Task) bool {
+			return func(task *model.Task) bool {
+				if task.Resolved != nil && tw.fits&(1<<task.Resolved.No) == 0 {
+					return true
+				}
+				tw.visited = append(tw.visited, task.No)
+				switch tw.rng.Intn(6) {
+				case 0:
+					rm(task.No)
+				case 1:
+					rm(task.No)
+					ad(task.No)
+				case 2:
+					if u := tw.tasks[tw.rng.Intn(nTask)]; !inQueue(u) {
+						ad(u.No)
+					}
+				case 3:
+					tw.fits &^= 1 << tw.rng.Intn(nCfg)
+				case 4:
+					if c := tw.rng.Intn(nCfg + 1); c < nCfg {
+						task.Resolved = cfgs[c]
+					} else {
+						task.Resolved = nil
 					}
 				}
-			} else if !q.Contains(task) {
-				q.Add(task)
-				order = append(order, task)
+				return true
 			}
-			if q.CheckInvariants() != nil {
+		}
+		liveBody := body(live, q.Contains, func(no int) { q.Remove(live.tasks[no]) },
+			func(no int) { q.Add(live.tasks[no]) })
+		refBody := body(mirror, func(x *model.Task) bool { return ref.index(x) >= 0 },
+			func(no int) { ref.remove(mirror.tasks[no]) }, func(no int) { ref.add(mirror.tasks[no]) })
+
+		for _, op := range ops {
+			no := int(op) % nTask
+			switch {
+			case op&0xC0 == 0xC0: // walk
+				every := op&0x20 != 0
+				mask := uint8(op>>1) & (1<<nCfg - 1)
+				live.fits, mirror.fits = mask, mask
+				live.steps = append(live.steps, q.Walk(every, func(cfg *model.Config) bool {
+					return live.fits&(1<<cfg.No) != 0
+				}, liveBody))
+				mirror.steps = append(mirror.steps, ref.each(refBody))
+			case op&0x80 != 0:
+				remove(no)
+			default:
+				add(no)
+			}
+			if err := q.CheckInvariants(); err != nil {
+				t.Log(err)
 				return false
 			}
 		}
+		q.Materialize()
+		if !slices.Equal(live.visited, mirror.visited) || !slices.Equal(live.steps, mirror.steps) {
+			return false
+		}
 		got := q.Tasks()
-		if len(got) != len(order) {
+		if len(got) != len(ref.tasks) {
 			return false
 		}
 		for i := range got {
-			if got[i] != order[i] {
+			if got[i].No != ref.tasks[i].No {
+				return false
+			}
+		}
+		for no := range live.tasks {
+			if live.tasks[no].SusRetry != mirror.tasks[no].SusRetry {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -382,27 +567,31 @@ func BenchmarkListAddRemove(b *testing.B) {
 	}
 }
 
-// TestSusQueueSteadyStateZeroAlloc pins the element pool: add/remove
-// churn at a warmed depth must recycle elements instead of allocating
-// one linked-list node per suspension.
+// TestSusQueueSteadyStateZeroAlloc pins the element arena: add,
+// filtered-walk and remove churn at a warmed depth must reuse arena
+// slots instead of allocating one element per suspension.
 func TestSusQueueSteadyStateZeroAlloc(t *testing.T) {
+	cfgs := mkConfigs(2)
 	q := NewSusQueue()
+	q.Reset(cfgs)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
-	for _, task := range tasks { // warm the pool to depth 3
-		q.Add(task)
+	for i, task := range tasks {
+		task.Resolved = cfgs[i%2]
 	}
-	for _, task := range tasks {
-		q.Remove(task)
-	}
-	allocs := testing.AllocsPerRun(500, func() {
+	churn := func() {
 		for _, task := range tasks {
 			q.Add(task)
 		}
+		q.Walk(false, func(cfg *model.Config) bool { return cfg.No == 0 }, func(task *model.Task) bool {
+			q.Remove(task)
+			return true
+		})
 		for _, task := range tasks {
 			q.Remove(task)
 		}
-	})
-	if allocs != 0 {
+	}
+	churn() // warm the arena and the walk's cursor set to depth 3
+	if allocs := testing.AllocsPerRun(500, churn); allocs != 0 {
 		t.Fatalf("steady-state suspend/retry churn allocates %v allocs/op, want 0", allocs)
 	}
 }
