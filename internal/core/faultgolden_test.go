@@ -14,6 +14,7 @@ import (
 	"dreamsim/internal/model"
 	"dreamsim/internal/resinfo"
 	"dreamsim/internal/sched"
+	"dreamsim/internal/workload"
 )
 
 // walkWitness records, from the lifecycle events of one run, which of
@@ -111,6 +112,12 @@ type goldenCase struct {
 	// snapAt is the processed-event count at which the run pauses for
 	// a mid-run snapshot; 0 takes none.
 	snapAt uint64
+	// atPause, when set, asserts what the paused run looks like before
+	// the snapshot is taken.
+	atPause func(t *testing.T, s *Simulator)
+	// unwatched runs without the lifecycle witness: an observer turns
+	// streaming off, so a streamed case must go unobserved.
+	unwatched bool
 	// reached asserts that the run exercised the path the case exists
 	// to pin.
 	reached func(t *testing.T, w *walkWitness, res *Result)
@@ -185,7 +192,8 @@ var goldenCases = []goldenCase{
 			p.Faults = fault.Plan{Script: cfailScript(50, 40000, 50)}
 			return p
 		},
-		snapAt: 500,
+		snapAt:  500,
+		atPause: queueOutOfOrder,
 		reached: func(t *testing.T, w *walkWitness, res *Result) {
 			if w.refaults == 0 || res.Phases["reconfig-fault"] == 0 {
 				t.Fatalf("no reconfiguration fault struck a task placed by a retry walk (refaults %d)", w.refaults)
@@ -238,6 +246,97 @@ var goldenCases = []goldenCase{
 			}
 		},
 	},
+	{
+		// The checkpoint workload's shape: a fault-free partial run of
+		// 100 nodes and 20k tasks, paused with a deep suspension queue,
+		// so the snapshot serializes thousands of queued tasks.
+		name: "deep-queue-snapshot",
+		file: "snap_deep_golden.json",
+		params: func(*walkWitness) Params {
+			p := smallParams(100, 20000, true)
+			p.Seed = 1
+			return p
+		},
+		snapAt: 8000,
+		atPause: func(t *testing.T, s *Simulator) {
+			if n := s.sus.Len(); n < 5000 {
+				t.Fatalf("paused with %d queued tasks, want at least 5000", n)
+			}
+		},
+		reached: func(t *testing.T, _ *walkWitness, res *Result) {
+			if res.Counters.NodeCrashes != 0 || res.Counters.SusQueuePeak < 5000 {
+				t.Fatalf("not a fault-free deep-queue run (crashes %d, queue peak %d)",
+					res.Counters.NodeCrashes, res.Counters.SusQueuePeak)
+			}
+		},
+	},
+	{
+		// A streamed two-class scenario with a crash storm and a random
+		// crash stream: tasks displaced by crashes are re-dispatched and
+		// queued behind later arrivals, and released tasks' structs are
+		// recycled while the snapshot's registry is live.
+		name: "streamed-scenario-crashes",
+		file: "snap_stream_golden.json",
+		params: func(*walkWitness) Params {
+			scn, err := workload.ParseScenario(streamCrashScenario)
+			if err != nil {
+				panic(err)
+			}
+			p := smallParams(30, 3000, true)
+			p.Seed = 5
+			p.Scenario = scn
+			p.Stream = true
+			p.Faults = fault.Plan{CrashRate: 0.0005, MeanDowntime: 300}
+			return p
+		},
+		unwatched: true,
+		snapAt:    2000,
+		atPause: func(t *testing.T, s *Simulator) {
+			if s.recycle == nil || len(s.classAcc) < 2 || s.c.NodeCrashes == 0 {
+				t.Fatalf("not a streamed multi-class run with crashes (recycling %v, %d classes, %d crashes)",
+					s.recycle != nil, len(s.classAcc), s.c.NodeCrashes)
+			}
+			queueOutOfOrder(t, s)
+		},
+		reached: func(t *testing.T, _ *walkWitness, res *Result) {
+			if len(res.Classes) < 2 || res.Counters.NodeCrashes == 0 || res.Counters.TasksRetried == 0 {
+				t.Fatalf("no crash re-dispatch in a multi-class run (%d classes, %d crashes, %d retried)",
+					len(res.Classes), res.Counters.NodeCrashes, res.Counters.TasksRetried)
+			}
+		},
+	},
+}
+
+// streamCrashScenario is the streamed-scenario-crashes case's traffic:
+// two classes and an eight-node crash storm early in the run.
+const streamCrashScenario = `dreamsim-scenario v1
+tasks 3000
+interval 8
+class batch
+  fraction 0.5
+  arrival poisson
+  reqtime 1000 30000 uniform
+end
+class interactive
+  fraction 0.5
+  arrival gamma 1.5
+  reqtime 100 5000 uniform
+end
+event storm 6000 6400 8
+`
+
+// queueOutOfOrder asserts that the paused suspension queue is not in
+// ascending task-number order: some task was re-appended behind later
+// arrivals, so the snapshot's registry must sort the queue.
+func queueOutOfOrder(t *testing.T, s *Simulator) {
+	t.Helper()
+	queued := s.sus.Tasks()
+	for i := 1; i < len(queued); i++ {
+		if queued[i].No < queued[i-1].No {
+			return
+		}
+	}
+	t.Fatalf("paused queue of %d tasks is in task-number order", len(queued))
 }
 
 // runGoldenCase runs one case, pausing once for its mid-run snapshot.
@@ -245,7 +344,9 @@ func runGoldenCase(t *testing.T, gc goldenCase) (walkGolden, *walkWitness) {
 	t.Helper()
 	w := newWalkWitness()
 	p := gc.params(w)
-	p.OnEvent = w.observe
+	if !gc.unwatched {
+		p.OnEvent = w.observe
+	}
 	s, err := New(p)
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +362,9 @@ func runGoldenCase(t *testing.T, gc goldenCase) (walkGolden, *walkWitness) {
 		}
 		if s.sus.Len() == 0 {
 			t.Fatalf("snapshot point %d has an empty suspension queue", gc.snapAt)
+		}
+		if gc.atPause != nil {
+			gc.atPause(t, s)
 		}
 		snap, err := s.EncodeSnapshot()
 		if err != nil {
