@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
@@ -79,7 +80,19 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 		return nil, fmt.Errorf("core: snapshot mid-tick (events pending at %d, clock %d)", next, s.eng.Now())
 	}
 
-	var w snapshot.Writer
+	// Gather the live state once. The task registry, the suspension
+	// queue section and the event section all read these lists, and
+	// their lengths size the payload buffer. Queued tasks' retry counts
+	// are credited lazily; settle them before the registry records them.
+	s.sus.Materialize()
+	queue := s.sus.AppendTasks(make([]*model.Task, 0, s.sus.Len()))
+	events := s.eng.Queue.Pending()
+	tasks, err := s.liveTasks(queue, events)
+	if err != nil {
+		return nil, err
+	}
+
+	w := snapshot.NewSealWriter(SnapshotKind, s.snapshotSizeHint(len(tasks), len(queue), len(events)))
 
 	// Fingerprint: enough of the parameters to reject a restore into
 	// a differently-shaped run before any state is overwritten.
@@ -117,18 +130,7 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 	w.I64(s.retryPending)
 	w.Bool(s.drainCheckQueued)
 
-	// Queued tasks' retry counts are credited lazily; settle them
-	// before the registry records them.
-	s.sus.Materialize()
-
-	// Task registry: every live task struct, once, sorted by number.
-	// Identity matters — the task referenced by a node entry and by
-	// its completion event must restore as the SAME struct — so all
-	// later sections reference tasks by number.
-	tasks, err := s.liveTasks()
-	if err != nil {
-		return nil, err
-	}
+	// Task registry: every live task struct, once, by ascending number.
 	w.Int(len(tasks))
 	for _, t := range tasks {
 		encodeTask(&w, t)
@@ -188,16 +190,15 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 	s.mgr.EncodeState(&w)
 
 	// Suspension queue, FIFO order, plus its historic peak.
-	w.Int(s.sus.Len())
-	for _, t := range s.sus.AppendTasks(nil) {
+	w.Int(len(queue))
+	for _, t := range queue {
 		w.Int(t.No)
 	}
 	w.Int(s.sus.Peak())
 
 	// Pending events in total (At, seq) order.
-	pending := s.eng.Queue.Pending()
-	w.Int(len(pending))
-	for _, ev := range pending {
+	w.Int(len(events))
+	for _, ev := range events {
 		if err := s.encodeEvent(&w, ev); err != nil {
 			return nil, err
 		}
@@ -211,55 +212,110 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 		}
 	}
 
-	return snapshot.Seal(SnapshotKind, SnapshotVersion, w.Bytes()), nil
+	return w.Seal(SnapshotKind, SnapshotVersion), nil
 }
 
-// liveTasks collects every task struct reachable from run state:
-// payloads of pending events, suspended tasks, dependency-blocked
-// tasks and tasks resident on nodes. Each appears once; two distinct
-// structs sharing a number is an internal-consistency failure.
-func (s *Simulator) liveTasks() ([]*model.Task, error) {
-	seen := make(map[*model.Task]bool)
-	byNo := make(map[int]*model.Task)
-	var tasks []*model.Task
-	add := func(t *model.Task) error {
-		if t == nil || seen[t] {
-			return nil
-		}
-		if prev, dup := byNo[t.No]; dup && prev != t {
-			return fmt.Errorf("core: two live task structs share number %d", t.No)
-		}
-		seen[t] = true
-		byNo[t.No] = t
-		tasks = append(tasks, t)
-		return nil
-	}
-	for _, ev := range s.eng.Queue.Pending() {
-		if t, isTask := ev.A.(*model.Task); isTask {
-			if err := add(t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, t := range s.sus.AppendTasks(nil) {
-		if err := add(t); err != nil {
-			return nil, err
+// liveTasks builds the task registry from the suspension queue (FIFO
+// order) and the pending events: every task struct reachable from run
+// state — suspended tasks, payloads of pending events, tasks resident
+// on nodes and dependency-blocked tasks — once, by ascending number.
+// Identity matters: the task a node entry references and the one its
+// completion event carries must restore as the same struct, so all
+// later sections name tasks by number. Two distinct structs sharing a
+// number is an internal-consistency failure.
+//
+// The queue is in ascending task-number order except for tasks a
+// reconfiguration fault or a crash re-dispatch appended again. Its
+// ascending run is merged as it stands; only the stragglers join the
+// other sources — the nodes' entries, the pending events and the
+// dependency-blocked tasks — in the list that is sorted. The build is
+// therefore linear in the queue, and the sort covers the stragglers
+// plus a list the fabric and the event queue bound, not the whole
+// queue.
+func (s *Simulator) liveTasks(queue []*model.Task, events []*sim.Event) ([]*model.Task, error) {
+	rest := make([]*model.Task, 0, len(queue)+len(events)+s.residentEntries()+s.ctx.depBlockedCount)
+	top := -1 // number of the queue's last in-order task
+	for _, t := range queue {
+		if t.No >= top {
+			top = t.No
+		} else {
+			rest = append(rest, t)
 		}
 	}
-	for _, t := range s.ctx.depBlocked {
-		if err := add(t); err != nil {
-			return nil, err
+	for _, ev := range events {
+		if t, isTask := ev.A.(*model.Task); isTask && t != nil {
+			rest = append(rest, t)
 		}
 	}
 	for _, n := range s.mgr.Nodes() {
 		for _, e := range n.Entries {
-			if err := add(e.Task); err != nil {
-				return nil, err
+			if e.Task != nil {
+				rest = append(rest, e.Task)
 			}
 		}
 	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].No < tasks[j].No })
-	return tasks, nil
+	for _, t := range s.ctx.depBlocked {
+		if t != nil {
+			rest = append(rest, t)
+		}
+	}
+	slices.SortFunc(rest, func(a, b *model.Task) int { return cmp.Compare(a.No, b.No) })
+
+	tasks := make([]*model.Task, 0, len(queue)+len(rest))
+	top = -1
+	for i, j := 0, 0; ; {
+		for i < len(queue) && queue[i].No < top {
+			i++ // a straggler, merged from rest
+		}
+		var t *model.Task
+		switch {
+		case i < len(queue) && (j == len(rest) || queue[i].No <= rest[j].No):
+			t, top = queue[i], queue[i].No
+			i++
+		case j < len(rest):
+			t = rest[j]
+			j++
+		default:
+			return tasks, nil
+		}
+		if k := len(tasks) - 1; k >= 0 && tasks[k].No == t.No {
+			if tasks[k] != t {
+				return nil, fmt.Errorf("core: two live task structs share number %d", t.No)
+			}
+			continue
+		}
+		tasks = append(tasks, t)
+	}
+}
+
+// residentEntries counts the configurations resident on the nodes.
+func (s *Simulator) residentEntries() int {
+	n := 0
+	for _, node := range s.mgr.Nodes() {
+		n += len(node.Entries)
+	}
+	return n
+}
+
+// Payload size estimate per item, in bytes: upper bounds of the varint
+// encodings on the paper's workloads (a registry entry's 17 fields come
+// to about 25 bytes there), so EncodeSnapshot allocates its buffer
+// once. An underestimate costs a buffer growth, never a wrong byte.
+const (
+	hintBase  = 1024 // fingerprint, counters, flags, source cursors, RNG positions
+	hintTask  = 40   // one registry entry
+	hintRef   = 5    // one task number in the queue or dependency sections
+	hintEvent = 16   // one pending event
+	hintNode  = 24   // one node's used flag, downtime and fabric header
+	hintEntry = 16   // one resident configuration and its list membership
+)
+
+// snapshotSizeHint estimates the payload size of a snapshot with the
+// given registry, queue and event counts.
+func (s *Simulator) snapshotSizeHint(tasks, queued, events int) int {
+	return hintBase + 2*len(s.mgr.Configs()) + 8*len(s.classAcc) +
+		hintTask*tasks + hintRef*(queued+s.ctx.depBlockedCount) + len(s.ctx.terminal) +
+		hintEvent*events + hintNode*len(s.mgr.Nodes()) + hintEntry*s.residentEntries()
 }
 
 // encodeEvent appends one pending event as kind ID, firing time and
@@ -490,14 +546,13 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 	}
 
 	// Task registry.
-	byNo, err := s.restoreTasks(r)
+	tasks, err := s.restoreTasks(r)
 	if err != nil {
 		return err
 	}
-	taskByNo := func(no int) *model.Task { return byNo[no] }
 
 	// Run context.
-	if err := s.restoreContext(r, taskByNo); err != nil {
+	if err := s.restoreContext(r, tasks.find); err != nil {
 		return err
 	}
 
@@ -549,7 +604,7 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 	}
 
 	// Fabric contents.
-	if err := s.mgr.RestoreState(r, taskByNo); err != nil {
+	if err := s.mgr.RestoreState(r, tasks.find); err != nil {
 		return err
 	}
 
@@ -558,12 +613,18 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	// Queued tasks are distinct registry entries, which bounds the
+	// arena the queue reserves.
+	if nsus > len(tasks.slab) {
+		return fmt.Errorf("%w: suspension queue of %d tasks, registry holds %d", snapshot.ErrCorrupt, nsus, len(tasks.slab))
+	}
+	s.sus.Reserve(nsus)
 	for i := 0; i < nsus; i++ {
 		no := r.Int()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		t := byNo[no]
+		t := tasks.find(no)
 		if t == nil {
 			return fmt.Errorf("%w: suspension queue references unknown task %d", snapshot.ErrCorrupt, no)
 		}
@@ -586,7 +647,7 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 
 	// Pending events, re-pushed in stored (At, seq) order so the
 	// queue's total order is reproduced, then the engine counters.
-	if err := s.restoreEvents(r, now, byNo); err != nil {
+	if err := s.restoreEvents(r, now, &tasks); err != nil {
 		return err
 	}
 	if !s.eng.Queue.RestoreSeq(nextSeq) {
@@ -605,19 +666,28 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 	return r.Err()
 }
 
-// restoreTasks decodes the task registry into fresh structs.
-func (s *Simulator) restoreTasks(r *snapshot.Reader) (map[int]*model.Task, error) {
+// minTaskBytes is the smallest encoding of one registry entry:
+// encodeTask writes 17 fields of at least one byte each. A registry
+// count above the remaining payload over this size cannot be genuine,
+// so the decoder rejects it before allocating anything.
+const minTaskBytes = 17
+
+// restoreTasks decodes the task registry into one slab of structs.
+// The encoder writes the registry by strictly ascending task number
+// and the decoder requires it, which rules out a task encoded twice
+// without a lookup table; later sections find tasks in the slab by
+// number.
+func (s *Simulator) restoreTasks(r *snapshot.Reader) (taskTable, error) {
 	n := r.Count()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return taskTable{}, err
 	}
-	cfgByNo := make(map[int]*model.Config, len(s.mgr.Configs()))
-	for _, cfg := range s.mgr.Configs() {
-		cfgByNo[cfg.No] = cfg
+	if n > r.Remaining()/minTaskBytes {
+		return taskTable{}, fmt.Errorf("%w: %d tasks cannot fit in %d bytes", snapshot.ErrCorrupt, n, r.Remaining())
 	}
-	byNo := make(map[int]*model.Task, n)
-	for i := 0; i < n; i++ {
-		t := &model.Task{}
+	slab := make([]model.Task, n)
+	for i := range slab {
+		t := &slab[i]
 		t.No = r.Int()
 		t.NeededArea = r.I64()
 		t.PrefConfig = r.Int()
@@ -636,28 +706,63 @@ func (s *Simulator) restoreTasks(r *snapshot.Reader) (map[int]*model.Task, error
 		t.ResolvedClosest = r.Bool()
 		status := r.Int()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return taskTable{}, err
 		}
 		if t.No < 0 {
-			return nil, fmt.Errorf("%w: task number %d", snapshot.ErrCorrupt, t.No)
+			return taskTable{}, fmt.Errorf("%w: task number %d", snapshot.ErrCorrupt, t.No)
 		}
-		if byNo[t.No] != nil {
-			return nil, fmt.Errorf("%w: task %d encoded twice", snapshot.ErrCorrupt, t.No)
+		if i > 0 && t.No <= slab[i-1].No {
+			return taskTable{}, fmt.Errorf("%w: task %d listed after task %d (registry not in ascending order)",
+				snapshot.ErrCorrupt, t.No, slab[i-1].No)
 		}
 		if status < 0 || status > int(model.TaskLost) {
-			return nil, fmt.Errorf("%w: task %d status %d", snapshot.ErrCorrupt, t.No, status)
+			return taskTable{}, fmt.Errorf("%w: task %d status %d", snapshot.ErrCorrupt, t.No, status)
 		}
 		t.Status = model.TaskStatus(status)
 		if resolved >= 0 {
-			cfg := cfgByNo[resolved]
-			if cfg == nil {
-				return nil, fmt.Errorf("%w: task %d resolved to unknown configuration %d", snapshot.ErrCorrupt, t.No, resolved)
+			if t.Resolved = s.mgr.ConfigByNo(resolved); t.Resolved == nil {
+				return taskTable{}, fmt.Errorf("%w: task %d resolved to unknown configuration %d", snapshot.ErrCorrupt, t.No, resolved)
 			}
-			t.Resolved = cfg
 		}
-		byNo[t.No] = t
 	}
-	return byNo, nil
+	return taskTable{slab: slab}, nil
+}
+
+// taskTable resolves task numbers against the restored registry slab,
+// which is sorted by number. Lookups in ascending order — the
+// suspension queue's, mostly — gallop forward from the previous hit,
+// so they cost O(1) each instead of a search of the whole slab.
+type taskTable struct {
+	slab []model.Task
+	next int // slab index just past the previous hit
+}
+
+// find returns the restored task numbered no, or nil.
+func (tt *taskTable) find(no int) *model.Task {
+	lo, hi := 0, len(tt.slab)
+	if c := tt.next; c < hi && tt.slab[c].No <= no {
+		lo = c
+		for step := 1; lo+step < hi; step *= 2 {
+			if tt.slab[lo+step].No > no {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	}
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if tt.slab[h].No < no {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(tt.slab) && tt.slab[lo].No == no {
+		tt.next = lo + 1
+		return &tt.slab[lo]
+	}
+	return nil
 }
 
 // restoreContext overwrites the run context's per-run accounting.
@@ -755,7 +860,7 @@ func (s *Simulator) restoreContext(r *snapshot.Reader, taskByNo func(no int) *mo
 // cross-checks the event population against the restored gauges: one
 // pending arrival unless the source drained, one pending completion
 // per running task, one pending retry per displaced task.
-func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, byNo map[int]*model.Task) error {
+func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTable) error {
 	nev := r.Count()
 	if err := r.Err(); err != nil {
 		return err
@@ -782,7 +887,7 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, byNo map[int]*m
 			if err := r.Err(); err != nil {
 				return nil, err
 			}
-			t := byNo[no]
+			t := tasks.find(no)
 			if t == nil {
 				return nil, fmt.Errorf("%w: event references unknown task %d", snapshot.ErrCorrupt, no)
 			}

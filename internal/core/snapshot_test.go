@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dreamsim/internal/fault"
+	"dreamsim/internal/metrics"
+	"dreamsim/internal/model"
 	"dreamsim/internal/snapshot"
 )
 
@@ -168,6 +172,165 @@ func TestEncodeSnapshotRejectsBadStates(t *testing.T) {
 	}
 }
 
+// registryLayout locates the task registry in a core snapshot payload
+// by decoding the sections ahead of it: countAt is the offset of the
+// registry count and taskAt[i] that of entry i, with a final element
+// marking the registry's end.
+func registryLayout(tb testing.TB, payload []byte) (countAt int, taskAt []int) {
+	tb.Helper()
+	r := snapshot.NewReader(payload)
+	at := func() int { return len(payload) - r.Remaining() }
+	r.U64()  // seed
+	r.Bool() // partial
+	r.Bool() // stream
+	r.Int()  // nodes
+	r.Int()  // configurations
+	r.Str()  // policy
+	r.Bool() // faults
+	r.Bool() // dependencies
+	r.Int()  // classes
+	r.I64()  // clock
+	r.U64()  // processed
+	r.U64()  // next event sequence
+	decodeCounters(r, &metrics.Counters{})
+	for n := 6 * r.Count(); n > 0; n-- { // class accumulators
+		r.I64()
+	}
+	r.Bool() // arrivals done
+	r.I64()  // armed faults
+	r.I64()  // pending retries
+	r.Bool() // drain check queued
+	countAt = at()
+	n := r.Count()
+	for i := 0; i < n; i++ {
+		taskAt = append(taskAt, at())
+		// encodeTask's 17 fields: varints, but for the ResolvedClosest bool.
+		for f := 0; f < 17; f++ {
+			if f == 15 {
+				r.Bool()
+			} else {
+				r.I64()
+			}
+		}
+	}
+	taskAt = append(taskAt, at())
+	if err := r.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return countAt, taskAt
+}
+
+// splice returns data with data[from:to] replaced by repl.
+func splice(data []byte, from, to int, repl []byte) []byte {
+	out := append([]byte(nil), data[:from]...)
+	out = append(out, repl...)
+	return append(out, data[to:]...)
+}
+
+// varint is the snapshot encoding of v.
+func varint(v int) []byte { return binary.AppendVarint(nil, int64(v)) }
+
+// malformedRegistries derives payloads whose task registry breaks the
+// decoder's rules from a valid payload with at least two registry
+// entries: entries out of order, a task number listed twice, and a
+// task resolved to configuration configs, one past the list.
+func malformedRegistries(tb testing.TB, payload []byte, configs int) []struct {
+	name    string
+	payload []byte
+} {
+	tb.Helper()
+	_, taskAt := registryLayout(tb, payload)
+	if len(taskAt) < 3 {
+		tb.Fatalf("registry holds %d tasks, want at least 2", len(taskAt)-1)
+	}
+	first := payload[taskAt[0]:taskAt[1]]
+	second := payload[taskAt[1]:taskAt[2]]
+	swapped := append(append([]byte(nil), second...), first...)
+
+	// Field 14 of an entry is its resolved configuration.
+	r := snapshot.NewReader(first)
+	for f := 0; f < 14; f++ {
+		r.I64()
+	}
+	from := taskAt[0] + len(first) - r.Remaining()
+	r.Int()
+	to := taskAt[0] + len(first) - r.Remaining()
+
+	return []struct {
+		name    string
+		payload []byte
+	}{
+		{"descending", splice(payload, taskAt[0], taskAt[2], swapped)},
+		{"duplicate", splice(payload, taskAt[1], taskAt[2], first)},
+		{"unknown-configuration", splice(payload, from, to, varint(configs))},
+	}
+}
+
+// TestRestoreRejectsMalformedRegistry: the decoder requires strictly
+// ascending task numbers and known configurations, and rejects
+// anything else with ErrCorrupt.
+func TestRestoreRejectsMalformedRegistry(t *testing.T) {
+	p := smallParams(10, 120, true)
+	snap, ok := pauseAndSnapshot(t, p, 100)
+	if !ok {
+		t.Fatal("run too short")
+	}
+	payload, _, err := snapshot.Open(snap, SnapshotKind, SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range malformedRegistries(t, payload, p.Spec.Configs) {
+		_, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, SnapshotVersion, bad.payload))
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s registry gave %v, want ErrCorrupt", bad.name, err)
+		}
+	}
+}
+
+// TestRestoreBoundsHostileRegistryCount: a tampered registry count is
+// rejected with ErrCorrupt while the restore allocates less than ten
+// times the snapshot's length, both for a count far beyond what the
+// payload can hold and for the largest count the minimum task size
+// lets through.
+func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
+	p := deepQueueParams()
+	snap, err := pausedRun(t, p, 8000).EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := snapshot.Open(snap, SnapshotKind, SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countAt, taskAt := registryLayout(t, payload)
+	remaining := len(payload) - taskAt[0] // bytes after the count
+	for _, n := range []int{remaining - 16, remaining / minTaskBytes} {
+		bad := snapshot.Seal(SnapshotKind, SnapshotVersion, splice(payload, countAt, taskAt[0], varint(n)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RestoreSnapshot(p, bad)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("registry count %d gave %v, want ErrCorrupt", n, err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("registry count %d: %d bytes allocated for a %d-byte snapshot (%.1fx)", n, got, len(bad), float64(got)/float64(len(bad)))
+		if limit := 10 * uint64(len(bad)); got >= limit {
+			t.Errorf("registry count %d: restore allocated %d bytes for a %d-byte snapshot (limit %d)", n, got, len(bad), limit)
+		}
+	}
+}
+
+// TestMinTaskBytes pins the registry bound to the encoder: the smallest
+// registry entry is minTaskBytes long.
+func TestMinTaskBytes(t *testing.T) {
+	var w snapshot.Writer
+	encodeTask(&w, new(model.Task))
+	if w.Len() != minTaskBytes {
+		t.Fatalf("smallest registry entry takes %d bytes, minTaskBytes is %d", w.Len(), minTaskBytes)
+	}
+}
+
 // FuzzDecodeSnapshot: the decoder must never panic, whatever the
 // bytes. Raw inputs exercise the envelope (the checksum rejects
 // nearly everything); the re-sealed pass wraps the fuzzed bytes in a
@@ -205,6 +368,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
+	for _, bad := range malformedRegistries(f, payload, p.Spec.Configs) {
+		f.Add(bad.payload)
+	}
+	countAt, taskAt := registryLayout(f, payload)
+	f.Add(splice(payload, countAt, taskAt[0], varint(len(payload)-taskAt[0])))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, err := RestoreSnapshot(p, data); err == nil {

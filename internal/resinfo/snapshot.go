@@ -84,10 +84,6 @@ func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.
 	if n := r.Int(); r.Err() == nil && n != len(m.nodes) {
 		return fmt.Errorf("%w: snapshot has %d nodes, run parameters build %d", snapshot.ErrCorrupt, n, len(m.nodes))
 	}
-	cfgByNo := make(map[int]*model.Config, len(m.configs))
-	for _, cfg := range m.configs {
-		cfgByNo[cfg.No] = cfg
-	}
 	m.downCount = 0
 	for _, n := range m.nodes {
 		if len(n.Entries) != 0 {
@@ -114,8 +110,8 @@ func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.
 			if err := r.Err(); err != nil {
 				return err
 			}
-			cfg, ok := cfgByNo[cfgNo]
-			if !ok {
+			cfg := m.ConfigByNo(cfgNo)
+			if cfg == nil {
 				return fmt.Errorf("%w: node %d hosts unknown configuration %d", snapshot.ErrCorrupt, n.No, cfgNo)
 			}
 			if cfg.ReqArea > n.AvailableArea {
@@ -138,20 +134,23 @@ func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.
 			m.downCount++
 		}
 	}
+	total := 0
+	for _, n := range m.nodes {
+		total += len(n.Entries)
+	}
+	// Every list decodes into one shared array: a list can hold at most
+	// the resident entries no earlier list took.
+	scratch := make([]*model.Entry, total)
 	placed := 0
 	for _, cfg := range m.configs {
 		p := m.pairs[cfg.No]
 		for _, l := range []*reslists.List{p.Idle, p.Busy} {
-			n, err := m.restoreList(r, l, cfg)
+			n, err := m.restoreList(r, l, cfg, scratch[:total-placed])
 			if err != nil {
 				return err
 			}
 			placed += n
 		}
-	}
-	total := 0
-	for _, n := range m.nodes {
-		total += len(n.Entries)
 	}
 	if placed != total {
 		return fmt.Errorf("%w: %d entries resident but %d listed", snapshot.ErrCorrupt, total, placed)
@@ -162,15 +161,38 @@ func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.
 	return nil
 }
 
-// restoreList rebuilds one list's membership and order. The snapshot
-// holds head-first order and Add pushes at the head, so entries are
-// re-added in reverse.
-func (m *Manager) restoreList(r *snapshot.Reader, l *reslists.List, cfg *model.Config) (int, error) {
+// ConfigByNo returns the configuration numbered no, or nil. It is the
+// unmetered lookup for restores, not a scheduling search. Generated
+// lists are numbered by position, so the index answers directly; a
+// hand-built list with other numbers falls back to a scan.
+//
+//lint:metering restore lookups re-build host data structures between ticks, not simulated scheduler work
+func (m *Manager) ConfigByNo(no int) *model.Config {
+	if no >= 0 && no < len(m.configs) && m.configs[no].No == no {
+		return m.configs[no]
+	}
+	for _, cfg := range m.configs {
+		if cfg.No == no {
+			return cfg
+		}
+	}
+	return nil
+}
+
+// restoreList rebuilds one list's membership and order, decoding it
+// into buf, which bounds its length. The snapshot holds head-first
+// order and Add pushes at the head, so entries are re-added in
+// reverse.
+func (m *Manager) restoreList(r *snapshot.Reader, l *reslists.List, cfg *model.Config, buf []*model.Entry) (int, error) {
 	n := r.Count()
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
-	entries := make([]*model.Entry, n)
+	if n > len(buf) {
+		return 0, fmt.Errorf("%w: %s list of C%d holds %d entries, only %d resident entries are unlisted",
+			snapshot.ErrCorrupt, l.Kind(), cfg.No, n, len(buf))
+	}
+	entries := buf[:n]
 	for i := 0; i < n; i++ {
 		nodeNo := r.Int()
 		slot := r.Int()

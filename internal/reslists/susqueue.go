@@ -2,6 +2,7 @@ package reslists
 
 import (
 	"fmt"
+	"slices"
 
 	"dreamsim/internal/invariant"
 	"dreamsim/internal/model"
@@ -179,6 +180,11 @@ func (q *SusQueue) refile(at int32) {
 	}
 	q.link(lvlBucket, q.arena[after].next[lvlBucket], at)
 }
+
+// Reserve makes room in the arena for n more tasks, so a caller that
+// knows how many it will add (a checkpoint restore) grows it at most
+// once.
+func (q *SusQueue) Reserve(n int) { q.arena = slices.Grow(q.arena, n) }
 
 // alloc returns a free element slot, growing the arena on a miss.
 func (q *SusQueue) alloc() int32 {

@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file is the sim package's contribution to the checkpoint
 // subsystem. A snapshot never serializes the heap layout — only the
@@ -14,13 +17,12 @@ import "sort"
 // seq) ascending. The returned slice is freshly allocated; the events
 // themselves are the live queued structs and must not be mutated.
 func (q *Queue) Pending() []*Event {
-	out := make([]*Event, len(q.events))
-	copy(out, q.events)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
+	out := slices.Clone(q.events)
+	slices.SortFunc(out, func(a, b *Event) int {
+		if a.At != b.At {
+			return cmp.Compare(a.At, b.At)
 		}
-		return out[i].seq < out[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	return out
 }

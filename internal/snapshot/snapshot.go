@@ -45,22 +45,42 @@ func corruptf(format string, args ...any) error {
 // use.
 type Writer struct {
 	buf []byte
+	// start is where the payload begins in buf: a writer from
+	// NewSealWriter keeps the bytes before it as room for the envelope
+	// header.
+	start int
+}
+
+// NewSealWriter returns a writer whose buffer holds about sizeHint
+// payload bytes without growing, and keeps room ahead of the payload
+// for the envelope header of kind, so that Seal wraps the payload in
+// place instead of copying it.
+func NewSealWriter(kind string, sizeHint int) Writer {
+	room := maxHeader(kind)
+	return Writer{buf: make([]byte, room, room+sizeHint+4), start: room}
 }
 
 // Bytes returns the encoded payload.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte { return w.buf[w.start:] }
 
 // Len returns the encoded size so far.
-func (w *Writer) Len() int { return len(w.buf) }
+func (w *Writer) Len() int { return len(w.buf) - w.start }
 
-// U64 appends an unsigned varint.
+// U64 appends an unsigned varint, byte for byte what
+// binary.AppendUvarint writes. It appends in place, so a value below
+// 128 — the bulk of every payload — costs one append and no call.
 func (w *Writer) U64(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
+	for v >= 0x80 {
+		w.buf = append(w.buf, byte(v)|0x80)
+		v >>= 7
+	}
+	w.buf = append(w.buf, byte(v))
 }
 
-// I64 appends a zigzag-encoded signed varint.
+// I64 appends a zigzag-encoded signed varint, byte-equal to
+// binary.AppendVarint.
 func (w *Writer) I64(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
+	w.U64(uint64(v<<1) ^ uint64(v>>63))
 }
 
 // Int appends an int as a signed varint.
@@ -105,39 +125,46 @@ func (r *Reader) Err() error { return r.err }
 // Remaining reports how many bytes are left undecoded.
 func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
-// fail latches the first error.
+// fail latches the first error and consumes the rest of the input,
+// so the varint fast paths see no more bytes either.
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = corruptf(format, args...)
+		r.off = len(r.data)
 	}
 }
 
-// U64 decodes an unsigned varint.
+// U64 decodes an unsigned varint, taking a one-byte fast path for
+// values below 128.
 func (r *Reader) U64() uint64 {
+	if i := r.off; i < len(r.data) {
+		if b := r.data[i]; b < 0x80 {
+			r.off = i + 1
+			return uint64(b)
+		}
+	}
+	return r.uvarint()
+}
+
+// uvarint is U64's multi-byte path.
+func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// I64 decodes a zigzag-encoded signed varint.
-func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
 	if n <= 0 {
 		r.fail("truncated varint at offset %d", r.off)
 		return 0
 	}
 	r.off += n
 	return v
+}
+
+// I64 decodes a zigzag-encoded signed varint; it accepts exactly the
+// inputs binary.Varint accepts.
+func (r *Reader) I64() int64 {
+	u := r.U64()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int decodes an int.
@@ -220,16 +247,39 @@ func (r *Reader) Close() error {
 //	crc32   [4]byte  little-endian IEEE CRC of everything above
 var magic = []byte("DRSNAP")
 
-// Seal wraps payload in a versioned, checksummed envelope.
-func Seal(kind string, version uint64, payload []byte) []byte {
-	var w Writer
-	w.buf = append(w.buf, magic...)
+// maxHeader bounds the envelope header of kind: magic, kind, version
+// and payload length.
+func maxHeader(kind string) int { return len(magic) + len(kind) + 3*binary.MaxVarintLen64 }
+
+// appendHeader appends the envelope header of an n-byte payload.
+func appendHeader(dst []byte, kind string, version uint64, n int) []byte {
+	w := Writer{buf: append(dst, magic...)}
 	w.Str(kind)
 	w.U64(version)
-	w.U64(uint64(len(payload)))
-	w.buf = append(w.buf, payload...)
-	sum := crc32.ChecksumIEEE(w.buf)
-	return binary.LittleEndian.AppendUint32(w.buf, sum)
+	w.U64(uint64(n))
+	return w.buf
+}
+
+// Seal wraps payload in a versioned, checksummed envelope.
+func Seal(kind string, version uint64, payload []byte) []byte {
+	out := appendHeader(make([]byte, 0, maxHeader(kind)+len(payload)+4), kind, version, len(payload))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// Seal returns the bytes Seal(kind, version, w.Bytes()) returns. A
+// writer from NewSealWriter for kind is sealed in place, without a
+// second buffer; the writer must not be used afterwards.
+func (w *Writer) Seal(kind string, version uint64) []byte {
+	payload := w.Bytes()
+	var room [64]byte
+	hdr := appendHeader(room[:0], kind, version, len(payload))
+	if len(hdr) > w.start {
+		return Seal(kind, version, payload)
+	}
+	sealed := w.buf[w.start-len(hdr):]
+	copy(sealed, hdr)
+	return binary.LittleEndian.AppendUint32(sealed, crc32.ChecksumIEEE(sealed))
 }
 
 // Open validates an envelope and returns its payload. It fails with

@@ -1,8 +1,11 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -171,5 +174,96 @@ func TestEnvelopeCorruption(t *testing.T) {
 				t.Fatalf("bit flip at byte %d bit %d gave %v, want ErrCorrupt", i, bit, err)
 			}
 		}
+	}
+}
+
+// varintCases are the signed values around the one-byte boundary and
+// the extremes, followed by random values of every encoded length.
+func varintCases() []int64 {
+	vals := []int64{0, 1, -1, -65, -64, 63, 64, 127, 128, math.MinInt64, math.MaxInt64}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 10000; i++ {
+		v := int64(rng.Uint64() >> rng.Intn(64))
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// TestVarintMatchesEncodingBinary: the Writer's fast paths produce
+// exactly the bytes of binary.AppendVarint and binary.AppendUvarint,
+// and the Reader decodes every value back.
+func TestVarintMatchesEncodingBinary(t *testing.T) {
+	vals := varintCases()
+	var w Writer
+	var want []byte
+	for _, v := range vals {
+		w.I64(v)
+		want = binary.AppendVarint(want, v)
+		w.U64(uint64(v))
+		want = binary.AppendUvarint(want, uint64(v))
+	}
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatal("Writer bytes differ from encoding/binary")
+	}
+	r := NewReader(w.Bytes())
+	for _, v := range vals {
+		if got := r.I64(); got != v {
+			t.Fatalf("I64 round trip: got %d, want %d", got, v)
+		}
+		if got := r.U64(); got != uint64(v) {
+			t.Fatalf("U64 round trip: got %d, want %d", got, uint64(v))
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTruncatedVarintLatches: every proper prefix of a multi-byte
+// varint is rejected with ErrCorrupt, and the Reader stays latched.
+func TestTruncatedVarintLatches(t *testing.T) {
+	for _, v := range varintCases() {
+		enc := binary.AppendVarint(nil, v)
+		for n := 0; n < len(enc); n++ {
+			r := NewReader(enc[:n])
+			if got := r.I64(); got != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+				t.Fatalf("%d-byte prefix of %d: got %d, err %v", n, v, got, r.Err())
+			}
+			if r.U64() != 0 || r.Bool() || r.Err() == nil {
+				t.Fatalf("%d-byte prefix of %d: reader did not stay latched", n, v)
+			}
+		}
+	}
+	// An eleventh byte overflows a uint64 in both decoders.
+	long := append(bytes.Repeat([]byte{0xff}, 10), 0x01)
+	if r := NewReader(long); r.U64() != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatal("overlong uvarint accepted")
+	}
+}
+
+// TestSealWriterSealsInPlace: a writer from NewSealWriter seals to the
+// bytes Seal builds, without reallocating the buffer it was sized for.
+func TestSealWriterSealsInPlace(t *testing.T) {
+	for _, kind := range []string{"", "dreamsim-core", strings.Repeat("k", 200)} {
+		w := NewSealWriter(kind, 64)
+		for i := 0; i < 20; i++ {
+			w.Int(i * 1000)
+		}
+		want := Seal(kind, 7, w.Bytes())
+		got := w.Seal(kind, 7)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("kind %q: sealed in place to different bytes", kind)
+		}
+		if &got[:cap(got)][cap(got)-1] != &w.buf[:cap(w.buf)][cap(w.buf)-1] {
+			t.Fatalf("kind %q: Seal copied the payload", kind)
+		}
+	}
+	var zero Writer
+	zero.Str("payload")
+	if got, want := zero.Seal("k", 1), Seal("k", 1, zero.Bytes()); !bytes.Equal(got, want) {
+		t.Fatal("zero Writer sealed to different bytes")
 	}
 }
