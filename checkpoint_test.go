@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dreamsim/internal/exec"
@@ -215,5 +217,39 @@ func TestCheckpointRejectsUncheckpointable(t *testing.T) {
 	}
 	if _, err := run.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
+	}
+}
+
+// TestAbandonedRunsLeaveNoGoroutines: a checkpointed run owns no
+// goroutines, so runs started or resumed and then dropped unfinished
+// leave the goroutine count where it was, with no garbage collection
+// needed to reclaim anything.
+func TestAbandonedRunsLeaveNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := DefaultParams()
+	p.Tasks = 300
+	run, err := StartRun(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.RunUntil(func(_ int64, processed uint64) bool { return processed >= 200 }) {
+		t.Fatal("run finished before its pause")
+	}
+	snap, err := run.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, err := StartRun(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResumeRun(p, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("50 abandoned StartRun and ResumeRun calls moved the goroutine count from %d to %d", before, after)
 	}
 }

@@ -33,17 +33,14 @@ func rate(s sweep) (float64, string) {
 }
 
 // envMismatch reports why two sweeps' throughputs are not comparable:
-// a number measured at a different GOMAXPROCS or intra-run worker
-// count is a different experiment, and diffing the two would flag
-// phantom regressions (or mask real ones). Zero values mean the side
-// predates environment stamping and stays comparable — an old
-// baseline must not invalidate every new comparison.
+// a number measured at a different GOMAXPROCS is a different
+// experiment, and diffing the two would flag phantom regressions (or
+// mask real ones). A zero value means the side predates environment
+// stamping and stays comparable — an old baseline must not invalidate
+// every new comparison.
 func envMismatch(o, n sweep) string {
 	if o.Procs != 0 && n.Procs != 0 && o.Procs != n.Procs {
 		return fmt.Sprintf("gomaxprocs %d vs %d", o.Procs, n.Procs)
-	}
-	if o.IntraPar != 0 && n.IntraPar != 0 && o.IntraPar != n.IntraPar {
-		return fmt.Sprintf("intra_parallel %d vs %d", o.IntraPar, n.IntraPar)
 	}
 	return ""
 }

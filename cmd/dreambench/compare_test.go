@@ -95,14 +95,14 @@ func TestCompareReportsTasksPerSecUnit(t *testing.T) {
 
 func TestCompareReportsEnvMismatchSkips(t *testing.T) {
 	oldRep := report{Sweeps: []sweep{
-		{Label: "sequential", CellsPerSec: 150, Procs: 8, IntraPar: 1},
-		{Label: "scan5000/ip4", ScansPerSec: 9000, Procs: 8, IntraPar: 4},
+		{Label: "sequential", CellsPerSec: 150, Procs: 8},
+		{Label: "scan5000", ScansPerSec: 9000, Procs: 8},
 		{Label: "legacy", CellsPerSec: 100}, // pre-stamping baseline: no env fields
 	}}
 	newRep := report{Sweeps: []sweep{
-		{Label: "sequential", CellsPerSec: 40, Procs: 1, IntraPar: 1},     // 1-CPU box: not comparable
-		{Label: "scan5000/ip4", ScansPerSec: 5000, Procs: 8, IntraPar: 8}, // different worker count
-		{Label: "legacy", CellsPerSec: 50, Procs: 4, IntraPar: 4},         // zero side stays comparable
+		{Label: "sequential", CellsPerSec: 40, Procs: 1}, // 1-CPU box: not comparable
+		{Label: "scan5000", ScansPerSec: 5000, Procs: 8}, // same environment: a real regression
+		{Label: "legacy", CellsPerSec: 50, Procs: 4},     // zero side stays comparable
 	}}
 	deltas := compareReports(oldRep, newRep, 0.10)
 	byLabel := map[string]sweepDelta{}
@@ -112,10 +112,10 @@ func TestCompareReportsEnvMismatchSkips(t *testing.T) {
 	if d := byLabel["sequential"]; d.EnvSkip == "" || d.Regression {
 		t.Errorf("gomaxprocs mismatch not skipped: %+v", d)
 	}
-	if d := byLabel["scan5000/ip4"]; d.EnvSkip == "" || d.Regression {
-		t.Errorf("intra_parallel mismatch not skipped: %+v", d)
+	if d := byLabel["scan5000"]; d.EnvSkip != "" || !d.Regression {
+		t.Errorf("matching environments must compare: %+v", d)
 	}
-	if d := byLabel["scan5000/ip4"]; d.Unit != "scans/s" {
+	if d := byLabel["scan5000"]; d.Unit != "scans/s" {
 		t.Errorf("scan cell unit wrong: %+v", d)
 	}
 	if d := byLabel["legacy"]; d.EnvSkip != "" || !d.Regression {

@@ -31,11 +31,11 @@ import (
 )
 
 // sweep is one timed configuration of the engine. Every sweep records
-// the environment it ran under — GOMAXPROCS and the effective
-// intra-run worker count — so -compare can refuse to diff numbers
-// measured on mismatched environments. The large-scale streamed cell
-// carries its node/task shape and reports tasks/sec instead of
-// cells/sec; the placement-scan microbench cell reports scans/sec.
+// the environment it ran under — GOMAXPROCS — so -compare can refuse
+// to diff numbers measured on mismatched environments. The large-scale
+// streamed cell carries its node/task shape and reports tasks/sec
+// instead of cells/sec; the placement-scan microbench cell reports
+// scans/sec.
 type sweep struct {
 	Label       string  `json:"label"`
 	Parallel    int     `json:"parallel"`
@@ -44,7 +44,6 @@ type sweep struct {
 	NsPerSweep  int64   `json:"ns_per_sweep"`
 	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
 	Procs       int     `json:"gomaxprocs"`
-	IntraPar    int     `json:"intra_parallel"`
 	Stream      bool    `json:"stream,omitempty"`
 	Nodes       int     `json:"nodes,omitempty"`
 	Tasks       int     `json:"tasks,omitempty"`
@@ -87,8 +86,7 @@ func main() {
 		parallel  = flag.Int("parallel", dreamsim.DefaultParallelism(), "worker count for the parallel sweep")
 		fast      = flag.Bool("fast-search", false, "also time the indexed resource-search path")
 		runs      = flag.Int("runs", 3, "timed repetitions per configuration (best run is reported)")
-		intraPar  = flag.Int("intra-parallel", 0, "intra-run workers for the base sweeps (0 = auto min(GOMAXPROCS,8), 1 = sequential)")
-		noMatrix  = flag.Bool("no-matrix", false, "skip the GOMAXPROCS x workers and GOMAXPROCS x intra-parallel matrix sweeps")
+		noMatrix  = flag.Bool("no-matrix", false, "skip the GOMAXPROCS x workers matrix sweeps")
 		noScan    = flag.Bool("no-scan", false, "skip the placement-scan microbench cells")
 		scanNodes = flag.Int("scan-nodes", 5000, "node count of the placement-scan microbench")
 		noLarge   = flag.Bool("no-large", false, "skip the large-scale streamed cell")
@@ -123,7 +121,6 @@ func main() {
 
 	base := dreamsim.DefaultParams()
 	base.Seed = *seed
-	base.IntraParallel = *intraPar
 
 	time1 := func(p dreamsim.Params) time.Duration {
 		start := time.Now()
@@ -142,10 +139,9 @@ func main() {
 		}
 		return min
 	}
-	mkSweepIP := func(label string, par, ip int, fastSearch bool) sweep {
+	mkSweep := func(label string, par int, fastSearch bool) sweep {
 		p := base
 		p.Parallelism = par
-		p.IntraParallel = ip
 		p.FastSearch = fastSearch
 		d := best(p)
 		fmt.Fprintf(os.Stderr, "%-12s parallel=%-3d fast=%-5v  %12v  %7.1f cells/s\n",
@@ -158,11 +154,7 @@ func main() {
 			NsPerSweep:  d.Nanoseconds(),
 			CellsPerSec: float64(cells) / d.Seconds(),
 			Procs:       runtime.GOMAXPROCS(0),
-			IntraPar:    dreamsim.EffectiveIntraParallel(ip),
 		}
-	}
-	mkSweep := func(label string, par int, fastSearch bool) sweep {
-		return mkSweepIP(label, par, base.IntraParallel, fastSearch)
 	}
 	// mkMatrixSweep times one GOMAXPROCS x workers matrix point: the
 	// scheduler is pinned to procs OS threads while par sweep workers
@@ -171,16 +163,6 @@ func main() {
 	mkMatrixSweep := func(procs, par int) sweep {
 		prev := runtime.GOMAXPROCS(procs)
 		s := mkSweep(fmt.Sprintf("mp%d/par%d", procs, par), par, false)
-		runtime.GOMAXPROCS(prev)
-		return s
-	}
-	// mkIntraMatrixSweep times one GOMAXPROCS x IntraParallel matrix
-	// point: whole runs stay sequential (Parallelism 1) while ip
-	// workers shard placement scans and speculate same-tick batches
-	// inside each run — the intra-run twin of mkMatrixSweep.
-	mkIntraMatrixSweep := func(procs, ip int) sweep {
-		prev := runtime.GOMAXPROCS(procs)
-		s := mkSweepIP(fmt.Sprintf("mp%d/ip%d", procs, ip), 1, ip, false)
 		runtime.GOMAXPROCS(prev)
 		return s
 	}
@@ -217,7 +199,6 @@ func main() {
 			Runs:        *runs,
 			NsPerSweep:  d.Nanoseconds(),
 			Procs:       runtime.GOMAXPROCS(0),
-			IntraPar:    dreamsim.EffectiveIntraParallel(p.IntraParallel),
 			Stream:      true,
 			Nodes:       nodes,
 			Tasks:       tasks,
@@ -288,7 +269,6 @@ func main() {
 			Parallel:        1,
 			Runs:            *runs,
 			Procs:           runtime.GOMAXPROCS(0),
-			IntraPar:        dreamsim.EffectiveIntraParallel(p.IntraParallel),
 			NsPerSweep:      ckD.Nanoseconds(),
 			Nodes:           p.Nodes,
 			Tasks:           tasks,
@@ -331,15 +311,10 @@ func main() {
 			for _, workers := range dedupInts(1, 2, *parallel) {
 				rep.Sweeps = append(rep.Sweeps, mkMatrixSweep(procs, workers))
 			}
-			for _, ip := range dedupInts(1, 4, dreamsim.EffectiveIntraParallel(0)) {
-				rep.Sweeps = append(rep.Sweeps, mkIntraMatrixSweep(procs, ip))
-			}
 		}
 	}
 	if !*noScan {
-		for _, ip := range dedupInts(1, 4, dreamsim.EffectiveIntraParallel(0)) {
-			rep.Sweeps = append(rep.Sweeps, mkScanSweep(*scanNodes, ip, *runs))
-		}
+		rep.Sweeps = append(rep.Sweeps, mkScanSweep(*scanNodes, *runs))
 	}
 	if !*noLarge {
 		rep.Sweeps = append(rep.Sweeps, mkLargeSweep(*largeN, *largeT))

@@ -6,28 +6,23 @@ import (
 	"runtime"
 	"time"
 
-	"dreamsim"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
 	"dreamsim/internal/resinfo"
 	"dreamsim/internal/rng"
 )
 
-// The placement-scan microbench: the intra-run worker pool's win is
-// per-scan, so the sweep-level cells above dilute it with everything
-// else a run does. This cell isolates the hot kernels — the full-walk
-// argmin and first-fit scans the scheduler issues per decision — on a
-// population large enough (default 5000 nodes) that the sharded scan
-// actually dispatches to the pool, and reports raw scans per second at
-// each worker count. Comparing the ip1 and ipN cells gives the real
-// multi-core scan speedup; on a single-CPU host the numbers document
-// contention instead (see parallel_speedup_label).
+// The placement-scan microbench: a scan-layer change shows per scan,
+// so the sweep-level cells above dilute it with everything else a run
+// does. This cell isolates the hot kernels — the full-walk argmin and
+// first-fit scans the scheduler issues per decision — on a large
+// population (default 5000 nodes) and reports raw scans per second.
 
 // scanPopulation mirrors the resinfo search benchmark's population:
 // mixed-mode nodes over a 1000-4000 area range, soft-core configs over
 // 200-2000, no capability classes — every node lands in one shard, so
-// the scans exercise the intra-shard parallel split, the worst case
-// for the sharding layer and the best case for measuring it.
+// every scan walks the whole population, the worst case for the
+// sharding layer.
 func scanPopulation(seed uint64, nodeCount, configCount int) ([]*model.Node, []*model.Config) {
 	r := rng.New(seed)
 	nodes := make([]*model.Node, nodeCount)
@@ -62,38 +57,32 @@ func timeScans(m *resinfo.Manager, configs []*model.Config, rounds int) (time.Du
 	return time.Since(start), ops
 }
 
-// mkScanSweep builds a nodeCount-node manager at the given intra-run
-// worker count and times the scan kernels; runs repetitions keep the
-// best time, like every other cell.
-func mkScanSweep(nodeCount, ip, runs int) sweep {
+// mkScanSweep builds a nodeCount-node manager and times the scan
+// kernels; runs repetitions keep the best time, like every other cell.
+func mkScanSweep(nodeCount, runs int) sweep {
 	const rounds = 40
 	nodes, configs := scanPopulation(1234, nodeCount, 30)
-	var opts []resinfo.Option
-	if ip > 1 {
-		opts = append(opts, resinfo.WithIntraParallel(ip))
-	}
-	m, err := resinfo.New(nodes, configs, &metrics.Counters{}, opts...)
+	m, err := resinfo.New(nodes, configs, &metrics.Counters{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dreambench:", err)
 		os.Exit(1)
 	}
-	timeScans(m, configs, 2) // warm up the pool and the cache lines
+	timeScans(m, configs, 2) // warm up the cache lines
 	d, ops := timeScans(m, configs, rounds)
 	for i := 1; i < runs; i++ {
 		if r, _ := timeScans(m, configs, rounds); r < d {
 			d = r
 		}
 	}
-	label := fmt.Sprintf("scan%d/ip%d", nodeCount, ip)
-	fmt.Fprintf(os.Stderr, "%-12s nodes=%-5d intra=%-3d  %12v  %9.0f scans/s\n",
-		label, nodeCount, ip, d, float64(ops)/d.Seconds())
+	label := fmt.Sprintf("scan%d", nodeCount)
+	fmt.Fprintf(os.Stderr, "%-12s nodes=%-5d  %12v  %9.0f scans/s\n",
+		label, nodeCount, d, float64(ops)/d.Seconds())
 	return sweep{
 		Label:       label,
 		Parallel:    1,
 		Runs:        runs,
 		NsPerSweep:  d.Nanoseconds(),
 		Procs:       runtime.GOMAXPROCS(0),
-		IntraPar:    dreamsim.EffectiveIntraParallel(ip),
 		Nodes:       nodeCount,
 		ScansPerSec: float64(ops) / d.Seconds(),
 	}

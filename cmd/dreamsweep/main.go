@@ -35,7 +35,6 @@ func main() {
 		printParms = flag.Bool("print-params", false, "print the Table II simulation parameters and exit")
 		parallel   = flag.Int("parallel", dreamsim.DefaultParallelism(), "concurrent sweep workers (1 = sequential; results identical either way)")
 		fastSearch = flag.Bool("fast-search", false, "use the indexed resource-search fast path (identical results and counters)")
-		intraPar   = flag.Int("intra-parallel", 0, "workers inside each cell's run: sharded placement scans and batched same-tick dispatch (0 = auto min(GOMAXPROCS,8), 1 = sequential; identical results at any value)")
 		stream     = flag.Bool("stream", false, "bounded-memory streaming engine in every cell (identical results; heap stops scaling with task count)")
 		window     = flag.Int("window", 0, "monitoring samples per rolling aggregation window when cells sample (0 = streamed default)")
 		scenario   = flag.String("scenario", "", "apply this workload scenario file to every sweep cell")
@@ -87,7 +86,6 @@ func main() {
 	base.Seed = *seed
 	base.Parallelism = *parallel
 	base.FastSearch = *fastSearch
-	base.IntraParallel = *intraPar
 	base.Stream = *stream
 	base.WindowSamples = *window
 	base.FaultCrashRate = *faultCrashRate

@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -23,7 +22,6 @@ const (
 	detOutEnv    = "DREAMSIM_DETERMINISM_OUT"
 	detParEnv    = "DREAMSIM_DETERMINISM_PAR"
 	detFaultsEnv = "DREAMSIM_DETERMINISM_FAULTS"
-	detIntraEnv  = "DREAMSIM_DETERMINISM_INTRA"
 )
 
 // TestDeterminismChild is the re-exec target: it runs the sweep and
@@ -41,13 +39,6 @@ func TestDeterminismChild(t *testing.T) {
 	p.Seed = 424242
 	p.Parallelism = par
 	p.TaskTimeRange = [2]int64{50, 2000}
-	if n, err := strconv.Atoi(os.Getenv(detIntraEnv)); err == nil && n > 0 {
-		p.IntraParallel = n
-	} else {
-		// Pin the sequential path: the parent's comparisons must not
-		// depend on the machine's GOMAXPROCS-derived auto value.
-		p.IntraParallel = 1
-	}
 	if os.Getenv(detFaultsEnv) == "1" {
 		p.FaultCrashRate = 0.003
 		p.FaultMeanDowntime = 150
@@ -68,9 +59,8 @@ func TestDeterminismChild(t *testing.T) {
 }
 
 // crossProcessBlobs re-execs TestDeterminismChild once per entry in
-// pars and returns the serialised matrices, failing on any child
-// error or empty output. Each pars entry is "P" (sweep workers) or
-// "P/I" (sweep workers / intra-run workers).
+// pars (sweep worker counts) and returns the serialised matrices,
+// failing on any child error or empty output.
 func crossProcessBlobs(t *testing.T, faults bool, pars []string) [][]byte {
 	t.Helper()
 	exe, err := os.Executable()
@@ -80,17 +70,10 @@ func crossProcessBlobs(t *testing.T, faults bool, pars []string) [][]byte {
 	dir := t.TempDir()
 	var blobs [][]byte
 	for i, par := range pars {
-		intra := ""
-		if j := strings.IndexByte(par, '/'); j >= 0 {
-			par, intra = par[:j], par[j+1:]
-		}
 		out := filepath.Join(dir, fmt.Sprintf("run-%d.json", i))
 		cmd := exec.Command(exe, "-test.run=^TestDeterminismChild$", "-test.count=1")
 		cmd.Env = append(os.Environ(),
 			detChildEnv+"=1", detOutEnv+"="+out, detParEnv+"="+par)
-		if intra != "" {
-			cmd.Env = append(cmd.Env, detIntraEnv+"="+intra)
-		}
 		if faults {
 			cmd.Env = append(cmd.Env, detFaultsEnv+"=1")
 		}
@@ -137,24 +120,5 @@ func TestCrossProcessByteIdenticalFaultSweep(t *testing.T) {
 	}
 	if !bytes.Contains(blobs[0], []byte("NodeCrashes")) {
 		t.Error("fault sweep recorded no crashes; the determinism check is vacuous")
-	}
-}
-
-// TestCrossProcessByteIdenticalIntraParallel is the intra-run leg of
-// the contract: the same sweep serialised from fresh processes at
-// IntraParallel 1, 4 and 8 — sharded scans plus batched same-tick
-// dispatch against the exact sequential code path — must agree byte
-// for byte. Run both with and without fault streams, whose mid-tick
-// state transitions are what invalidates speculated decisions.
-func TestCrossProcessByteIdenticalIntraParallel(t *testing.T) {
-	for _, faults := range []bool{false, true} {
-		pars := []string{"1/1", "1/4", "1/8"}
-		blobs := crossProcessBlobs(t, faults, pars)
-		for i := 1; i < len(blobs); i++ {
-			if !bytes.Equal(blobs[0], blobs[i]) {
-				t.Errorf("faults=%v: intra=%s result JSON differs from intra=%s (%d vs %d bytes)",
-					faults, pars[i], pars[0], len(blobs[i]), len(blobs[0]))
-			}
-		}
 	}
 }

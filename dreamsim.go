@@ -190,22 +190,13 @@ type Params struct {
 	// exactly the steps the metered linear walk would have charged.
 	FastSearch bool
 	// FastSearchCutoff is the node count at which FastSearch actually
-	// builds the index. Below it the per-search win cannot pay for the
-	// index's per-transition maintenance, so small populations keep
-	// the (identically metered) linear scans. Zero picks a measured
-	// default; 1 forces the index regardless of population size.
-	// Ignored unless FastSearch is set.
+	// builds the index; smaller populations keep the (identically
+	// metered) linear scans. Zero picks a default of 256 nodes, which
+	// was measured against an older linear walk: above it the index is
+	// slower than the SoA scan on some workloads and faster on others.
+	// 1 forces the index regardless of population size. Ignored unless
+	// FastSearch is set.
 	FastSearchCutoff int
-	// IntraParallel bounds the worker count INSIDE one simulation run:
-	// capability-sharded placement scans and batched same-tick dispatch
-	// (DESIGN.md §14). Orthogonal to Parallelism, which fans out whole
-	// runs. 0 picks min(GOMAXPROCS, 8) automatically; 1 forces the
-	// exact sequential code path; values above 1 set the worker count
-	// directly. Every result byte — reports, search/housekeeping
-	// counters, RNG streams — is identical at any setting; only wall-
-	// clock time changes, and only when same-tick arrivals or large
-	// node populations give the workers something to split.
-	IntraParallel int
 
 	// ScenarioText, when non-empty, is a scenario specification in the
 	// "dreamsim-scenario v1" format (see README): multiple traffic
@@ -317,7 +308,6 @@ func (p Params) coreParams() (core.Params, error) {
 		TickStep:         p.TickStep,
 		FastSearch:       p.FastSearch,
 		FastSearchCutoff: p.FastSearchCutoff,
-		IntraParallel:    EffectiveIntraParallel(p.IntraParallel),
 		Stream:           p.Stream,
 		MaxSusRetries:    p.MaxSusRetries,
 		DefragThreshold:  p.DefragThreshold,

@@ -75,22 +75,13 @@ type Params struct {
 	// mode; only wall time changes.
 	FastSearch bool
 	// FastSearchCutoff is the node count at which FastSearch actually
-	// builds the index; smaller populations keep the linear scans,
-	// which outrun the index's per-transition maintenance below the
-	// threshold. Zero means resinfo.DefaultFastSearchCutoff; 1 forces
-	// the index on any population. Ignored unless FastSearch is set.
+	// builds the index; smaller populations keep the linear scans.
+	// Above it the index is not uniformly faster than the SoA scan
+	// (see resinfo.DefaultFastSearchCutoff). Zero means
+	// resinfo.DefaultFastSearchCutoff; 1 forces the index on any
+	// population. Ignored unless FastSearch is set.
 	FastSearchCutoff int
-	// IntraParallel, when > 1, spends that many worker goroutines
-	// inside the single run: the resource manager's placement scans
-	// shard-dispatch onto a bounded pool (above resinfo's span cutoff),
-	// and same-tick arrivals are decided speculatively in parallel and
-	// committed in FIFO order (see batch.go). Every report byte,
-	// metered counter and RNG stream is identical to a sequential run;
-	// the knob trades wall time only. <= 1 is exactly the sequential
-	// path. Batched dispatch additionally requires the core-built
-	// policy with a deterministic placement criterion and no
-	// precedence constraints; runs outside that envelope keep the
-	// parallel scans but dispatch sequentially.
+	// Deprecated: IntraParallel is ignored; every run is sequential.
 	IntraParallel int
 	// Debug validates all structural invariants after every event;
 	// expensive, meant for tests.
@@ -187,10 +178,6 @@ type Simulator struct {
 	depsOn     bool // precedence constraints active (Params.Deps non-empty)
 	err        error
 
-	// batch is the same-tick speculative dispatch layer; nil unless
-	// Params.IntraParallel > 1 and the run is batching-eligible.
-	batch *batcher
-
 	// Pre-bound event handlers: allocated once per run so scheduling
 	// an event is allocation-free (payloads ride in the event's A/B
 	// slots instead of fresh closures).
@@ -238,9 +225,6 @@ func New(params Params) (*Simulator, error) {
 			cutoff = resinfo.DefaultFastSearchCutoff
 		}
 		mgrOpts = append(mgrOpts, resinfo.WithFastSearchCutoff(cutoff))
-	}
-	if params.IntraParallel > 1 {
-		mgrOpts = append(mgrOpts, resinfo.WithIntraParallel(params.IntraParallel))
 	}
 	mgr, err := resinfo.New(nodes, configs, counters, mgrOpts...)
 	if err != nil {
@@ -358,15 +342,6 @@ func New(params Params) (*Simulator, error) {
 		}
 		s.inj = inj
 	}
-	if params.IntraParallel > 1 && params.Policy == nil &&
-		params.PolicyOptions.Placement != sched.RandomFit && !s.depsOn {
-		// Batched same-tick dispatch (batch.go). Custom policies may
-		// carry scratch state unsafe to clone; RandomFit draws its RNG
-		// in decision order; precedence gates read parent state shard
-		// versions cannot witness — those runs keep sequential dispatch
-		// (the sharded parallel scans still apply above the span gate).
-		s.batch = newBatcher(s, params.IntraParallel)
-	}
 	return s, nil
 }
 
@@ -419,6 +394,9 @@ func (s *Simulator) faultLive() bool {
 // Manager exposes the resource information manager (read-only use).
 func (s *Simulator) Manager() *resinfo.Manager { return s.mgr }
 
+// Deprecated: BatchStats returns 0, 0; runs no longer batch same-tick arrivals.
+func (s *Simulator) BatchStats() (speculated, committed int64) { return 0, 0 }
+
 // Source exposes the task arrival stream. Draining it manually (for
 // trace capture) consumes the tasks the run would otherwise see, so
 // do not also Run the same Simulator afterwards.
@@ -435,12 +413,7 @@ func (s *Simulator) Run() (*Result, error) {
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
-	if s.batch != nil {
-		// Batched dispatch needs the tick-boundary speculation hook.
-		s.RunUntil(nil)
-	} else {
-		s.eng.Run(func() bool { return s.err != nil })
-	}
+	s.eng.Run(func() bool { return s.err != nil })
 	return s.Finish()
 }
 
@@ -480,18 +453,8 @@ func (s *Simulator) RunUntil(pause func(now int64, processed uint64) bool) bool 
 		if !ok {
 			return true
 		}
-		if next > s.eng.Now() {
-			if pause != nil && pause(s.eng.Now(), s.eng.Processed()) {
-				return false
-			}
-			if s.batch != nil {
-				// Crossing into tick `next`: speculate its arrival batch
-				// against the still-quiescent state. At a pause boundary
-				// (above) the batcher holds nothing — prefetched tasks
-				// are always scheduled within their own tick — so
-				// checkpoints never see speculation state.
-				s.batch.speculate(next)
-			}
+		if next > s.eng.Now() && pause != nil && pause(s.eng.Now(), s.eng.Processed()) {
+			return false
 		}
 		s.eng.Step()
 	}
@@ -519,12 +482,6 @@ func (s *Simulator) Finish() (*Result, error) {
 	if s.ctx.depBlockedCount != 0 {
 		return nil, fmt.Errorf("core: run ended with %d tasks still blocked on dependencies",
 			s.ctx.depBlockedCount)
-	}
-	if s.batch != nil {
-		// The queue drained, so no tick will speculate again; release
-		// the worker goroutines now instead of waiting for the GC
-		// finalizer (sweeps build thousands of Simulators).
-		s.batch.pool.Close()
 	}
 	s.c.SimulationTime = s.eng.Now() // Eq. 5
 	s.c.UsedNodes = int64(s.ctx.usedCount)
@@ -563,17 +520,8 @@ func (s *Simulator) classAccOf(task *model.Task) *metrics.ClassCounters {
 // scheduleNextArrival pulls the next task from the source and queues
 // its arrival event.
 func (s *Simulator) scheduleNextArrival() {
-	var task *model.Task
-	var ok bool
-	if s.batch != nil {
-		// Prefetched tasks flow back through the batcher so arrival
-		// events are scheduled in the exact source order, one at a time,
-		// just as the direct path does.
-		task, ok = s.batch.nextArrival()
-	} else {
-		//lint:allocfree interface dispatch: a source's Next is its own allocation contract; the streaming generator recycles task structs and TestTickZeroAlloc gates the closed loop
-		task, ok = s.source.Next()
-	}
+	//lint:allocfree interface dispatch: a source's Next is its own allocation contract; the streaming generator recycles task structs and TestTickZeroAlloc gates the closed loop
+	task, ok := s.source.Next()
 	if !ok {
 		s.arrDone = true
 		if tr, isTrace := s.source.(*workload.TraceReader); isTrace && tr.Err() != nil {
@@ -613,13 +561,6 @@ func (s *Simulator) handleArrival(task *model.Task, now int64) {
 		case gateBlocked:
 			s.ctx.setBlocked(task)
 			s.emit("hold", now, task)
-			s.debugCheck()
-			return
-		}
-	}
-	if s.batch != nil {
-		if d, ok := s.batch.take(task); ok {
-			s.dispatch(task, d, now)
 			s.debugCheck()
 			return
 		}

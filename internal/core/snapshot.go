@@ -857,9 +857,12 @@ func (s *Simulator) restoreContext(r *snapshot.Reader, taskByNo func(no int) *mo
 }
 
 // restoreEvents re-pushes the pending events in stored order and
-// cross-checks the event population against the restored gauges: one
+// checks the event population against the restored gauges: one
 // pending arrival unless the source drained, one pending completion
-// per running task, one pending retry per displaced task.
+// per running task, one pending retry per displaced task, one
+// drain-check iff its flag is set. An event beyond its kind's quota is
+// rejected before it is pushed, so a hostile event count cannot grow
+// the queue.
 func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTable) error {
 	nev := r.Count()
 	if err := r.Err(); err != nil {
@@ -867,6 +870,19 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 	}
 	if nev == 0 {
 		return fmt.Errorf("%w: no pending events (a finished run cannot be snapshotted)", snapshot.ErrCorrupt)
+	}
+	maxArrivals, maxDrains := int64(1), int64(0)
+	if s.arrDone {
+		maxArrivals = 0
+	}
+	if s.drainCheckQueued {
+		maxDrains = 1
+	}
+	quota := func(kind string, n, max int64) error {
+		if n < max {
+			return nil
+		}
+		return fmt.Errorf("%w: more than %d pending %s events", snapshot.ErrCorrupt, max, kind)
 	}
 	var arrivals, completions, retries, drains int64
 	nodes := s.mgr.Nodes()
@@ -905,6 +921,9 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 		}
 		switch kind {
 		case evArrival:
+			if err := quota("arrival", arrivals, maxArrivals); err != nil {
+				return err
+			}
 			t, err := taskOf()
 			if err != nil {
 				return err
@@ -912,6 +931,9 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 			arrivals++
 			s.eng.ScheduleEventAt(at, "arrival", s.hArrival, t, nil)
 		case evCompletion:
+			if err := quota("completion", completions, s.c.RunningTasks); err != nil {
+				return err
+			}
 			t, err := taskOf()
 			if err != nil {
 				return err
@@ -926,6 +948,9 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 				s.ctx.setInflight(t.No, ev)
 			}
 		case evRetry:
+			if err := quota("retry", retries, s.retryPending); err != nil {
+				return err
+			}
 			t, err := taskOf()
 			if err != nil {
 				return err
@@ -933,6 +958,9 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 			retries++
 			s.eng.ScheduleEventAt(at, "retry", s.hRetry, t, nil)
 		case evDrainCheck:
+			if err := quota("drain-check", drains, maxDrains); err != nil {
+				return err
+			}
 			drains++
 			s.eng.ScheduleEventAt(at, "drain-check", s.hDrainCheck, nil, nil)
 		case evCrashScripted, evCrashStream, evRecover, evArmScripted, evArmStream:
@@ -963,11 +991,8 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 			return fmt.Errorf("%w: unknown event kind %d", snapshot.ErrCorrupt, kind)
 		}
 	}
-	if s.arrDone && arrivals != 0 {
-		return fmt.Errorf("%w: %d pending arrivals after the source drained", snapshot.ErrCorrupt, arrivals)
-	}
-	if !s.arrDone && arrivals != 1 {
-		return fmt.Errorf("%w: %d pending arrivals with the source still live", snapshot.ErrCorrupt, arrivals)
+	if arrivals != maxArrivals {
+		return fmt.Errorf("%w: %d pending arrivals, source drained %v", snapshot.ErrCorrupt, arrivals, s.arrDone)
 	}
 	if completions != s.c.RunningTasks {
 		return fmt.Errorf("%w: %d pending completions for %d running tasks", snapshot.ErrCorrupt, completions, s.c.RunningTasks)
@@ -975,7 +1000,7 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 	if retries != s.retryPending {
 		return fmt.Errorf("%w: %d pending retries, gauge says %d", snapshot.ErrCorrupt, retries, s.retryPending)
 	}
-	if drains > 1 || (drains == 1) != s.drainCheckQueued {
+	if drains != maxDrains {
 		return fmt.Errorf("%w: %d drain-check events, flag says %v", snapshot.ErrCorrupt, drains, s.drainCheckQueued)
 	}
 	return nil

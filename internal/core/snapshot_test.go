@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
 	"dreamsim/internal/snapshot"
+	"dreamsim/internal/workload"
 )
 
 // pauseAndSnapshot drives p until roughly target events have fired,
@@ -109,6 +111,57 @@ func TestSnapshotWithFaults(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("target=%d: fault run diverged after restore", target)
+		}
+	}
+}
+
+// collidingScenario is a two-class scenario whose per-class clocks
+// collide constantly (uniform gaps of at most three ticks each), so
+// many ticks carry several arrivals. The Generator never puts two
+// arrivals on one tick.
+const collidingScenario = `dreamsim-scenario v1
+tasks 500
+interval 3
+class batch
+  fraction 0.5
+  reqtime 500 20000 uniform
+end
+class interactive
+  fraction 0.5
+  reqtime 100 2000 uniform
+end
+`
+
+// TestSnapshotResumeSameTickArrivals pauses a run whose ticks often
+// carry several arrivals: at each tick boundary one arrival is
+// pending and the source cursor holds the rest of the next tick's, so
+// the restored run must finish identically to the uninterrupted one.
+func TestSnapshotResumeSameTickArrivals(t *testing.T) {
+	scn, err := workload.ParseScenario(collidingScenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := smallParams(30, 500, true)
+	p.Scenario = scn
+	ref := mustRun(t, p)
+	for _, target := range []uint64{40, 200, 700} {
+		snap, ok := pauseAndSnapshot(t, p, target)
+		if !ok {
+			t.Fatalf("run finished before %d events", target)
+		}
+		s, err := RestoreSnapshot(p, snap)
+		if err != nil {
+			t.Fatalf("RestoreSnapshot at %d events: %v", target, err)
+		}
+		if !s.RunUntil(nil) {
+			t.Fatal("restored run paused with a nil pause")
+		}
+		got, err := s.Finish()
+		if err != nil {
+			t.Fatalf("restored Finish: %v", err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("restored at %d events: run diverged", target)
 		}
 	}
 }
@@ -287,14 +340,39 @@ func TestRestoreRejectsMalformedRegistry(t *testing.T) {
 	}
 }
 
-// TestRestoreBoundsHostileRegistryCount: a tampered registry count is
+// eventSection locates the pending-event section of a payload that s
+// encoded without a recorder: the event count and the events in queue
+// order, closed by the recorder flag as the payload's last byte. It
+// returns the offsets of the count and of the section's end.
+func eventSection(tb testing.TB, s *Simulator, payload []byte) (countAt, endAt int) {
+	tb.Helper()
+	events := s.eng.Queue.Pending()
+	var w snapshot.Writer
+	w.Int(len(events))
+	for _, ev := range events {
+		if err := s.encodeEvent(&w, ev); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	endAt = len(payload) - 1
+	countAt = endAt - w.Len()
+	if countAt < 0 || !bytes.Equal(payload[countAt:endAt], w.Bytes()) || payload[endAt] != 0 {
+		tb.Fatal("pending-event section not found at the payload's tail")
+	}
+	return countAt, endAt
+}
+
+// TestRestoreBoundsHostileRegistryCount: a tampered registry count, or
+// a flood of pending events the restored gauges cannot account for, is
 // rejected with ErrCorrupt while the restore allocates less than ten
-// times the snapshot's length, both for a count far beyond what the
-// payload can hold and for the largest count the minimum task size
-// lets through.
+// times the snapshot's length. The registry counts are one far beyond
+// what the payload can hold and the largest the minimum task size lets
+// through; the flood is 100k drain-check events behind the genuine
+// ones, where the gauges allow at most one.
 func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 	p := deepQueueParams()
-	snap, err := pausedRun(t, p, 8000).EncodeSnapshot()
+	s := pausedRun(t, p, 8000)
+	snap, err := s.EncodeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,21 +380,42 @@ func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type hostile struct {
+		name    string
+		payload []byte
+	}
+	var inputs []hostile
 	countAt, taskAt := registryLayout(t, payload)
 	remaining := len(payload) - taskAt[0] // bytes after the count
 	for _, n := range []int{remaining - 16, remaining / minTaskBytes} {
-		bad := snapshot.Seal(SnapshotKind, SnapshotVersion, splice(payload, countAt, taskAt[0], varint(n)))
+		inputs = append(inputs, hostile{
+			fmt.Sprintf("registry count %d", n),
+			splice(payload, countAt, taskAt[0], varint(n)),
+		})
+	}
+	const flood = 100000
+	evCount, evEnd := eventSection(t, s, payload)
+	nev := len(s.eng.Queue.Pending())
+	var drain snapshot.Writer
+	drain.Int(evDrainCheck)
+	drain.I64(s.eng.Now() + 1)
+	events := append(varint(nev+flood), payload[evCount+len(varint(nev)):evEnd]...)
+	events = append(events, bytes.Repeat(drain.Bytes(), flood)...)
+	inputs = append(inputs, hostile{"drain-check flood", splice(payload, evCount, evEnd, events)})
+
+	for _, in := range inputs {
+		bad := snapshot.Seal(SnapshotKind, SnapshotVersion, in.payload)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := RestoreSnapshot(p, bad)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("registry count %d gave %v, want ErrCorrupt", n, err)
+			t.Errorf("%s gave %v, want ErrCorrupt", in.name, err)
 		}
 		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("registry count %d: %d bytes allocated for a %d-byte snapshot (%.1fx)", n, got, len(bad), float64(got)/float64(len(bad)))
+		t.Logf("%s: %d bytes allocated for a %d-byte snapshot (%.1fx)", in.name, got, len(bad), float64(got)/float64(len(bad)))
 		if limit := 10 * uint64(len(bad)); got >= limit {
-			t.Errorf("registry count %d: restore allocated %d bytes for a %d-byte snapshot (limit %d)", n, got, len(bad), limit)
+			t.Errorf("%s: restore allocated %d bytes for a %d-byte snapshot (limit %d)", in.name, got, len(bad), limit)
 		}
 	}
 }

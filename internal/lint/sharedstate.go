@@ -1,16 +1,13 @@
 // The sharedstate analyzer: the parallel engine's safety contract,
 // checked instead of by-convention. Every closure handed to
-// exec.Do/DoWorkers/Map/MapWorkers or to the intra-run pool's
-// par.ForChunks runs concurrently with its siblings, so any mutable
-// state it reaches from outside its own frame — captured variables,
-// package-level variables, memory behind captured pointers — must be
-// either
+// exec.Do/DoWorkers/Map/MapWorkers runs concurrently with its
+// siblings, so any mutable state it reaches from outside its own
+// frame — captured variables, package-level variables, memory behind
+// captured pointers — must be either
 //
 //   - written only through a per-unit slot (indexed by the closure's
-//     unit or worker index parameter, like out[i] = v; for ForChunks
-//     closures a local derived from the chunk bound, like
-//     `for i := lo; ...; i++ { out[i] = v }`, counts — static
-//     chunking makes [lo, hi) the worker's own range),
+//     unit or worker index parameter, like out[i] = v, or by a local
+//     copied from one, like `j := u`),
 //   - donated per worker (obtained through the recognised
 //     `return s[w]` pool shape, like scratch.get(w)),
 //   - synchronized (under a sync.Mutex/RWMutex Lock, or via
@@ -25,9 +22,8 @@
 // summarised, so calling a captured func value is itself a finding
 // unless serialised under a lock.
 //
-// internal/exec and internal/par themselves are exempt: the
-// executors' own index-claiming and chunk-dispatch writes are the
-// mechanism that makes the contract hold.
+// internal/exec itself is exempt: the executor's own index-claiming
+// writes are the mechanism that makes the contract hold.
 package lint
 
 import (
@@ -41,9 +37,9 @@ import (
 // from exec worker closures.
 var SharedState = &Analyzer{
 	Name: "sharedstate",
-	Doc: "closures handed to exec.Do/DoWorkers/Map/MapWorkers or " +
-		"par.ForChunks must not write shared state except through " +
-		"per-unit indices, per-worker donation, sync/atomic, or a held mutex",
+	Doc: "closures handed to exec.Do/DoWorkers/Map/MapWorkers must " +
+		"not write shared state except through per-unit indices, " +
+		"per-worker donation, sync/atomic, or a held mutex",
 	RunProgram: runSharedState,
 }
 
@@ -51,12 +47,11 @@ var SharedState = &Analyzer{
 // functions whose final argument is a concurrently-run unit closure.
 var workerUnitFuncs = map[string]map[string]bool{
 	"internal/exec": {"Do": true, "DoWorkers": true, "Map": true, "MapWorkers": true},
-	"internal/par":  {"ForChunks": true},
 }
 
 // unitDispatcher resolves a call to one of the recognised worker-pool
-// entry points, returning the display name ("exec.Do",
-// "par.ForChunks") used in findings.
+// entry points, returning the display name ("exec.Do") used in
+// findings.
 func unitDispatcher(callee *types.Func) (string, bool) {
 	if callee == nil || callee.Pkg() == nil {
 		return "", false
@@ -73,8 +68,7 @@ func unitDispatcher(callee *types.Func) (string, bool) {
 func runSharedState(pp *ProgramPass) error {
 	prog := pp.Program
 	for _, fi := range prog.Ordered {
-		if pathHasSuffix(fi.Pkg.Path, "internal/exec") ||
-			pathHasSuffix(fi.Pkg.Path, "internal/par") {
+		if pathHasSuffix(fi.Pkg.Path, "internal/exec") {
 			continue
 		}
 		fi := fi
@@ -304,9 +298,8 @@ func (c *unitChecker) stmt(st ast.Stmt) {
 				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					if v, ok := c.info().Defs[id].(*types.Var); ok && i < len(st.Rhs) {
 						c.locals[v] = c.bindClass(st.Rhs[i])
-						// A local seeded from a safe index (the chunk
-						// loop's `i := lo`) stays inside the unit's own
-						// range under static chunking, so it projects
+						// A local seeded from a safe index (`j := u`)
+						// names the same per-unit slot, so it projects
 						// per-unit slots too.
 						if c.safeIndex(st.Rhs[i]) {
 							c.safe[v] = true

@@ -51,6 +51,23 @@ func PerUnitIndex(out []int) error {
 	})
 }
 
+func DerivedUnitIndex(out []int) error {
+	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+		j := u
+		out[j] = u // a local copied from the unit index: safe
+		return nil
+	})
+}
+
+func EscapedUnitIndex(out []int) error {
+	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+		j := u
+		j = 0      // reassignment off the unit index forfeits safety
+		out[j] = u // want `exec.Do unit writes shared state through out\[\.\.\.\]`
+		return nil
+	})
+}
+
 func SharedCounter() error {
 	var total int
 	return exec.Do(context.Background(), 4, 8, func(_ context.Context, u int) error {

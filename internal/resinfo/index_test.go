@@ -268,22 +268,21 @@ func TestFastSearchFallsBackOnHugeCapSpace(t *testing.T) {
 		t.Fatalf("flat-shard HasCaps scan missed cap-42: got %v", n)
 	}
 
-	// The sharded manager with pooled kernels forced on must answer and
-	// meter exactly like the plain one even in the degraded regime.
-	defer resinfo.SetParSpanMinForTest(1)()
-	mp, pcfgs := build(resinfo.WithIntraParallel(4))
+	// The fallen-back FastSearch manager must answer and meter exactly
+	// like a plain linear one in the degraded regime.
+	mp, pcfgs := build()
 	if mp.ShardCount() != 1 {
-		t.Fatalf("pooled degraded manager has %d shards, want 1", mp.ShardCount())
+		t.Fatalf("plain degraded manager has %d shards, want 1", mp.ShardCount())
 	}
 	seqBefore := m.Counters().SchedulerSearch
 	for i := range cfgs {
 		a, b := m.BestBlankNode(cfgs[i]), mp.BestBlankNode(pcfgs[i])
 		if (a == nil) != (b == nil) || (a != nil && a.No != b.No) {
-			t.Fatalf("C%d: degraded scan diverged between sequential (%v) and pooled (%v)", i, a, b)
+			t.Fatalf("C%d: degraded scan diverged between fast-search fallback (%v) and plain (%v)", i, a, b)
 		}
 	}
 	if delta := m.Counters().SchedulerSearch - seqBefore; delta != mp.Counters().SchedulerSearch {
-		t.Fatalf("degraded-scan metering diverged: sequential %d, pooled %d",
+		t.Fatalf("degraded-scan metering diverged: fast-search fallback %d, plain %d",
 			delta, mp.Counters().SchedulerSearch)
 	}
 }

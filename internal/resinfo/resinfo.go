@@ -14,7 +14,6 @@ import (
 	"dreamsim/internal/invariant"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
-	"dreamsim/internal/par"
 	"dreamsim/internal/reslists"
 )
 
@@ -30,7 +29,7 @@ type Manager struct {
 
 	// Fast-search state (nil/empty when the linear paper paths run).
 	wantFast   bool
-	fastCutoff int // minimum node count for the index to pay off
+	fastCutoff int // minimum node count the index is built for
 	idx        *nodeIndex
 	cfgPos     map[int]int     // config No -> position in the list
 	cfgByArea  []*model.Config // configs ordered by (ReqArea, position)
@@ -39,15 +38,6 @@ type Manager struct {
 	// placement scans walk (see soa.go). Built for every manager and
 	// kept in sync by reindex.
 	soa *soaState
-	// Intra-run scan parallelism: pool is nil (sequential scans)
-	// unless WithIntraParallel requested width > 1 AND the population
-	// is large enough for a dispatch to pay (parSpanMin).
-	ipar int
-	pool *par.Pool
-	pj   *parScan
-	// shadow marks a search-only view made by Shadow(); mutating
-	// transitions on a shadow are a bug (asserted under invariants).
-	shadow bool
 
 	// evict is FindAnyIdleNode's reusable victim buffer; the returned
 	// slice is valid until the next placement search.
@@ -73,15 +63,13 @@ func WithFastSearch() Option {
 	return func(m *Manager) { m.wantFast = true; m.fastCutoff = 0 }
 }
 
-// DefaultFastSearchCutoff is the node count below which the metered
-// linear scans beat the index: under it every search touches so few
-// nodes that treap maintenance on each state transition costs more
-// than the walks it saves. Query-only microbenchmarks
-// (BenchmarkSearchCrossover) favour the index much earlier, but
-// end-to-end simulation — where every StartTask/FinishTask/Configure
-// moves treap nodes between buckets — puts the crossover between 250
-// and 300 nodes at the paper's Table II workload shape; see DESIGN.md
-// "Performance & allocation discipline".
+// DefaultFastSearchCutoff is the smallest population FastSearch
+// builds the index for. It was measured against the array-of-structs
+// walk that preceded the SoA shard scan (end to end, the crossover lay
+// between 250 and 300 nodes at the paper's Table II shape) and is not
+// a crossover against the SoA scan: on a 2-vCPU host the index runs a
+// 5,000-node streamed run at 0.55x the SoA scan's tasks/s, and a
+// 1,000-node bursty scenario at 1.2-1.3x.
 const DefaultFastSearchCutoff = 256
 
 // WithFastSearchCutoff is WithFastSearch with an adaptive threshold:
@@ -92,16 +80,8 @@ func WithFastSearchCutoff(cutoff int) Option {
 	return func(m *Manager) { m.wantFast = true; m.fastCutoff = cutoff }
 }
 
-// WithIntraParallel runs the linear placement scans on a bounded pool
-// of `workers` goroutines when the population is large enough for
-// a dispatch to pay (the same scale gate as parSpanMin). Results and
-// metering are byte-identical to sequential scans: chunk boundaries
-// are static and the argmin reduction breaks ties by node number,
-// never by completion order. Width <= 1 is exactly the sequential
-// path.
-func WithIntraParallel(workers int) Option {
-	return func(m *Manager) { m.ipar = workers }
-}
+// Deprecated: WithIntraParallel is a no-op; placement scans are sequential.
+func WithIntraParallel(int) Option { return func(*Manager) {} }
 
 // New builds a manager over the given resources. Config numbers must
 // be unique; the counters receive all metering.
@@ -132,7 +112,6 @@ func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counter
 		n.Slot = i
 	}
 	m.soa = newSoaState(nodes, configs)
-	m.initPool()
 	if m.wantFast && len(nodes) >= m.fastCutoff {
 		if idx, ok := newNodeIndex(nodes, configs); ok {
 			m.idx = idx
@@ -161,8 +140,6 @@ func (m *Manager) reindex(node *model.Node) {
 	// (Configure, EvictIdle, BlankNode, StartTask, FinishTask), so it
 	// is where the -tags invariants build re-checks Eq. 4 area bounds.
 	if invariant.Enabled {
-		invariant.Assertf(!m.shadow,
-			"resinfo: state transition on a search-only shadow manager (node %d)", node.No)
 		invariant.Assertf(node.AvailableArea >= 0 && node.AvailableArea <= node.TotalArea,
 			"resinfo: node %d available area %d outside [0, %d] after a state transition (Eq. 4)",
 			node.No, node.AvailableArea, node.TotalArea)
@@ -433,8 +410,7 @@ func (m *Manager) BestIdleEntry(cfgNo int) *model.Entry {
 // hold cfg and returns the one with minimum sufficient TotalArea. The
 // fast path answers the same query from the blank-node index in
 // O(log n); the linear path scans the SoA block's compatible
-// capability shards (in parallel above parSpanMin when the manager has
-// intra-run workers). The paper's walk always visits every node, so
+// capability shards. The paper's walk always visits every node, so
 // the whole list is charged in every mode.
 //
 //dreamsim:noalloc

@@ -3,9 +3,7 @@ package resinfo
 import (
 	"fmt"
 
-	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
-	"dreamsim/internal/par"
 )
 
 // The SoA (structure-of-arrays) layer: the fields every placement scan
@@ -22,10 +20,7 @@ import (
 // The layer exists on every manager — it is the linear scan now, with
 // the treap index (index.go) still taking over when FastSearch is live
 // — and reindex keeps it in sync on the same transition tail that
-// syncs the treaps. Each shard carries a version counter bumped on
-// every member transition; the core's speculative batcher uses the
-// counters to prove a decision computed against tick-start state is
-// still valid at commit time (see core/batch.go and DESIGN.md §14).
+// syncs the treaps.
 //
 // Populations whose capability name space exceeds 64 distinct names
 // cannot be mask-encoded; they degrade to a single shard holding every
@@ -73,11 +68,6 @@ func soaFlagsOf(n *model.Node) uint8 {
 type soaShard struct {
 	mask    uint64
 	members []int32
-	// ver increments on every member state transition; a query result
-	// computed under one version is provably unaffected by later
-	// events iff the versions of every shard its configuration can
-	// reach are unchanged.
-	ver uint64
 }
 
 // soaState is the manager's scan-field block.
@@ -89,7 +79,6 @@ type soaState struct {
 	capBits map[string]uint64
 	maskOK  bool // false: >64 capability names, single-shard fallback
 	shards  []soaShard
-	shardOf []int32
 }
 
 // newSoaState builds the scan block over a fresh population. Both node
@@ -99,10 +88,9 @@ type soaState struct {
 //lint:metering construction-time layout build; the paper meters only the running scheduler
 func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 	s := &soaState{
-		total:   make([]int64, len(nodes)),
-		avail:   make([]int64, len(nodes)),
-		flags:   make([]uint8, len(nodes)),
-		shardOf: make([]int32, len(nodes)),
+		total: make([]int64, len(nodes)),
+		avail: make([]int64, len(nodes)),
+		flags: make([]uint8, len(nodes)),
 	}
 	capLists := make([][]string, 0, len(nodes)+len(configs))
 	for _, n := range nodes {
@@ -125,7 +113,6 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 				s.shards = append(s.shards, soaShard{mask: mask})
 			}
 			s.shards[si].members = append(s.shards[si].members, int32(i))
-			s.shardOf[i] = int32(si)
 		}
 	} else {
 		members := make([]int32, len(nodes))
@@ -141,11 +128,10 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 	return s
 }
 
-// sync refreshes one slot from its node and bumps the shard version.
+// sync refreshes one slot from its node.
 func (s *soaState) sync(slot int, n *model.Node) {
 	s.avail[slot] = int64(n.AvailableArea)
 	s.flags[slot] = soaFlagsOf(n)
-	s.shards[s.shardOf[slot]].ver++
 }
 
 // reqMask folds a required-capability list into its query mask. A
@@ -178,21 +164,21 @@ func (s *soaState) check(nodes []*model.Node) error {
 			if !ok || s.masks[i] != mask {
 				return fmt.Errorf("resinfo: SoA capability mask of node %d stale", n.No)
 			}
-			if s.shards[s.shardOf[i]].mask != mask {
-				return fmt.Errorf("resinfo: node %d sharded under mask %x, carries %x",
-					n.No, s.shards[s.shardOf[i]].mask, mask)
-			}
 		}
 	}
+	// Shard masks are distinct, so a slot listed under the wrong mask
+	// or in two shards fails the mask test.
 	seen := 0
 	for si := range s.shards {
+		sh := &s.shards[si]
 		prev := int32(-1)
-		for _, p := range s.shards[si].members {
+		for _, p := range sh.members {
 			if p <= prev {
 				return fmt.Errorf("resinfo: shard %d members out of order", si)
 			}
-			if s.shardOf[p] != int32(si) {
-				return fmt.Errorf("resinfo: slot %d listed in shard %d but assigned %d", p, si, s.shardOf[p])
+			if s.maskOK && s.masks[p] != sh.mask {
+				return fmt.Errorf("resinfo: node %d sharded under mask %x, carries %x",
+					nodes[p].No, sh.mask, s.masks[p])
 			}
 			prev = p
 			seen++
@@ -204,145 +190,19 @@ func (s *soaState) check(nodes []*model.Node) error {
 	return nil
 }
 
-// parSpanMin is the member count below which dispatching a scan to the
-// worker pool costs more than the scan; it also gates pool creation on
-// the population size. Small sweep-grid cells (50–150 nodes) never
-// touch the pool. Var, not const, so tests can force the parallel
-// kernels on small populations.
-var parSpanMin = 2048
-
-// parScan holds the parallel scan kernels plus their per-worker result
-// slots, allocated once per manager so a dispatch allocates nothing.
-// Result slots are stride-8 padded (one cache line apart) so workers
-// do not false-share.
-type parScan struct {
-	workers int
-	best    bestKernel
-	fit     fitKernel
-	bestKey []int64
-	bestPos []int64
-	fitPos  []int64
-}
-
-func newParScan(workers int) *parScan {
-	return &parScan{
-		workers: workers,
-		bestKey: make([]int64, workers*8),
-		bestPos: make([]int64, workers*8),
-		fitPos:  make([]int64, workers*8),
-	}
-}
-
-// bestKernel is the argmin scan: over one shard's members, find the
-// minimum key (TotalArea for blank placement, AvailableArea for
-// partial placement) among nodes matching the flag filter with
-// sufficient area, ties to the lower slot. Chunks reduce into
-// per-worker slots; the caller's final reduction over the fixed worker
-// order is schedule-independent, so the result is deterministic no
-// matter how the OS interleaves the workers.
-type bestKernel struct {
-	key     []int64
-	flags   []uint8
-	want    uint8
-	reqArea int64
-	members []int32
-	// Fallback filter for the >64-capability single-shard degrade.
-	useCaps bool
-	nodes   []*model.Node
-	caps    []string
-	// Result slots, stride 8: outKey[w*8], outPos[w*8] (-1 = none).
-	outKey []int64
-	outPos []int64
-}
-
-//dreamsim:noalloc
-func (k *bestKernel) RunChunk(w, lo, hi int) {
-	bestPos := int64(-1)
-	var bestKey int64
-	for _, p := range k.members[lo:hi] {
-		if k.flags[p]&k.want == 0 {
-			continue
-		}
-		a := k.key[p]
-		if a < k.reqArea {
-			continue
-		}
-		if k.useCaps && !k.nodes[p].HasCaps(k.caps) {
-			continue
-		}
-		if bestPos < 0 || a < bestKey {
-			bestKey, bestPos = a, int64(p)
-		}
-	}
-	k.outKey[w*8], k.outPos[w*8] = bestKey, bestPos
-}
-
-// fitKernel finds the minimum slot matching the flag filter whose
-// TotalArea fits the requirement — the busy-fit existence probe, whose
-// linear charge is that slot's position + 1. Members ascend, so the
-// first match in a chunk is the chunk's minimum.
-type fitKernel struct {
-	flags   []uint8
-	want    uint8
-	total   []int64
-	reqArea int64
-	members []int32
-	useCaps bool
-	nodes   []*model.Node
-	caps    []string
-	outPos  []int64
-}
-
-//dreamsim:noalloc
-func (k *fitKernel) RunChunk(w, lo, hi int) {
-	pos := int64(-1)
-	for _, p := range k.members[lo:hi] {
-		if k.flags[p]&k.want == 0 || k.total[p] < k.reqArea {
-			continue
-		}
-		if k.useCaps && !k.nodes[p].HasCaps(k.caps) {
-			continue
-		}
-		pos = int64(p)
-		break
-	}
-	k.outPos[w*8] = pos
-}
-
-// shardBest runs the argmin scan over one shard, on the pool when the
-// shard is large enough and the manager owns one, sequentially (same
-// kernel, one chunk) otherwise. Returns the best (key, slot), slot -1
-// when the shard holds no candidate.
+// shardBest is the argmin scan over one shard: the minimum key
+// (TotalArea for blank placement, AvailableArea for partial placement)
+// among members matching the flag filter with sufficient area. Members
+// ascend, so the strict < keeps the lower slot on a tie. Returns the
+// best (key, slot), slot -1 when the shard holds no candidate.
 //
 //dreamsim:noalloc
 func (m *Manager) shardBest(sh *soaShard, want uint8, key []int64, reqArea int64, caps []string, useCaps bool) (int64, int64) {
-	s := m.soa
-	if m.pool != nil && len(sh.members) >= parSpanMin {
-		k := &m.pj.best
-		*k = bestKernel{
-			key: key, flags: s.flags, want: want, reqArea: reqArea, members: sh.members,
-			useCaps: useCaps, nodes: m.nodes, caps: caps,
-			outKey: m.pj.bestKey, outPos: m.pj.bestPos,
-		}
-		m.pool.Run(k, len(sh.members))
-		bestPos := int64(-1)
-		var bestKey int64
-		for w, used := 0, m.pool.Chunks(len(sh.members)); w < used; w++ {
-			p := m.pj.bestPos[w*8]
-			if p < 0 {
-				continue
-			}
-			a := m.pj.bestKey[w*8]
-			if bestPos < 0 || a < bestKey || (a == bestKey && p < bestPos) {
-				bestKey, bestPos = a, p
-			}
-		}
-		return bestKey, bestPos
-	}
+	flags := m.soa.flags
 	bestPos := int64(-1)
 	var bestKey int64
 	for _, p := range sh.members {
-		if s.flags[p]&want == 0 {
+		if flags[p]&want == 0 {
 			continue
 		}
 		a := key[p]
@@ -408,34 +268,16 @@ func (m *Manager) scanFirstFit(cfg *model.Config, want uint8) int64 {
 		if masked && sh.mask&req != req {
 			continue
 		}
-		var pos int64
-		if m.pool != nil && len(sh.members) >= parSpanMin {
-			k := &m.pj.fit
-			*k = fitKernel{
-				flags: s.flags, want: want, total: s.total, reqArea: int64(cfg.ReqArea),
-				members: sh.members, useCaps: !masked, nodes: m.nodes, caps: cfg.RequiredCaps,
-				outPos: m.pj.fitPos,
+		pos := int64(-1)
+		for _, p := range sh.members {
+			if s.flags[p]&want == 0 || s.total[p] < int64(cfg.ReqArea) {
+				continue
 			}
-			m.pool.Run(k, len(sh.members))
-			pos = -1
-			for w, used := 0, m.pool.Chunks(len(sh.members)); w < used; w++ {
-				if p := m.pj.fitPos[w*8]; p >= 0 && (pos < 0 || p < pos) {
-					pos = p
-				}
+			if !masked && !m.nodes[p].HasCaps(cfg.RequiredCaps) {
+				continue
 			}
-		} else {
-			pos = -1
-			useCaps := !masked
-			for _, p := range sh.members {
-				if s.flags[p]&want == 0 || s.total[p] < int64(cfg.ReqArea) {
-					continue
-				}
-				if useCaps && !m.nodes[p].HasCaps(cfg.RequiredCaps) {
-					continue
-				}
-				pos = int64(p)
-				break
-			}
+			pos = int64(p)
+			break
 		}
 		if pos >= 0 && (best < 0 || pos < best) {
 			best = pos
@@ -444,126 +286,9 @@ func (m *Manager) scanFirstFit(cfg *model.Config, want uint8) int64 {
 	return best
 }
 
-// Shadow returns a search-only view of the manager for concurrent
-// speculative decisions: it shares the node/configuration population,
-// the idle/busy lists, the SoA block and the treap index (all of which
-// only the live manager mutates, between speculation rounds), but owns
-// private counters and scratch so concurrent searches on different
-// shadows never write shared state. Shadows must never be passed to a
-// mutating method (Configure, StartTask, ...) — reindex asserts this
-// under -tags invariants — and their reads are only coherent while the
-// live manager is quiescent. Refresh with SyncShadow before each
-// speculation round.
-func (m *Manager) Shadow() *Manager {
-	s := &Manager{}
-	m.SyncShadow(s)
-	return s
-}
-
-// SyncShadow re-copies the live manager's scalar state (down-node
-// count, index pointers) into a shadow while preserving the shadow's
-// private counters and scratch buffers.
-func (m *Manager) SyncShadow(s *Manager) {
-	c, evict := s.c, s.evict
-	*s = *m
-	if c == nil {
-		c = &metrics.Counters{}
-	}
-	s.c = c
-	s.evict = evict
-	s.entryFree = nil
-	s.pool = nil // shadows scan sequentially; parallelism comes from concurrent shadows
-	s.pj = nil
-	s.shadow = true
-}
-
-// TakeCharges drains the counters a shadow's searches accumulated —
-// the metered steps a live decision would have charged — returning
-// them for deferred commit against the real counters.
-func (m *Manager) TakeCharges() (search, housekeep uint64) {
-	search, housekeep = m.c.SchedulerSearch, m.c.HousekeepingSteps
-	m.c.SchedulerSearch, m.c.HousekeepingSteps = 0, 0
-	return search, housekeep
-}
-
-// ShardVersions appends the current shard version vector into dst
-// (reused; pass the previous round's slice to avoid allocation).
-func (m *Manager) ShardVersions(dst []uint64) []uint64 {
-	dst = dst[:0]
-	for i := range m.soa.shards {
-		dst = append(dst, m.soa.shards[i].ver)
-	}
-	return dst
-}
-
-// ShardsUnchangedFor reports whether every shard a configuration's
-// search can reach still carries the version captured in snap. All
-// placement reads and all metered charges of a decision for cfg are
-// functions of compatible-shard state plus static data (regions only
-// ever live on capability-compatible nodes, and the flat charges are
-// population constants), so an unchanged vector proves a speculative
-// decision for cfg — result and charges — equals the live one.
-// Incompatible-shard transitions are invisible to the decision and do
-// not invalidate. A nil cfg (unresolvable preferred+closest
-// configuration) reads only the static configuration list: always
-// valid.
-func (m *Manager) ShardsUnchangedFor(cfg *model.Config, snap []uint64) bool {
-	s := m.soa
-	if len(snap) != len(s.shards) {
-		return false
-	}
-	if cfg == nil {
-		return true
-	}
-	req, reqOK := s.reqMask(cfg.RequiredCaps)
-	if !s.maskOK || !reqOK {
-		// Unrepresentable requirement: the search degrades to a flat
-		// HasCaps scan over every shard, so every shard is reachable.
-		for i := range s.shards {
-			if s.shards[i].ver != snap[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range s.shards {
-		if s.shards[i].mask&req == req && s.shards[i].ver != snap[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ShardCount reports the number of capability classes (1 when the
 // population degraded to the flat fallback).
 func (m *Manager) ShardCount() int { return len(m.soa.shards) }
 
-// IntraParallel reports the scan pool width (1 = sequential scans).
-func (m *Manager) IntraParallel() int {
-	if m.pool == nil {
-		return 1
-	}
-	return m.pool.Workers()
-}
-
-// ClosePool stops the scan worker pool early (it is otherwise
-// finalized when the manager becomes unreachable). The manager falls
-// back to sequential scans afterwards; results are identical.
-func (m *Manager) ClosePool() {
-	if m.pool != nil {
-		m.pool.Close()
-		m.pool = nil
-		m.pj = nil
-	}
-}
-
-// initPool builds the scan worker pool when intra-run parallelism is
-// requested and the population is large enough for a dispatch to pay.
-func (m *Manager) initPool() {
-	if m.ipar > 1 && len(m.nodes) >= parSpanMin {
-		if p := par.NewPool(m.ipar); p != nil {
-			m.pool = p
-			m.pj = newParScan(p.Workers())
-		}
-	}
-}
+// Deprecated: ClosePool does nothing; managers own no worker pool.
+func (m *Manager) ClosePool() {}

@@ -1,140 +1,13 @@
 package resinfo_test
 
 import (
-	"fmt"
 	"testing"
 
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
 	"dreamsim/internal/resinfo"
-	"dreamsim/internal/rng"
 	"dreamsim/internal/snapshot"
 )
-
-// parDuo mirrors transitions over a sequential manager and a manager
-// whose scan kernels are forced onto the worker pool (parSpanMin
-// lowered to 1 so even tiny shards dispatch), then compares every
-// placement query result and every metered counter. This is the
-// determinism gate for the parallel argmin/first-fit reductions:
-// results must be byte-for-byte those of the in-order walk no matter
-// how the OS schedules the workers.
-type parDuo struct {
-	t          *testing.T
-	seq, par   *resinfo.Manager
-	seqN, parN []*model.Node
-	seqC, parC []*model.Config
-}
-
-func newParDuo(t *testing.T, seed uint64, nodes, configs int, caps []string, workers int) *parDuo {
-	t.Helper()
-	seqN, seqC := population(seed, nodes, configs, caps)
-	parN, parC := population(seed, nodes, configs, caps)
-	seq, err := resinfo.New(seqN, seqC, &metrics.Counters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := resinfo.New(parN, parC, &metrics.Counters{}, resinfo.WithIntraParallel(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.IntraParallel() != workers {
-		t.Fatalf("scan pool width %d, requested %d", par.IntraParallel(), workers)
-	}
-	return &parDuo{t: t, seq: seq, par: par, seqN: seqN, parN: parN, seqC: seqC, parC: parC}
-}
-
-func (d *parDuo) queryAll(cfgNo int) {
-	d.t.Helper()
-	sb, pb := d.seq.BestBlankNode(d.seqC[cfgNo]), d.par.BestBlankNode(d.parC[cfgNo])
-	if (sb == nil) != (pb == nil) || (sb != nil && sb.No != pb.No) {
-		d.t.Fatalf("BestBlankNode(C%d) diverged: sequential %v, parallel %v", cfgNo, sb, pb)
-	}
-	sp, pp := d.seq.BestPartiallyBlankNode(d.seqC[cfgNo]), d.par.BestPartiallyBlankNode(d.parC[cfgNo])
-	if (sp == nil) != (pp == nil) || (sp != nil && sp.No != pp.No) {
-		d.t.Fatalf("BestPartiallyBlankNode(C%d) diverged: sequential %v, parallel %v", cfgNo, sp, pp)
-	}
-	if sf, pf := d.seq.AnyBusyNodeCouldFit(d.seqC[cfgNo]), d.par.AnyBusyNodeCouldFit(d.parC[cfgNo]); sf != pf {
-		d.t.Fatalf("AnyBusyNodeCouldFit(C%d) diverged: sequential %v, parallel %v", cfgNo, sf, pf)
-	}
-	sn, se := d.seq.FindAnyIdleNode(d.seqC[cfgNo])
-	pn, pe := d.par.FindAnyIdleNode(d.parC[cfgNo])
-	if (sn == nil) != (pn == nil) || (sn != nil && sn.No != pn.No) || len(se) != len(pe) {
-		d.t.Fatalf("FindAnyIdleNode(C%d) diverged: sequential %v/%d, parallel %v/%d",
-			cfgNo, sn, len(se), pn, len(pe))
-	}
-	sc, pc := d.seq.Counters(), d.par.Counters()
-	if sc.SchedulerSearch != pc.SchedulerSearch || sc.HousekeepingSteps != pc.HousekeepingSteps {
-		d.t.Fatalf("metering diverged: sequential %d/%d, parallel %d/%d",
-			sc.SchedulerSearch, sc.HousekeepingSteps, pc.SchedulerSearch, pc.HousekeepingSteps)
-	}
-}
-
-// TestParallelScanEquivalenceProperty forces the pooled scan kernels
-// on a mixed-capability population and drives both managers through a
-// mirrored transition/query mix at pool widths 2, 4 and 8.
-func TestParallelScanEquivalenceProperty(t *testing.T) {
-	defer resinfo.SetParSpanMinForTest(1)()
-	for _, workers := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			const nodes, configs, steps = 120, 20, 2500
-			d := newParDuo(t, 7, nodes, configs, []string{"bram", "dsp", "serdes"}, workers)
-			r := rng.New(1313)
-			for step := 0; step < steps; step++ {
-				ni := r.Intn(nodes)
-				sn, pn := d.seqN[ni], d.parN[ni]
-				switch r.Intn(4) {
-				case 0:
-					ci := r.Intn(configs)
-					sc, pc := d.seqC[ci], d.parC[ci]
-					if !sn.PartialMode && len(sn.Entries) > 0 {
-						continue
-					}
-					if sc.ReqArea > sn.AvailableArea || !sn.HasCaps(sc.RequiredCaps) {
-						continue
-					}
-					if _, err := d.seq.Configure(sn, sc); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := d.par.Configure(pn, pc); err != nil {
-						t.Fatal(err)
-					}
-				case 1:
-					idle := sn.IdleEntries()
-					if len(idle) == 0 {
-						continue
-					}
-					k := r.IntRange(1, len(idle))
-					pIdle := pn.IdleEntries()
-					if err := d.seq.EvictIdle(sn, idle[:k]); err != nil {
-						t.Fatal(err)
-					}
-					if err := d.par.EvictIdle(pn, pIdle[:k]); err != nil {
-						t.Fatal(err)
-					}
-				case 2:
-					if len(sn.Entries) == 0 || sn.RunningTasks() > 0 {
-						continue
-					}
-					if err := d.seq.BlankNode(sn); err != nil {
-						t.Fatal(err)
-					}
-					if err := d.par.BlankNode(pn); err != nil {
-						t.Fatal(err)
-					}
-				case 3:
-					d.queryAll(r.Intn(configs))
-				}
-				if step%41 == 0 {
-					d.queryAll(r.Intn(configs))
-					if err := d.par.CheckInvariants(); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-				}
-			}
-			d.queryAll(0)
-		})
-	}
-}
 
 // TestScanBestHandlesPostBuildCapMutation pins the degrade rule: a
 // query whose capability was never registered at build time (here via
@@ -159,126 +32,6 @@ func TestScanBestHandlesPostBuildCapMutation(t *testing.T) {
 	nodes[7].Caps = append(nodes[7].Caps, "ghost")
 	if n := m.BestBlankNode(probe); n == nil || n.No != 7 {
 		t.Fatalf("BestBlankNode missed the post-build capability: got %v, want node 7", n)
-	}
-}
-
-// TestShardVersionsGateSpeculation pins the validity protocol the core
-// batcher relies on: a decision snapshot is invalidated by transitions
-// on shards its configuration can reach and untouched by transitions
-// on incompatible shards.
-func TestShardVersionsGateSpeculation(t *testing.T) {
-	mk := func(no int, caps ...string) *model.Node {
-		n := model.NewNode(no, 3000, true)
-		n.Caps = caps
-		return n
-	}
-	nodes := []*model.Node{mk(0, "bram"), mk(1, "bram"), mk(2, "dsp"), mk(3)}
-	cfgBram := &model.Config{No: 0, ReqArea: 500, ConfigTime: 10, RequiredCaps: []string{"bram"}}
-	cfgDsp := &model.Config{No: 1, ReqArea: 500, ConfigTime: 10, RequiredCaps: []string{"dsp"}}
-	m, err := resinfo.New(nodes, []*model.Config{cfgBram, cfgDsp}, &metrics.Counters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ShardCount() != 3 {
-		t.Fatalf("expected 3 capability classes, got %d", m.ShardCount())
-	}
-
-	snap := m.ShardVersions(nil)
-	if !m.ShardsUnchangedFor(cfgBram, snap) {
-		t.Fatal("fresh snapshot should validate")
-	}
-	if !m.ShardsUnchangedFor(nil, snap) {
-		t.Fatal("nil config touches only static data; always valid")
-	}
-
-	// A transition on the dsp shard must not invalidate a bram query...
-	if _, err := m.Configure(nodes[2], cfgDsp); err != nil {
-		t.Fatal(err)
-	}
-	if !m.ShardsUnchangedFor(cfgBram, snap) {
-		t.Fatal("incompatible-shard transition invalidated a bram decision")
-	}
-	// ...but must invalidate a dsp query, and any unregistered-cap
-	// query (which degrades to an all-shard scan).
-	if m.ShardsUnchangedFor(cfgDsp, snap) {
-		t.Fatal("dsp transition not seen by a dsp decision")
-	}
-	ghost := &model.Config{No: 9, ReqArea: 100, ConfigTime: 5, RequiredCaps: []string{"ghost"}}
-	if m.ShardsUnchangedFor(ghost, snap) {
-		t.Fatal("unregistered-cap query must conservatively watch every shard")
-	}
-	// A bram transition invalidates the bram view.
-	if _, err := m.Configure(nodes[0], cfgBram); err != nil {
-		t.Fatal(err)
-	}
-	if m.ShardsUnchangedFor(cfgBram, snap) {
-		t.Fatal("bram transition not seen by a bram decision")
-	}
-	// A stale-length snapshot never validates.
-	if m.ShardsUnchangedFor(cfgBram, snap[:1]) {
-		t.Fatal("length-mismatched snapshot validated")
-	}
-}
-
-// TestShadowSearchMatchesLive drives the same queries through a shadow
-// and the live manager: identical results, and TakeCharges must equal
-// the live metering delta so deferred commits reproduce the counters
-// exactly.
-func TestShadowSearchMatchesLive(t *testing.T) {
-	nodes, cfgs := population(11, 80, 12, []string{"bram", "dsp"})
-	m, err := resinfo.New(nodes, cfgs, &metrics.Counters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Put some state in so the queries have structure to disagree on.
-	for i := 0; i < 40; i++ {
-		n := m.BestBlankNode(cfgs[i%len(cfgs)])
-		if n == nil {
-			continue
-		}
-		if _, err := m.Configure(n, cfgs[i%len(cfgs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sh := m.Shadow()
-	for i, cfg := range cfgs {
-		liveBefore := m.Counters().SchedulerSearch
-		ln := m.BestBlankNode(cfg)
-		lp := m.BestPartiallyBlankNode(cfg)
-		lf := m.AnyBusyNodeCouldFit(cfg)
-		liveDelta := m.Counters().SchedulerSearch - liveBefore
-
-		shCfg := sh.Configs()[i]
-		sn := sh.BestBlankNode(shCfg)
-		sp := sh.BestPartiallyBlankNode(shCfg)
-		sf := sh.AnyBusyNodeCouldFit(shCfg)
-		search, housekeep := sh.TakeCharges()
-
-		if (ln == nil) != (sn == nil) || (ln != nil && ln.No != sn.No) {
-			t.Fatalf("C%d: shadow BestBlankNode %v, live %v", cfg.No, sn, ln)
-		}
-		if (lp == nil) != (sp == nil) || (lp != nil && lp.No != sp.No) {
-			t.Fatalf("C%d: shadow BestPartiallyBlankNode %v, live %v", cfg.No, sp, lp)
-		}
-		if lf != sf {
-			t.Fatalf("C%d: shadow AnyBusyNodeCouldFit %v, live %v", cfg.No, sf, lf)
-		}
-		if search != liveDelta || housekeep != 0 {
-			t.Fatalf("C%d: shadow charges %d/%d, live delta %d/0", cfg.No, search, housekeep, liveDelta)
-		}
-	}
-	// SyncShadow after live transitions heals the scalar drift.
-	victim := m.BestBlankNode(cfgs[0])
-	if victim != nil {
-		if _, err := m.Configure(victim, cfgs[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.SyncShadow(sh)
-	lb, sb := m.BestBlankNode(cfgs[0]), sh.BestBlankNode(sh.Configs()[0])
-	sh.TakeCharges()
-	if (lb == nil) != (sb == nil) || (lb != nil && lb.No != sb.No) {
-		t.Fatalf("post-sync shadow BestBlankNode %v, live %v", sb, lb)
 	}
 }
 
@@ -354,31 +107,17 @@ func TestSoASnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkScan5000 is the placement-scan microbench the intra-run
-// speedup acceptance gate reads: the full query+transition cycle over
-// a 5000-node population, sequential versus pooled kernels. On a
-// multi-core host ip-4 must beat ip-1 by >= 1.5x; on a single-core
-// box the pooled cells measure contention and dreambench labels them
-// accordingly.
+// BenchmarkScan5000 is the placement-scan microbench: the full
+// query+transition cycle over a 5000-node population on the sequential
+// SoA shard scan.
 func BenchmarkScan5000(b *testing.B) {
-	for _, ip := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("ip-%d", ip), func(b *testing.B) {
-			var opts []resinfo.Option
-			if ip > 1 {
-				opts = append(opts, resinfo.WithIntraParallel(ip))
-			}
-			sb := newSearchBench(b, 5000, opts...)
-			if got := sb.m.IntraParallel(); (ip > 1 && got != ip) || (ip == 1 && got != 1) {
-				b.Fatalf("pool width %d, requested %d", got, ip)
-			}
-			for i := 0; i < 32; i++ {
-				sb.cycle(b, i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sb.cycle(b, i)
-			}
-		})
+	sb := newSearchBench(b, 5000)
+	for i := 0; i < 32; i++ {
+		sb.cycle(b, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb.cycle(b, i)
 	}
 }

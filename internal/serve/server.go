@@ -54,6 +54,11 @@ type Config struct {
 // frequent enough that a kill loses very little progress.
 const DefaultCheckpointEvents = 200_000
 
+// maxSpecBytes caps a submitted job spec's request body. A real spec —
+// parameters, grids, an inline scenario or fault script — takes a few
+// kilobytes.
+const maxSpecBytes = 1 << 20
+
 // Server is the job-queue service. One job runs at a time (its units
 // fan out over the worker pool); submissions queue in order.
 type Server struct {
@@ -395,9 +400,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "parsing job spec: %v", err)
 		return
 	}

@@ -278,6 +278,23 @@ func TestSubmitRateLimited(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody: a spec body beyond maxSpecBytes is
+// answered 413 without creating a job.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	_, hs := newTestServer(t, nil)
+	body := `{"params":{"ScenarioText":"` + strings.Repeat("x", maxSpecBytes) + `"}}`
+	code, blob := do(t, "POST", hs.URL+"/api/v1/jobs", body)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: HTTP %d: %s", code, blob)
+	}
+	if !strings.Contains(string(blob), "exceeds") {
+		t.Fatalf("oversized submit error lacks the limit: %s", blob)
+	}
+	if code, blob := do(t, "GET", hs.URL+"/api/v1/jobs", ""); code != http.StatusOK || strings.Contains(string(blob), `"id"`) {
+		t.Fatalf("oversized submit created a job: HTTP %d: %s", code, blob)
+	}
+}
+
 // TestConcurrentSubmitters races many submitters against one pool —
 // meaningful under -race; every job must still land complete, with
 // distinct IDs, all results on disk.

@@ -211,10 +211,15 @@ func (st *Store) loadJob(id string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	var spec JobSpec
-	if err := json.Unmarshal(blob, &spec); err != nil {
+	// The spec was checked for unknown fields when it was submitted;
+	// decode it without that check, so a parameter removed since then
+	// does not strand the job.
+	type plain JobSpec
+	tmp := plain{Params: dreamsim.DefaultParams()}
+	if err := json.Unmarshal(blob, &tmp); err != nil {
 		return nil, fmt.Errorf("spec.json: %w", err)
 	}
+	spec := JobSpec(tmp)
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}

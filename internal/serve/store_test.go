@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -256,5 +257,38 @@ func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("stray files left behind: %v", entries)
+	}
+}
+
+// TestLoadJobToleratesRemovedParameter: a spec.json written when
+// Params had a field it no longer has still loads, with every other
+// parameter intact.
+func TestLoadJobToleratesRemovedParameter(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(nil, nil)
+	spec.Params.Tasks = 1234
+	j, err := st.CreateJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(st.jobDir(j.ID), "spec.json")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = bytes.Replace(blob, []byte(`"params": {`), []byte(`"params": {"RemovedKnob": 4,`), 1)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := st.LoadJobs()
+	if err != nil {
+		t.Fatalf("LoadJobs with a removed parameter in spec.json: %v", err)
+	}
+	if len(jobs) != 1 || jobs[0].Spec.Params.Tasks != 1234 {
+		t.Fatalf("reloaded jobs %+v", jobs)
 	}
 }

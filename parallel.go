@@ -1,18 +1,17 @@
 package dreamsim
 
-// The parallel experiment engine. A single simulation's event loop is
-// sequential (one clock mutating one resource population; the
-// intra-run workers of Params.IntraParallel parallelize work WITHIN a
-// tick without reordering it — see DESIGN.md §14), but every
-// experiment helper above it — the full/partial halves of Compare,
-// the cells of RunMatrix, the seeds of RunReplicated and
-// ComparePaired — is a set of completely independent runs: each unit
-// derives all of its randomness from its own Params (seed, node
-// count, task count, scenario), never from shared state. Fanning the
-// units across a worker pool therefore yields byte-identical results
-// to a sequential sweep, regardless of worker count and OS
-// scheduling; only wall-clock time changes. Params.Parallelism
-// selects the worker count; internal/exec supplies the pool.
+// The parallel experiment engine. A single simulation is one
+// sequential event loop (one clock mutating one resource population;
+// see DESIGN.md §14), but every experiment helper above it — the
+// full/partial halves of Compare, the cells of RunMatrix, the seeds
+// of RunReplicated and ComparePaired — is a set of completely
+// independent runs: each unit derives all of its randomness from its
+// own Params (seed, node count, task count, scenario), never from
+// shared state. Fanning the units across a worker pool therefore
+// yields byte-identical results to a sequential sweep, regardless of
+// worker count and OS scheduling; only wall-clock time changes.
+// Params.Parallelism selects the worker count; internal/exec supplies
+// the pool.
 
 import (
 	"runtime"
@@ -24,28 +23,8 @@ import (
 // to: one worker per CPU.
 func DefaultParallelism() int { return runtime.NumCPU() }
 
-// maxAutoIntraParallel caps the automatic intra-run worker count:
-// placement-scan and speculation fan-outs flatten out well before the
-// core counts of large machines, and oversubscribing them only adds
-// synchronization cost to every tick.
-const maxAutoIntraParallel = 8
-
-// EffectiveIntraParallel resolves a Params.IntraParallel value: 0
-// means automatic — min(GOMAXPROCS, 8) — anything else is taken
-// as-is (1 = the exact sequential code path).
-func EffectiveIntraParallel(v int) int {
-	if v != 0 {
-		return v
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > maxAutoIntraParallel {
-		n = maxAutoIntraParallel
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// Deprecated: EffectiveIntraParallel returns 1; every run is sequential.
+func EffectiveIntraParallel(int) int { return 1 }
 
 // workersFor normalises a Params.Parallelism value (0 and 1 both mean
 // sequential) and caps it at the number of available units.
