@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -305,6 +306,57 @@ var goldenCases = []goldenCase{
 			}
 		},
 	},
+	{
+		// The capability extension over 600 partial nodes under
+		// overload: nodes split into one placement-scan shard per
+		// capability set, several of them longer than one 64-member
+		// scan block, and configurations that require a capability
+		// skip the nodes lacking it. Algorithm 1's step sum then runs
+		// across shards, counting compatible nodes' regions and one
+		// step per incompatible node.
+		name: "multi-shard-caps",
+		file: "snap_shards_golden.json",
+		params: func(*walkWitness) Params {
+			p := smallParams(600, 12000, true)
+			p.Seed = 64
+			p.Spec.NextTaskMaxInterval = 8
+			p.Spec.CapKinds = []string{"bram", "dsp", "serdes"}
+			p.Spec.NodeCapProb = 0.7
+			p.Spec.ConfigCapProb = 0.3
+			return p
+		},
+		snapAt: 9000,
+		atPause: func(t *testing.T, s *Simulator) {
+			if n := s.mgr.ShardCount(); n < 4 {
+				t.Fatalf("population split into %d capability shards, want at least 4", n)
+			}
+			if long := shardsLongerThan(s.mgr.Nodes(), 64); long < 3 {
+				t.Fatalf("%d shards longer than 64 members, want at least 3", long)
+			}
+		},
+		reached: func(t *testing.T, _ *walkWitness, res *Result) {
+			if res.Counters.SusQueuePeak < 500 || res.Phases["reconfigure"] == 0 {
+				t.Fatalf("not an overloaded run reaching Algorithm 1 (queue peak %d, phases %v)",
+					res.Counters.SusQueuePeak, res.Phases)
+			}
+		},
+	},
+}
+
+// shardsLongerThan counts the capability sets shared by more than n
+// nodes.
+func shardsLongerThan(nodes []*model.Node, n int) int {
+	sizes := map[string]int{}
+	for _, node := range nodes {
+		sizes[fmt.Sprint(node.Caps)]++
+	}
+	long := 0
+	for _, size := range sizes {
+		if size > n {
+			long++
+		}
+	}
+	return long
 }
 
 // streamCrashScenario is the streamed-scenario-crashes case's traffic:
