@@ -307,11 +307,10 @@ func BenchmarkAblationClock(b *testing.B) {
 var sweepNodes = []int{50, 100, 150}
 var sweepTasks = []int{500, 1000, 1500}
 
-func benchMatrix(b *testing.B, parallel int, fastSearch bool) {
+func benchMatrix(b *testing.B, parallel int) {
 	b.Helper()
 	p := dreamsim.DefaultParams()
 	p.Parallelism = parallel
-	p.FastSearch = fastSearch
 	cells := len(sweepNodes) * len(sweepTasks)
 	for i := 0; i < b.N; i++ {
 		if _, err := dreamsim.RunMatrix(p, sweepNodes, sweepTasks, nil); err != nil {
@@ -324,20 +323,14 @@ func benchMatrix(b *testing.B, parallel int, fastSearch bool) {
 // BenchmarkMatrixSweep is the sequential baseline for the parallel
 // experiment engine.
 func BenchmarkMatrixSweep(b *testing.B) {
-	benchMatrix(b, 1, false)
+	benchMatrix(b, 1)
 }
 
 // BenchmarkParallelMatrixSweep fans the same grid over all cores;
 // results are byte-identical to BenchmarkMatrixSweep (see
 // TestMatrixParallelDeterminism), only wall time changes.
 func BenchmarkParallelMatrixSweep(b *testing.B) {
-	benchMatrix(b, runtime.NumCPU(), false)
-}
-
-// BenchmarkMatrixSweepFastSearch measures the indexed resource-search
-// path under the same grid (sequential, to isolate its effect).
-func BenchmarkMatrixSweepFastSearch(b *testing.B) {
-	benchMatrix(b, 1, true)
+	benchMatrix(b, runtime.NumCPU())
 }
 
 // BenchmarkThroughput reports simulator throughput in tasks/second —

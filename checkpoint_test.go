@@ -55,10 +55,6 @@ func checkpointCase(i int, rnd *rand.Rand) Params {
 	if rnd.Intn(4) == 0 {
 		p.TickStep = true
 	}
-	if rnd.Intn(2) == 0 {
-		p.FastSearch = true
-		p.FastSearchCutoff = 1
-	}
 	if rnd.Intn(3) == 0 {
 		p.NetworkDelayRange = [2]int64{1, 20}
 	}

@@ -1,15 +1,13 @@
 // Command dreambench times the experiment engine: it runs the same
-// sweep matrix sequentially and in parallel (and optionally with the
-// indexed resource-search fast path) in one process, then writes a
-// machine-readable BENCH_<date>.json with ns-per-sweep, cells/sec and
-// the parallel speedup. The committed BENCH files give each change a
-// performance paper trail.
+// sweep matrix sequentially and in parallel in one process, then
+// writes a machine-readable BENCH_<date>.json with ns-per-sweep,
+// cells/sec and the parallel speedup. The committed BENCH files give
+// each change a performance paper trail.
 //
 // Examples:
 //
 //	dreambench
 //	dreambench -scale 2000 -parallel 8 -out .
-//	dreambench -fast-search
 //	dreambench -compare BENCH_old.json BENCH_new.json
 //
 // The -compare form runs no simulations: it diffs two BENCH files
@@ -39,7 +37,6 @@ import (
 type sweep struct {
 	Label       string  `json:"label"`
 	Parallel    int     `json:"parallel"`
-	FastSearch  bool    `json:"fast_search"`
 	Runs        int     `json:"runs"`
 	NsPerSweep  int64   `json:"ns_per_sweep"`
 	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
@@ -84,7 +81,6 @@ func main() {
 		scale     = flag.Int("scale", 1500, "largest task count in the benchmark grid")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		parallel  = flag.Int("parallel", dreamsim.DefaultParallelism(), "worker count for the parallel sweep")
-		fast      = flag.Bool("fast-search", false, "also time the indexed resource-search path")
 		runs      = flag.Int("runs", 3, "timed repetitions per configuration (best run is reported)")
 		noMatrix  = flag.Bool("no-matrix", false, "skip the GOMAXPROCS x workers matrix sweeps")
 		noScan    = flag.Bool("no-scan", false, "skip the placement-scan microbench cells")
@@ -139,17 +135,15 @@ func main() {
 		}
 		return min
 	}
-	mkSweep := func(label string, par int, fastSearch bool) sweep {
+	mkSweep := func(label string, par int) sweep {
 		p := base
 		p.Parallelism = par
-		p.FastSearch = fastSearch
 		d := best(p)
-		fmt.Fprintf(os.Stderr, "%-12s parallel=%-3d fast=%-5v  %12v  %7.1f cells/s\n",
-			label, par, fastSearch, d, float64(cells)/d.Seconds())
+		fmt.Fprintf(os.Stderr, "%-12s parallel=%-3d  %12v  %7.1f cells/s\n",
+			label, par, d, float64(cells)/d.Seconds())
 		return sweep{
 			Label:       label,
 			Parallel:    par,
-			FastSearch:  fastSearch,
 			Runs:        *runs,
 			NsPerSweep:  d.Nanoseconds(),
 			CellsPerSec: float64(cells) / d.Seconds(),
@@ -162,7 +156,7 @@ func main() {
 	// processors actually available.
 	mkMatrixSweep := func(procs, par int) sweep {
 		prev := runtime.GOMAXPROCS(procs)
-		s := mkSweep(fmt.Sprintf("mp%d/par%d", procs, par), par, false)
+		s := mkSweep(fmt.Sprintf("mp%d/par%d", procs, par), par)
 		runtime.GOMAXPROCS(prev)
 		return s
 	}
@@ -173,7 +167,6 @@ func main() {
 		p.Nodes = nodes
 		p.Tasks = tasks
 		p.Stream = true
-		p.FastSearch = true
 		p.PartialReconfig = true
 		time1Run := func() time.Duration {
 			start := time.Now()
@@ -195,7 +188,6 @@ func main() {
 		return sweep{
 			Label:       label,
 			Parallel:    1,
-			FastSearch:  true,
 			Runs:        *runs,
 			NsPerSweep:  d.Nanoseconds(),
 			Procs:       runtime.GOMAXPROCS(0),
@@ -290,12 +282,9 @@ func main() {
 		Cells:     cells,
 		Seed:      *seed,
 	}
-	seq := mkSweep("sequential", 1, false)
-	par := mkSweep("parallel", *parallel, false)
+	seq := mkSweep("sequential", 1)
+	par := mkSweep("parallel", *parallel)
 	rep.Sweeps = append(rep.Sweeps, seq, par)
-	if *fast {
-		rep.Sweeps = append(rep.Sweeps, mkSweep("fast-search", 1, true))
-	}
 	rep.Speedup = float64(seq.NsPerSweep) / float64(par.NsPerSweep)
 	if runtime.GOMAXPROCS(0) == 1 || rep.Speedup < 1 {
 		// A 1-thread process cannot measure parallel speedup (its

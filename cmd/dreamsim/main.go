@@ -44,7 +44,6 @@ func main() {
 		timeline    = flag.Bool("timeline", false, "print utilization/queue sparklines over the run")
 		replicate   = flag.Int("replicate", 0, "replicate the run over N seeds and print metric statistics")
 		parallel    = flag.Int("parallel", dreamsim.DefaultParallelism(), "workers for -compare/-replicate fan-out (1 = sequential)")
-		fastSearch  = flag.Bool("fast-search", false, "use the indexed resource-search fast path (identical results and counters)")
 		stream      = flag.Bool("stream", false, "bounded-memory streaming engine: recycle finished tasks, window the monitor series (identical results)")
 		window      = flag.Int("window", 0, "monitoring samples per rolling aggregation window (0 = default on streamed runs; implies sampling)")
 		timelineOut = flag.String("timeline-out", "", "stream rolling-window timeline rows to this CSV file as the run progresses")
@@ -76,7 +75,6 @@ func main() {
 	p.DataBandwidth = *dataBW
 	p.TickStep = *tickStep
 	p.Parallelism = *parallel
-	p.FastSearch = *fastSearch
 	p.FaultCrashRate = *faultCrashRate
 	p.FaultMeanDowntime = *faultDowntime
 	p.FaultReconfigRate = *faultReconfRate

@@ -34,7 +34,6 @@ func main() {
 		jsonOut    = flag.String("json", "", "save the full sweep matrix as JSON ('all' mode only)")
 		printParms = flag.Bool("print-params", false, "print the Table II simulation parameters and exit")
 		parallel   = flag.Int("parallel", dreamsim.DefaultParallelism(), "concurrent sweep workers (1 = sequential; results identical either way)")
-		fastSearch = flag.Bool("fast-search", false, "use the indexed resource-search fast path (identical results and counters)")
 		stream     = flag.Bool("stream", false, "bounded-memory streaming engine in every cell (identical results; heap stops scaling with task count)")
 		window     = flag.Int("window", 0, "monitoring samples per rolling aggregation window when cells sample (0 = streamed default)")
 		scenario   = flag.String("scenario", "", "apply this workload scenario file to every sweep cell")
@@ -85,7 +84,6 @@ func main() {
 	base := dreamsim.DefaultParams()
 	base.Seed = *seed
 	base.Parallelism = *parallel
-	base.FastSearch = *fastSearch
 	base.Stream = *stream
 	base.WindowSamples = *window
 	base.FaultCrashRate = *faultCrashRate

@@ -182,21 +182,6 @@ type Params struct {
 	// randomness from its own Params — parallelism only changes wall-
 	// clock time. A single Run is unaffected.
 	Parallelism int
-	// FastSearch replaces the resource information manager's linear
-	// placement searches with an area-ordered node index (O(log n)
-	// instead of O(n) per search). Results and all Table I counters
-	// are identical to the linear mode: the paper's SearchLength /
-	// workload accounting is a model output, so the fast path charges
-	// exactly the steps the metered linear walk would have charged.
-	FastSearch bool
-	// FastSearchCutoff is the node count at which FastSearch actually
-	// builds the index; smaller populations keep the (identically
-	// metered) linear scans. Zero picks a default of 256 nodes, which
-	// was measured against an older linear walk: above it the index is
-	// slower than the SoA scan on some workloads and faster on others.
-	// 1 forces the index regardless of population size. Ignored unless
-	// FastSearch is set.
-	FastSearchCutoff int
 
 	// ScenarioText, when non-empty, is a scenario specification in the
 	// "dreamsim-scenario v1" format (see README): multiple traffic
@@ -305,12 +290,10 @@ func (p Params) coreParams() (core.Params, error) {
 			BitstreamBandwidth: p.BitstreamBandwidth,
 			DataBandwidth:      p.DataBandwidth,
 		},
-		TickStep:         p.TickStep,
-		FastSearch:       p.FastSearch,
-		FastSearchCutoff: p.FastSearchCutoff,
-		Stream:           p.Stream,
-		MaxSusRetries:    p.MaxSusRetries,
-		DefragThreshold:  p.DefragThreshold,
+		TickStep:        p.TickStep,
+		Stream:          p.Stream,
+		MaxSusRetries:   p.MaxSusRetries,
+		DefragThreshold: p.DefragThreshold,
 	}
 	script, err := fault.ParseScript(p.FaultScript)
 	if err != nil {

@@ -69,18 +69,6 @@ type Params struct {
 	// TickStep forces the paper-literal tick-by-tick clock instead of
 	// event jumping. Results are identical; wall time is not.
 	TickStep bool
-	// FastSearch enables the resource information manager's indexed
-	// placement searches (O(log n) instead of O(n) per search).
-	// Results and all metered counters are identical to the linear
-	// mode; only wall time changes.
-	FastSearch bool
-	// FastSearchCutoff is the node count at which FastSearch actually
-	// builds the index; smaller populations keep the linear scans.
-	// Above it the index is not uniformly faster than the SoA scan
-	// (see resinfo.DefaultFastSearchCutoff). Zero means
-	// resinfo.DefaultFastSearchCutoff; 1 forces the index on any
-	// population. Ignored unless FastSearch is set.
-	FastSearchCutoff int
 	// Deprecated: IntraParallel is ignored; every run is sequential.
 	IntraParallel int
 	// Debug validates all structural invariants after every event;
@@ -218,15 +206,7 @@ func New(params Params) (*Simulator, error) {
 	params.Net.AssignDelays(delayR, nodes)
 
 	counters := &metrics.Counters{}
-	var mgrOpts []resinfo.Option
-	if params.FastSearch {
-		cutoff := params.FastSearchCutoff
-		if cutoff <= 0 {
-			cutoff = resinfo.DefaultFastSearchCutoff
-		}
-		mgrOpts = append(mgrOpts, resinfo.WithFastSearchCutoff(cutoff))
-	}
-	mgr, err := resinfo.New(nodes, configs, counters, mgrOpts...)
+	mgr, err := resinfo.New(nodes, configs, counters)
 	if err != nil {
 		return nil, err
 	}

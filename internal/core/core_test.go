@@ -459,3 +459,44 @@ func TestSnapshotMidRun(t *testing.T) {
 		t.Fatal("no placement observed")
 	}
 }
+
+// TestPlacementBlocksThroughRuns runs overloaded simulations over 250
+// nodes, several 64-member placement-scan blocks per capability
+// shard, with Debug on: after every event CheckInvariants re-derives
+// each SoA slot from its node and checks every block's bounds and
+// entry count, across the engine's own transition mix in each
+// scenario.
+func TestPlacementBlocksThroughRuns(t *testing.T) {
+	scenarios := []struct {
+		name string
+		tune func(*Params)
+	}{
+		{"full-reconfig", func(p *Params) { p.Partial = false }},
+		{"partial-reconfig", func(p *Params) { p.Partial = true }},
+		{"heterogeneous-caps", func(p *Params) {
+			p.Partial = true
+			p.Spec.CapKinds = []string{"bram", "dsp"}
+			p.Spec.NodeCapProb = 0.7
+			p.Spec.ConfigCapProb = 0.3
+		}},
+		{"defrag", func(p *Params) {
+			p.Partial = true
+			p.DefragThreshold = 3
+		}},
+		{"bounded-retries", func(p *Params) {
+			p.Partial = true
+			p.MaxSusRetries = 2
+		}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			p := smallParams(250, 1500, true)
+			p.Debug = true
+			sc.tune(&p)
+			res := mustRun(t, p)
+			if res.Phases["reconfigure"] == 0 || res.Counters.SusQueuePeak == 0 {
+				t.Fatalf("run never reached Algorithm 1 and the suspension queue (phases %v)", res.Phases)
+			}
+		})
+	}
+}

@@ -57,8 +57,6 @@ func TestFaultPropertyRandomSchedules(t *testing.T) {
 
 		p := smallParams(nodes, tasks, r.Bool(0.5))
 		p.Seed = r.RandUint64()
-		p.FastSearch = r.Bool(0.5)
-		p.FastSearchCutoff = 1 // tiny populations: keep the index live when drawn
 		p.Debug = true
 		p.Faults = fault.Plan{Script: script}
 		p.Retry = fault.RetryPolicy{Budget: r.Int64Range(1, 4)}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dreamsim/internal/fault"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
 	"dreamsim/internal/sim"
@@ -17,7 +18,7 @@ import (
 // fabric contents, RNG stream positions, source cursors, queue
 // orders — and nothing that New rebuilds deterministically from the
 // run parameters (nodes, configurations, handlers, policy tables,
-// fault schedules, the fast-search index). RestoreSnapshot therefore
+// fault schedules, the SoA scan block). RestoreSnapshot therefore
 // runs New first and then overwrites the dynamic state, so a restored
 // run continues byte-identically to one that never paused.
 //
@@ -47,6 +48,15 @@ const (
 	evArmStream
 	evKindCount
 )
+
+// faultEventNames names the fault event kinds in restore errors.
+var faultEventNames = [evKindCount]string{
+	evCrashScripted: "scripted crash",
+	evCrashStream:   "random crash",
+	evRecover:       "recovery",
+	evArmScripted:   "scripted arming",
+	evArmStream:     "random arming",
+}
 
 // Now reports the simulation clock.
 func (s *Simulator) Now() int64 { return s.eng.Now() }
@@ -886,6 +896,35 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 	}
 	var arrivals, completions, retries, drains int64
 	nodes := s.mgr.Nodes()
+	// Fault events: each random stream holds at most one pending
+	// firing, scripted crashes and armings are bounded by the script,
+	// and recoveries by the script's plus one per down node (a random
+	// crash schedules its node's recovery).
+	var faults, maxFaults [evKindCount]int64
+	if s.inj != nil {
+		plan := s.inj.Plan()
+		if plan.CrashRate > 0 {
+			maxFaults[evCrashStream] = 1
+		}
+		if plan.ReconfigFaultRate > 0 {
+			maxFaults[evArmStream] = 1
+		}
+		for _, ev := range plan.Script {
+			switch ev.Kind {
+			case fault.KindCrash:
+				maxFaults[evCrashScripted]++
+			case fault.KindRecover:
+				maxFaults[evRecover]++
+			case fault.KindReconfigFault:
+				maxFaults[evArmScripted]++
+			}
+		}
+		for _, n := range nodes {
+			if n.Down {
+				maxFaults[evRecover]++
+			}
+		}
+	}
 	for i := 0; i < nev; i++ {
 		kind := r.Int()
 		at := r.I64()
@@ -967,6 +1006,10 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 			if s.inj == nil {
 				return fmt.Errorf("%w: fault event in a run without fault injection", snapshot.ErrCorrupt)
 			}
+			if err := quota(faultEventNames[kind], faults[kind], maxFaults[kind]); err != nil {
+				return err
+			}
+			faults[kind]++
 			switch kind {
 			case evCrashScripted:
 				no, err := nodeOf()

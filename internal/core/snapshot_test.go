@@ -362,15 +362,18 @@ func eventSection(tb testing.TB, s *Simulator, payload []byte) (countAt, endAt i
 	return countAt, endAt
 }
 
-// TestRestoreBoundsHostileRegistryCount: a tampered registry count, or
-// a flood of pending events the restored gauges cannot account for, is
-// rejected with ErrCorrupt while the restore allocates less than ten
-// times the snapshot's length. The registry counts are one far beyond
-// what the payload can hold and the largest the minimum task size lets
-// through; the flood is 100k drain-check events behind the genuine
-// ones, where the gauges allow at most one.
-func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
-	p := deepQueueParams()
+// hostilePayload is a tampered snapshot payload and the run parameters
+// it is restored under.
+type hostilePayload struct {
+	name    string
+	p       Params
+	payload []byte
+}
+
+// pausedPayload pauses a run of p with 8k queued tasks and returns the
+// run and its snapshot payload.
+func pausedPayload(t *testing.T, p Params) (*Simulator, []byte) {
+	t.Helper()
 	s := pausedRun(t, p, 8000)
 	snap, err := s.EncodeSnapshot()
 	if err != nil {
@@ -380,34 +383,86 @@ func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type hostile struct {
-		name    string
-		payload []byte
-	}
-	var inputs []hostile
+	return s, payload
+}
+
+// eventFlood appends n copies of one encoded event behind the genuine
+// pending events of the paused run s.
+func eventFlood(t *testing.T, name string, p Params, s *Simulator, payload []byte, ev []byte, n int) hostilePayload {
+	t.Helper()
+	evCount, evEnd := eventSection(t, s, payload)
+	nev := len(s.eng.Queue.Pending())
+	events := append(varint(nev+n), payload[evCount+len(varint(nev)):evEnd]...)
+	events = append(events, bytes.Repeat(ev, n)...)
+	return hostilePayload{name, p, splice(payload, evCount, evEnd, events)}
+}
+
+// TestRestoreBoundsHostileRegistryCount: a tampered registry count, or
+// a flood of pending events the restored gauges cannot account for, is
+// rejected with ErrCorrupt while the restore allocates less than ten
+// times the snapshot's length. The registry counts are one far beyond
+// what the payload can hold and the largest the minimum task size lets
+// through. The floods are 100k events of one kind behind the genuine
+// ones: drain-checks, where the gauges allow at most one, and, on a run
+// with random and scripted faults, each kind of fault event, where each
+// random stream allows one pending firing, the script bounds scripted
+// crashes and armings, and recoveries are bounded by the script's and
+// the down nodes.
+func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
+	p := deepQueueParams()
+	s, payload := pausedPayload(t, p)
+	var inputs []hostilePayload
 	countAt, taskAt := registryLayout(t, payload)
 	remaining := len(payload) - taskAt[0] // bytes after the count
 	for _, n := range []int{remaining - 16, remaining / minTaskBytes} {
-		inputs = append(inputs, hostile{
-			fmt.Sprintf("registry count %d", n),
+		inputs = append(inputs, hostilePayload{
+			fmt.Sprintf("registry count %d", n), p,
 			splice(payload, countAt, taskAt[0], varint(n)),
 		})
 	}
 	const flood = 100000
-	evCount, evEnd := eventSection(t, s, payload)
-	nev := len(s.eng.Queue.Pending())
-	var drain snapshot.Writer
-	drain.Int(evDrainCheck)
-	drain.I64(s.eng.Now() + 1)
-	events := append(varint(nev+flood), payload[evCount+len(varint(nev)):evEnd]...)
-	events = append(events, bytes.Repeat(drain.Bytes(), flood)...)
-	inputs = append(inputs, hostile{"drain-check flood", splice(payload, evCount, evEnd, events)})
+	encode := func(kind int, at int64, node int) []byte {
+		var w snapshot.Writer
+		w.Int(kind)
+		w.I64(at)
+		if node >= 0 {
+			w.Int(node)
+		}
+		return w.Bytes()
+	}
+	now := s.eng.Now()
+	inputs = append(inputs, eventFlood(t, "drain-check flood", p, s, payload, encode(evDrainCheck, now+1, -1), flood))
+
+	fp := deepQueueParams()
+	script, err := fault.ParseScript("crash@4000000:3,cfail@4000000,recover@4100000:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.Faults = fault.Plan{CrashRate: 0.0002, MeanDowntime: 2000, ReconfigFaultRate: 0.0002, Script: script}
+	fs, fpayload := pausedPayload(t, fp)
+	now = fs.eng.Now()
+	if now >= 4000000 {
+		t.Fatalf("faulted run paused at %d, after its scripted events", now)
+	}
+	for _, f := range []struct {
+		name string
+		kind int
+		node int
+	}{
+		{"scripted-crash", evCrashScripted, 1},
+		{"random-crash", evCrashStream, -1},
+		{"recovery", evRecover, 1},
+		{"scripted-arming", evArmScripted, -1},
+		{"random-arming", evArmStream, -1},
+	} {
+		inputs = append(inputs, eventFlood(t, f.name+" flood", fp, fs, fpayload, encode(f.kind, now+1, f.node), flood))
+	}
 
 	for _, in := range inputs {
 		bad := snapshot.Seal(SnapshotKind, SnapshotVersion, in.payload)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := RestoreSnapshot(p, bad)
+		_, err := RestoreSnapshot(in.p, bad)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s gave %v, want ErrCorrupt", in.name, err)

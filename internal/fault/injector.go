@@ -83,6 +83,9 @@ func NewInjector(plan Plan, r *rng.RNG, eng *sim.Engine, t Target) (*Injector, e
 	return in, nil
 }
 
+// Plan returns the plan the injector fires.
+func (in *Injector) Plan() Plan { return in.plan }
+
 // PendingRecoveries reports how many scheduled recoveries are still
 // in flight.
 func (in *Injector) PendingRecoveries() int { return in.pendingRecoveries }

@@ -10,10 +10,10 @@ import (
 // inside the resource information manager (internal/resinfo) and the
 // scheduling policies (internal/sched) must charge the
 // SchedulerSearch / HousekeepingSteps counters — those counters ARE
-// the paper's Table I / Fig. 9 outputs, and the indexed fast path is
-// only equivalent to the linear one because both charge identical
-// steps. A traversal that forgets to meter silently skews every
-// workload figure.
+// the paper's Table I / Fig. 9 outputs, and the placement scans that
+// skip node blocks are only equivalent to the paper's linear walks
+// because they charge the walks' steps. A traversal that forgets to
+// meter silently skews every workload figure.
 //
 // Two shapes are checked:
 //

@@ -1,7 +1,6 @@
 package resinfo_test
 
 import (
-	"fmt"
 	"testing"
 
 	"dreamsim/internal/invariant"
@@ -33,8 +32,8 @@ func newSearchBench(tb testing.TB, nodeCount int, opts ...resinfo.Option) *searc
 
 // cycle is one steady-state round: the placement-search queries the
 // scheduler issues per decision, plus a configure → start → finish →
-// evict transition so the index pays its full maintenance cost (blank,
-// partially-blank and busy buckets all move). The node returns to
+// evict transition so the scan block pays its full maintenance cost
+// (blank, partial and busy state and the block bounds all move). The node returns to
 // blank, so every round sees the same state.
 func (sb *searchBench) cycle(tb testing.TB, i int) {
 	cfg := sb.cfgs[i%len(sb.cfgs)]
@@ -66,23 +65,99 @@ func (sb *searchBench) cycle(tb testing.TB, i int) {
 	}
 }
 
-// BenchmarkSearch measures the indexed placement-search path on the
-// 150-node population — the sweep grid's largest cell — and must
-// report 0 allocs/op: treap nodes and entries recycle through their
-// pools, bucket state is cached, and queries walk pointers only. CI
-// gates on the allocs/op column.
-func BenchmarkSearch(b *testing.B) {
-	sb := newSearchBench(b, 150, resinfo.WithFastSearch())
-	if !sb.m.FastSearch() {
-		b.Fatal("index not live")
+// suspendBench is a saturated 1,000-node population and a probe
+// configuration every placement phase fails for: each partial node
+// runs tasks on two regions and keeps too little free area, no region
+// of the probe's configuration exists, and the busy-fit check sends
+// the task to the suspension queue.
+type suspendBench struct {
+	m     *resinfo.Manager
+	nodes []*model.Node
+	probe *model.Config
+	tasks []model.Task // tasks[2*i+1] runs on node i's second region
+}
+
+func newSuspendBench(tb testing.TB) *suspendBench {
+	tb.Helper()
+	const nodes = 1000
+	ns := make([]*model.Node, nodes)
+	for i := range ns {
+		ns[i] = model.NewNode(i, 2000, true)
 	}
+	cfgs := []*model.Config{
+		{No: 0, ReqArea: 900, ConfigTime: 10},
+		{No: 1, ReqArea: 1000, ConfigTime: 10},
+		{No: 2, ReqArea: 1050, ConfigTime: 10},
+	}
+	m, err := resinfo.New(ns, cfgs, &metrics.Counters{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sb := &suspendBench{m: m, nodes: ns, probe: cfgs[2], tasks: make([]model.Task, 2*nodes)}
+	for i, n := range ns {
+		for j, cfg := range cfgs[:2] {
+			e, err := m.Configure(n, cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			sb.tasks[2*i+j] = model.Task{No: 2*i + j, AssignedConfig: -1}
+			if err := m.StartTask(e, &sb.tasks[2*i+j]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return sb
+}
+
+// cycle releases and restarts the second region of one node, which
+// leaves its block's reclaimable-area bound above the probe's request,
+// then runs the four placement phases of one decision for the probe:
+// Algorithm 1 visits that block and tightens its bound, skips every
+// other block, and the task suspends.
+func (sb *suspendBench) cycle(tb testing.TB, i int) {
+	m := sb.m
+	n := sb.nodes[i%len(sb.nodes)]
+	task := &sb.tasks[2*n.No+1]
+	e, err := m.FinishTask(n, task)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.StartTask(e, task); err != nil {
+		tb.Fatal(err)
+	}
+
+	cfg := m.FindPreferredConfig(sb.probe.No)
+	if m.BestIdleEntry(cfg.No) != nil || m.BestBlankNode(cfg) != nil ||
+		m.BestPartiallyBlankNode(cfg) != nil {
+		tb.Fatal("a placement phase found room in the saturated population")
+	}
+	if n, _ := m.FindAnyIdleNode(cfg); n != nil {
+		tb.Fatalf("Algorithm 1 reclaimed node %d in the saturated population", n.No)
+	}
+	if !m.AnyBusyNodeCouldFit(cfg) {
+		tb.Fatal("no busy node could fit the probe: it would be discarded, not suspended")
+	}
+}
+
+// BenchmarkSearch measures the placement searches with their
+// transition maintenance: the query+transition cycle on the 150-node
+// population (the sweep grid's largest cell), then a decision that
+// fails every phase and suspends on 1,000 saturated nodes. It must
+// report 0 allocs/op: entries recycle through the manager's pool and
+// the scans read the SoA arrays only. CI gates on the allocs/op
+// column.
+func BenchmarkSearch(b *testing.B) {
+	sb := newSearchBench(b, 150)
+	sus := newSuspendBench(b)
 	for i := 0; i < 64; i++ {
-		sb.cycle(b, i) // warm the entry and treap pools
+		sb.cycle(b, i) // warm the entry pool
+		sus.cycle(b, i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sb.cycle(b, i)
+		sus.cycle(b, i)
 	}
 }
 
@@ -94,37 +169,14 @@ func TestSearchZeroAlloc(t *testing.T) {
 	if invariant.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	sb := newSearchBench(t, 150, resinfo.WithFastSearch())
+	sb := newSearchBench(t, 150)
+	sus := newSuspendBench(t)
 	for i := 0; i < 64; i++ {
 		sb.cycle(t, i)
+		sus.cycle(t, i)
 	}
 	i := 64
-	if avg := testing.AllocsPerRun(500, func() { sb.cycle(t, i); i++ }); avg != 0 {
+	if avg := testing.AllocsPerRun(500, func() { sb.cycle(t, i); sus.cycle(t, i); i++ }); avg != 0 {
 		t.Fatalf("placement search allocates: %.1f allocs/op", avg)
-	}
-}
-
-// BenchmarkSearchCrossover compares the metered linear scans against
-// the treap index across population sizes under the same query +
-// transition mix; DefaultFastSearchCutoff is set from where the fast
-// line first beats the linear one.
-func BenchmarkSearchCrossover(b *testing.B) {
-	for _, n := range []int{48, 96, 150, 192, 256, 384, 512} {
-		for _, mode := range []string{"linear", "fast"} {
-			b.Run(fmt.Sprintf("%s-%d", mode, n), func(b *testing.B) {
-				var opts []resinfo.Option
-				if mode == "fast" {
-					opts = append(opts, resinfo.WithFastSearch())
-				}
-				sb := newSearchBench(b, n, opts...)
-				for i := 0; i < 64; i++ {
-					sb.cycle(b, i)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sb.cycle(b, i)
-				}
-			})
-		}
 	}
 }

@@ -1,0 +1,380 @@
+package resinfo_test
+
+// The placement queries checked against an independent reference: the
+// paper's searches written once as plain walks over the node and
+// configuration lists (Fig. 5's phases and Algorithm 1), with no SoA
+// arrays, shards or blocks. A randomized sequence of state transitions
+// drives one manager; after every transition each query's answer and
+// its SchedulerSearch charge must equal the reference walk's.
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"dreamsim/internal/metrics"
+	"dreamsim/internal/model"
+	"dreamsim/internal/resinfo"
+	"dreamsim/internal/rng"
+)
+
+// population synthesises nodes and configs. Nodes offer each listed
+// capability with probability 0.6 and configurations require each with
+// probability 0.2; a capability space too large for that to leave any
+// node compatible (more than eight names) is offered with probability
+// 0.3, and configuration i requires caps[i mod len(caps)] only, so
+// every name is in use once there are as many configurations.
+func population(seed uint64, nodes, configs int, caps []string) ([]*model.Node, []*model.Config) {
+	r := rng.New(seed)
+	large := len(caps) > 8
+	offer := 0.6
+	if large {
+		offer = 0.3
+	}
+	ns := make([]*model.Node, nodes)
+	for i := range ns {
+		partial := r.Bool(0.5)
+		ns[i] = model.NewNode(i, int64(r.IntRange(1000, 4000)), partial)
+		for _, c := range caps {
+			if r.Bool(offer) {
+				ns[i].Caps = append(ns[i].Caps, c)
+			}
+		}
+	}
+	cs := make([]*model.Config, configs)
+	for i := range cs {
+		cs[i] = &model.Config{
+			No:         i,
+			ReqArea:    int64(r.IntRange(200, 2000)),
+			Ptype:      model.PTypeSoftCore,
+			ConfigTime: int64(r.IntRange(10, 20)),
+		}
+		if large {
+			cs[i].RequiredCaps = []string{caps[i%len(caps)]}
+			continue
+		}
+		for _, c := range caps {
+			if r.Bool(0.2) {
+				cs[i].RequiredCaps = append(cs[i].RequiredCaps, c)
+			}
+		}
+	}
+	return ns, cs
+}
+
+// reference answers the placement queries by walking the lists. Each
+// method returns its answer and the steps the walk charges.
+type reference struct {
+	nodes   []*model.Node
+	configs []*model.Config
+}
+
+func (r reference) preferredConfig(no int) (*model.Config, uint64) {
+	for i, cfg := range r.configs {
+		if cfg.No == no {
+			return cfg, uint64(i) + 1
+		}
+	}
+	return nil, uint64(len(r.configs))
+}
+
+func (r reference) closestConfig(area int64) (*model.Config, uint64) {
+	var best *model.Config
+	for _, cfg := range r.configs {
+		if cfg.ReqArea >= area && (best == nil || cfg.ReqArea < best.ReqArea) {
+			best = cfg
+		}
+	}
+	return best, uint64(len(r.configs))
+}
+
+// bestBlank is the Configuration phase: the blank, working,
+// compatible node with the smallest sufficient TotalArea.
+func (r reference) bestBlank(cfg *model.Config) (*model.Node, uint64) {
+	var best *model.Node
+	for _, n := range r.nodes {
+		if len(n.Entries) == 0 && !n.Down && n.HasCaps(cfg.RequiredCaps) &&
+			n.TotalArea >= cfg.ReqArea && (best == nil || n.TotalArea < best.TotalArea) {
+			best = n
+		}
+	}
+	return best, uint64(len(r.nodes))
+}
+
+// bestPartial is the Partial configuration phase: the configured
+// partial-mode compatible node with the smallest sufficient
+// AvailableArea.
+func (r reference) bestPartial(cfg *model.Config) (*model.Node, uint64) {
+	var best *model.Node
+	for _, n := range r.nodes {
+		if n.PartialMode && len(n.Entries) > 0 && n.HasCaps(cfg.RequiredCaps) &&
+			n.AvailableArea >= cfg.ReqArea && (best == nil || n.AvailableArea < best.AvailableArea) {
+			best = n
+		}
+	}
+	return best, uint64(len(r.nodes))
+}
+
+// anyIdle is Algorithm 1: one step per incompatible node and per
+// examined entry; the first node whose AvailableArea plus idle regions
+// reaches the request is returned with those regions.
+func (r reference) anyIdle(cfg *model.Config) (*model.Node, []*model.Entry, uint64) {
+	var steps uint64
+	for _, n := range r.nodes {
+		if !n.HasCaps(cfg.RequiredCaps) {
+			steps++
+			continue
+		}
+		accum := n.AvailableArea
+		var victims []*model.Entry
+		for _, e := range n.Entries {
+			steps++
+			if e.Task == nil {
+				accum += e.Config.ReqArea
+				victims = append(victims, e)
+				if accum >= cfg.ReqArea {
+					return n, victims, steps
+				}
+			}
+		}
+	}
+	return nil, nil, steps
+}
+
+// anyBusyFit is the suspend-or-discard check: the walk stops at the
+// first busy compatible node whose TotalArea suffices.
+func (r reference) anyBusyFit(cfg *model.Config) (bool, uint64) {
+	for i, n := range r.nodes {
+		if n.RunningTasks() > 0 && n.HasCaps(cfg.RequiredCaps) && n.TotalArea >= cfg.ReqArea {
+			return true, uint64(i) + 1
+		}
+	}
+	return false, uint64(len(r.nodes))
+}
+
+// anyDownFit is the uncharged fault-path probe.
+func (r reference) anyDownFit(cfg *model.Config) bool {
+	for _, n := range r.nodes {
+		if n.Down && n.HasCaps(cfg.RequiredCaps) && n.TotalArea >= cfg.ReqArea {
+			return true
+		}
+	}
+	return false
+}
+
+// refDriver drives one manager through random transitions and checks
+// every query against the reference.
+type refDriver struct {
+	t        *testing.T
+	m        *resinfo.Manager
+	c        *metrics.Counters
+	ref      reference
+	caps     []string
+	r        *rng.RNG
+	nextTask int
+}
+
+// charged runs one query and returns the SchedulerSearch it charged.
+func (d *refDriver) charged(query func()) uint64 {
+	before := d.c.SchedulerSearch
+	query()
+	return d.c.SchedulerSearch - before
+}
+
+func (d *refDriver) sameNode(what string, got, want *model.Node, gotSteps, wantSteps uint64) {
+	d.t.Helper()
+	if got != want {
+		d.t.Fatalf("%s returned %v, reference %v", what, got, want)
+	}
+	if gotSteps != wantSteps {
+		d.t.Fatalf("%s charged %d steps, reference %d", what, gotSteps, wantSteps)
+	}
+}
+
+// probe draws a query configuration: a listed one, or an unlisted one
+// with any area and capabilities, sometimes a capability no node or
+// configuration declares.
+func (d *refDriver) probe() *model.Config {
+	r := d.r
+	if r.Bool(0.6) {
+		return d.ref.configs[r.Intn(len(d.ref.configs))]
+	}
+	cfg := &model.Config{No: -1, ReqArea: int64(r.IntRange(1, 4500)), ConfigTime: 10}
+	if len(d.caps) > 0 && r.Bool(0.5) {
+		cfg.RequiredCaps = []string{d.caps[r.Intn(len(d.caps))]}
+	}
+	if r.Bool(0.05) {
+		cfg.RequiredCaps = append(cfg.RequiredCaps, "ghost")
+	}
+	return cfg
+}
+
+// queryAll checks every placement query for one probe and returns
+// Algorithm 1's answer.
+func (d *refDriver) queryAll(cfg *model.Config) (*model.Node, []*model.Entry) {
+	d.t.Helper()
+	var n *model.Node
+	var victims []*model.Entry
+	var fit bool
+
+	no := d.r.IntRange(-2, len(d.ref.configs)+1)
+	var pc *model.Config
+	got := d.charged(func() { pc = d.m.FindPreferredConfig(no) })
+	want, steps := d.ref.preferredConfig(no)
+	if pc != want || got != steps {
+		d.t.Fatalf("FindPreferredConfig(%d) = %v charging %d, reference %v charging %d", no, pc, got, want, steps)
+	}
+	area := int64(d.r.IntRange(1, 2200))
+	got = d.charged(func() { pc = d.m.FindClosestConfig(area) })
+	want, steps = d.ref.closestConfig(area)
+	if pc != want || got != steps {
+		d.t.Fatalf("FindClosestConfig(%d) = %v charging %d, reference %v charging %d", area, pc, got, want, steps)
+	}
+
+	got = d.charged(func() { n = d.m.BestBlankNode(cfg) })
+	wn, steps := d.ref.bestBlank(cfg)
+	d.sameNode(fmt.Sprintf("BestBlankNode(%v)", cfg), n, wn, got, steps)
+
+	got = d.charged(func() { n = d.m.BestPartiallyBlankNode(cfg) })
+	wn, steps = d.ref.bestPartial(cfg)
+	d.sameNode(fmt.Sprintf("BestPartiallyBlankNode(%v)", cfg), n, wn, got, steps)
+
+	got = d.charged(func() { n, victims = d.m.FindAnyIdleNode(cfg) })
+	wn, wv, steps := d.ref.anyIdle(cfg)
+	d.sameNode(fmt.Sprintf("FindAnyIdleNode(%v)", cfg), n, wn, got, steps)
+	if !slices.Equal(victims, wv) {
+		d.t.Fatalf("FindAnyIdleNode(%v) victims %v, reference %v", cfg, victims, wv)
+	}
+	gotN, gotV := n, victims
+
+	got = d.charged(func() { fit = d.m.AnyBusyNodeCouldFit(cfg) })
+	wf, steps := d.ref.anyBusyFit(cfg)
+	if fit != wf || got != steps {
+		d.t.Fatalf("AnyBusyNodeCouldFit(%v) = %v charging %d, reference %v charging %d", cfg, fit, got, wf, steps)
+	}
+	got = d.charged(func() { fit = d.m.AnyDownNodeCouldFit(cfg) })
+	if wf := d.ref.anyDownFit(cfg); fit != wf || got != 0 {
+		d.t.Fatalf("AnyDownNodeCouldFit(%v) = %v charging %d, reference %v uncharged", cfg, fit, got, wf)
+	}
+	return gotN, gotV
+}
+
+// mutate applies one random state transition to a random node.
+func (d *refDriver) mutate() {
+	d.t.Helper()
+	r := d.r
+	node := d.ref.nodes[r.Intn(len(d.ref.nodes))]
+	var err error
+	switch op := r.Intn(14); {
+	case op < 5: // Configure a listed configuration that fits.
+		cfg := d.ref.configs[r.Intn(len(d.ref.configs))]
+		if node.Down || (!node.PartialMode && len(node.Entries) > 0) ||
+			cfg.ReqArea > node.AvailableArea || !node.HasCaps(cfg.RequiredCaps) {
+			return
+		}
+		_, err = d.m.Configure(node, cfg)
+	case op < 9: // Start a task on an idle region.
+		idle := node.IdleEntries()
+		if len(idle) == 0 || (!node.PartialMode && node.RunningTasks() > 0) {
+			return
+		}
+		d.nextTask++
+		err = d.m.StartTask(idle[r.Intn(len(idle))], &model.Task{No: d.nextTask, AssignedConfig: -1})
+	case op < 11: // Finish a running task.
+		var busy []*model.Task
+		for _, e := range node.Entries {
+			if e.Task != nil {
+				busy = append(busy, e.Task)
+			}
+		}
+		if len(busy) == 0 {
+			return
+		}
+		_, err = d.m.FinishTask(node, busy[r.Intn(len(busy))])
+	case op == 11: // Evict a prefix of the idle regions.
+		idle := node.IdleEntries()
+		if len(idle) == 0 {
+			return
+		}
+		err = d.m.EvictIdle(node, idle[:r.IntRange(1, len(idle))])
+	case op == 12: // Blank a node running nothing.
+		if len(node.Entries) == 0 || node.RunningTasks() > 0 {
+			return
+		}
+		err = d.m.BlankNode(node)
+	default: // Crash a working node, or recover a down one.
+		if node.Down {
+			err = d.m.RecoverNode(node)
+		} else if r.Bool(0.3) {
+			_, err = d.m.CrashNode(node)
+		}
+	}
+	if err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+func runReference(t *testing.T, seed uint64, nodes int, caps []string) {
+	configs := 25
+	if len(caps) > 64 {
+		configs = len(caps) + 5
+	}
+	ns, cs := population(seed, nodes, configs, caps)
+	c := &metrics.Counters{}
+	m, err := resinfo.New(ns, cs, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(caps) > 64 && m.ShardCount() != 1 {
+		t.Fatalf("%d capability names must fall back to one shard, got %d", len(caps), m.ShardCount())
+	}
+	d := &refDriver{t: t, m: m, c: c, ref: reference{ns, cs}, caps: caps, r: rng.New(seed ^ 0x5eed)}
+	steps := 400 + 2*nodes
+	for step := 0; step < steps; step++ {
+		d.mutate()
+		cfg := d.probe()
+		n, victims := d.queryAll(cfg)
+		// Apply some of Algorithm 1's answers as the scheduler would:
+		// evict the victims, then configure the freed area.
+		if n != nil && cfg.No >= 0 && d.r.Bool(0.3) {
+			if err := m.EvictIdle(n, victims); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Configure(n, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%97 == 0 || step == steps-1 {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+}
+
+// TestPlacementQueriesMatchReference runs the reference comparison on
+// populations around the 64-member block size, with no capabilities,
+// three capability kinds (several shards) and more than 64 capability
+// names (the single-shard string-test fallback).
+func TestPlacementQueriesMatchReference(t *testing.T) {
+	huge := make([]string, 70)
+	for i := range huge {
+		huge[i] = fmt.Sprintf("cap-%d", i)
+	}
+	for _, space := range []struct {
+		name string
+		caps []string
+	}{
+		{"homogeneous", nil},
+		{"capabilities", []string{"bram", "dsp", "serdes"}},
+		{"huge-cap-space", huge},
+	} {
+		t.Run(space.name, func(t *testing.T) {
+			for _, nodes := range []int{1, 63, 64, 65, 200, 1000} {
+				t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+					runReference(t, uint64(nodes)*7+uint64(len(space.caps)), nodes, space.caps)
+				})
+			}
+		})
+	}
+}

@@ -9,7 +9,6 @@ package resinfo
 
 import (
 	"fmt"
-	"sort"
 
 	"dreamsim/internal/invariant"
 	"dreamsim/internal/metrics"
@@ -27,16 +26,8 @@ type Manager struct {
 	c         *metrics.Counters
 	downCount int // nodes currently failed (CrashNode minus RecoverNode)
 
-	// Fast-search state (nil/empty when the linear paper paths run).
-	wantFast   bool
-	fastCutoff int // minimum node count the index is built for
-	idx        *nodeIndex
-	cfgPos     map[int]int     // config No -> position in the list
-	cfgByArea  []*model.Config // configs ordered by (ReqArea, position)
-
-	// SoA scan block: the capability-sharded dense arrays the linear
-	// placement scans walk (see soa.go). Built for every manager and
-	// kept in sync by reindex.
+	// SoA scan block: the capability-sharded, blocked dense arrays the
+	// placement scans walk (see soa.go), kept in sync by reindex.
 	soa *soaState
 
 	// evict is FindAnyIdleNode's reusable victim buffer; the returned
@@ -50,35 +41,6 @@ type Manager struct {
 
 // Option customises a Manager at construction time.
 type Option func(*Manager)
-
-// WithFastSearch replaces the linear node and configuration searches
-// with indexed O(log n) equivalents. Search results and every metered
-// counter are identical to the linear mode: the index returns the
-// exact node the linear walk would have and charges the exact steps
-// the walk would have charged (the paper's search accounting is a
-// model output, not an execution constraint). Populations whose
-// capability name space exceeds 64 distinct names fall back to the
-// linear path silently; FastSearch reports whether the index is live.
-func WithFastSearch() Option {
-	return func(m *Manager) { m.wantFast = true; m.fastCutoff = 0 }
-}
-
-// DefaultFastSearchCutoff is the smallest population FastSearch
-// builds the index for. It was measured against the array-of-structs
-// walk that preceded the SoA shard scan (end to end, the crossover lay
-// between 250 and 300 nodes at the paper's Table II shape) and is not
-// a crossover against the SoA scan: on a 2-vCPU host the index runs a
-// 5,000-node streamed run at 0.55x the SoA scan's tasks/s, and a
-// 1,000-node bursty scenario at 1.2-1.3x.
-const DefaultFastSearchCutoff = 256
-
-// WithFastSearchCutoff is WithFastSearch with an adaptive threshold:
-// the index is built only for populations of at least cutoff nodes,
-// smaller ones keep the linear paths. Results and metering are
-// identical either way — the cutoff trades wall time only.
-func WithFastSearchCutoff(cutoff int) Option {
-	return func(m *Manager) { m.wantFast = true; m.fastCutoff = cutoff }
-}
 
 // Deprecated: WithIntraParallel is a no-op; placement scans are sequential.
 func WithIntraParallel(int) Option { return func(*Manager) {} }
@@ -112,29 +74,12 @@ func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counter
 		n.Slot = i
 	}
 	m.soa = newSoaState(nodes, configs)
-	if m.wantFast && len(nodes) >= m.fastCutoff {
-		if idx, ok := newNodeIndex(nodes, configs); ok {
-			m.idx = idx
-			m.cfgPos = make(map[int]int, len(configs))
-			for i, cfg := range configs {
-				m.cfgPos[cfg.No] = i
-			}
-			m.cfgByArea = append([]*model.Config(nil), configs...)
-			sort.SliceStable(m.cfgByArea, func(i, j int) bool {
-				return m.cfgByArea[i].ReqArea < m.cfgByArea[j].ReqArea
-			})
-		}
-	}
 	return m, nil
 }
 
-// FastSearch reports whether the indexed search path is active.
-func (m *Manager) FastSearch() bool { return m.idx != nil }
-
-// reindex reconciles the fast-search index after node changed state;
-// a no-op on the linear path. Maintenance charges no counters — the
-// metered workload describes the simulated linear-search scheduler,
-// not the host data structure.
+// reindex reconciles the SoA scan block after node changed state.
+// Maintenance charges no counters — the metered workload describes the
+// simulated linear-search scheduler, not the host data structure.
 func (m *Manager) reindex(node *model.Node) {
 	// reindex is the shared tail of every state transition
 	// (Configure, EvictIdle, BlankNode, StartTask, FinishTask), so it
@@ -147,9 +92,6 @@ func (m *Manager) reindex(node *model.Node) {
 			"resinfo: down node %d still holds %d configurations", node.No, len(node.Entries))
 	}
 	m.soa.sync(node.Slot, node)
-	if m.idx != nil {
-		m.idx.sync(m.idx.pos[node], node)
-	}
 }
 
 // Nodes returns the node list (callers must not mutate node state
@@ -193,20 +135,10 @@ func (m *Manager) ChargeHousekeeping(n uint64) { m.housekeep(n) }
 // FindPreferredConfig searches the configurations list for cfgNo
 // (paper method; metered as the linear search the paper describes —
 // "currently a simple linear search is employed"). It returns nil
-// when the preferred configuration does not exist. The fast path
-// answers from a hash map but charges the steps the walk would have
-// taken: the position of the hit, or the whole list on a miss.
+// when the preferred configuration does not exist.
 //
 //dreamsim:noalloc
 func (m *Manager) FindPreferredConfig(cfgNo int) *model.Config {
-	if m.cfgPos != nil {
-		if pos, ok := m.cfgPos[cfgNo]; ok {
-			m.search(uint64(pos) + 1)
-			return m.configs[pos]
-		}
-		m.search(uint64(len(m.configs)))
-		return nil
-	}
 	var steps uint64
 	for _, cfg := range m.configs {
 		steps++
@@ -226,20 +158,6 @@ func (m *Manager) FindPreferredConfig(cfgNo int) *model.Config {
 //
 //dreamsim:noalloc
 func (m *Manager) FindClosestConfig(neededArea model.Area) *model.Config {
-	if m.cfgByArea != nil {
-		// The linear scan keeps the first config holding the minimal
-		// sufficient ReqArea; in the (ReqArea, position)-ordered view
-		// that is the first element at or above neededArea. The walk
-		// always visits the whole list, so the whole list is charged.
-		m.search(uint64(len(m.configs)))
-		i := sort.Search(len(m.cfgByArea), func(i int) bool {
-			return m.cfgByArea[i].ReqArea >= neededArea
-		})
-		if i == len(m.cfgByArea) {
-			return nil
-		}
-		return m.cfgByArea[i]
-	}
 	var best *model.Config
 	var steps uint64
 	for _, cfg := range m.configs {
@@ -408,18 +326,14 @@ func (m *Manager) BestIdleEntry(cfgNo int) *model.Entry {
 
 // BestBlankNode scans for blank, capability-compatible nodes that can
 // hold cfg and returns the one with minimum sufficient TotalArea. The
-// fast path answers the same query from the blank-node index in
-// O(log n); the linear path scans the SoA block's compatible
-// capability shards. The paper's walk always visits every node, so
-// the whole list is charged in every mode.
+// scan visits the SoA block's compatible capability shards, skipping
+// blocks that hold no blank node large enough; the paper's walk always
+// visits every node, so the whole list is charged.
 //
 //dreamsim:noalloc
 func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
-	if m.idx != nil {
-		return m.idx.bestBlank(cfg)
-	}
-	return m.scanBest(cfg, soaBlank, m.soa.total)
+	return m.scanBest(cfg, keyBlank)
 }
 
 // BestPartiallyBlankNode scans for configured, capability-compatible
@@ -432,10 +346,7 @@ func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 //dreamsim:noalloc
 func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
-	if m.idx != nil {
-		return m.idx.bestPart(cfg)
-	}
-	return m.scanBest(cfg, soaPart, m.soa.avail)
+	return m.scanBest(cfg, keyPart)
 }
 
 // FindAnyIdleNode is Algorithm 1 of the paper: walk the node list,
@@ -443,7 +354,11 @@ func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 // its idle regions; the first node whose accumulated reclaimable area
 // reaches reqArea is returned together with the idle regions to evict.
 // Both the scheduler search length and the total simulator workload
-// are charged one step per examined entry, as in the algorithm text.
+// are charged one step per examined entry, as in the algorithm text,
+// and one step per capability-incompatible node. The SoA block finds
+// the node from the per-slot reclaimable areas, skipping blocks that
+// cannot reach reqArea, and charges the nodes before it from the entry
+// counts (alg1Steps); only the returned node's entries are walked.
 // The victim slice is the manager's reusable scratch: it stays valid
 // until the next placement search, which is exactly long enough for
 // the scheduler to consume the decision (sched.Apply evicts before
@@ -451,45 +366,40 @@ func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 //
 //dreamsim:noalloc
 func (m *Manager) FindAnyIdleNode(cfg *model.Config) (*model.Node, []*model.Entry) {
-	reqArea := cfg.ReqArea
 	s := m.soa
 	req, reqOK := s.reqMask(cfg.RequiredCaps)
-	var steps uint64
-	entries := m.evict[:0]
-	for slot, node := range m.nodes {
-		// Capability compatibility from the SoA mask block: one AND
-		// instead of the nested string subset test, with the per-node
-		// HasCaps retained for the unrepresentable cases (>64-name
-		// population, unregistered query capability). An incompatible
-		// node costs the walk one step, exactly as the string test did.
-		var compatible bool
-		if s.maskOK && reqOK {
-			compatible = s.masks[slot]&req == req
-		} else {
-			compatible = node.HasCaps(cfg.RequiredCaps)
-		}
-		if !compatible {
-			steps++
+	masked := s.maskOK && reqOK
+	hit := int64(len(m.nodes)) // the first node that fits; none yet
+	for si := range s.shards {
+		sh := &s.shards[si]
+		if masked && sh.mask&req != req {
 			continue
 		}
-		accum := node.AvailableArea
-		entries = entries[:0]
-		for _, e := range node.Entries {
-			steps++
-			if e.Idle() {
-				accum += e.Config.ReqArea
-				entries = append(entries, e)
-				if accum >= reqArea {
-					m.evict = entries
-					m.search(steps)
-					return node, entries
-				}
+		if p := m.firstReclaimable(sh, cfg.ReqArea, hit, cfg.RequiredCaps, !masked); p >= 0 {
+			hit = p
+		}
+	}
+	steps := m.alg1Steps(req, masked, cfg.RequiredCaps, hit)
+	if hit == int64(len(m.nodes)) {
+		m.search(steps)
+		return nil, nil
+	}
+	node := m.nodes[hit]
+	accum := node.AvailableArea
+	entries := m.evict[:0]
+	for _, e := range node.Entries {
+		steps++
+		if e.Idle() {
+			accum += e.Config.ReqArea
+			entries = append(entries, e)
+			if accum >= cfg.ReqArea {
+				m.evict = entries
+				m.search(steps)
+				return node, entries
 			}
 		}
 	}
-	m.evict = entries[:0]
-	m.search(steps)
-	return nil, nil
+	panic(fmt.Sprintf("resinfo: reclaimable area of node %d out of sync with its regions", node.No))
 }
 
 // AnyBusyNodeCouldFit reports whether some currently busy node has
@@ -501,18 +411,9 @@ func (m *Manager) FindAnyIdleNode(cfg *model.Config) (*model.Node, []*model.Entr
 //dreamsim:noalloc
 func (m *Manager) AnyBusyNodeCouldFit(cfg *model.Config) bool {
 	// The linear walk exits at the first match, so the charge is that
-	// node's position (+1) — recovered by the busy index's subtree-
-	// minimum positions in O(log n), or by the sharded first-fit scan's
+	// node's position (+1) — recovered by the sharded first-fit scan's
 	// minimum-slot reduction — or the whole list when no busy node
 	// fits.
-	if m.idx != nil {
-		if pos := m.idx.firstBusyFit(cfg); pos >= 0 {
-			m.search(uint64(pos) + 1)
-			return true
-		}
-		m.search(uint64(len(m.nodes)))
-		return false
-	}
 	if pos := m.scanFirstFit(cfg, soaBusy); pos >= 0 {
 		m.search(uint64(pos) + 1)
 		return true
@@ -615,13 +516,5 @@ func (m *Manager) CheckInvariants() error {
 			}
 		}
 	}
-	if err := m.soa.check(m.nodes); err != nil {
-		return err
-	}
-	if m.idx != nil {
-		if err := m.idx.check(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.soa.check(m.nodes)
 }

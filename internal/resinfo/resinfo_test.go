@@ -312,3 +312,30 @@ func TestInvariantCatchesUnlistedEntry(t *testing.T) {
 		t.Fatal("unlisted entry not detected")
 	}
 }
+
+// TestInvariantCatchesStaleBlock corrupts each block summary the
+// placement scans trust: a bound below a member's key, which would make
+// a scan skip a node that fits, and a wrong entry count, which would
+// mis-charge Algorithm 1.
+func TestInvariantCatchesStaleBlock(t *testing.T) {
+	m, _ := rig(t, []int64{2000, 3000}, []int64{500}, true)
+	if _, err := m.Configure(m.Nodes()[1], m.Configs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	blk := &m.soa.blocks[0]
+	for k := 0; k < soaKeys; k++ {
+		saved := blk.bound[k]
+		blk.bound[k] = -1
+		if err := m.CheckInvariants(); err == nil {
+			t.Errorf("bound %d below its members' keys not detected", k)
+		}
+		blk.bound[k] = saved
+	}
+	blk.ents++
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("wrong block entry count not detected")
+	}
+}

@@ -17,9 +17,9 @@ import (
 //
 // Everything else is derived and rebuilt rather than stored: node
 // AvailableArea follows Eq. 4 from the resident configurations,
-// downCount is a recount, the fast-search treap re-syncs from node
-// state, and the entry/evict pools are allocation artifacts that
-// restore empty.
+// downCount is a recount, the SoA scan block (per-slot arrays and
+// block bounds) re-syncs from node state through reindex, and the
+// entry/evict pools are allocation artifacts that restore empty.
 
 // EncodeState appends the manager's dynamic state: per-node fabric
 // contents in node order, then per-configuration list orders in

@@ -6,27 +6,35 @@ import (
 	"dreamsim/internal/model"
 )
 
-// The SoA (structure-of-arrays) layer: the fields every placement scan
-// filters on — free area, capability mask, blank/partial/busy/down
-// state — live in dense parallel arrays indexed by model.Node.Slot, so
-// the linear scans walk cache-contiguous int64/uint8 arrays instead of
-// chasing *Node pointers and re-deriving State() per visit. On top of
-// the arrays sit capability shards: searches never cross capability
-// masks (a node missing a required capability can never host the
-// configuration), so nodes are partitioned by exact capability mask
-// and each query touches only the shards whose mask covers the
-// configuration's requirement.
+// The SoA (structure-of-arrays) layer is the manager's one placement-
+// search structure. The fields every placement scan filters on — free
+// area, Algorithm 1's reclaimable area, entry count, blank/partial/
+// busy/down state — live in dense parallel arrays indexed by
+// model.Node.Slot, so the scans walk cache-contiguous int64/uint8
+// arrays instead of chasing *Node pointers. On top of the arrays sit
+// capability shards: searches never cross capability masks (a node
+// missing a required capability can never host the configuration), so
+// nodes are partitioned by exact capability mask and each query touches
+// only the shards whose mask covers the configuration's requirement.
 //
-// The layer exists on every manager — it is the linear scan now, with
-// the treap index (index.go) still taking over when FastSearch is live
-// — and reindex keeps it in sync on the same transition tail that
-// syncs the treaps.
+// Each shard is cut into blocks of soaBlockSize members. A block keeps,
+// per query key, an upper bound on the largest key among its candidate
+// members, plus its members' exact entry count. A scan skips every
+// block whose bound lies below the request: no member can fit. sync
+// raises a bound in O(1) when a member's key grows and leaves it loose
+// when the key shrinks; a scan that visits a whole block tightens its
+// bound to the exact maximum. Skipping changes only host work: the
+// paper's linear walks are still charged step for step, BestBlankNode
+// and BestPartiallyBlankNode as the whole node list and Algorithm 1
+// arithmetically from the per-block entry counts (alg1Steps).
 //
 // Populations whose capability name space exceeds 64 distinct names
 // cannot be mask-encoded; they degrade to a single shard holding every
-// node, with the per-node string subset test (HasCaps) back in the
-// scan filter — the same fallback rule the treap index applies, with
-// identical results and metering either way.
+// node, cut into the same blocks, with the per-node string subset test
+// (HasCaps) in place of the mask test.
+
+// soaBlockSize is the number of shard members one block summarises.
+const soaBlockSize = 64
 
 // Node-state flag bits, mirroring the classifications the placement
 // phases filter on.
@@ -37,10 +45,21 @@ const (
 	soaBusy                    // State() == StateBusy: an AnyBusyNodeCouldFit candidate
 )
 
-// soaFlagsOf derives a node's flag byte from its live state.
+// Query keys a block bounds, indexing soaBlock.bound.
+const (
+	keyBlank = iota // TotalArea of blank members (BestBlankNode)
+	keyPart         // AvailableArea of partial members (BestPartiallyBlankNode)
+	keyRecl         // reclaimable area of members (FindAnyIdleNode)
+	soaKeys
+)
+
+// soaFlagsOf derives a node's flag byte and its Algorithm 1 reclaimable
+// area from its live state. The reclaimable area is AvailableArea plus
+// the areas of the node's idle regions, or -1 when it holds no idle
+// region: Algorithm 1 only tests a node after adding an idle region.
 //
 //lint:metering flag derivation inspects one node during a state transition; the transition's walk is charged by its caller
-func soaFlagsOf(n *model.Node) uint8 {
+func soaFlagsOf(n *model.Node) (uint8, int64) {
 	var f uint8
 	blank := len(n.Entries) == 0
 	if n.Down {
@@ -52,30 +71,54 @@ func soaFlagsOf(n *model.Node) uint8 {
 	if n.PartialMode && !blank {
 		f |= soaPart
 	}
+	recl, idle := n.AvailableArea, false
 	for _, e := range n.Entries {
 		if e.Task != nil {
 			f |= soaBusy
-			break
+		} else {
+			recl += e.Config.ReqArea
+			idle = true
 		}
 	}
-	return f
+	if !idle {
+		recl = -1
+	}
+	return f, recl
+}
+
+// soaBlock summarises up to soaBlockSize consecutive shard members.
+type soaBlock struct {
+	// bound[k] is never below the key k of a member that is a
+	// candidate for query k; -1 when no member is.
+	bound [soaKeys]int64
+	ents  int64 // exact: the members' entries
 }
 
 // soaShard is one capability class: the slots of every node sharing
 // one exact capability mask, in ascending slot order (so an in-order
 // walk visits nodes in node-list order and ties resolve to the lower
-// node number without extra work).
+// node number without extra work), and the blocks that cut them.
 type soaShard struct {
 	mask    uint64
 	members []int32
+	blocks  []soaBlock // blocks[b] covers members[b*soaBlockSize:]
+}
+
+// span returns the members block b covers.
+func (sh *soaShard) span(b int) []int32 {
+	lo := b * soaBlockSize
+	return sh.members[lo:min(lo+soaBlockSize, len(sh.members))]
 }
 
 // soaState is the manager's scan-field block.
 type soaState struct {
-	total   []int64 // Node.TotalArea by slot (static)
-	avail   []int64 // Node.AvailableArea by slot
-	flags   []uint8 // soaDown/soaBlank/soaPart/soaBusy by slot
-	masks   []uint64
+	total   []int64    // Node.TotalArea by slot (static)
+	avail   []int64    // Node.AvailableArea by slot
+	recl    []int64    // reclaimable area by slot (soaFlagsOf)
+	flags   []uint8    // soaDown/soaBlank/soaPart/soaBusy by slot
+	nent    []int32    // len(Node.Entries) by slot
+	blk     []int32    // slot -> its block's index in blocks
+	blocks  []soaBlock // every shard's blocks, shard by shard
 	capBits map[string]uint64
 	maskOK  bool // false: >64 capability names, single-shard fallback
 	shards  []soaShard
@@ -83,55 +126,101 @@ type soaState struct {
 
 // newSoaState builds the scan block over a fresh population. Both node
 // capabilities and configuration requirements register in the bit
-// assignment, so every well-formed query mask is representable.
+// assignment, so every well-formed query mask is representable. The
+// per-slot arrays of one type share one allocation.
 //
 //lint:metering construction-time layout build; the paper meters only the running scheduler
 func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
+	n := len(nodes)
+	i64 := make([]int64, 3*n)
+	i32 := make([]int32, 3*n)
 	s := &soaState{
-		total: make([]int64, len(nodes)),
-		avail: make([]int64, len(nodes)),
-		flags: make([]uint8, len(nodes)),
+		total: i64[:n:n],
+		avail: i64[n : 2*n : 2*n],
+		recl:  i64[2*n:],
+		flags: make([]uint8, n),
+		nent:  i32[:n:n],
+		blk:   i32[n : 2*n : 2*n],
 	}
-	capLists := make([][]string, 0, len(nodes)+len(configs))
-	for _, n := range nodes {
-		capLists = append(capLists, n.Caps)
+	members := i32[2*n:]
+	capLists := make([][]string, 0, n+len(configs))
+	for _, node := range nodes {
+		capLists = append(capLists, node.Caps)
 	}
 	for _, cfg := range configs {
 		capLists = append(capLists, cfg.RequiredCaps)
 	}
 	s.capBits, s.maskOK = model.CapBits(capLists...)
+
+	// Group slots by mask: blk holds each slot's shard until the
+	// blocks exist, and members is carved shard by shard.
+	var sizes []int
 	if s.maskOK {
-		s.masks = make([]uint64, len(nodes))
 		shardIdx := make(map[uint64]int, 8)
-		for i, n := range nodes {
-			mask, _ := model.CapMaskOf(s.capBits, n.Caps)
-			s.masks[i] = mask
+		for i, node := range nodes {
+			mask, _ := model.CapMaskOf(s.capBits, node.Caps)
 			si, seen := shardIdx[mask]
 			if !seen {
 				si = len(s.shards)
 				shardIdx[mask] = si
 				s.shards = append(s.shards, soaShard{mask: mask})
+				sizes = append(sizes, 0)
 			}
-			s.shards[si].members = append(s.shards[si].members, int32(i))
+			s.blk[i] = int32(si)
+			sizes[si]++
 		}
 	} else {
-		members := make([]int32, len(nodes))
-		for i := range nodes {
-			members[i] = int32(i)
-		}
-		s.shards = []soaShard{{members: members}}
+		s.shards = []soaShard{{}}
+		sizes = []int{n}
 	}
-	for i, n := range nodes {
-		s.total[i] = int64(n.TotalArea)
-		s.sync(i, n)
+	nblocks := 0
+	for si := range s.shards {
+		s.shards[si].members = members[:0:sizes[si]]
+		members = members[sizes[si]:]
+		nblocks += (sizes[si] + soaBlockSize - 1) / soaBlockSize
+	}
+	for i := range nodes {
+		sh := &s.shards[s.blk[i]]
+		sh.members = append(sh.members, int32(i))
+	}
+	s.blocks = make([]soaBlock, nblocks)
+	base := 0
+	for si := range s.shards {
+		sh := &s.shards[si]
+		nb := (len(sh.members) + soaBlockSize - 1) / soaBlockSize
+		sh.blocks = s.blocks[base : base+nb : base+nb]
+		for j, p := range sh.members {
+			s.blk[p] = int32(base + j/soaBlockSize)
+		}
+		base += nb
+	}
+	for b := range s.blocks {
+		s.blocks[b].bound = [soaKeys]int64{-1, -1, -1}
+	}
+	for i, node := range nodes {
+		s.total[i] = node.TotalArea
+		s.sync(i, node)
 	}
 	return s
 }
 
-// sync refreshes one slot from its node.
+// sync refreshes one slot from its node and raises its block's bounds
+// to cover the slot's new keys.
 func (s *soaState) sync(slot int, n *model.Node) {
-	s.avail[slot] = int64(n.AvailableArea)
-	s.flags[slot] = soaFlagsOf(n)
+	flags, recl := soaFlagsOf(n)
+	nent := int32(len(n.Entries))
+	b := &s.blocks[s.blk[slot]]
+	b.ents += int64(nent - s.nent[slot])
+	s.avail[slot], s.recl[slot], s.flags[slot], s.nent[slot] = n.AvailableArea, recl, flags, nent
+	if flags&soaBlank != 0 && n.TotalArea > b.bound[keyBlank] {
+		b.bound[keyBlank] = n.TotalArea
+	}
+	if flags&soaPart != 0 && n.AvailableArea > b.bound[keyPart] {
+		b.bound[keyPart] = n.AvailableArea
+	}
+	if recl > b.bound[keyRecl] {
+		b.bound[keyRecl] = recl
+	}
 }
 
 // reqMask folds a required-capability list into its query mask. A
@@ -152,18 +241,16 @@ func (s *soaState) check(nodes []*model.Node) error {
 		if n.Slot != i {
 			return fmt.Errorf("resinfo: node %d carries slot %d, expected %d", n.No, n.Slot, i)
 		}
-		if s.total[i] != int64(n.TotalArea) || s.avail[i] != int64(n.AvailableArea) {
+		if s.total[i] != n.TotalArea || s.avail[i] != n.AvailableArea {
 			return fmt.Errorf("resinfo: SoA areas of node %d stale: total %d/%d, avail %d/%d",
 				n.No, s.total[i], n.TotalArea, s.avail[i], n.AvailableArea)
 		}
-		if want := soaFlagsOf(n); s.flags[i] != want {
-			return fmt.Errorf("resinfo: SoA flags of node %d stale: %04b, expected %04b", n.No, s.flags[i], want)
+		if want, recl := soaFlagsOf(n); s.flags[i] != want || s.recl[i] != recl {
+			return fmt.Errorf("resinfo: SoA flags of node %d stale: %04b reclaimable %d, expected %04b, %d",
+				n.No, s.flags[i], s.recl[i], want, recl)
 		}
-		if s.maskOK {
-			mask, ok := model.CapMaskOf(s.capBits, n.Caps)
-			if !ok || s.masks[i] != mask {
-				return fmt.Errorf("resinfo: SoA capability mask of node %d stale", n.No)
-			}
+		if int(s.nent[i]) != len(n.Entries) {
+			return fmt.Errorf("resinfo: SoA entry count of node %d stale: %d, expected %d", n.No, s.nent[i], len(n.Entries))
 		}
 	}
 	// Shard masks are distinct, so a slot listed under the wrong mask
@@ -176,12 +263,20 @@ func (s *soaState) check(nodes []*model.Node) error {
 			if p <= prev {
 				return fmt.Errorf("resinfo: shard %d members out of order", si)
 			}
-			if s.maskOK && s.masks[p] != sh.mask {
+			if mask, ok := model.CapMaskOf(s.capBits, nodes[p].Caps); s.maskOK && (!ok || mask != sh.mask) {
 				return fmt.Errorf("resinfo: node %d sharded under mask %x, carries %x",
-					nodes[p].No, sh.mask, s.masks[p])
+					nodes[p].No, sh.mask, mask)
 			}
 			prev = p
 			seen++
+		}
+		if want := (len(sh.members) + soaBlockSize - 1) / soaBlockSize; len(sh.blocks) != want {
+			return fmt.Errorf("resinfo: shard %d has %d blocks for %d members", si, len(sh.blocks), len(sh.members))
+		}
+		for b := range sh.blocks {
+			if err := s.checkBlock(nodes, sh, b); err != nil {
+				return fmt.Errorf("resinfo: shard %d block %d: %w", si, b, err)
+			}
 		}
 	}
 	if seen != len(nodes) {
@@ -190,43 +285,93 @@ func (s *soaState) check(nodes []*model.Node) error {
 	return nil
 }
 
-// shardBest is the argmin scan over one shard: the minimum key
-// (TotalArea for blank placement, AvailableArea for partial placement)
-// among members matching the flag filter with sufficient area. Members
-// ascend, so the strict < keeps the lower slot on a tie. Returns the
-// best (key, slot), slot -1 when the shard holds no candidate.
+// checkBlock validates one block: its members map back to it, its
+// bounds cover their keys and its entry count is exact.
+func (s *soaState) checkBlock(nodes []*model.Node, sh *soaShard, b int) error {
+	blk := &sh.blocks[b]
+	top := [soaKeys]int64{-1, -1, -1}
+	var ents int64
+	for _, p := range sh.span(b) {
+		if &s.blocks[s.blk[p]] != blk {
+			return fmt.Errorf("node %d maps to block %d", nodes[p].No, s.blk[p])
+		}
+		ents += int64(len(nodes[p].Entries))
+		keys := [soaKeys]int64{-1, -1, s.recl[p]}
+		if s.flags[p]&soaBlank != 0 {
+			keys[keyBlank] = s.total[p]
+		}
+		if s.flags[p]&soaPart != 0 {
+			keys[keyPart] = s.avail[p]
+		}
+		for k, v := range keys {
+			if v > top[k] {
+				top[k] = v
+			}
+		}
+	}
+	for k := range top {
+		if blk.bound[k] < top[k] {
+			return fmt.Errorf("bound %d is %d, below member key %d", k, blk.bound[k], top[k])
+		}
+	}
+	if blk.ents != ents {
+		return fmt.Errorf("entry count %d, members hold %d", blk.ents, ents)
+	}
+	return nil
+}
+
+// shardBest is the argmin scan over one shard: the minimum key k
+// (TotalArea of blank members for keyBlank, AvailableArea of partial
+// members for keyPart) among candidates with sufficient area. Blocks
+// whose bound lies below reqArea are skipped, and every visited block's
+// bound is tightened to its exact maximum. Members ascend, so the
+// strict < keeps the lower slot on a tie. Returns the best (key, slot),
+// slot -1 when the shard holds no candidate.
 //
 //dreamsim:noalloc
-func (m *Manager) shardBest(sh *soaShard, want uint8, key []int64, reqArea int64, caps []string, useCaps bool) (int64, int64) {
+func (m *Manager) shardBest(sh *soaShard, k int, reqArea int64, caps []string, useCaps bool) (int64, int64) {
 	flags := m.soa.flags
+	want, key := soaBlank, m.soa.total
+	if k == keyPart {
+		want, key = soaPart, m.soa.avail
+	}
 	bestPos := int64(-1)
 	var bestKey int64
-	for _, p := range sh.members {
-		if flags[p]&want == 0 {
+	for b := range sh.blocks {
+		blk := &sh.blocks[b]
+		if blk.bound[k] < reqArea {
 			continue
 		}
-		a := key[p]
-		if a < reqArea {
-			continue
+		top := int64(-1)
+		for _, p := range sh.span(b) {
+			if flags[p]&want == 0 {
+				continue
+			}
+			a := key[p]
+			top = max(top, a)
+			if a < reqArea {
+				continue
+			}
+			if useCaps && !m.nodes[p].HasCaps(caps) {
+				continue
+			}
+			if bestPos < 0 || a < bestKey {
+				bestKey, bestPos = a, int64(p)
+			}
 		}
-		if useCaps && !m.nodes[p].HasCaps(caps) {
-			continue
-		}
-		if bestPos < 0 || a < bestKey {
-			bestKey, bestPos = a, int64(p)
-		}
+		blk.bound[k] = top
 	}
 	return bestKey, bestPos
 }
 
-// scanBest is the sharded argmin search behind BestBlankNode (want =
-// soaBlank, key = TotalArea) and BestPartiallyBlankNode (want =
-// soaPart, key = AvailableArea). It reduces shard results by
-// (key, slot) with ties to the lower slot — exactly the node the flat
-// strict-< walk in node order would keep. The caller charges the walk.
+// scanBest is the sharded argmin search behind BestBlankNode (k =
+// keyBlank) and BestPartiallyBlankNode (k = keyPart). It reduces shard
+// results by (key, slot) with ties to the lower slot — exactly the
+// node the flat strict-< walk in node order would keep. The caller
+// charges the walk.
 //
 //dreamsim:noalloc
-func (m *Manager) scanBest(cfg *model.Config, want uint8, key []int64) *model.Node {
+func (m *Manager) scanBest(cfg *model.Config, k int) *model.Node {
 	s := m.soa
 	// masked: the requirement is representable, so incompatible shards
 	// are skipped wholesale and the mask test replaces HasCaps. An
@@ -242,7 +387,7 @@ func (m *Manager) scanBest(cfg *model.Config, want uint8, key []int64) *model.No
 		if masked && sh.mask&req != req {
 			continue
 		}
-		a, p := m.shardBest(sh, want, key, int64(cfg.ReqArea), cfg.RequiredCaps, !masked)
+		a, p := m.shardBest(sh, k, cfg.ReqArea, cfg.RequiredCaps, !masked)
 		if p >= 0 && (bestPos < 0 || a < bestKey || (a == bestKey && p < bestPos)) {
 			bestKey, bestPos = a, p
 		}
@@ -251,6 +396,86 @@ func (m *Manager) scanBest(cfg *model.Config, want uint8, key []int64) *model.No
 		return nil
 	}
 	return m.nodes[bestPos]
+}
+
+// firstReclaimable returns the lowest member of sh below slot limit
+// whose reclaimable area reaches reqArea, or -1: the node Algorithm 1
+// would stop at within the shard, if it comes before limit. Blocks
+// whose bound lies below reqArea are skipped, and a block visited to
+// its end without a hit has its bound tightened to the exact maximum.
+//
+//dreamsim:noalloc
+func (m *Manager) firstReclaimable(sh *soaShard, reqArea, limit int64, caps []string, useCaps bool) int64 {
+	recl := m.soa.recl
+	for b := range sh.blocks {
+		span := sh.span(b)
+		if int64(span[0]) >= limit {
+			break
+		}
+		blk := &sh.blocks[b]
+		if blk.bound[keyRecl] < reqArea {
+			continue
+		}
+		top := int64(-1)
+		for _, p := range span {
+			if int64(p) >= limit {
+				return -1
+			}
+			a := recl[p]
+			if a >= reqArea && (!useCaps || m.nodes[p].HasCaps(caps)) {
+				return int64(p)
+			}
+			top = max(top, a)
+		}
+		blk.bound[keyRecl] = top
+	}
+	return -1
+}
+
+// alg1Steps is Algorithm 1's step count over the nodes before slot
+// limit: each compatible node costs one step per entry, each
+// incompatible node one step. Under a representable requirement a
+// block wholly below limit is charged from its entry count (or its
+// size, when its shard is incompatible), and only the block limit cuts
+// is walked slot by slot; otherwise every member below limit is
+// walked with the string test.
+//
+//dreamsim:noalloc
+func (m *Manager) alg1Steps(req uint64, masked bool, caps []string, limit int64) uint64 {
+	s := m.soa
+	var steps int64
+	for si := range s.shards {
+		sh := &s.shards[si]
+		compatible := sh.mask&req == req
+		for b := range sh.blocks {
+			span := sh.span(b)
+			if int64(span[0]) >= limit {
+				break
+			}
+			if masked && int64(span[len(span)-1]) < limit {
+				if compatible {
+					steps += sh.blocks[b].ents
+				} else {
+					steps += int64(len(span))
+				}
+				continue
+			}
+			for _, p := range span {
+				if int64(p) >= limit {
+					break
+				}
+				if !masked {
+					compatible = m.nodes[p].HasCaps(caps)
+				}
+				if compatible {
+					steps += int64(s.nent[p])
+				} else {
+					steps++
+				}
+			}
+		}
+	}
+	return uint64(steps)
 }
 
 // scanFirstFit returns the lowest slot matching want with TotalArea ≥
@@ -270,7 +495,7 @@ func (m *Manager) scanFirstFit(cfg *model.Config, want uint8) int64 {
 		}
 		pos := int64(-1)
 		for _, p := range sh.members {
-			if s.flags[p]&want == 0 || s.total[p] < int64(cfg.ReqArea) {
+			if s.flags[p]&want == 0 || s.total[p] < cfg.ReqArea {
 				continue
 			}
 			if !masked && !m.nodes[p].HasCaps(cfg.RequiredCaps) {

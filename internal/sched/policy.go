@@ -109,9 +109,6 @@ func (p *paperPolicy) Name() string {
 // Fig. 5. A nil config means the task must be discarded. The result
 // is cached on the task so suspension-queue retries skip the
 // configuration searches (the first resolution is metered normally).
-// The manager may answer these searches from its area-ordered index
-// (Params.FastSearch); metering is identical either way, so the
-// policy never needs to know which path served it.
 func (p *paperPolicy) resolveConfig(m *resinfo.Manager, task *model.Task) (cfg *model.Config, closest bool) {
 	if task.Resolved != nil {
 		return task.Resolved, task.ResolvedClosest

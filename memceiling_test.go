@@ -44,7 +44,6 @@ func TestStreamedHeapCeiling(t *testing.T) {
 		p.Nodes = 2000
 		p.Tasks = tasks
 		p.PartialReconfig = true
-		p.FastSearch = true
 		p.Stream = true
 		if _, err := dreamsim.Run(p); err != nil {
 			t.Fatal(err)
@@ -106,7 +105,6 @@ func TestScenarioStreamedHeapCeiling(t *testing.T) {
 		p.Nodes = 5000
 		p.Tasks = tasks
 		p.PartialReconfig = true
-		p.FastSearch = true
 		p.Stream = true
 		p.ScenarioText = scenarioCeilingSpec
 		if _, err := dreamsim.Run(p); err != nil {
@@ -141,7 +139,6 @@ func TestMaterializedHeapGrowsWithTasks(t *testing.T) {
 		p.Nodes = 2000 // same balanced shape as the ceiling test
 		p.Tasks = tasks
 		p.PartialReconfig = true
-		p.FastSearch = true
 		p.SampleEvery = 1 // retain the full monitoring series
 		if _, err := dreamsim.Run(p); err != nil {
 			t.Fatal(err)
