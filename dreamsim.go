@@ -269,6 +269,13 @@ func (p Params) placement() (sched.Placement, error) {
 	}
 }
 
+// Validate reports the first parameter Run would reject, or nil,
+// without setting up a run.
+func (p Params) Validate() error {
+	_, err := p.coreParams()
+	return err
+}
+
 // coreParams lowers the public parameters onto the engine.
 func (p Params) coreParams() (core.Params, error) {
 	placement, err := p.placement()

@@ -47,15 +47,25 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestRunRejectsBadParams(t *testing.T) {
-	p := quick(100)
-	p.Placement = "quantum-fit"
-	if _, err := dreamsim.Run(p); err == nil {
-		t.Fatal("unknown placement accepted")
-	}
-	p = quick(100)
-	p.Nodes = 0
-	if _, err := dreamsim.Run(p); err == nil {
-		t.Fatal("zero nodes accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*dreamsim.Params)
+	}{
+		{"unknown placement", func(p *dreamsim.Params) { p.Placement = "quantum-fit" }},
+		{"zero nodes", func(p *dreamsim.Params) { p.Nodes = 0 }},
+		// Oversized populations must fail validation, not panic in
+		// set-up's allocations.
+		{"oversized nodes", func(p *dreamsim.Params) { p.Nodes = 1 << 62 }},
+		{"oversized configs", func(p *dreamsim.Params) { p.Configs = 1 << 62 }},
+	} {
+		p := quick(100)
+		tc.mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+		if _, err := dreamsim.Run(p); err == nil {
+			t.Errorf("%s: Run accepted", tc.name)
+		}
 	}
 }
 

@@ -22,30 +22,12 @@ import (
 //   - crypto/rand: cryptographic entropy is nondeterministic by
 //     definition.
 //
-// Wall-clock-legitimate packages (the dreambench harness, which
-// measures host performance, not simulated behaviour) are allowlisted
-// by import path; individual sites elsewhere can carry a
-// //lint:detrand justification.
+// The analyzer covers every package; a site where the host clock is
+// legitimate carries a //lint:detrand justification.
 var DetRand = &Analyzer{
-	Name:  "detrand",
-	Doc:   "forbid wall-clock and ambient randomness in simulation code",
-	Scope: notWallClockAllowlisted,
-	Run:   runDetRand,
-}
-
-// detrandAllowedPkgs are package-path suffixes where wall-clock time
-// is the point (host benchmarking), not a reproducibility leak.
-var detrandAllowedPkgs = []string{
-	"cmd/dreambench",
-}
-
-func notWallClockAllowlisted(pkgPath string) bool {
-	for _, suffix := range detrandAllowedPkgs {
-		if pathHasSuffix(pkgPath, suffix) {
-			return false
-		}
-	}
-	return true
+	Name: "detrand",
+	Doc:  "forbid wall-clock and ambient randomness in simulation code",
+	Run:  runDetRand,
 }
 
 // forbiddenTimeFuncs are the "time" package members that read or

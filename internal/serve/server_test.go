@@ -159,6 +159,19 @@ func TestAPIGolden(t *testing.T) {
 	}
 	checkGolden(t, "submit_bad_grid.json", body)
 
+	// Submit: a spec no unit could run is rejected up front, instead
+	// of being queued to panic or fail in its workers.
+	code, body = do(t, "POST", hs.URL+"/api/v1/jobs", `{"params":{"Nodes":4611686018427387904,"Tasks":10}}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("unrunnable spec: HTTP %d", code)
+	}
+	checkGolden(t, "submit_unrunnable.json", body)
+	code, body = do(t, "POST", hs.URL+"/api/v1/jobs", `{"params":{"Placement":"bogus"}}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("bad placement: HTTP %d", code)
+	}
+	checkGolden(t, "submit_bad_placement.json", body)
+
 	// Status: unknown job is a structured 404.
 	code, body = do(t, "GET", hs.URL+"/api/v1/jobs/zzz", "")
 	if code != http.StatusNotFound {
@@ -292,6 +305,43 @@ func TestSubmitRejectsOversizedBody(t *testing.T) {
 	}
 	if code, blob := do(t, "GET", hs.URL+"/api/v1/jobs", ""); code != http.StatusOK || strings.Contains(string(blob), `"id"`) {
 		t.Fatalf("oversized submit created a job: HTTP %d: %s", code, blob)
+	}
+}
+
+// TestRestartFailsUnrunnableJob: a job directory holding a spec that
+// an older build accepted but this one cannot run loads on restart and
+// ends failed with the validation error, and the server keeps serving.
+func TestRestartFailsUnrunnableJob(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(nil, nil)
+	spec.Params.Nodes = 1 << 62
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	jobDir := filepath.Join(dir, "jobs", "j000001")
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobDir, "spec.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, func(cfg *Config) { cfg.Dir = dir })
+	st := jobStatus(t, hs, "j000001")
+	if st.Status != "failed" || !strings.Contains(st.Error, "node count") {
+		t.Fatalf("unrunnable job reloaded as %q (%s)", st.Status, st.Error)
+	}
+	marker, err := os.ReadFile(filepath.Join(jobDir, "error"))
+	if err != nil || string(marker) != st.Error {
+		t.Fatalf("error marker %q (%v), want %q", marker, err, st.Error)
+	}
+	next := submit(t, hs, testSpec(nil, nil))
+	if got := waitTerminal(t, hs, next.ID); got.Status != "done" {
+		t.Fatalf("job after the failed one ended %q (%s)", got.Status, got.Error)
 	}
 }
 

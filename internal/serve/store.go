@@ -83,6 +83,25 @@ func (s *JobSpec) normalize() error {
 	return nil
 }
 
+// validate reports the first unit of the normalized spec that cannot
+// run. Units differ from the base parameters only in node count, task
+// count and reconfiguration mode; no check reads the mode or couples
+// the two counts, so one unit per distinct node count and one per
+// distinct task count cover the whole grid.
+func (s *JobSpec) validate() error {
+	for i := range s.NodeCounts {
+		if err := s.unitParams(2 * i * len(s.TaskCounts)).Validate(); err != nil {
+			return err
+		}
+	}
+	for j := 1; j < len(s.TaskCounts); j++ {
+		if err := s.unitParams(2 * j).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // units is the job's total unit count: two scenarios per grid cell.
 func (s *JobSpec) units() int { return 2 * len(s.NodeCounts) * len(s.TaskCounts) }
 
@@ -139,9 +158,13 @@ type Job struct {
 // jobDir names are zero-padded so lexical order is submission order.
 func (st *Store) jobDir(id string) string { return filepath.Join(st.dir, "jobs", id) }
 
-// CreateJob allocates the next job ID and persists the spec.
+// CreateJob checks that every unit of the spec can run, then
+// allocates the next job ID and persists the spec.
 func (st *Store) CreateJob(spec JobSpec) (*Job, error) {
 	if err := spec.normalize(); err != nil {
+		return nil, err
+	}
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	ids, err := st.jobIDs()
@@ -232,6 +255,15 @@ func (st *Store) loadJob(id string) (*Job, error) {
 	}
 	if err := j.repairResults(); err != nil {
 		return nil, err
+	}
+	// An older build may have accepted a spec this one cannot run; fail
+	// the job instead of resuming it.
+	if j.Err == "" && !j.Cancelled && j.Completed < j.Units {
+		if verr := spec.validate(); verr != nil {
+			if err := j.MarkError(verr.Error()); err != nil {
+				return nil, err
+			}
+		}
 	}
 	// A kill between a unit's result append and its checkpoint delete
 	// leaves a stale (harmless) checkpoint; sweep those now.

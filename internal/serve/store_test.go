@@ -59,13 +59,24 @@ func TestSpecValidation(t *testing.T) {
 	if spec.units() != 2 {
 		t.Fatalf("defaulted grid has %d units, want 2", spec.units())
 	}
+	oversized := testSpec(nil, nil)
+	oversized.Params.Nodes = 1 << 62
+	bogus := testSpec(nil, nil)
+	bogus.Params.Placement = "bogus"
 	for _, bad := range []JobSpec{
 		testSpec([]int{0}, nil),
 		testSpec([]int{10, 10}, nil),
 		testSpec(nil, []int{-5}),
 		testSpec(nil, []int{100, 100}),
+		oversized,
+		testSpec([]int{10, 1 << 62}, []int{100, 200}),
+		bogus,
 	} {
-		if err := bad.normalize(); err == nil {
+		err := bad.normalize()
+		if err == nil {
+			err = bad.validate()
+		}
+		if err == nil {
 			t.Fatalf("spec %+v accepted", bad)
 		}
 	}

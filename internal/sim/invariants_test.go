@@ -9,15 +9,15 @@ import (
 
 // TestQueuePopMonotonicityAssert checks the tagged build catches the
 // one misuse the raw Queue cannot reject at Push time: scheduling an
-// event earlier than one already popped (Engine.ScheduleAt guards
+// event earlier than one already popped (Engine.ScheduleEventAt guards
 // this, a bare Queue does not).
 func TestQueuePopMonotonicityAssert(t *testing.T) {
 	var q Queue
-	q.Schedule(10, "first", func(Time) {})
+	q.ScheduleEvent(10, "first", nop, nil, nil)
 	if ev := q.Pop(); ev == nil || ev.At != 10 {
 		t.Fatalf("Pop = %v, want event at 10", ev)
 	}
-	q.Schedule(5, "stale", func(Time) {})
+	q.ScheduleEvent(5, "stale", nop, nil, nil)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -35,7 +35,7 @@ func TestQueuePopMonotonicityAssert(t *testing.T) {
 func TestQueuePopMonotoneOK(t *testing.T) {
 	var q Queue
 	for _, at := range []Time{3, 1, 2} {
-		q.Schedule(at, "ev", func(Time) {})
+		q.ScheduleEvent(at, "ev", nop, nil, nil)
 	}
 	var got []Time
 	for ev := q.Pop(); ev != nil; ev = q.Pop() {

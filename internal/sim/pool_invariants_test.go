@@ -12,7 +12,7 @@ import (
 // handle is visibly wrong rather than silently plausible.
 func TestReleasePoisonsFreedEvent(t *testing.T) {
 	var q Queue
-	ev := q.Schedule(123, "live", func(Time) {})
+	ev := q.ScheduleEvent(123, "live", nop, nil, nil)
 	q.Remove(ev)
 	if ev.Kind != FreedKind {
 		t.Fatalf("freed event Kind = %q, want %q", ev.Kind, FreedKind)
@@ -20,7 +20,7 @@ func TestReleasePoisonsFreedEvent(t *testing.T) {
 	if ev.At != poisonedAt {
 		t.Fatalf("freed event At = %d, want poison", ev.At)
 	}
-	if ev.Fire != nil || ev.Handle != nil || ev.A != nil || ev.B != nil {
+	if ev.Handle != nil || ev.A != nil || ev.B != nil {
 		t.Fatal("freed event retains callback or payload")
 	}
 }
@@ -29,7 +29,7 @@ func TestReleasePoisonsFreedEvent(t *testing.T) {
 // two aliases of it on the free list; the invariants build panics.
 func TestDoubleReleaseAsserts(t *testing.T) {
 	var q Queue
-	ev := q.Schedule(1, "x", func(Time) {})
+	ev := q.ScheduleEvent(1, "x", nop, nil, nil)
 	q.Release(q.Pop())
 	defer func() {
 		r := recover()

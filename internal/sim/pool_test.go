@@ -11,15 +11,15 @@ import (
 // succeeds, or Release is called; after that the struct belongs to
 // the free list and may be handed out again.
 
-// TestPoolReusesReleasedEvent: Release feeds the next Schedule.
+// TestPoolReusesReleasedEvent: Release feeds the next ScheduleEvent.
 func TestPoolReusesReleasedEvent(t *testing.T) {
 	var q Queue
-	q.Schedule(1, "a", func(Time) {})
+	q.ScheduleEvent(1, "a", nop, nil, nil)
 	popped := q.Pop()
 	q.Release(popped)
-	ev := q.Schedule(2, "b", func(Time) {})
+	ev := q.ScheduleEvent(2, "b", nop, nil, nil)
 	if ev != popped {
-		t.Fatal("Schedule did not reuse the released event struct")
+		t.Fatal("ScheduleEvent did not reuse the released event struct")
 	}
 	if ev.At != 2 || ev.Kind != "b" || ev.A != nil || ev.B != nil {
 		t.Fatalf("recycled event carries stale state: %+v", ev)
@@ -27,18 +27,18 @@ func TestPoolReusesReleasedEvent(t *testing.T) {
 }
 
 // TestRemoveReturnsPooledMemory: a cancelled event's struct is handed
-// out by the very next Schedule, and the cancellation leaves the heap
-// ordering intact.
+// out by the very next ScheduleEvent, and the cancellation leaves the
+// heap ordering intact.
 func TestRemoveReturnsPooledMemory(t *testing.T) {
 	var q Queue
-	a := q.Schedule(5, "a", func(Time) {})
-	q.Schedule(6, "b", func(Time) {})
+	a := q.ScheduleEvent(5, "a", nop, nil, nil)
+	q.ScheduleEvent(6, "b", nop, nil, nil)
 	if !q.Remove(a) {
 		t.Fatal("Remove failed")
 	}
-	c := q.Schedule(7, "c", func(Time) {})
+	c := q.ScheduleEvent(7, "c", nop, nil, nil)
 	if c != a {
-		t.Fatal("Schedule after Remove did not reuse the cancelled struct")
+		t.Fatal("ScheduleEvent after Remove did not reuse the cancelled struct")
 	}
 	if got := q.Pop(); got.Kind != "b" {
 		t.Fatalf("first pop = %q, want b", got.Kind)
@@ -52,10 +52,10 @@ func TestRemoveReturnsPooledMemory(t *testing.T) {
 // its successor must not disturb events still in the heap.
 func TestPooledEventsNeverAliasLive(t *testing.T) {
 	var q Queue
-	q.Schedule(1, "dead", func(Time) {})
-	live := q.Schedule(9, "live", func(Time) {})
+	q.ScheduleEvent(1, "dead", nop, nil, nil)
+	live := q.ScheduleEvent(9, "live", nop, nil, nil)
 	q.Release(q.Pop())
-	fresh := q.Schedule(3, "fresh", func(Time) {})
+	fresh := q.ScheduleEvent(3, "fresh", nop, nil, nil)
 	if fresh == live {
 		t.Fatal("pool handed out a live event")
 	}
@@ -77,8 +77,8 @@ func TestPooledEventsNeverAliasLive(t *testing.T) {
 // exactly as a fresh queue would.
 func TestResetKeepsFIFOWithinTick(t *testing.T) {
 	var q Queue
-	q.Schedule(10, "x", func(Time) {})
-	q.Schedule(10, "y", func(Time) {})
+	q.ScheduleEvent(10, "x", nop, nil, nil)
+	q.ScheduleEvent(10, "y", nop, nil, nil)
 	q.Reset()
 	if q.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", q.Len())
@@ -86,11 +86,11 @@ func TestResetKeepsFIFOWithinTick(t *testing.T) {
 	var order []string
 	for _, k := range []string{"first", "second", "third"} {
 		k := k
-		q.Schedule(42, k, func(Time) { order = append(order, k) })
+		q.ScheduleEvent(42, k, func(*Event, Time) { order = append(order, k) }, nil, nil)
 	}
 	for q.Len() > 0 {
 		ev := q.Pop()
-		ev.Fire(ev.At)
+		ev.Handle(ev, ev.At)
 		q.Release(ev)
 	}
 	if len(order) != 3 || order[0] != "first" || order[1] != "second" || order[2] != "third" {
@@ -102,14 +102,14 @@ func TestResetKeepsFIFOWithinTick(t *testing.T) {
 // back out of the pool.
 func TestResetRecyclesPendingEvents(t *testing.T) {
 	var q Queue
-	a := q.Schedule(1, "a", func(Time) {})
-	b := q.Schedule(2, "b", func(Time) {})
+	a := q.ScheduleEvent(1, "a", nop, nil, nil)
+	b := q.ScheduleEvent(2, "b", nop, nil, nil)
 	q.Reset()
 	// Pool is LIFO: b was released last, so it is handed out first.
-	if got := q.Schedule(3, "c", func(Time) {}); got != b {
+	if got := q.ScheduleEvent(3, "c", nop, nil, nil); got != b {
 		t.Fatal("Reset did not pool the pending events (first)")
 	}
-	if got := q.Schedule(4, "d", func(Time) {}); got != a {
+	if got := q.ScheduleEvent(4, "d", nop, nil, nil); got != a {
 		t.Fatal("Reset did not pool the pending events (second)")
 	}
 }
@@ -118,11 +118,11 @@ func TestResetRecyclesPendingEvents(t *testing.T) {
 // its callback returns, so a schedule/fire loop reuses one struct.
 func TestEngineReleasesFiredEvents(t *testing.T) {
 	var e Engine
-	first := e.ScheduleAt(1, "a", func(Time) {})
+	first := e.ScheduleEventAt(1, "a", nop, nil, nil)
 	if !e.Step() {
 		t.Fatal("no event to step")
 	}
-	second := e.ScheduleAt(2, "b", func(Time) {})
+	second := e.ScheduleEventAt(2, "b", nop, nil, nil)
 	if second != first {
 		t.Fatal("engine did not recycle the fired event")
 	}
@@ -149,9 +149,9 @@ func TestEngineKeepsRequeuedEvents(t *testing.T) {
 	if fired != 3 {
 		t.Fatalf("periodic event fired %d times, want 3", fired)
 	}
-	// After the last firing the engine pools it; the next Schedule
+	// After the last firing the engine pools it; the next ScheduleEvent
 	// must hand the same struct back.
-	if got := e.ScheduleAt(e.Now(), "next", func(Time) {}); got != ev {
+	if got := e.ScheduleEventAt(e.Now(), "next", nop, nil, nil); got != ev {
 		t.Fatal("final firing did not recycle the periodic event")
 	}
 }
@@ -163,8 +163,8 @@ func TestEngineResetRestoresInitialState(t *testing.T) {
 	e.TickStep = true
 	ticks := 0
 	e.OnTick = func(Time) { ticks++ }
-	e.ScheduleAt(3, "a", func(Time) {})
-	e.ScheduleAt(5, "b", func(Time) {})
+	e.ScheduleEventAt(3, "a", nop, nil, nil)
+	e.ScheduleEventAt(5, "b", nop, nil, nil)
 	e.Run(nil)
 	if e.Now() != 5 || e.Processed() != 2 || ticks != 5 {
 		t.Fatalf("pre-reset run wrong: now=%d processed=%d ticks=%d", e.Now(), e.Processed(), ticks)
@@ -173,7 +173,7 @@ func TestEngineResetRestoresInitialState(t *testing.T) {
 	if e.Now() != 0 || e.Processed() != 0 || e.Queue.Len() != 0 || e.TickStep || e.OnTick != nil {
 		t.Fatal("Reset left engine state behind")
 	}
-	e.ScheduleAt(2, "c", func(Time) {})
+	e.ScheduleEventAt(2, "c", nop, nil, nil)
 	if got := e.Run(nil); got != 2 || e.Processed() != 1 {
 		t.Fatalf("post-reset run wrong: end=%d processed=%d", got, e.Processed())
 	}
@@ -201,8 +201,11 @@ func TestScheduleEventPayloads(t *testing.T) {
 	if got != pay {
 		t.Fatal("payload not delivered")
 	}
-	if next := q.Schedule(5, "next", func(Time) {}); next != ev || next.A != nil || next.Handle != nil {
-		t.Fatal("recycled event kept payload or handler")
+	if ev.A != nil || ev.Handle != nil {
+		t.Fatal("released event kept payload or handler")
+	}
+	if next := q.ScheduleEvent(5, "next", nop, nil, nil); next != ev || next.A != nil {
+		t.Fatal("recycled event kept payload")
 	}
 }
 
@@ -210,7 +213,7 @@ func TestScheduleEventPayloads(t *testing.T) {
 // heap would let two live events share one struct.
 func TestReleaseQueuedEventPanics(t *testing.T) {
 	var q Queue
-	ev := q.Schedule(1, "x", func(Time) {})
+	ev := q.ScheduleEvent(1, "x", nop, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Release of a queued event did not panic")
@@ -222,14 +225,14 @@ func TestReleaseQueuedEventPanics(t *testing.T) {
 // TestPushFreedEventPanics: a stale handle must not re-enter the heap.
 func TestPushFreedEventPanics(t *testing.T) {
 	var q Queue
-	ev := q.Schedule(1, "x", func(Time) {})
+	ev := q.ScheduleEvent(1, "x", nop, nil, nil)
 	q.Remove(ev)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Push of a freed event did not panic")
 		}
 	}()
-	ev.Fire = func(Time) {}
+	ev.Handle = nop
 	q.Push(ev)
 }
 
@@ -243,12 +246,11 @@ func TestQueuePushPopZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	var q Queue
-	fire := func(Time) {}
 	at := Time(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		at++
-		q.Schedule(at, "z", fire)
-		q.Schedule(at, "z2", fire)
+		q.ScheduleEvent(at, "z", nop, nil, nil)
+		q.ScheduleEvent(at, "z2", nop, nil, nil)
 		q.Release(q.Pop())
 		q.Release(q.Pop())
 	})
@@ -261,19 +263,18 @@ func TestQueuePushPopZeroAlloc(t *testing.T) {
 // 0 allocs/op result is gated in CI (perf-smoke).
 func BenchmarkQueuePushPop(b *testing.B) {
 	var q Queue
-	fire := func(Time) {}
 	// Warm the pool and heap slice so growth is outside the loop.
 	for i := 0; i < 64; i++ {
-		q.Schedule(Time(i), "w", fire)
+		q.ScheduleEvent(Time(i), "w", nop, nil, nil)
 	}
 	q.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at := Time(i)
-		q.Schedule(at, "a", fire)
-		q.Schedule(at, "b", fire)
-		q.Schedule(at+1, "c", fire)
+		q.ScheduleEvent(at, "a", nop, nil, nil)
+		q.ScheduleEvent(at, "b", nop, nil, nil)
+		q.ScheduleEvent(at+1, "c", nop, nil, nil)
 		q.Release(q.Pop())
 		q.Release(q.Pop())
 		q.Release(q.Pop())

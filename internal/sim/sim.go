@@ -8,16 +8,20 @@
 // jumps to the next scheduled event by default and can be forced to
 // step tick-by-tick for the paper-faithful ablation).
 //
+// Every event carries a pre-bound Handler with its payload in the A/B
+// slots; that is the only form a checkpoint can encode, since a
+// closure's captured state cannot be serialized.
+//
 // Allocation discipline: the Queue owns a free list of Event structs.
-// Schedule/ScheduleEvent draw from it, the Engine returns an event to
-// it after firing, Remove returns cancelled events to it, and Reset
-// recycles a whole run's pending events while keeping the heap's
-// backing slice. Steady-state event traffic therefore allocates
-// nothing. The ownership contract: an *Event handle is valid from
-// scheduling until its callback returns or Remove succeeds; after
-// that the struct may be recycled for an unrelated event and must not
-// be touched. Under -tags invariants freed events are poisoned so a
-// stale handle fails loudly instead of corrupting a live event.
+// ScheduleEvent draws from it, the Engine returns an event to it after
+// firing, Remove returns cancelled events to it, and Reset recycles a
+// whole run's pending events while keeping the heap's backing slice.
+// Steady-state event traffic therefore allocates nothing. The
+// ownership contract: an *Event handle is valid from scheduling until
+// its callback returns or Remove succeeds; after that the struct may
+// be recycled for an unrelated event and must not be touched. Under
+// -tags invariants freed events are poisoned so a stale handle fails
+// loudly instead of corrupting a live event.
 package sim
 
 import (
@@ -81,13 +85,11 @@ const FreedKind = "sim:freed"
 // Event is a scheduled occurrence. Events at the same timetick fire
 // in scheduling order (FIFO), which keeps runs deterministic.
 //
-// Exactly one of Fire and Handle must be set; Handle wins when both
-// are. A and B are opaque payload slots for Handle callbacks (store
+// Handle must be set. A and B are opaque payload slots for it (store
 // pointers — pointer-shaped values in an interface do not allocate).
 type Event struct {
 	At   Time
 	Kind string // diagnostic label, e.g. "arrival", "completion"
-	Fire func(now Time)
 
 	Handle Handler
 	A, B   any
@@ -102,8 +104,7 @@ type Queue struct {
 	events  []*Event
 	nextSeq uint64
 
-	// free holds recycled Event structs for reuse by Schedule and
-	// ScheduleEvent.
+	// free holds recycled Event structs for reuse by ScheduleEvent.
 	free []*Event
 
 	// lastPopped backs the -tags invariants monotonicity assertion:
@@ -141,7 +142,6 @@ func (q *Queue) release(ev *Event) {
 		}
 		return
 	}
-	ev.Fire = nil
 	ev.Handle = nil
 	ev.A, ev.B = nil, nil
 	if invariant.Enabled {
@@ -165,12 +165,12 @@ func (q *Queue) Release(ev *Event) {
 }
 
 // Push schedules ev. It panics if the event is already queued, was
-// freed, or has no callback.
+// freed, or has no Handle.
 //
 //dreamsim:noalloc
 func (q *Queue) Push(ev *Event) {
-	if ev.Fire == nil && ev.Handle == nil {
-		panic("sim: event with nil Fire")
+	if ev.Handle == nil {
+		panic("sim: event with nil Handle")
 	}
 	if ev.index == freedIndex {
 		panic("sim: pushing freed event")
@@ -183,16 +183,6 @@ func (q *Queue) Push(ev *Event) {
 	ev.index = len(q.events)
 	q.events = append(q.events, ev)
 	q.up(ev.index)
-}
-
-// Schedule queues a closure callback, drawing the Event from the pool.
-//
-//dreamsim:noalloc
-func (q *Queue) Schedule(at Time, kind string, fire func(now Time)) *Event {
-	ev := q.alloc()
-	ev.At, ev.Kind, ev.Fire = at, kind, fire
-	q.Push(ev)
-	return ev
 }
 
 // ScheduleEvent queues a Handler callback with its payload, drawing
@@ -362,29 +352,8 @@ func (e *Engine) Reset() {
 	e.processed = 0
 }
 
-// ScheduleAt queues fire to run at absolute time at. Scheduling in
-// the past panics: causality must hold.
-//
-//dreamsim:noalloc
-func (e *Engine) ScheduleAt(at Time, kind string, fire func(now Time)) *Event {
-	if at < e.Clock.Now() {
-		panic(fmt.Sprintf("sim: scheduling %q at %d before now %d", kind, at, e.Clock.Now()))
-	}
-	return e.Queue.Schedule(at, kind, fire)
-}
-
-// ScheduleAfter queues fire to run delay ticks from now.
-//
-//dreamsim:noalloc
-func (e *Engine) ScheduleAfter(delay Time, kind string, fire func(now Time)) *Event {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	return e.Queue.Schedule(e.Clock.Now()+delay, kind, fire)
-}
-
-// ScheduleEventAt is ScheduleAt for Handler callbacks with payloads —
-// the allocation-free path.
+// ScheduleEventAt queues h with its payload to run at absolute time
+// at. Scheduling in the past panics: causality must hold.
 //
 //dreamsim:noalloc
 func (e *Engine) ScheduleEventAt(at Time, kind string, h Handler, a, b any) *Event {
@@ -394,8 +363,8 @@ func (e *Engine) ScheduleEventAt(at Time, kind string, h Handler, a, b any) *Eve
 	return e.Queue.ScheduleEvent(at, kind, h, a, b)
 }
 
-// ScheduleEventAfter is ScheduleAfter for Handler callbacks with
-// payloads.
+// ScheduleEventAfter queues h with its payload to run delay ticks
+// from now.
 //
 //dreamsim:noalloc
 func (e *Engine) ScheduleEventAfter(delay Time, kind string, h Handler, a, b any) *Event {
@@ -413,14 +382,8 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // inside their own firing).
 func (e *Engine) fire(ev *Event) {
 	e.processed++
-	at := ev.At
-	if ev.Handle != nil {
-		//lint:allocfree dynamic dispatch: the callback's allocation discipline is the scheduling site's contract; TestTickZeroAlloc gates the closed loop at runtime
-		ev.Handle(ev, at)
-	} else {
-		//lint:allocfree dynamic dispatch: the callback's allocation discipline is the scheduling site's contract; TestTickZeroAlloc gates the closed loop at runtime
-		ev.Fire(at)
-	}
+	//lint:allocfree dynamic dispatch: the callback's allocation discipline is the scheduling site's contract; TestTickZeroAlloc gates the closed loop at runtime
+	ev.Handle(ev, ev.At)
 	if ev.index == -1 {
 		e.Queue.release(ev)
 	}

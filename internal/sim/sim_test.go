@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// nop is a Handler for events whose firing the test does not observe.
+func nop(*Event, Time) {}
+
 func TestClockBasics(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {
@@ -37,7 +40,7 @@ func TestQueueOrdering(t *testing.T) {
 	var q Queue
 	var fired []int
 	mk := func(id int, at Time) {
-		q.Schedule(at, "t", func(Time) { fired = append(fired, id) })
+		q.ScheduleEvent(at, "t", func(*Event, Time) { fired = append(fired, id) }, nil, nil)
 	}
 	mk(3, 30)
 	mk(1, 10)
@@ -45,7 +48,7 @@ func TestQueueOrdering(t *testing.T) {
 	mk(0, 5)
 	for q.Len() > 0 {
 		ev := q.Pop()
-		ev.Fire(ev.At)
+		ev.Handle(ev, ev.At)
 	}
 	want := []int{0, 1, 2, 3}
 	for i := range want {
@@ -60,11 +63,11 @@ func TestQueueFIFOWithinTick(t *testing.T) {
 	var fired []int
 	for i := 0; i < 50; i++ {
 		id := i
-		q.Schedule(100, "t", func(Time) { fired = append(fired, id) })
+		q.ScheduleEvent(100, "t", func(*Event, Time) { fired = append(fired, id) }, nil, nil)
 	}
 	for q.Len() > 0 {
 		ev := q.Pop()
-		ev.Fire(ev.At)
+		ev.Handle(ev, ev.At)
 	}
 	for i, id := range fired {
 		if id != i {
@@ -75,9 +78,9 @@ func TestQueueFIFOWithinTick(t *testing.T) {
 
 func TestQueueRemove(t *testing.T) {
 	var q Queue
-	a := q.Schedule(1, "a", func(Time) {})
-	b := q.Schedule(2, "b", func(Time) {})
-	c := q.Schedule(3, "c", func(Time) {})
+	a := q.ScheduleEvent(1, "a", nop, nil, nil)
+	b := q.ScheduleEvent(2, "b", nop, nil, nil)
+	c := q.ScheduleEvent(3, "c", nop, nil, nil)
 	if !q.Remove(b) {
 		t.Fatal("Remove(b) failed")
 	}
@@ -100,7 +103,7 @@ func TestQueuePeek(t *testing.T) {
 	if _, ok := q.PeekTime(); ok {
 		t.Fatal("PeekTime on empty queue reported ok")
 	}
-	q.Schedule(42, "x", func(Time) {})
+	q.ScheduleEvent(42, "x", nop, nil, nil)
 	if tt, ok := q.PeekTime(); !ok || tt != 42 {
 		t.Fatalf("PeekTime = %d,%v", tt, ok)
 	}
@@ -109,11 +112,11 @@ func TestQueuePeek(t *testing.T) {
 func TestEngineEventJump(t *testing.T) {
 	var e Engine
 	var times []Time
-	e.ScheduleAt(10, "a", func(now Time) { times = append(times, now) })
-	e.ScheduleAt(5, "b", func(now Time) {
+	e.ScheduleEventAt(10, "a", func(_ *Event, now Time) { times = append(times, now) }, nil, nil)
+	e.ScheduleEventAt(5, "b", func(_ *Event, now Time) {
 		times = append(times, now)
-		e.ScheduleAfter(2, "c", func(now Time) { times = append(times, now) })
-	})
+		e.ScheduleEventAfter(2, "c", func(_ *Event, now Time) { times = append(times, now) }, nil, nil)
+	}, nil, nil)
 	end := e.Run(nil)
 	want := []Time{5, 7, 10}
 	if len(times) != len(want) {
@@ -137,11 +140,11 @@ func TestEngineTickStepEquivalence(t *testing.T) {
 		var e Engine
 		e.TickStep = tick
 		var times []Time
-		e.ScheduleAt(3, "a", func(now Time) {
+		e.ScheduleEventAt(3, "a", func(_ *Event, now Time) {
 			times = append(times, now)
-			e.ScheduleAfter(4, "b", func(now Time) { times = append(times, now) })
-		})
-		e.ScheduleAt(9, "c", func(now Time) { times = append(times, now) })
+			e.ScheduleEventAfter(4, "b", func(_ *Event, now Time) { times = append(times, now) }, nil, nil)
+		}, nil, nil)
+		e.ScheduleEventAt(9, "c", func(_ *Event, now Time) { times = append(times, now) }, nil, nil)
 		end := e.Run(nil)
 		return times, end
 	}
@@ -165,7 +168,7 @@ func TestEngineTickStepOnTick(t *testing.T) {
 	e.TickStep = true
 	ticks := 0
 	e.OnTick = func(Time) { ticks++ }
-	e.ScheduleAt(25, "end", func(Time) {})
+	e.ScheduleEventAt(25, "end", nop, nil, nil)
 	e.Run(nil)
 	if ticks != 25 {
 		t.Fatalf("OnTick fired %d times, want 25", ticks)
@@ -176,7 +179,7 @@ func TestEngineStop(t *testing.T) {
 	var e Engine
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.ScheduleAt(Time(i), "n", func(Time) { count++ })
+		e.ScheduleEventAt(Time(i), "n", func(*Event, Time) { count++ }, nil, nil)
 	}
 	e.Run(func() bool { return count >= 3 })
 	if count != 3 {
@@ -192,7 +195,7 @@ func TestSchedulePastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.ScheduleAt(99, "late", func(Time) {})
+	e.ScheduleEventAt(99, "late", nop, nil, nil)
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -202,14 +205,14 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.ScheduleAfter(-1, "x", func(Time) {})
+	e.ScheduleEventAfter(-1, "x", nop, nil, nil)
 }
 
 func TestNilFirePanics(t *testing.T) {
 	var q Queue
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil Fire did not panic")
+			t.Fatal("nil Handle did not panic")
 		}
 	}()
 	q.Push(&Event{At: 1})
@@ -218,8 +221,8 @@ func TestNilFirePanics(t *testing.T) {
 func TestEngineRemoveScheduledEvent(t *testing.T) {
 	var e Engine
 	fired := []string{}
-	keep := e.ScheduleAt(5, "keep", func(Time) { fired = append(fired, "keep") })
-	drop := e.ScheduleAt(3, "drop", func(Time) { fired = append(fired, "drop") })
+	keep := e.ScheduleEventAt(5, "keep", func(*Event, Time) { fired = append(fired, "keep") }, nil, nil)
+	drop := e.ScheduleEventAt(3, "drop", func(*Event, Time) { fired = append(fired, "drop") }, nil, nil)
 	_ = keep
 	if !e.Queue.Remove(drop) {
 		t.Fatal("Remove failed")
@@ -238,12 +241,12 @@ func TestEngineSelfCancellation(t *testing.T) {
 	// pattern a pre-emption extension would use.
 	var e Engine
 	fired := 0
-	victim := e.ScheduleAt(10, "victim", func(Time) { fired++ })
-	e.ScheduleAt(5, "canceller", func(Time) {
+	victim := e.ScheduleEventAt(10, "victim", func(*Event, Time) { fired++ }, nil, nil)
+	e.ScheduleEventAt(5, "canceller", func(*Event, Time) {
 		if !e.Queue.Remove(victim) {
 			t.Error("in-flight cancellation failed")
 		}
-	})
+	}, nil, nil)
 	e.Run(nil)
 	if fired != 0 {
 		t.Fatal("cancelled event fired")
@@ -255,7 +258,7 @@ func TestQuickHeapOrder(t *testing.T) {
 	f := func(times []uint16) bool {
 		var q Queue
 		for _, tt := range times {
-			q.Schedule(Time(tt), "p", func(Time) {})
+			q.ScheduleEvent(Time(tt), "p", nop, nil, nil)
 		}
 		last := Time(-1)
 		for q.Len() > 0 {
@@ -278,7 +281,7 @@ func TestQuickRemoveConsistency(t *testing.T) {
 		var q Queue
 		evs := make([]*Event, len(times))
 		for i, tt := range times {
-			evs[i] = q.Schedule(Time(tt), "p", func(Time) {})
+			evs[i] = q.ScheduleEvent(Time(tt), "p", nop, nil, nil)
 		}
 		removed := 0
 		for i, ev := range evs {

@@ -150,6 +150,16 @@ type Spec struct {
 	ConfigCapProb float64
 }
 
+// MaxNodes and MaxConfigs cap the populations a Spec may ask for, so
+// an outside input fails validation instead of exhausting memory in
+// set-up. Set-up holds about 175 B per node, so MaxNodes nodes take
+// about 180 MB: about 200 times the largest documented run of 5,000
+// nodes.
+const (
+	MaxNodes   = 1 << 20
+	MaxConfigs = 1 << 16
+)
+
 // Validate reports the first incoherent parameter, or nil.
 func (s *Spec) Validate() error {
 	switch {
@@ -163,12 +173,16 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: closest-match share %v outside [0,1]", s.ClosestMatchPct)
 	case s.Configs < 1:
 		return fmt.Errorf("workload: config count %d < 1", s.Configs)
+	case s.Configs > MaxConfigs:
+		return fmt.Errorf("workload: config count %d exceeds the limit of %d", s.Configs, MaxConfigs)
 	case s.ConfigAreaLow < 1 || s.ConfigAreaHigh < s.ConfigAreaLow:
 		return fmt.Errorf("workload: invalid config area range [%d,%d]", s.ConfigAreaLow, s.ConfigAreaHigh)
 	case s.ConfigTimeLow < 0 || s.ConfigTimeHigh < s.ConfigTimeLow:
 		return fmt.Errorf("workload: invalid config time range [%d,%d]", s.ConfigTimeLow, s.ConfigTimeHigh)
 	case s.Nodes < 1:
 		return fmt.Errorf("workload: node count %d < 1", s.Nodes)
+	case s.Nodes > MaxNodes:
+		return fmt.Errorf("workload: node count %d exceeds the limit of %d", s.Nodes, MaxNodes)
 	case s.NodeAreaLow < 1 || s.NodeAreaHigh < s.NodeAreaLow:
 		return fmt.Errorf("workload: invalid node area range [%d,%d]", s.NodeAreaLow, s.NodeAreaHigh)
 	case s.NodeCapProb < 0 || s.NodeCapProb > 1 || s.ConfigCapProb < 0 || s.ConfigCapProb > 1:

@@ -43,11 +43,14 @@ func TestSpecValidateRejects(t *testing.T) {
 		func(s *Spec) { s.ClosestMatchPct = 1.5 },
 		func(s *Spec) { s.ClosestMatchPct = -0.1 },
 		func(s *Spec) { s.Configs = 0 },
+		func(s *Spec) { s.Configs = MaxConfigs + 1 },
 		func(s *Spec) { s.ConfigAreaLow = 0 },
 		func(s *Spec) { s.ConfigAreaHigh = 100 },
 		func(s *Spec) { s.ConfigTimeLow = -1 },
 		func(s *Spec) { s.ConfigTimeHigh = 5 },
 		func(s *Spec) { s.Nodes = 0 },
+		func(s *Spec) { s.Nodes = MaxNodes + 1 },
+		func(s *Spec) { s.Nodes = 1 << 62 },
 		func(s *Spec) { s.NodeAreaLow = 0 },
 		func(s *Spec) { s.NodeAreaHigh = 500 },
 		func(s *Spec) { s.NodeAreaHigh = 150; s.NodeAreaLow = 100 },
@@ -58,6 +61,11 @@ func TestSpecValidateRejects(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("mutation %d accepted: %+v", i, s)
 		}
+	}
+	s := TableII(MaxNodes, 1000)
+	s.Configs = MaxConfigs
+	if err := s.Validate(); err != nil {
+		t.Errorf("counts at the caps rejected: %v", err)
 	}
 }
 
