@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"dreamsim/internal/invariant"
@@ -123,36 +125,89 @@ func TestScratchReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-// newSusRetrySim builds a one-node full-reconfiguration simulator
-// whose suspension queue holds queueLen tasks resolved to a
-// configuration the node never hosts, and two tasks, a and b, resolved
-// to the one it does: a is running, b is queued behind the rest. Every
-// release of the node therefore walks the whole queue's metering while
-// only one queued task fits.
-func newSusRetrySim(tb testing.TB, queueLen int) (s *Simulator, a, b *model.Task) {
+// susRetryCases are the node-release shapes the suspension-retry
+// gate runs. Each builds a one-node simulator whose suspension queue
+// holds queueLen tasks resolved to configurations the node never
+// hosts, and two tasks, a and b, resolved to one it does: a is
+// running, b is queued behind the rest. Every release of the node
+// therefore walks the whole queue's metering while only one queued
+// task fits.
+var susRetryCases = []struct {
+	name  string
+	build func(tb testing.TB, queueLen int) (s *Simulator, a, b *model.Task)
+}{
+	{"full", newFullSusRetrySim},
+	{"partial", newPartialSusRetrySim},
+}
+
+// newFullSusRetrySim builds the full-reconfiguration case: two
+// configurations of equal area, so the release offers only the idle
+// resident configuration.
+func newFullSusRetrySim(tb testing.TB, queueLen int) (s *Simulator, a, b *model.Task) {
 	tb.Helper()
 	p := smallParams(1, 1, false)
 	p.Spec.Configs = 2
 	p.Spec.ConfigAreaLow, p.Spec.ConfigAreaHigh = 1000, 1000
 	p.Spec.NodeAreaLow, p.Spec.NodeAreaHigh = 1500, 1500
+	s = newSusRetrySim(tb, p)
+	cfgs := s.mgr.Configs()
+	return startSusRetry(tb, s, queueLen, cfgs[0], cfgs[1:])
+}
+
+// newPartialSusRetrySim builds the partial-reconfiguration case: Table
+// II's 50 configurations at distinct areas and a node that fits about
+// half of them, so the release offers an area prefix of the ranked
+// buckets. The queue is spread over the configurations the node is too
+// small for; a and b use the smallest one.
+func newPartialSusRetrySim(tb testing.TB, queueLen int) (s *Simulator, a, b *model.Task) {
+	tb.Helper()
+	p := smallParams(1, 1, true)
+	p.Seed = 4 // the first seed whose 50 areas are distinct
+	p.Spec.NodeAreaLow, p.Spec.NodeAreaHigh = 1100, 1100
+	s = newSusRetrySim(tb, p)
+	cfgs := slices.Clone(s.mgr.Configs())
+	slices.SortFunc(cfgs, func(x, y *model.Config) int { return cmp.Compare(x.ReqArea, y.ReqArea) })
+	for i := 1; i < len(cfgs); i++ {
+		if cfgs[i].ReqArea == cfgs[i-1].ReqArea {
+			tb.Fatalf("configurations C%d and C%d share area %d", cfgs[i-1].No, cfgs[i].No, cfgs[i].ReqArea)
+		}
+	}
+	big := slices.IndexFunc(cfgs, func(c *model.Config) bool { return c.ReqArea > 1100 })
+	if big < len(cfgs)/4 || big > 3*len(cfgs)/4 {
+		tb.Fatalf("the node fits %d of %d configurations, want about half", big, len(cfgs))
+	}
+	return startSusRetry(tb, s, queueLen, cfgs[0], cfgs[big:])
+}
+
+// newSusRetrySim builds a simulator over p without an arrival stream.
+func newSusRetrySim(tb testing.TB, p Params) *Simulator {
+	tb.Helper()
 	p.Source = emptySource{}
 	s, err := New(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfgs := s.mgr.Configs()
-	a = model.NewTask(0, 1000, 0, 50, 0)
+	return s
+}
+
+// startSusRetry places a running task a resolved to fit, queues
+// queueLen tasks spread over the configurations in other, then queues
+// b resolved to fit.
+func startSusRetry(tb testing.TB, s *Simulator, queueLen int, fit *model.Config, other []*model.Config) (_ *Simulator, a, b *model.Task) {
+	tb.Helper()
+	a = model.NewTask(0, fit.ReqArea, fit.No, 50, 0)
 	s.handleArrival(a, 0)
 	if a.Status != model.TaskRunning {
 		tb.Fatalf("setup task not placed: %v", a)
 	}
 	for no := 1; no <= queueLen; no++ {
-		t := model.NewTask(no, 1000, 1, 50, 0)
-		t.Resolved = cfgs[1]
+		cfg := other[no%len(other)]
+		t := model.NewTask(no, cfg.ReqArea, cfg.No, 50, 0)
+		t.Resolved = cfg
 		s.sus.Add(t)
 	}
-	b = model.NewTask(queueLen+1, 1000, 0, 50, 0)
-	b.Resolved = cfgs[0]
+	b = model.NewTask(queueLen+1, fit.ReqArea, fit.No, 50, 0)
+	b.Resolved = fit
 	s.sus.Add(b)
 	s.c.GeneratedTasks += int64(queueLen + 1) // keep task conservation balanced
 	return s, a, b
@@ -176,37 +231,45 @@ func susRetryCycle(tb testing.TB, s *Simulator, running, queued *model.Task) (*m
 }
 
 // BenchmarkSusRetry measures one node release against a 10k-task
-// suspension queue in which one task fits: the walk meters all 10k
-// links but visits only the fitting task. It must report 0 allocs/op;
-// CI gates on the allocs/op column.
+// suspension queue in which one task fits, for each case: the walk
+// meters all 10k links but visits only the fitting task. It must
+// report 0 allocs/op; CI gates on the allocs/op column.
 func BenchmarkSusRetry(b *testing.B) {
-	s, running, queued := newSusRetrySim(b, 10000)
-	for i := 0; i < 8; i++ {
-		running, queued = susRetryCycle(b, s, running, queued)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		running, queued = susRetryCycle(b, s, running, queued)
+	for _, c := range susRetryCases {
+		b.Run(c.name, func(b *testing.B) {
+			s, running, queued := c.build(b, 10000)
+			for i := 0; i < 8; i++ {
+				running, queued = susRetryCycle(b, s, running, queued)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				running, queued = susRetryCycle(b, s, running, queued)
+			}
+		})
 	}
 }
 
 // TestSusRetryZeroAlloc is the test-suite form of the benchmark gate,
-// and checks the release is metered as the full walk.
+// and checks each release is metered as the full walk.
 func TestSusRetryZeroAlloc(t *testing.T) {
-	s, running, queued := newSusRetrySim(t, 1000)
-	before := s.c.SusRetries
-	running, queued = susRetryCycle(t, s, running, queued)
-	if got := s.c.SusRetries - before; got != 1001 {
-		t.Fatalf("one release metered %d retry steps, want the full queue of 1001", got)
-	}
-	if invariant.Enabled || invariant.RaceEnabled {
-		return // assertions and race instrumentation allocate
-	}
-	for i := 0; i < 8; i++ {
-		running, queued = susRetryCycle(t, s, running, queued)
-	}
-	if avg := testing.AllocsPerRun(200, func() { running, queued = susRetryCycle(t, s, running, queued) }); avg != 0 {
-		t.Fatalf("suspension retry allocates: %.1f allocs/op", avg)
+	for _, c := range susRetryCases {
+		t.Run(c.name, func(t *testing.T) {
+			s, running, queued := c.build(t, 1000)
+			before := s.c.SusRetries
+			running, queued = susRetryCycle(t, s, running, queued)
+			if got := s.c.SusRetries - before; got != 1001 {
+				t.Fatalf("one release metered %d retry steps, want the full queue of 1001", got)
+			}
+			if invariant.Enabled || invariant.RaceEnabled {
+				return // assertions and race instrumentation allocate
+			}
+			for i := 0; i < 8; i++ {
+				running, queued = susRetryCycle(t, s, running, queued)
+			}
+			if avg := testing.AllocsPerRun(200, func() { running, queued = susRetryCycle(t, s, running, queued) }); avg != 0 {
+				t.Fatalf("suspension retry allocates: %.1f allocs/op", avg)
+			}
+		})
 	}
 }

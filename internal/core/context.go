@@ -60,7 +60,9 @@ type RunContext struct {
 	used      []bool // node no -> placed at least one task
 	usedCount int
 	phases    [phaseCount]int64
-	idle      []bool // summarize scratch, config no -> idle region present
+
+	// filter is retrySuspended's digest of the freed node.
+	filter reslists.Filter
 
 	// sus is the run's suspension queue; its element arena survives
 	// across runs.
@@ -104,7 +106,6 @@ func (ctx *RunContext) prepare(nodeCount int, configs []*model.Config, depMax in
 	ctx.used = growClear(ctx.used, nodeCount)
 	ctx.usedCount = 0
 	clear(ctx.phases[:])
-	ctx.idle = growClear(ctx.idle, len(configs))
 	ctx.sus.Reset(configs)
 
 	n := depMax + 1

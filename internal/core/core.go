@@ -864,66 +864,38 @@ func (s *Simulator) lose(task *model.Task, now int64) {
 	s.release(task)
 }
 
-// nodeSummary is an O(1)-queryable digest of what a freed node can
-// offer the suspension queue: which configurations have an idle
-// region, how much unconfigured fabric is free, and how much area is
-// reclaimable by evicting idle regions. Full-configuration nodes
-// offer only the direct match — their fabric cannot be rewritten
-// piecewise while the retry considers them (see Policy.DecideOnNode).
-type nodeSummary struct {
-	idle    []bool // indexed by configuration number
-	free    model.Area
-	reclaim model.Area
-}
-
-// summarize digests node; the entry walk is housekeeping work. The
-// idle digest lives in the run context with an explicit grow-and-clear
-// so a donated context whose previous run had a different
-// configuration count can never leak stale bits (the old lazy sizing
-// allocated once and never re-validated).
-func (s *Simulator) summarize(node *model.Node) nodeSummary {
-	s.ctx.idle = growClear(s.ctx.idle, len(s.mgr.Configs()))
-	sum := nodeSummary{idle: s.ctx.idle}
-	var steps uint64
+// summarize fills f with what node can offer the suspension queue:
+// the configurations it holds idle regions of, and the largest area a
+// configuration may need to fit, its unconfigured fabric plus the idle
+// regions it could evict. Full-configuration nodes offer only the
+// direct match, or their whole fabric when blank: it cannot be
+// rewritten piecewise while the retry considers them (see
+// Policy.DecideOnNode). The entry walk is housekeeping work.
+func (s *Simulator) summarize(node *model.Node, f *reslists.Filter) {
+	f.Area, f.Idle = 0, f.Idle[:0]
 	busy := false
 	for _, e := range node.Entries {
-		steps++
 		if e.Idle() {
-			if e.Config.No < len(sum.idle) {
-				sum.idle[e.Config.No] = true
-			}
-			sum.reclaim += e.Config.ReqArea
+			f.Idle = append(f.Idle, e.Config.No)
+			f.Area += e.Config.ReqArea
 		} else {
 			busy = true
 		}
 	}
-	s.mgr.ChargeHousekeeping(steps)
-	if node.PartialMode {
-		sum.free = node.AvailableArea
-		sum.reclaim += node.AvailableArea
-	} else {
-		sum.reclaim = 0 // full mode: retry never rewrites the node
+	s.mgr.ChargeHousekeeping(uint64(len(node.Entries)))
+	switch {
+	case node.PartialMode:
+		f.Area += node.AvailableArea
+	case node.Blank():
+		// A blank full-mode node (only reachable via crash recovery)
+		// can take any fresh configuration that fits.
+		f.Area = node.AvailableArea
+	default:
+		f.Area = 0 // full mode: retry never rewrites the node
 		if busy {
-			for i := range sum.idle {
-				sum.idle[i] = false // resident region unusable
-			}
-		}
-		if node.Blank() {
-			// A blank full-mode node (only reachable via crash
-			// recovery) can take any fresh configuration that fits.
-			sum.free = node.AvailableArea
+			f.Idle = f.Idle[:0] // resident region unusable
 		}
 	}
-	return sum
-}
-
-// fits reports whether a task needing cfg could possibly land on the
-// summarised node.
-func (sum nodeSummary) fits(cfg *model.Config) bool {
-	if cfg.No < len(sum.idle) && sum.idle[cfg.No] {
-		return true
-	}
-	return cfg.ReqArea <= sum.free || cfg.ReqArea <= sum.reclaim
 }
 
 // retrySuspended walks the suspension queue in FIFO order after node
@@ -939,10 +911,9 @@ func (s *Simulator) retrySuspended(node *model.Node, now int64) {
 	if s.sus.Len() == 0 {
 		return
 	}
-	sum := s.summarize(node)
-	steps := s.sus.Walk(s.params.MaxSusRetries > 0, func(cfg *model.Config) bool {
-		return sum.fits(cfg)
-	}, func(qt *model.Task) bool {
+	f := &s.ctx.filter
+	s.summarize(node, f)
+	steps := s.sus.Walk(s.params.MaxSusRetries > 0, f, func(qt *model.Task) bool {
 		if s.err != nil {
 			return false
 		}
@@ -951,7 +922,7 @@ func (s *Simulator) retrySuspended(node *model.Node, now int64) {
 			s.discard(qt, now)
 			return true
 		}
-		if qt.Resolved != nil && !sum.fits(qt.Resolved) {
+		if qt.Resolved != nil && !f.Fits(qt.Resolved) {
 			return true // cannot fit: one search step, nothing else
 		}
 		//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
@@ -959,7 +930,7 @@ func (s *Simulator) retrySuspended(node *model.Node, now int64) {
 		if d.Places() {
 			s.sus.Remove(qt)
 			s.place(qt, d, now)
-			sum = s.summarize(node) // capacity changed
+			s.summarize(node, f) // capacity changed
 		}
 		return true
 	})

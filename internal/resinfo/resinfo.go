@@ -22,7 +22,7 @@ import (
 type Manager struct {
 	nodes     []*model.Node
 	configs   []*model.Config
-	pairs     map[int]reslists.Pair // config No -> idle/busy lists
+	pairs     []reslists.Pair // config No -> idle/busy lists
 	c         *metrics.Counters
 	downCount int // nodes currently failed (CrashNode minus RecoverNode)
 
@@ -45,28 +45,29 @@ type Option func(*Manager)
 // Deprecated: WithIntraParallel is a no-op; placement scans are sequential.
 func WithIntraParallel(int) Option { return func(*Manager) {} }
 
-// New builds a manager over the given resources. Config numbers must
-// be unique; the counters receive all metering.
+// New builds a manager over the given resources. Configurations must
+// be numbered by position (configs[i].No == i), as workload.GenConfigs
+// numbers them; the counters receive all metering.
 //
 //lint:metering construction-time setup walks; the paper meters only the running scheduler
 func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counters, opts ...Option) (*Manager, error) {
 	m := &Manager{
 		nodes:   nodes,
 		configs: configs,
-		pairs:   make(map[int]reslists.Pair, len(configs)),
+		pairs:   make([]reslists.Pair, len(configs)),
 		c:       counters,
 	}
 	for _, opt := range opts {
 		opt(m)
 	}
-	for _, cfg := range configs {
+	for i, cfg := range configs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := m.pairs[cfg.No]; dup {
-			return nil, fmt.Errorf("resinfo: duplicate config number %d", cfg.No)
+		if cfg.No != i {
+			return nil, fmt.Errorf("resinfo: configuration %d is numbered %d, not by its position", i, cfg.No)
 		}
-		m.pairs[cfg.No] = reslists.NewPair()
+		m.pairs[i] = reslists.NewPair()
 	}
 	counters.TotalNodes = len(nodes)
 	counters.TotalConfigs = len(configs)
@@ -107,11 +108,10 @@ func (m *Manager) Counters() *metrics.Counters { return m.c }
 // Pair returns the idle/busy list pair of configuration cfgNo.
 // It panics for unknown configurations — those are scheduler bugs.
 func (m *Manager) Pair(cfgNo int) reslists.Pair {
-	p, ok := m.pairs[cfgNo]
-	if !ok {
+	if cfgNo < 0 || cfgNo >= len(m.pairs) {
 		panic(fmt.Sprintf("resinfo: unknown config %d", cfgNo))
 	}
-	return p
+	return m.pairs[cfgNo]
 }
 
 // search charges n scheduler search steps (the paper's SL counter,

@@ -33,6 +33,10 @@ func TestNewValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("duplicate config numbers accepted")
 	}
+	_, err = New(nil, []*model.Config{{No: 0, ReqArea: 5}, {No: 2, ReqArea: 6}}, c)
+	if err == nil {
+		t.Fatal("config numbers other than positions accepted")
+	}
 	_, err = New(nil, []*model.Config{{No: 1, ReqArea: 0}}, c)
 	if err == nil {
 		t.Fatal("invalid config accepted")

@@ -162,19 +162,11 @@ func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.
 }
 
 // ConfigByNo returns the configuration numbered no, or nil. It is the
-// unmetered lookup for restores, not a scheduling search. Generated
-// lists are numbered by position, so the index answers directly; a
-// hand-built list with other numbers falls back to a scan.
-//
-//lint:metering restore lookups re-build host data structures between ticks, not simulated scheduler work
+// unmetered lookup for restores, not a scheduling search: New requires
+// configurations numbered by position, so the index answers directly.
 func (m *Manager) ConfigByNo(no int) *model.Config {
-	if no >= 0 && no < len(m.configs) && m.configs[no].No == no {
+	if no >= 0 && no < len(m.configs) {
 		return m.configs[no]
-	}
-	for _, cfg := range m.configs {
-		if cfg.No == no {
-			return cfg
-		}
 	}
 	return nil
 }

@@ -306,34 +306,114 @@ func TestSusQueueWalkAllowsRemoval(t *testing.T) {
 
 // TestSusQueueWalkVisitsOnlyFittingBuckets pins the host-side saving:
 // a filtered walk visits only tasks whose configuration passes the
-// filter, in FIFO order, yet meters and credits the whole queue.
+// filter, by area or by an idle region, in FIFO order, yet meters and
+// credits the whole queue.
 func TestSusQueueWalkVisitsOnlyFittingBuckets(t *testing.T) {
+	cfgs := mkConfigs(3) // areas 300, 200, 100
+	for _, tc := range []struct {
+		name string
+		f    Filter
+		want []int
+	}{
+		{"idle", Filter{Idle: []int{1}}, []int{1, 4, 7}},
+		{"area", Filter{Area: 250}, []int{1, 2, 4, 5, 7, 8}},
+		{"area and idle", Filter{Area: 150, Idle: []int{0}}, []int{0, 2, 3, 5, 6, 8}},
+	} {
+		q := NewSusQueue()
+		q.Reset(cfgs)
+		var tasks []*model.Task
+		for i := 0; i < 9; i++ {
+			task := mkTask(i)
+			task.Resolved = cfgs[i%3]
+			tasks = append(tasks, task)
+			q.Add(task)
+		}
+		var seen []int
+		steps := q.Walk(false, &tc.f, func(task *model.Task) bool {
+			seen = append(seen, task.No)
+			return true
+		})
+		if steps != 9 || !slices.Equal(seen, tc.want) {
+			t.Fatalf("%s: steps %d, visited %v; want 9 steps visiting %v", tc.name, steps, seen, tc.want)
+		}
+		for _, task := range tasks {
+			want := int64(0)
+			if slices.Contains(tc.want, task.No) {
+				want = 1 // only visited tasks are credited eagerly
+			}
+			if task.SusRetry != want {
+				t.Fatalf("%s: %v: SusRetry %d before materialize, want %d", tc.name, task, task.SusRetry, want)
+			}
+		}
+		q.Materialize()
+		for _, task := range tasks {
+			if task.SusRetry != 1 {
+				t.Fatalf("%s: %v: SusRetry %d after materialize, want 1", tc.name, task, task.SusRetry)
+			}
+		}
+		if err := q.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSusQueueCatchesStaleIndex corrupts each part of the retry index
+// (a tree leaf, an inner tree node, a bucket front) and expects
+// CheckInvariants to notice.
+func TestSusQueueCatchesStaleIndex(t *testing.T) {
+	cfgs := mkConfigs(5)
+	q := NewSusQueue()
+	q.Reset(cfgs)
+	for i := 0; i < 10; i++ {
+		task := mkTask(i)
+		task.Resolved = cfgs[i%5]
+		q.Add(task)
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(q.tree); i++ {
+		saved := q.tree[i]
+		q.tree[i]++
+		if err := q.CheckInvariants(); err == nil {
+			t.Errorf("stale tree node %d not detected", i)
+		}
+		q.tree[i] = saved
+	}
+	saved := q.front[2]
+	q.front[2] = q.arena[saved].next[lvlBucket]
+	if err := q.CheckInvariants(); err == nil {
+		t.Error("bucket front past its head not detected")
+	}
+	q.front[2] = saved
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSusQueueRebaseRekeys starts a walk with seq at the rebase
+// threshold: the walk renumbers the queue, so it must re-key the
+// range minimum before taking fronts from it.
+func TestSusQueueRebaseRekeys(t *testing.T) {
 	cfgs := mkConfigs(3)
 	q := NewSusQueue()
 	q.Reset(cfgs)
-	var tasks []*model.Task
-	for i := 0; i < 9; i++ {
+	q.seq = rebaseAt - 3
+	for i := 0; i < 6; i++ {
 		task := mkTask(i)
-		task.Resolved = cfgs[i%3]
-		tasks = append(tasks, task)
+		task.Resolved = cfgs[(i+1)%3]
 		q.Add(task)
 	}
 	var seen []int
-	steps := q.Walk(false, func(cfg *model.Config) bool { return cfg.No == 1 }, func(task *model.Task) bool {
+	q.Walk(false, &Filter{Area: 250, Idle: []int{0}}, func(task *model.Task) bool {
 		seen = append(seen, task.No)
 		return true
 	})
-	if steps != 9 || len(seen) != 3 || seen[0] != 1 || seen[1] != 4 || seen[2] != 7 {
-		t.Fatalf("steps %d, visited %v; want 9 steps visiting [1 4 7]", steps, seen)
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(seen, want) {
+		t.Fatalf("visited %v, want %v", seen, want)
 	}
-	if tasks[0].SusRetry != 0 || tasks[1].SusRetry != 1 {
-		t.Fatalf("eager credit: unvisited %d, visited %d", tasks[0].SusRetry, tasks[1].SusRetry)
-	}
-	q.Materialize()
-	for _, task := range tasks {
-		if task.SusRetry != 1 {
-			t.Fatalf("%v: SusRetry %d after materialize, want 1", task, task.SusRetry)
-		}
+	if q.seq != 6 {
+		t.Fatalf("seq %d after the rebase, want 6", q.seq)
 	}
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -366,10 +446,12 @@ func TestQuickListOps(t *testing.T) {
 	}
 }
 
+// mkConfigs returns n configurations whose areas fall as their
+// numbers rise (100*(n-i)), so area rank and number differ.
 func mkConfigs(n int) []*model.Config {
 	cfgs := make([]*model.Config, n)
 	for i := range cfgs {
-		cfgs[i] = &model.Config{No: i, ReqArea: 500, ConfigTime: 10}
+		cfgs[i] = &model.Config{No: i, ReqArea: model.Area(100 * (n - i)), ConfigTime: 10}
 	}
 	return cfgs
 }
@@ -424,22 +506,29 @@ func (r *refQueue) each(visit func(*model.Task) bool) (steps uint64) {
 // structs, its filter and its record of what the walks did.
 type walkTwin struct {
 	tasks   []*model.Task
-	fits    uint8 // bit c set: configuration c passes the filter
+	f       Filter
 	rng     *rand.Rand
 	visited []int
 	steps   []uint64
 }
 
 // Property: under arbitrary interleavings of add, remove and walks —
-// filtered or not, with filters that shrink mid-walk, visits that
-// remove or re-append the visited task, append other tasks or change
-// its resolved configuration — the queue keeps FIFO order and its
-// invariants, and its walks visit the passing tasks in the reference
-// walk's order with the reference step counts and SusRetry values.
+// unfiltered, or filtered by an area bound plus an idle set that a
+// visit may shrink, with visits that remove or re-append the visited
+// task, append other tasks or change its resolved configuration — the
+// queue keeps FIFO order and its invariants, and its walks visit the
+// passing tasks in the reference walk's order with the reference step
+// counts and SusRetry values.
 func TestQuickSusQueueOrder(t *testing.T) {
-	const nCfg, nTask = 4, 10
+	const nCfg, nTask = 6, 10
 	f := func(ops []uint8, seed int64) bool {
+		// filters draws the configuration areas and each walk's
+		// filter; both twins get the same ones.
+		filters := rand.New(rand.NewSource(seed))
 		cfgs := mkConfigs(nCfg)
+		for i, r := range filters.Perm(nCfg) {
+			cfgs[i].ReqArea = model.Area(100 * (r + 1))
+		}
 		q := NewSusQueue()
 		q.Reset(cfgs)
 		ref := &refQueue{}
@@ -473,7 +562,7 @@ func TestQuickSusQueueOrder(t *testing.T) {
 		// passing visits, so equal visit sequences act identically.
 		body := func(tw *walkTwin, inQueue func(*model.Task) bool, rm func(int), ad func(int)) func(*model.Task) bool {
 			return func(task *model.Task) bool {
-				if task.Resolved != nil && tw.fits&(1<<task.Resolved.No) == 0 {
+				if task.Resolved != nil && !tw.f.Fits(task.Resolved) {
 					return true
 				}
 				tw.visited = append(tw.visited, task.No)
@@ -487,8 +576,12 @@ func TestQuickSusQueueOrder(t *testing.T) {
 					if u := tw.tasks[tw.rng.Intn(nTask)]; !inQueue(u) {
 						ad(u.No)
 					}
-				case 3:
-					tw.fits &^= 1 << tw.rng.Intn(nCfg)
+				case 3: // a placement took capacity: shrink the filter
+					if i := tw.rng.Intn(len(tw.f.Idle) + 1); i < len(tw.f.Idle) {
+						tw.f.Idle = slices.Delete(tw.f.Idle, i, i+1)
+					} else {
+						tw.f.Area = tw.rng.Int63n(tw.f.Area + 1)
+					}
 				case 4:
 					if c := tw.rng.Intn(nCfg + 1); c < nCfg {
 						task.Resolved = cfgs[c]
@@ -509,11 +602,16 @@ func TestQuickSusQueueOrder(t *testing.T) {
 			switch {
 			case op&0xC0 == 0xC0: // walk
 				every := op&0x20 != 0
-				mask := uint8(op>>1) & (1<<nCfg - 1)
-				live.fits, mirror.fits = mask, mask
-				live.steps = append(live.steps, q.Walk(every, func(cfg *model.Config) bool {
-					return live.fits&(1<<cfg.No) != 0
-				}, liveBody))
+				area := filters.Int63n(100 * (nCfg + 1))
+				var idle []int
+				for c := 0; c < nCfg; c++ {
+					if filters.Intn(3) == 0 {
+						idle = append(idle, c)
+					}
+				}
+				live.f = Filter{Area: area, Idle: idle}
+				mirror.f = Filter{Area: area, Idle: slices.Clone(idle)}
+				live.steps = append(live.steps, q.Walk(every, &live.f, liveBody))
 				mirror.steps = append(mirror.steps, ref.each(refBody))
 			case op&0x80 != 0:
 				remove(no)
@@ -578,11 +676,12 @@ func TestSusQueueSteadyStateZeroAlloc(t *testing.T) {
 	for i, task := range tasks {
 		task.Resolved = cfgs[i%2]
 	}
+	filter := &Filter{Idle: []int{0}}
 	churn := func() {
 		for _, task := range tasks {
 			q.Add(task)
 		}
-		q.Walk(false, func(cfg *model.Config) bool { return cfg.No == 0 }, func(task *model.Task) bool {
+		q.Walk(false, filter, func(task *model.Task) bool {
 			q.Remove(task)
 			return true
 		})
@@ -590,7 +689,7 @@ func TestSusQueueSteadyStateZeroAlloc(t *testing.T) {
 			q.Remove(task)
 		}
 	}
-	churn() // warm the arena and the walk's cursor set to depth 3
+	churn() // warm the arena to depth 3
 	if allocs := testing.AllocsPerRun(500, churn); allocs != 0 {
 		t.Fatalf("steady-state suspend/retry churn allocates %v allocs/op, want 0", allocs)
 	}

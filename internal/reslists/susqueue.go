@@ -1,7 +1,9 @@
 package reslists
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"dreamsim/internal/invariant"
@@ -19,8 +21,9 @@ type susElem struct {
 	task       *model.Task
 	next, prev [2]int32
 	// seq is the element's position in the global FIFO: strictly
-	// increasing along every list, so merging bucket cursors by lowest
-	// seq reproduces FIFO order.
+	// increasing along every list, so the lowest seq among the bucket
+	// fronts is the next task in FIFO order. A bucket sentinel holds
+	// noSeq, so an empty front sorts last.
 	seq uint32
 	// walk is the walk counter value already credited to
 	// task.SusRetry (see credit).
@@ -34,15 +37,32 @@ const (
 	// with either at or beyond it first renumbers the queue, leaving
 	// 2^31 appends of headroom before the next walk.
 	rebaseAt = 1 << 31
+	// noSeq is a bucket sentinel's seq: a front at the sentinel means
+	// the bucket has no front.
+	noSeq = math.MaxUint32
 )
 
-// walkCursor is one list a Walk draws candidates from: at is the
-// next element not yet reached, or head once the list is exhausted.
-type walkCursor struct {
-	lvl    int
-	head   int32
-	at     int32
-	bucket int // configuration bucket re-checked against the filter; -1 for none
+// Filter is what a released node can offer a filtered Walk: a task
+// fits if its configuration needs at most Area, or if the node holds
+// an idle region of it (Idle lists those configuration numbers). A
+// walk re-reads the filter before each visit, and it may only shrink
+// during one walk.
+type Filter struct {
+	Area model.Area
+	Idle []int
+}
+
+// Fits reports whether a task resolved to cfg could land on the node.
+func (f *Filter) Fits(cfg *model.Config) bool {
+	if cfg.ReqArea <= f.Area {
+		return true
+	}
+	for _, no := range f.Idle {
+		if no == cfg.No {
+			return true
+		}
+	}
+	return false
 }
 
 // SusQueue is the suspension queue (the paper's SusList class): a
@@ -51,10 +71,10 @@ type walkCursor struct {
 // node releases resources and removed when placed or discarded.
 //
 // Besides the global FIFO, the queue files every task in a bucket of
-// its resolved configuration (one more bucket holds unresolved tasks),
-// so a retry after a node release can visit only the tasks whose
-// configuration the node could host while still metering the paper's
-// full FIFO walk (see Walk).
+// its resolved configuration (one more bucket, numbered len(configs),
+// holds unresolved tasks), so a retry after a node release can visit
+// only the tasks whose configuration the node could host while still
+// metering the paper's full FIFO walk (see Walk).
 type SusQueue struct {
 	arena []susElem
 	cfgs  []*model.Config // bucket b holds tasks resolved to cfgs[b]
@@ -65,8 +85,22 @@ type SusQueue struct {
 	peak  int
 	seq   uint32
 	walks uint32
-	// cands is Walk's recycled cursor set.
-	cands []walkCursor
+
+	// The retry index. front[b] is bucket b's front: its head outside
+	// a walk, its first task above floor during a filtered walk, and
+	// its sentinel (slot 1+b) when it has none. The configuration
+	// buckets are ranked by ReqArea (areas[r] is the r-th smallest,
+	// rank[b] is bucket b's rank), and tree is a range minimum over
+	// their fronts' keys in rank order, leaves at tree[len(cfgs):].
+	front []int32
+	rank  []int32
+	areas []model.Area
+	tree  []uint64
+	// floor is the seq of the task a filtered walk visited last (0
+	// outside one); moved lists the buckets whose front that walk
+	// moved off their head.
+	floor uint32
+	moved []int32
 }
 
 // NewSusQueue returns an empty suspension queue without configuration
@@ -81,11 +115,12 @@ func NewSusQueue() *SusQueue {
 // Reset empties the queue and buckets it by configs, which must be
 // indexed by configuration number (configs[i].No == i); a task
 // resolved to any other configuration is filed with the unresolved
-// ones. The arena's backing array is kept, so a queue reused across
-// runs stops allocating once it has reached its high-water depth.
+// ones. The backing arrays are kept, so a queue reused across runs
+// stops allocating once it has reached its high-water depth.
 func (q *SusQueue) Reset(configs []*model.Config) {
 	q.cfgs = configs
-	n := len(configs) + 2
+	c := len(configs)
+	n := c + 2
 	if cap(q.arena) < n {
 		q.arena = make([]susElem, n)
 	} else {
@@ -95,9 +130,33 @@ func (q *SusQueue) Reset(configs []*model.Config) {
 	q.arena[0].next[lvlFIFO], q.arena[0].prev[lvlFIFO] = 0, 0
 	for h := int32(1); h < int32(n); h++ {
 		q.arena[h].next[lvlBucket], q.arena[h].prev[lvlBucket] = h, h
+		q.arena[h].seq = noSeq
 	}
 	q.base = int32(n)
 	q.free, q.size, q.peak, q.seq, q.walks = 0, 0, 0, 0, 0
+
+	// Rank the configuration buckets by area, sorting their numbers
+	// in front's storage before it is filled.
+	q.front = slices.Grow(q.front[:0], c+1)[:c+1]
+	order := q.front[:c]
+	for b := range order {
+		order[b] = int32(b)
+	}
+	slices.SortStableFunc(order, func(x, y int32) int {
+		return cmp.Compare(configs[x].ReqArea, configs[y].ReqArea)
+	})
+	q.rank = slices.Grow(q.rank[:0], c)[:c]
+	q.areas = slices.Grow(q.areas[:0], c)[:c]
+	for r, b := range order {
+		q.rank[b] = int32(r)
+		q.areas[r] = configs[b].ReqArea
+	}
+	for b := range q.front {
+		q.front[b] = int32(1 + b)
+	}
+	q.tree = slices.Grow(q.tree[:0], 2*c)[:2*c]
+	q.rekey()
+	q.floor, q.moved = 0, q.moved[:0]
 }
 
 // Len returns the number of suspended tasks.
@@ -112,12 +171,12 @@ func (q *SusQueue) Contains(task *model.Task) bool {
 	return at >= q.base && int(at) < len(q.arena) && q.arena[at].task == task
 }
 
-// bucketHead returns the sentinel slot of the bucket cfg files into.
-func (q *SusQueue) bucketHead(cfg *model.Config) int32 {
+// bucketOf returns the bucket cfg files into.
+func (q *SusQueue) bucketOf(cfg *model.Config) int32 {
 	if cfg != nil && cfg.No >= 0 && cfg.No < len(q.cfgs) && q.cfgs[cfg.No] == cfg {
-		return int32(1 + cfg.No)
+		return int32(cfg.No)
 	}
-	return int32(1 + len(q.cfgs)) // unresolved
+	return int32(len(q.cfgs)) // unresolved
 }
 
 // Add appends task at the tail (the paper's AddTaskToSusQueue) and
@@ -133,7 +192,11 @@ func (q *SusQueue) Add(task *model.Task) {
 	q.seq++
 	q.arena[at] = susElem{task: task, seq: q.seq, walk: q.walks}
 	q.link(lvlFIFO, 0, at)
-	q.link(lvlBucket, q.bucketHead(task.Resolved), at)
+	b := q.bucketOf(task.Resolved)
+	q.link(lvlBucket, 1+b, at)
+	if q.front[b] == 1+b { // the newest task is above any walk's floor
+		q.setFront(b, at)
+	}
 	task.SusSlot = at
 	q.size++
 	if q.size > q.peak {
@@ -152,7 +215,7 @@ func (q *SusQueue) Remove(task *model.Task) bool {
 	at := task.SusSlot
 	q.credit(at)
 	q.unlink(lvlFIFO, at)
-	q.unlink(lvlBucket, at)
+	q.unfile(at)
 	q.arena[at] = susElem{next: [2]int32{q.free, 0}}
 	q.free = at
 	task.SusSlot = 0
@@ -170,15 +233,36 @@ func (q *SusQueue) Refile(task *model.Task, was *model.Config) {
 	}
 }
 
-// refile re-links element at into its task's bucket, in seq order.
+// refile re-links element at into its task's bucket, in seq order. It
+// becomes the bucket's front if it precedes the front and lies above
+// the floor; a walk has passed every task at or below its floor.
 func (q *SusQueue) refile(at int32) {
-	q.unlink(lvlBucket, at)
-	head := q.bucketHead(q.arena[at].task.Resolved)
+	q.unfile(at)
+	b := q.bucketOf(q.arena[at].task.Resolved)
+	head := 1 + b
+	seq := q.arena[at].seq
 	after := q.arena[head].prev[lvlBucket]
-	for after != head && q.arena[after].seq > q.arena[at].seq {
+	for after != head && q.arena[after].seq > seq {
 		after = q.arena[after].prev[lvlBucket]
 	}
 	q.link(lvlBucket, q.arena[after].next[lvlBucket], at)
+	switch {
+	case seq > q.floor && seq < q.arena[q.front[b]].seq:
+		q.setFront(b, at)
+	case after == head: // a new head the walk passed: reset its front when the walk ends
+		q.moved = append(q.moved, b)
+	}
+}
+
+// unfile unlinks element at from its bucket, moving the bucket's front
+// past it. A front is only ever unlinked while it is its bucket's head
+// (a walk moves a front off the task it visits), so the sentinel
+// before it names the bucket.
+func (q *SusQueue) unfile(at int32) {
+	if h := q.arena[at].prev[lvlBucket]; h < q.base && q.front[h-1] == at {
+		q.setFront(h-1, q.arena[at].next[lvlBucket])
+	}
+	q.unlink(lvlBucket, at)
 }
 
 // Reserve makes room in the arena for n more tasks, so a caller that
@@ -213,6 +297,90 @@ func (q *SusQueue) unlink(lvl int, at int32) {
 	q.arena[next].prev[lvl] = prev
 }
 
+// key is bucket b's entry in the range minimum: its front's seq above
+// the bucket number, so the least key names the bucket holding the
+// lowest-seq front.
+func (q *SusQueue) key(b int32) uint64 {
+	return uint64(q.arena[q.front[b]].seq)<<32 | uint64(b)
+}
+
+// setFront makes at (one of bucket b's elements, or its sentinel for
+// none) the bucket's front and updates the range minimum.
+func (q *SusQueue) setFront(b, at int32) {
+	q.front[b] = at
+	c := len(q.cfgs)
+	if int(b) == c {
+		return // the unresolved bucket is outside the tree
+	}
+	i := c + int(q.rank[b])
+	q.tree[i] = q.key(b)
+	for ; i > 1; i >>= 1 {
+		q.tree[i>>1] = min(q.tree[i], q.tree[i^1])
+	}
+}
+
+// rekey rebuilds the range minimum from the fronts.
+func (q *SusQueue) rekey() {
+	c := len(q.cfgs)
+	for b := range q.rank {
+		q.tree[c+int(q.rank[b])] = q.key(int32(b))
+	}
+	for i := c - 1; i > 0; i-- {
+		q.tree[i] = min(q.tree[2*i], q.tree[2*i+1])
+	}
+}
+
+// minBelow returns the least key among the configuration buckets
+// ranked below k, or math.MaxUint64 when there are none.
+func (q *SusQueue) minBelow(k int) uint64 {
+	best := uint64(math.MaxUint64)
+	for l, r := len(q.cfgs), len(q.cfgs)+k; l < r; l, r = l>>1, r>>1 {
+		if l&1 == 1 {
+			best = min(best, q.tree[l])
+			l++
+		}
+		if r&1 == 1 {
+			r--
+			best = min(best, q.tree[r])
+		}
+	}
+	return best
+}
+
+// fitting returns how many configuration buckets need at most area.
+func (q *SusQueue) fitting(area model.Area) int {
+	lo, hi := 0, len(q.areas)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q.areas[mid] <= area {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// nextBucket returns the bucket whose front is the lowest-seq task
+// that f admits or that is unresolved, or -1 when there is none: the
+// least of the range minimum over the buckets that fit f.Area, the
+// fronts of f's idle configurations beyond them, and the unresolved
+// bucket's front.
+func (q *SusQueue) nextBucket(f *Filter) int32 {
+	c := len(q.cfgs)
+	k := q.fitting(f.Area)
+	best := min(q.minBelow(k), q.key(int32(c)))
+	for _, no := range f.Idle {
+		if no >= 0 && no < c && int(q.rank[no]) >= k {
+			best = min(best, q.key(int32(no)))
+		}
+	}
+	if best>>32 == noSeq {
+		return -1
+	}
+	return int32(uint32(best))
+}
+
 // credit brings the element's task.SusRetry up to date with the walks
 // that reached it since the last credit.
 func (q *SusQueue) credit(at int32) {
@@ -230,7 +398,7 @@ func (q *SusQueue) Materialize() {
 }
 
 // rebase credits every task and renumbers seq and the walk counter
-// from zero, keeping FIFO order.
+// from zero, keeping FIFO order, then re-keys the range minimum.
 func (q *SusQueue) rebase() {
 	var n uint32
 	for at := q.arena[0].next[lvlFIFO]; at != 0; at = q.arena[at].next[lvlFIFO] {
@@ -239,6 +407,7 @@ func (q *SusQueue) rebase() {
 		q.arena[at].seq, q.arena[at].walk = n, 0
 	}
 	q.seq, q.walks = n, 0
+	q.rekey()
 }
 
 // Walk is the retry examination after a node released resources (the
@@ -254,19 +423,19 @@ func (q *SusQueue) rebase() {
 //
 // With every set, or while unresolved tasks are queued, visit sees
 // every task the paper's walk reaches. Otherwise it sees only tasks
-// whose resolved configuration passes fits (plus any unresolved task
+// whose resolved configuration f fits (plus any unresolved task
 // appended mid-walk), which must hold for every task visit would do
-// anything for. The walk re-checks fits before each visit and drops
-// the buckets that fail; it never takes one back, because fits must
-// only ever turn false during one walk. The engine's filter asks
-// whether the freed node could host a configuration, and every
-// placement on that node consumes an idle region or fabric, so the
-// set of configurations it could host only shrinks. Builds with
-// -tags invariants assert this at the end of every walk.
+// anything for. The walk re-reads f before each visit and takes the
+// next task from the bucket fronts f admits. f must only shrink during
+// one walk: a bucket f admits again after dropping it would still have
+// its front at a task the walk passed. The engine's filter says what
+// the freed node could host, and every placement on that node consumes
+// an idle region or fabric, so it only shrinks. Builds with -tags
+// invariants assert that the visited seq rises.
 //
 // During a visit, visit may remove the visited task and append tasks,
 // but must not remove any other task.
-func (q *SusQueue) Walk(every bool, fits func(*model.Config) bool, visit func(*model.Task) bool) (steps uint64) {
+func (q *SusQueue) Walk(every bool, f *Filter, visit func(*model.Task) bool) (steps uint64) {
 	if q.size == 0 {
 		return 0
 	}
@@ -276,31 +445,29 @@ func (q *SusQueue) Walk(every bool, fits func(*model.Config) bool, visit func(*m
 	q.walks++
 	steps = uint64(q.size)
 
-	unresolved := int32(1 + len(q.cfgs))
-	filtered := !every && q.arena[unresolved].next[lvlBucket] == unresolved
-	q.cands = q.cands[:0]
-	if !filtered {
-		q.cands = append(q.cands, walkCursor{lvl: lvlFIFO, head: 0, at: q.arena[0].next[lvlFIFO], bucket: -1})
-	} else {
-		for b, cfg := range q.cfgs {
-			if fits(cfg) {
-				head := int32(1 + b)
-				q.cands = append(q.cands, walkCursor{lvl: lvlBucket, head: head, at: q.arena[head].next[lvlBucket], bucket: b})
-			}
-		}
-		q.cands = append(q.cands, walkCursor{lvl: lvlBucket, head: unresolved, at: q.arena[unresolved].next[lvlBucket], bucket: -1})
-	}
-
+	unresolved := int32(len(q.cfgs))
+	filtered := !every && q.front[unresolved] == 1+unresolved
+	at := q.arena[0].next[lvlFIFO]
 	var last uint32 // seq of the last visited task
 	for {
-		c := q.nextCursor(fits, last)
-		if c == nil {
-			break
+		if filtered {
+			b := q.nextBucket(f)
+			if b < 0 {
+				break
+			}
+			at = q.front[b]
+			if q.arena[1+b].next[lvlBucket] == at {
+				q.moved = append(q.moved, b)
+			}
+			q.setFront(b, q.arena[at].next[lvlBucket])
+			q.floor = q.arena[at].seq
 		}
-		at := c.at
-		c.at = q.arena[at].next[c.lvl]
+		if invariant.Enabled && q.arena[at].seq <= last {
+			invariant.Assertf(false, "reslists: retry walk visited seq %d after %d: the filter admitted a bucket it had dropped",
+				q.arena[at].seq, last)
+		}
 		last = q.arena[at].seq
-		tail := q.arena[0].prev[lvlFIFO] == at
+		next := q.arena[at].next[lvlFIFO]
 		seq0 := q.seq
 		q.credit(at)
 		task := q.arena[at].task
@@ -309,7 +476,7 @@ func (q *SusQueue) Walk(every bool, fits func(*model.Config) bool, visit func(*m
 		if task.Resolved != was && q.arena[at].seq == last { // still queued: keep its bucket current
 			q.refile(at)
 		}
-		if !more || tail {
+		if !more || next == 0 { // stopped, or visited the tail
 			break
 		}
 		// Tasks appended during a visit before the tail are reached by
@@ -318,55 +485,17 @@ func (q *SusQueue) Walk(every bool, fits func(*model.Config) bool, visit func(*m
 			q.arena[t].walk = q.walks - 1
 			steps++
 		}
+		at = next
 	}
-	if invariant.Enabled && filtered {
-		q.assertDroppedStayDropped(fits)
-	}
-	return steps
-}
-
-// nextCursor returns the cursor holding the lowest-seq task not yet
-// visited, or nil when none is left. It drops configuration buckets
-// that no longer pass fits and picks up tasks appended to exhausted
-// lists since the last visit (any task with seq above last).
-func (q *SusQueue) nextCursor(fits func(*model.Config) bool, last uint32) *walkCursor {
-	best := -1
-	var bestSeq uint32
-	for i := 0; i < len(q.cands); {
-		c := &q.cands[i]
-		if c.bucket >= 0 && !fits(q.cfgs[c.bucket]) {
-			q.cands[i] = q.cands[len(q.cands)-1]
-			q.cands = q.cands[:len(q.cands)-1]
-			continue
-		}
-		if c.at == c.head {
-			for t := q.arena[c.head].prev[c.lvl]; t != c.head && q.arena[t].seq > last; t = q.arena[t].prev[c.lvl] {
-				c.at = t
+	if filtered {
+		for _, b := range q.moved {
+			if head := q.arena[1+b].next[lvlBucket]; q.front[b] != head {
+				q.setFront(b, head)
 			}
 		}
-		if c.at != c.head && (best < 0 || q.arena[c.at].seq < bestSeq) {
-			best, bestSeq = i, q.arena[c.at].seq
-		}
-		i++
+		q.floor, q.moved = 0, q.moved[:0]
 	}
-	if best < 0 {
-		return nil
-	}
-	return &q.cands[best]
-}
-
-// assertDroppedStayDropped checks, at the end of a filtered walk, that
-// every configuration bucket outside the surviving cursor set still
-// fails the filter: the candidate set only shrank.
-func (q *SusQueue) assertDroppedStayDropped(fits func(*model.Config) bool) {
-	for b, cfg := range q.cfgs {
-		kept := false
-		for _, c := range q.cands {
-			kept = kept || c.bucket == b
-		}
-		invariant.Assertf(kept || !fits(cfg),
-			"reslists: configuration C%d passed the retry filter after failing it in the same walk", cfg.No)
-	}
+	return steps
 }
 
 // Tasks returns the queued tasks in FIFO order (for reports).
@@ -386,10 +515,13 @@ func (q *SusQueue) AppendTasks(dst []*model.Task) []*model.Task {
 	return dst
 }
 
-// CheckInvariants validates the global FIFO and every bucket: linkage,
-// seq order, each element in the bucket of its task's resolved
-// configuration, bucket sizes summing to Len, Task.SusSlot pointing
-// back at its element, and no slot lost from the free chain.
+// CheckInvariants validates, outside walks, the global FIFO and every
+// bucket: linkage, seq order, each element in the bucket of its task's
+// resolved configuration, bucket sizes summing to Len, Task.SusSlot
+// pointing back at its element, and no slot lost from the free chain;
+// and the retry index: every front is its bucket's head, every tree
+// leaf holds its bucket's key and every tree node the minimum of its
+// children.
 func (q *SusQueue) CheckInvariants() error {
 	tail, n, err := q.checkList(lvlFIFO, 0, q.size)
 	if err != nil {
@@ -411,14 +543,28 @@ func (q *SusQueue) CheckInvariants() error {
 			return fmt.Errorf("reslists: suspension bucket %d tail mismatch", h-1)
 		}
 		for at := q.arena[h].next[lvlBucket]; at != h; at = q.arena[at].next[lvlBucket] {
-			if task := q.arena[at].task; q.bucketHead(task.Resolved) != h {
+			if task := q.arena[at].task; 1+q.bucketOf(task.Resolved) != h {
 				return fmt.Errorf("reslists: %v filed in suspension bucket %d", task, h-1)
 			}
+		}
+		if q.front[h-1] != q.arena[h].next[lvlBucket] {
+			return fmt.Errorf("reslists: suspension bucket %d front is slot %d, not its head", h-1, q.front[h-1])
 		}
 		total += n
 	}
 	if total != q.size {
 		return fmt.Errorf("reslists: suspension buckets hold %d tasks, queue %d", total, q.size)
+	}
+	c := len(q.cfgs)
+	for b, r := range q.rank {
+		if q.tree[c+int(r)] != q.key(int32(b)) {
+			return fmt.Errorf("reslists: suspension index leaf of bucket %d is stale", b)
+		}
+	}
+	for i := c - 1; i > 0; i-- {
+		if q.tree[i] != min(q.tree[2*i], q.tree[2*i+1]) {
+			return fmt.Errorf("reslists: suspension index node %d is not the minimum of its children", i)
+		}
 	}
 	free := 0
 	for at := q.free; at != 0; at = q.arena[at].next[lvlFIFO] {
