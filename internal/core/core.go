@@ -1039,11 +1039,20 @@ func (s *Simulator) debugCheck() {
 		return
 	}
 	//lint:allocfree debug-only path: guarded by params.Debug, which is off on the gated hot path
-	if err := s.mgr.CheckInvariants(); err != nil {
+	if err := s.checkStructures(); err != nil {
 		s.fail(err)
-		return
+	}
+}
+
+// checkStructures returns the first failure of the resource
+// manager's, the suspension queue's and the event queue's own
+// invariant checks.
+func (s *Simulator) checkStructures() error {
+	if err := s.mgr.CheckInvariants(); err != nil {
+		return err
 	}
 	if err := s.sus.CheckInvariants(); err != nil {
-		s.fail(err)
+		return err
 	}
+	return s.eng.Queue.CheckInvariants()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"dreamsim/internal/invariant"
@@ -236,8 +237,36 @@ func TestPushFreedEventPanics(t *testing.T) {
 	q.Push(ev)
 }
 
+// deepQueue fills q to 2,000 pending events, about the mean depth of
+// the 5,000-node streamed cell, and returns one steady-state
+// operation: pop the earliest event and schedule one at its time plus
+// a fixed-seed delay in Table II's 100-100,000-tick required-time
+// range, so the depth stays put.
+func deepQueue(q *Queue) func() {
+	r := rand.New(rand.NewSource(1))
+	delays := make([]Time, 1<<12)
+	for i := range delays {
+		delays[i] = 100 + r.Int63n(99_901)
+	}
+	i := 0
+	delay := func() Time {
+		i++
+		return delays[i&(len(delays)-1)]
+	}
+	for q.Len() < 2000 {
+		q.ScheduleEvent(delay(), "w", nop, nil, nil)
+	}
+	return func() {
+		ev := q.Pop()
+		now := ev.At
+		q.Release(ev)
+		q.ScheduleEvent(now+delay(), "d", nop, nil, nil)
+	}
+}
+
 // TestQueuePushPopZeroAlloc is the hard allocation gate on the event
-// path: steady-state schedule/pop/release traffic must not allocate.
+// path: steady-state schedule/pop/release traffic must not allocate,
+// on a queue of at most two events and on a deep one.
 func TestQueuePushPopZeroAlloc(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariants build trades allocations for assertions")
@@ -245,38 +274,59 @@ func TestQueuePushPopZeroAlloc(t *testing.T) {
 	if invariant.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	var q Queue
-	at := Time(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		at++
-		q.ScheduleEvent(at, "z", nop, nil, nil)
-		q.ScheduleEvent(at, "z2", nop, nil, nil)
-		q.Release(q.Pop())
-		q.Release(q.Pop())
+	t.Run("shallow", func(t *testing.T) {
+		var q Queue
+		at := Time(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			at++
+			q.ScheduleEvent(at, "z", nop, nil, nil)
+			q.ScheduleEvent(at, "z2", nop, nil, nil)
+			q.Release(q.Pop())
+			q.Release(q.Pop())
+		})
+		if allocs != 0 {
+			t.Fatalf("queue push/pop allocates %v allocs/op, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("queue push/pop allocates %v allocs/op, want 0", allocs)
-	}
+	t.Run("deep", func(t *testing.T) {
+		var q Queue
+		if allocs := testing.AllocsPerRun(1000, deepQueue(&q)); allocs != 0 {
+			t.Fatalf("deep queue push/pop allocates %v allocs/op, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkQueuePushPop measures the pooled event path; the 0 B/op,
-// 0 allocs/op result is gated in CI (perf-smoke).
+// 0 allocs/op result is gated in CI (perf-smoke) for both cases.
+// shallow never holds more than three events; deep keeps 2,000
+// pending (see deepQueue).
 func BenchmarkQueuePushPop(b *testing.B) {
-	var q Queue
-	// Warm the pool and heap slice so growth is outside the loop.
-	for i := 0; i < 64; i++ {
-		q.ScheduleEvent(Time(i), "w", nop, nil, nil)
-	}
-	q.Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := Time(i)
-		q.ScheduleEvent(at, "a", nop, nil, nil)
-		q.ScheduleEvent(at, "b", nop, nil, nil)
-		q.ScheduleEvent(at+1, "c", nop, nil, nil)
-		q.Release(q.Pop())
-		q.Release(q.Pop())
-		q.Release(q.Pop())
-	}
+	b.Run("shallow", func(b *testing.B) {
+		var q Queue
+		// Warm the pool so growth is outside the loop.
+		for i := 0; i < 64; i++ {
+			q.ScheduleEvent(Time(i), "w", nop, nil, nil)
+		}
+		q.Reset()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := Time(i)
+			q.ScheduleEvent(at, "a", nop, nil, nil)
+			q.ScheduleEvent(at, "b", nop, nil, nil)
+			q.ScheduleEvent(at+1, "c", nop, nil, nil)
+			q.Release(q.Pop())
+			q.Release(q.Pop())
+			q.Release(q.Pop())
+		}
+	})
+	b.Run("deep", func(b *testing.B) {
+		var q Queue
+		op := deepQueue(&q)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
 }

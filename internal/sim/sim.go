@@ -8,6 +8,12 @@
 // jumps to the next scheduled event by default and can be forced to
 // step tick-by-tick for the paper-faithful ablation).
 //
+// Because every event time is an integer tick and the engine pops
+// them in non-decreasing order, the queue is a radix heap (Ahuja,
+// Mehlhorn, Orlin and Tarjan, 1990): 65 buckets of intrusive FIFO
+// lists keyed by the highest bit in which an event's time differs
+// from the earliest pending time, amortized O(1) per event.
+//
 // Every event carries a pre-bound Handler with its payload in the A/B
 // slots; that is the only form a checkpoint can encode, since a
 // closure's captured state cannot be serialized.
@@ -15,17 +21,19 @@
 // Allocation discipline: the Queue owns a free list of Event structs.
 // ScheduleEvent draws from it, the Engine returns an event to it after
 // firing, Remove returns cancelled events to it, and Reset recycles a
-// whole run's pending events while keeping the heap's backing slice.
-// Steady-state event traffic therefore allocates nothing. The
-// ownership contract: an *Event handle is valid from scheduling until
-// its callback returns or Remove succeeds; after that the struct may
-// be recycled for an unrelated event and must not be touched. Under
-// -tags invariants freed events are poisoned so a stale handle fails
-// loudly instead of corrupting a live event.
+// whole run's pending events. The buckets link the events themselves,
+// so the queue owns no backing array. Steady-state event traffic
+// therefore allocates nothing. The ownership contract: an *Event
+// handle is valid from scheduling until its callback returns or
+// Remove succeeds; after that the struct may be recycled for an
+// unrelated event and must not be touched. Under -tags invariants
+// freed events are poisoned so a stale handle fails loudly instead of
+// corrupting a live event.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dreamsim/internal/invariant"
 )
@@ -74,9 +82,9 @@ type Handler func(ev *Event, now Time)
 // index >= 0 (queued) or -1 (not queued).
 const freedIndex = -2
 
-// poisonedAt is written into freed events under -tags invariants; any
-// heap comparison against a stale handle then trips the monotonicity
-// assertion instead of silently reordering live events.
+// poisonedAt is written into freed events under -tags invariants, so
+// a read through a stale handle sees an impossible time instead of a
+// plausible one.
 const poisonedAt Time = -1 << 62
 
 // FreedKind labels pooled events under -tags invariants.
@@ -88,27 +96,53 @@ const FreedKind = "sim:freed"
 // Handle must be set. A and B are opaque payload slots for it (store
 // pointers — pointer-shaped values in an interface do not allocate).
 type Event struct {
-	At   Time
+	At Time
+
+	// The fields a bucket walk reads sit next to At, so one cache line
+	// holds them all.
+	next, prev *Event // bucket list links while queued
+	index      int    // bucket number while queued; -1 not queued; -2 on the free list
+
 	Kind string // diagnostic label, e.g. "arrival", "completion"
 
 	Handle Handler
 	A, B   any
 
-	seq   uint64 // tie-breaker: insertion order
-	index int    // heap position; -1 not queued; -2 on the free list
+	seq uint64 // insertion order; snapshots and CheckInvariants read it
 }
 
-// Queue is a min-heap of future events ordered by (At, insertion
-// order). The zero value is ready to use.
+// bucket is one FIFO list of the radix heap.
+type bucket struct {
+	head, tail *Event
+}
+
+// Queue holds future events and pops them in (At, insertion order).
+// The zero value is ready to use.
+//
+// It is a radix heap over the order-preserving key uint64(At)^1<<63.
+// base lies at or below every pending time, and is the earliest one
+// once Pop or PeekTime settles. An event sits in bucket
+// bits.Len64(key(At)^key(base)), so bucket 0 holds exactly the events
+// at base and every event in bucket i is earlier than every event in
+// bucket i+1. The sign flips cancel in the XOR, which is why
+// bucketOf reads the raw bits. mask bit i-1 is set while bucket i
+// (i >= 1) is non-empty.
+//
+// Same-tick events keep insertion order without comparing seq: equal
+// times always share a bucket, and a bucket list is only appended to
+// or relinked in list order.
 type Queue struct {
-	events  []*Event
+	buckets [65]bucket
+	mask    uint64
+	base    Time
+	n       int
 	nextSeq uint64
 
 	// free holds recycled Event structs for reuse by ScheduleEvent.
 	free []*Event
 
 	// lastPopped backs the -tags invariants monotonicity assertion:
-	// a min-heap must never emit an event earlier than one it already
+	// the queue must never emit an event earlier than one it already
 	// emitted.
 	lastPopped Time
 }
@@ -116,7 +150,107 @@ type Queue struct {
 // Len reports the number of pending events.
 //
 //dreamsim:noalloc
-func (q *Queue) Len() int { return len(q.events) }
+func (q *Queue) Len() int { return q.n }
+
+// bucketOf returns the bucket an event at t belongs in for the current
+// base.
+func (q *Queue) bucketOf(t Time) int {
+	return bits.Len64(uint64(t ^ q.base))
+}
+
+// bit returns bucket i's mask bit. Bucket 0 has none: uint(i-1)
+// wraps, and a shift that wide yields 0.
+func bit(i int) uint64 { return 1 << uint(i-1) }
+
+// queued reports whether ev is linked into one of q's buckets. A
+// zero-value Event (index 0) is not, unless it heads bucket 0.
+func (q *Queue) queued(ev *Event) bool {
+	i := ev.index
+	return i >= 0 && (ev.prev != nil || q.buckets[i].head == ev)
+}
+
+// link appends ev to the tail of bucket i.
+func (q *Queue) link(ev *Event, i int) {
+	b := &q.buckets[i]
+	ev.index = i
+	ev.next = nil
+	ev.prev = b.tail
+	if b.tail == nil {
+		b.head = ev
+		q.mask |= bit(i)
+	} else {
+		b.tail.next = ev
+	}
+	b.tail = ev
+}
+
+// unlink takes queued ev out of its bucket in O(1).
+func (q *Queue) unlink(ev *Event) {
+	i := ev.index
+	b := &q.buckets[i]
+	if ev.prev == nil {
+		b.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if ev.next == nil {
+		b.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	if b.head == nil {
+		q.mask &^= bit(i)
+	}
+	ev.next, ev.prev = nil, nil
+	ev.index = -1
+	q.n--
+}
+
+// settle refills the empty bucket 0: base moves to the minimum time of
+// the lowest non-empty bucket, whose events are relinked, in list
+// order, into the buckets below it. Those are all empty, and every
+// higher bucket keeps its number under the new base. The caller
+// guarantees bucket 0 is empty and the queue is not.
+func (q *Queue) settle() {
+	i := bits.TrailingZeros64(q.mask) + 1
+	b := q.buckets[i]
+	q.buckets[i] = bucket{}
+	q.mask &^= bit(i)
+	lo := b.head.At
+	for ev := b.head.next; ev != nil; ev = ev.next {
+		lo = min(lo, ev.At)
+	}
+	q.base = lo
+	q.relink(b.head)
+}
+
+// relink files each event of a detached list, from ev on, into its
+// bucket for the current base, in list order.
+func (q *Queue) relink(ev *Event) {
+	for ev != nil {
+		next := ev.next
+		q.link(ev, q.bucketOf(ev.At))
+		ev = next
+	}
+}
+
+// rebase lowers base to t, below the current base, without
+// allocating. With j = bucketOf(t), the events of the buckets below j
+// all belong in bucket j under t, so those buckets merge into it in
+// order; higher buckets keep their events. Bucket j itself is empty:
+// its events would have to lie below the old base. Only a bare-Queue
+// misuse or an Engine OnTick hook that schedules after a settling
+// PeekTime pushes below base.
+func (q *Queue) rebase(t Time) {
+	j := q.bucketOf(t)
+	q.base = t
+	for i := 0; i < j; i++ {
+		ev := q.buckets[i].head
+		q.buckets[i] = bucket{}
+		q.relink(ev)
+	}
+	q.mask &^= bit(j) - 1
+}
 
 // alloc returns a zeroed Event from the free list, or a fresh one.
 func (q *Queue) alloc() *Event {
@@ -144,6 +278,7 @@ func (q *Queue) release(ev *Event) {
 	}
 	ev.Handle = nil
 	ev.A, ev.B = nil, nil
+	ev.next, ev.prev = nil, nil
 	if invariant.Enabled {
 		ev.At = poisonedAt
 		ev.Kind = FreedKind
@@ -158,7 +293,7 @@ func (q *Queue) release(ev *Event) {
 //
 //dreamsim:noalloc
 func (q *Queue) Release(ev *Event) {
-	if i := ev.index; i >= 0 && i < len(q.events) && q.events[i] == ev {
+	if q.queued(ev) {
 		panic("sim: releasing queued event")
 	}
 	q.release(ev)
@@ -175,14 +310,16 @@ func (q *Queue) Push(ev *Event) {
 	if ev.index == freedIndex {
 		panic("sim: pushing freed event")
 	}
-	if ev.index > 0 || (len(q.events) > 0 && ev.index == 0 && q.events[0] == ev) {
+	if q.queued(ev) {
 		panic("sim: event already queued")
 	}
 	ev.seq = q.nextSeq
 	q.nextSeq++
-	ev.index = len(q.events)
-	q.events = append(q.events, ev)
-	q.up(ev.index)
+	if ev.At < q.base {
+		q.rebase(ev.At)
+	}
+	q.link(ev, q.bucketOf(ev.At))
+	q.n++
 }
 
 // ScheduleEvent queues a Handler callback with its payload, drawing
@@ -204,10 +341,13 @@ func (q *Queue) ScheduleEvent(at Time, kind string, h Handler, a, b any) *Event 
 //
 //dreamsim:noalloc
 func (q *Queue) PeekTime() (t Time, ok bool) {
-	if len(q.events) == 0 {
-		return 0, false
+	if q.buckets[0].head == nil {
+		if q.mask == 0 {
+			return 0, false
+		}
+		q.settle()
 	}
-	return q.events[0].At, true
+	return q.base, true
 }
 
 // Pop removes and returns the earliest pending event (ties broken by
@@ -217,24 +357,20 @@ func (q *Queue) PeekTime() (t Time, ok bool) {
 //
 //dreamsim:noalloc
 func (q *Queue) Pop() *Event {
-	if len(q.events) == 0 {
-		return nil
+	if q.buckets[0].head == nil {
+		if q.mask == 0 {
+			return nil
+		}
+		q.settle()
 	}
-	ev := q.events[0]
+	ev := q.buckets[0].head
 	if invariant.Enabled {
 		invariant.Assertf(ev.At >= q.lastPopped,
 			"sim: event queue popped tick %d after tick %d — simulated time must be monotone",
 			ev.At, q.lastPopped)
 		q.lastPopped = ev.At
 	}
-	last := len(q.events) - 1
-	q.swap(0, last)
-	q.events[last] = nil
-	q.events = q.events[:last]
-	if last > 0 {
-		q.down(0)
-	}
-	ev.index = -1
+	q.unlink(ev)
 	return ev
 }
 
@@ -244,82 +380,73 @@ func (q *Queue) Pop() *Event {
 //
 //dreamsim:noalloc
 func (q *Queue) Remove(ev *Event) bool {
-	i := ev.index
-	if i < 0 || i >= len(q.events) || q.events[i] != ev {
+	if !q.queued(ev) {
 		return false
 	}
-	last := len(q.events) - 1
-	q.swap(i, last)
-	q.events[last] = nil
-	q.events = q.events[:last]
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
-	ev.index = -1
+	q.unlink(ev)
 	q.release(ev)
 	return true
 }
 
-// Reset discards all pending events, recycling them and keeping both
-// the heap's backing slice and the free list, so the next run reuses
-// the same memory. Sequence numbering restarts so FIFO-within-tick
-// ordering is reproduced exactly across runs.
+// Reset discards all pending events, recycling them and keeping the
+// free list, so the next run reuses the same memory. Sequence
+// numbering restarts so FIFO-within-tick ordering is reproduced
+// exactly across runs.
 //
 //dreamsim:noalloc
 func (q *Queue) Reset() {
-	for i, ev := range q.events {
-		q.events[i] = nil
-		ev.index = -1
-		q.release(ev)
+	for i := range q.buckets {
+		for ev := q.buckets[i].head; ev != nil; {
+			next := ev.next
+			q.release(ev)
+			ev = next
+		}
 	}
-	q.events = q.events[:0]
-	q.nextSeq = 0
-	q.lastPopped = 0
+	free := q.free
+	*q = Queue{free: free}
 }
 
-func (q *Queue) less(i, j int) bool {
-	a, b := q.events[i], q.events[j]
-	if a.At != b.At {
-		return a.At < b.At
+// CheckInvariants validates the radix heap: each queued event sits in
+// bucketOf(At) for the current base (so bucket 0 holds only events at
+// base), mask matches the non-empty buckets, every back link mirrors
+// a forward link, each index names its bucket, Len equals the linked
+// count, and equal-time events appear in ascending insertion order.
+// It walks every queued event and allocates; Debug runs call it.
+func (q *Queue) CheckInvariants() error {
+	n := 0
+	lastSeq := make(map[Time]uint64)
+	for i := range q.buckets {
+		b := &q.buckets[i]
+		if i > 0 && (b.head != nil) != (q.mask&bit(i) != 0) {
+			return fmt.Errorf("sim: event queue mask bit of bucket %d is stale", i)
+		}
+		var prev *Event
+		for ev := b.head; ev != nil; prev, ev = ev, ev.next {
+			if n++; n > q.n {
+				return fmt.Errorf("sim: event queue links more than its %d events", q.n)
+			}
+			if ev.prev != prev {
+				return fmt.Errorf("sim: event %q at %d has a broken back link in bucket %d", ev.Kind, ev.At, i)
+			}
+			if ev.index != i {
+				return fmt.Errorf("sim: event %q at %d in bucket %d has index %d", ev.Kind, ev.At, i, ev.index)
+			}
+			if ev.At < q.base || q.bucketOf(ev.At) != i {
+				return fmt.Errorf("sim: event %q at %d filed in bucket %d under base %d", ev.Kind, ev.At, i, q.base)
+			}
+			if s, ok := lastSeq[ev.At]; ok && ev.seq <= s {
+				return fmt.Errorf("sim: events at %d out of insertion order", ev.At)
+			}
+			lastSeq[ev.At] = ev.seq
+		}
+		if b.tail != prev {
+			return fmt.Errorf("sim: event queue bucket %d tail mismatch", i)
+		}
 	}
-	return a.seq < b.seq
-}
-
-func (q *Queue) swap(i, j int) {
-	q.events[i], q.events[j] = q.events[j], q.events[i]
-	q.events[i].index = i
-	q.events[j].index = j
-}
-
-func (q *Queue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
+	if n != q.n {
+		return fmt.Errorf("sim: event queue Len %d, linked %d", q.n, n)
 	}
-}
-
-func (q *Queue) down(i int) {
-	n := len(q.events)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		q.swap(i, smallest)
-		i = smallest
-	}
+	return nil
 }
 
 // Engine couples a Clock with a Queue and runs events in time order.
@@ -331,8 +458,9 @@ type Engine struct {
 	// invokes OnTick on every tick (the paper's literal loop). When
 	// false the clock jumps directly to the next event time.
 	TickStep bool
-	// OnTick, if set, runs once per timetick in TickStep mode after
-	// the tick's events have fired.
+	// OnTick, if set, runs once per timetick in TickStep mode, before
+	// that tick's events fire. Events it schedules at or after the
+	// current tick fire in time order.
 	OnTick func(now Time)
 
 	processed uint64
@@ -342,8 +470,8 @@ type Engine struct {
 func (e *Engine) Now() Time { return e.Clock.Now() }
 
 // Reset rewinds the engine to its initial state — clock at tick 0, no
-// pending events, no tick hook — while keeping the queue's backing
-// slice and event pool for reuse by the next run.
+// pending events, no tick hook — while keeping the queue's event pool
+// for reuse by the next run.
 func (e *Engine) Reset() {
 	e.Queue.Reset()
 	e.Clock = Clock{}
@@ -433,20 +561,24 @@ func (e *Engine) runTicked(stop func() bool) Time {
 		if !ok {
 			return e.Clock.Now()
 		}
-		// Walk tick-by-tick up to the next event time.
+		// Walk tick-by-tick up to the next event time. The hook may
+		// schedule an earlier event, so peek again after each call.
 		for e.Clock.Now() < next {
 			e.Clock.IncreaseTimeTick()
 			if e.OnTick != nil {
 				//lint:allocfree dynamic dispatch: the tick hook is user-supplied; tick-step mode is the paper-faithful ablation, not the gated hot path
 				e.OnTick(e.Clock.Now())
+				if next, ok = e.Queue.PeekTime(); !ok {
+					return e.Clock.Now()
+				}
 			}
 		}
 		for {
 			t, ok := e.Queue.PeekTime()
-			if !ok || t != e.Clock.Now() {
+			if !ok || t > e.Clock.Now() {
 				break
 			}
-			e.fire(e.Queue.Pop())
+			e.Step()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -172,6 +173,31 @@ func TestEngineTickStepOnTick(t *testing.T) {
 	e.Run(nil)
 	if ticks != 25 {
 		t.Fatalf("OnTick fired %d times, want 25", ticks)
+	}
+}
+
+// TestEngineTickStepHookSchedulesEarlier: an OnTick hook that
+// schedules before the next pending event must see its events fire on
+// time, in time order, before the later one. The stop predicate bounds
+// the run, so a loop that never reaches them fails instead of hanging.
+// Scheduling below the settled next time is also the Engine's only
+// path to the queue's rebase.
+func TestEngineTickStepHookSchedulesEarlier(t *testing.T) {
+	var e Engine
+	e.TickStep = true
+	var fired []Time
+	record := func(_ *Event, now Time) { fired = append(fired, now) }
+	e.OnTick = func(now Time) {
+		if now == 3 {
+			e.ScheduleEventAfter(2, "soon", record, nil, nil)
+			e.ScheduleEventAt(now, "now", record, nil, nil)
+		}
+	}
+	e.ScheduleEventAt(10, "late", record, nil, nil)
+	polls := 0
+	end := e.Run(func() bool { polls++; return polls > 100 })
+	if want := []Time{3, 5, 10}; !slices.Equal(fired, want) || end != 10 {
+		t.Fatalf("fired %v ending at %d, want %v ending at 10", fired, end, want)
 	}
 }
 

@@ -6,18 +6,23 @@ import (
 )
 
 // This file is the sim package's contribution to the checkpoint
-// subsystem. A snapshot never serializes the heap layout — only the
+// subsystem. A snapshot never serializes the bucket layout — only the
 // pending events in their total firing order (At, insertion order).
 // Restoring re-Pushes events in exactly that order, which reproduces
 // the relative sequence numbering and therefore the identical pop
-// order, regardless of how the original heap array happened to be
-// arranged.
+// order, regardless of which buckets the original queue had filed
+// them in.
 
 // Pending returns the queued events sorted by firing order — (At,
 // seq) ascending. The returned slice is freshly allocated; the events
 // themselves are the live queued structs and must not be mutated.
 func (q *Queue) Pending() []*Event {
-	out := slices.Clone(q.events)
+	out := make([]*Event, 0, q.n)
+	for i := range q.buckets {
+		for ev := q.buckets[i].head; ev != nil; ev = ev.next {
+			out = append(out, ev)
+		}
+	}
 	slices.SortFunc(out, func(a, b *Event) int {
 		if a.At != b.At {
 			return cmp.Compare(a.At, b.At)
