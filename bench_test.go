@@ -278,28 +278,6 @@ func BenchmarkAblationDefrag(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationClock compares the event-jumping clock against the
-// paper-literal tick-by-tick loop (identical results, different wall
-// time).
-func BenchmarkAblationClock(b *testing.B) {
-	for _, clock := range []struct {
-		name string
-		tick bool
-	}{{"event-jump", false}, {"tick-step", true}} {
-		b.Run(clock.name, func(b *testing.B) {
-			p := dreamsim.DefaultParams()
-			p.Nodes = 100
-			p.Tasks = 500 // tick-step walks every timetick; keep it modest
-			p.TickStep = clock.tick
-			for i := 0; i < b.N; i++ {
-				if _, err := dreamsim.Run(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Sweep engine ---
 
 // sweepGrid is the matrix the sweep benchmarks time: 3×3 cells, two

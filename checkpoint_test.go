@@ -35,10 +35,10 @@ end
 `
 
 // checkpointCase derives one randomized parameter set covering the
-// checkpointable surface: both reconfiguration methods, streamed and
-// materialized memory disciplines, every placement policy (random-fit
-// exercises the policy RNG stream), fault streams and scripts,
-// multi-class scenarios, plain and windowed monitoring.
+// checkpointable surface: both reconfiguration methods, every
+// placement policy (random-fit exercises the policy RNG stream), fault
+// streams and scripts, multi-class scenarios, plain and windowed
+// monitoring.
 func checkpointCase(i int, rnd *rand.Rand) Params {
 	p := DefaultParams()
 	p.Seed = uint64(1000 + i)
@@ -46,14 +46,10 @@ func checkpointCase(i int, rnd *rand.Rand) Params {
 	p.Configs = 10 + rnd.Intn(20)
 	p.Tasks = 100 + rnd.Intn(300)
 	p.PartialReconfig = rnd.Intn(2) == 0
-	p.Stream = rnd.Intn(2) == 0
 	p.Placement = []string{"best-fit", "first-fit", "worst-fit", "random-fit"}[rnd.Intn(4)]
 	p.LoadBalance = rnd.Intn(2) == 0
 	if rnd.Intn(3) == 0 {
 		p.MaxSusRetries = int64(1 + rnd.Intn(5))
-	}
-	if rnd.Intn(4) == 0 {
-		p.TickStep = true
 	}
 	if rnd.Intn(3) == 0 {
 		p.NetworkDelayRange = [2]int64{1, 20}

@@ -36,7 +36,6 @@ func main() {
 		netHigh     = flag.Int64("net-high", 0, "maximum node network delay")
 		bsBW        = flag.Int64("bitstream-bw", 0, "bitstream transfer bandwidth, bytes/tick (0 = off)")
 		dataBW      = flag.Int64("data-bw", 0, "task data transfer bandwidth, bytes/tick (0 = off)")
-		tickStep    = flag.Bool("tick-step", false, "paper-literal tick-by-tick clock")
 		xmlOut      = flag.String("xml", "", "write the XML simulation report to this file")
 		tracePath   = flag.String("trace", "", "read the task stream from this trace file")
 		scenario    = flag.String("scenario", "", "read a workload scenario (dreamsim-scenario v1) from this file")
@@ -44,8 +43,7 @@ func main() {
 		timeline    = flag.Bool("timeline", false, "print utilization/queue sparklines over the run")
 		replicate   = flag.Int("replicate", 0, "replicate the run over N seeds and print metric statistics")
 		parallel    = flag.Int("parallel", dreamsim.DefaultParallelism(), "workers for -compare/-replicate fan-out (1 = sequential)")
-		stream      = flag.Bool("stream", false, "bounded-memory streaming engine: recycle finished tasks, window the monitor series (identical results)")
-		window      = flag.Int("window", 0, "monitoring samples per rolling aggregation window (0 = default on streamed runs; implies sampling)")
+		window      = flag.Int("window", 0, "monitoring samples per rolling aggregation window (0 = full series, or the default window with -timeline-out; implies sampling)")
 		timelineOut = flag.String("timeline-out", "", "stream rolling-window timeline rows to this CSV file as the run progresses")
 
 		faultCrashRate  = flag.Float64("fault-crash-rate", 0, "mean random node crashes per timetick (0 = off)")
@@ -73,7 +71,6 @@ func main() {
 	p.NetworkDelayRange = [2]int64{*netLow, *netHigh}
 	p.BitstreamBandwidth = *bsBW
 	p.DataBandwidth = *dataBW
-	p.TickStep = *tickStep
 	p.Parallelism = *parallel
 	p.FaultCrashRate = *faultCrashRate
 	p.FaultMeanDowntime = *faultDowntime
@@ -82,7 +79,6 @@ func main() {
 	p.FaultRetryBudget = *faultRetries
 	p.FaultBackoffBase = *faultBackoff
 	p.FaultBackoffCap = *faultBackoffCap
-	p.Stream = *stream
 	p.WindowSamples = *window
 	p.TimelinePath = *timelineOut
 	if *timeline || *window > 0 || *timelineOut != "" {

@@ -34,8 +34,6 @@ func main() {
 		jsonOut    = flag.String("json", "", "save the full sweep matrix as JSON ('all' mode only)")
 		printParms = flag.Bool("print-params", false, "print the Table II simulation parameters and exit")
 		parallel   = flag.Int("parallel", dreamsim.DefaultParallelism(), "concurrent sweep workers (1 = sequential; results identical either way)")
-		stream     = flag.Bool("stream", false, "bounded-memory streaming engine in every cell (identical results; heap stops scaling with task count)")
-		window     = flag.Int("window", 0, "monitoring samples per rolling aggregation window when cells sample (0 = streamed default)")
 		scenario   = flag.String("scenario", "", "apply this workload scenario file to every sweep cell")
 		scenarios  = flag.String("scenarios", "", "comma-separated scenario files: sweep both reconfiguration methods over each (scenario-set mode)")
 
@@ -84,8 +82,6 @@ func main() {
 	base := dreamsim.DefaultParams()
 	base.Seed = *seed
 	base.Parallelism = *parallel
-	base.Stream = *stream
-	base.WindowSamples = *window
 	base.FaultCrashRate = *faultCrashRate
 	base.FaultMeanDowntime = *faultDowntime
 	base.FaultReconfigRate = *faultReconfRate

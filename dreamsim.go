@@ -107,9 +107,6 @@ type Params struct {
 	// every task's communication delay.
 	DataBandwidth int64
 
-	// TickStep forces the paper-literal tick-by-tick clock.
-	TickStep bool
-
 	// FaultCrashRate, when positive, injects random node crashes as a
 	// Poisson process with this mean rate per timetick. Crashed nodes
 	// drop their resident configurations, displace their running tasks
@@ -151,22 +148,16 @@ type Params struct {
 	// Result.Timeline/TimelineText.
 	SampleEvery int
 
-	// Stream enables the bounded-memory streaming engine: tasks are
-	// drawn lazily from the generator (they always are) AND released
-	// back to its free list the moment their lifecycle ends, so one
-	// run's heap is O(nodes + live tasks + window) instead of growing
-	// with the task count. Reports, metering and RNG streams are
-	// byte-identical to a non-streamed run at every scale. With
-	// SampleEvery also set, monitoring switches to the rolling-window
-	// aggregator (WindowSamples windows) so the time series stays
-	// bounded too.
+	// Deprecated: Stream is ignored; every run releases finished tasks
+	// to its task source's free list, so its heap follows the live
+	// tasks, not the task count.
 	Stream bool
 	// WindowSamples selects the rolling-window aggregation of
 	// monitoring samples: every WindowSamples-th sample closes a
 	// window, reduced to min/max/mean/p99 per metric
 	// (Result.Windows, and TimelinePath when set). 0 keeps the full
-	// series on plain runs and defaults to DefaultWindowSamples on
-	// streamed or timeline-writing runs.
+	// series, unless TimelinePath is set: then it defaults to
+	// DefaultWindowSamples.
 	WindowSamples int
 	// TimelinePath, when non-empty (and SampleEvery > 0), streams the
 	// closed window rows to this file as CSV while the run progresses
@@ -297,8 +288,6 @@ func (p Params) coreParams() (core.Params, error) {
 			BitstreamBandwidth: p.BitstreamBandwidth,
 			DataBandwidth:      p.DataBandwidth,
 		},
-		TickStep:        p.TickStep,
-		Stream:          p.Stream,
 		MaxSusRetries:   p.MaxSusRetries,
 		DefragThreshold: p.DefragThreshold,
 	}
@@ -437,8 +426,8 @@ type TimelineWindow struct {
 }
 
 // DefaultWindowSamples is the windowed-monitoring default: samples
-// per aggregation window on streamed or timeline-writing runs that
-// leave Params.WindowSamples zero.
+// per aggregation window on timeline-writing runs that leave
+// Params.WindowSamples zero.
 const DefaultWindowSamples = 4096
 
 // TimelineText renders the recorded utilisation/queue sparklines;
@@ -504,7 +493,7 @@ func buildRecorder(p Params, cp *core.Params) (rec *monitor.Recorder, timelineFi
 		return nil, nil, nil
 	}
 	window := p.WindowSamples
-	if window == 0 && (p.Stream || p.TimelinePath != "") {
+	if window == 0 && p.TimelinePath != "" {
 		window = DefaultWindowSamples
 	}
 	switch {

@@ -49,7 +49,7 @@ func tickCycle(tb testing.TB, s *Simulator, task *model.Task) {
 	task.CommDelay, task.ConfigDelay = 0, 0
 	task.SusRetry, task.Retries = 0, 0
 	s.handleArrival(task, now)
-	s.eng.Run(func() bool { return s.err != nil })
+	s.RunUntil(nil)
 	if s.err != nil {
 		tb.Fatal(s.err)
 	}

@@ -56,19 +56,9 @@ type Params struct {
 	// layer folds the scenario's tasks/interval lines into an unset
 	// Spec via ApplyDefaults). Ignored when Source is set.
 	Scenario *workload.Scenario
-	// Stream enables the bounded-memory streaming discipline: every
-	// task whose lifecycle has terminally ended (completed, discarded
-	// or lost) is released back to the source's free list (when the
-	// source implements workload.Recycler), so peak heap is
-	// O(nodes + live tasks + window), independent of the total task
-	// count. Results, metering and RNG streams are byte-identical to a
-	// non-streamed run — recycling touches only allocation behaviour.
-	// Ignored when OnEvent is set: an observer may legitimately retain
-	// task pointers past the callback, which recycling would corrupt.
+	// Deprecated: Stream is ignored; every run releases its terminal
+	// tasks to a source that implements workload.Recycler.
 	Stream bool
-	// TickStep forces the paper-literal tick-by-tick clock instead of
-	// event jumping. Results are identical; wall time is not.
-	TickStep bool
 	// Deprecated: IntraParallel is ignored; every run is sequential.
 	IntraParallel int
 	// Debug validates all structural invariants after every event;
@@ -101,7 +91,10 @@ type Params struct {
 	Retry fault.RetryPolicy
 	// OnEvent, when set, observes the task lifecycle ("arrival",
 	// "place", "suspend", "discard", "complete"; faulty runs add
-	// "retry", "lost" and "reconfig-fault").
+	// "retry", "lost" and "reconfig-fault"). The *Task is valid only
+	// during the call: once a task is completed, discarded or lost,
+	// its struct goes back to the source's free list and a later
+	// arrival reuses it.
 	OnEvent func(kind string, now int64, task *model.Task)
 	// Recorder, when set, samples system state (the monitoring
 	// module's time series) at every placement and completion.
@@ -150,7 +143,7 @@ type Simulator struct {
 	mgr     *resinfo.Manager
 	policy  sched.Policy
 	source  workload.TaskSource
-	recycle workload.Recycler // non-nil only in streaming mode (Params.Stream)
+	recycle workload.Recycler // the source's free list; nil when it has none
 	sus     *reslists.SusQueue
 	c       *metrics.Counters
 	// policyRNG is the RandomFit placement stream when the core built
@@ -278,12 +271,10 @@ func New(params Params) (*Simulator, error) {
 		sus:       &ctx.sus,
 		c:         counters,
 	}
-	if params.Stream && params.OnEvent == nil {
-		// Streaming discipline: terminal tasks go back to the source's
-		// free list. Sources without a free list (SliceSource) simply
-		// keep the non-recycled behaviour.
-		s.recycle, _ = source.(workload.Recycler)
-	}
+	// Terminal tasks go back to the source's free list, so peak heap
+	// follows the live tasks, not the task count. Sources without a
+	// free list (SliceSource) keep every task.
+	s.recycle, _ = source.(workload.Recycler)
 	if cs, ok := source.(workload.ClassedSource); ok {
 		// Per-class accounting exists only on genuinely multi-class
 		// runs; single-class sources keep the legacy result shape.
@@ -309,7 +300,6 @@ func New(params Params) (*Simulator, error) {
 			}
 		}
 	}
-	s.eng.TickStep = params.TickStep
 	if plan.Enabled() {
 		// The fault RNG is split only on faulty runs, after every other
 		// stream, so fault-free runs draw exactly the same sequences as
@@ -387,13 +377,13 @@ func (s *Simulator) Snapshot() monitor.Snapshot {
 	return monitor.Take(s.mgr, s.eng.Now())
 }
 
-// Run executes the simulation to completion and assembles the result.
-// A Simulator runs once.
+// Run executes the simulation to completion and assembles the result:
+// Start, RunUntil(nil) and Finish. A Simulator runs once.
 func (s *Simulator) Run() (*Result, error) {
 	if err := s.Start(); err != nil {
 		return nil, err
 	}
-	s.eng.Run(func() bool { return s.err != nil })
+	s.RunUntil(nil)
 	return s.Finish()
 }
 
@@ -420,10 +410,10 @@ func (s *Simulator) Start() error {
 // fired and the next pending event lies strictly later — exactly the
 // state EncodeSnapshot accepts. pause sees the current clock and the
 // number of events processed so far; a nil pause never stops early.
+// This is the run's one event loop: Run and every checkpointed run
+// drive it.
 //
-// The loop steps event-by-event even when TickStep is set: per the
-// sim package contract the two walks produce identical results, and a
-// restored run re-fires from the same boundary either way.
+//dreamsim:noalloc
 func (s *Simulator) RunUntil(pause func(now int64, processed uint64) bool) bool {
 	for {
 		if s.err != nil {
@@ -500,7 +490,7 @@ func (s *Simulator) classAccOf(task *model.Task) *metrics.ClassCounters {
 // scheduleNextArrival pulls the next task from the source and queues
 // its arrival event.
 func (s *Simulator) scheduleNextArrival() {
-	//lint:allocfree interface dispatch: a source's Next is its own allocation contract; the streaming generator recycles task structs and TestTickZeroAlloc gates the closed loop
+	//lint:allocfree interface dispatch: a source's Next is its own allocation contract; the pooled generator recycles task structs and TestTickZeroAlloc gates the closed loop
 	task, ok := s.source.Next()
 	if !ok {
 		s.arrDone = true
@@ -697,8 +687,8 @@ func (s *Simulator) discard(task *model.Task, now int64) {
 }
 
 // release returns a terminally-finished task to the source's free
-// list in streaming mode. Nothing in the simulator may touch the
-// pointer afterwards: the next arrival reuses the struct.
+// list. Nothing in the simulator may touch the pointer afterwards: the
+// next arrival reuses the struct.
 func (s *Simulator) release(task *model.Task) {
 	if s.recycle != nil {
 		//lint:allocfree interface dispatch: Release returns the struct to the source's free list; it allocates nothing by contract

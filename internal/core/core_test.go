@@ -175,16 +175,6 @@ func TestPaperNodeCountEffects(t *testing.T) {
 	}
 }
 
-func TestTickStepEquivalence(t *testing.T) {
-	base := smallParams(20, 200, true)
-	jump := mustRun(t, base)
-	base.TickStep = true
-	tick := mustRun(t, base)
-	if jump.Report != tick.Report {
-		t.Fatalf("tick-step and event-jump reports differ:\n%+v\n%+v", jump.Report, tick.Report)
-	}
-}
-
 func TestTraceSourceRun(t *testing.T) {
 	// Generate a task stream, write it to a trace, and run a
 	// simulation from the trace; the result must match a synthetic

@@ -116,9 +116,6 @@ type goldenCase struct {
 	// atPause, when set, asserts what the paused run looks like before
 	// the snapshot is taken.
 	atPause func(t *testing.T, s *Simulator)
-	// unwatched runs without the lifecycle witness: an observer turns
-	// streaming off, so a streamed case must go unobserved.
-	unwatched bool
 	// reached asserts that the run exercised the path the case exists
 	// to pin.
 	reached func(t *testing.T, w *walkWitness, res *Result)
@@ -272,8 +269,8 @@ var goldenCases = []goldenCase{
 		},
 	},
 	{
-		// A streamed two-class scenario with a crash storm and a random
-		// crash stream: tasks displaced by crashes are re-dispatched and
+		// A two-class scenario with a crash storm and a random crash
+		// stream: tasks displaced by crashes are re-dispatched and
 		// queued behind later arrivals, and released tasks' structs are
 		// recycled while the snapshot's registry is live.
 		name: "streamed-scenario-crashes",
@@ -286,15 +283,13 @@ var goldenCases = []goldenCase{
 			p := smallParams(30, 3000, true)
 			p.Seed = 5
 			p.Scenario = scn
-			p.Stream = true
 			p.Faults = fault.Plan{CrashRate: 0.0005, MeanDowntime: 300}
 			return p
 		},
-		unwatched: true,
-		snapAt:    2000,
+		snapAt: 2000,
 		atPause: func(t *testing.T, s *Simulator) {
 			if s.recycle == nil || len(s.classAcc) < 2 || s.c.NodeCrashes == 0 {
-				t.Fatalf("not a streamed multi-class run with crashes (recycling %v, %d classes, %d crashes)",
+				t.Fatalf("not a recycling multi-class run with crashes (recycling %v, %d classes, %d crashes)",
 					s.recycle != nil, len(s.classAcc), s.c.NodeCrashes)
 			}
 			queueOutOfOrder(t, s)
@@ -396,9 +391,7 @@ func runGoldenCase(t *testing.T, gc goldenCase) (walkGolden, *walkWitness) {
 	t.Helper()
 	w := newWalkWitness()
 	p := gc.params(w)
-	if !gc.unwatched {
-		p.OnEvent = w.observe
-	}
+	p.OnEvent = w.observe
 	s, err := New(p)
 	if err != nil {
 		t.Fatal(err)

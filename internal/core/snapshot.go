@@ -108,7 +108,7 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 	// a differently-shaped run before any state is overwritten.
 	w.U64(s.params.Seed)
 	w.Bool(s.params.Partial)
-	w.Bool(s.params.Stream)
+	w.Bool(true) // every run recycles; restore ignores the byte
 	w.Int(len(s.mgr.Nodes()))
 	w.Int(len(s.mgr.Configs()))
 	w.Str(s.policy.Name())
@@ -492,7 +492,7 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 	// Fingerprint.
 	seed := r.U64()
 	partial := r.Bool()
-	stream := r.Bool()
+	r.Bool() // the recycling flag: either value restores
 	nodes := r.Int()
 	configs := r.Int()
 	policyName := r.Str()
@@ -502,7 +502,7 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if seed != s.params.Seed || partial != s.params.Partial || stream != s.params.Stream ||
+	if seed != s.params.Seed || partial != s.params.Partial ||
 		nodes != len(s.mgr.Nodes()) || configs != len(s.mgr.Configs()) ||
 		policyName != s.policy.Name() || faultsOn != s.faultsOn || depsOn != s.depsOn ||
 		classes != len(s.classAcc) {

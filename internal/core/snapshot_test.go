@@ -207,6 +207,49 @@ func TestSnapshotRejectsVersionSkew(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoresEitherStreamByte: the fingerprint's third field
+// once recorded whether the run recycled its tasks, so checkpoints from
+// older builds carry 0 or 1 there. Both must restore and finish
+// deep-equal to the uninterrupted run.
+func TestSnapshotRestoresEitherStreamByte(t *testing.T) {
+	p := smallParams(20, 400, true)
+	ref := mustRun(t, p)
+	snap, ok := pauseAndSnapshot(t, p, 300)
+	if !ok {
+		t.Fatal("run too short")
+	}
+	payload, version, err := snapshot.Open(snap, SnapshotKind, SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := snapshot.NewReader(payload)
+	r.U64()  // seed
+	r.Bool() // partial
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	at := len(payload) - r.Remaining()
+	if payload[at] > 1 {
+		t.Fatalf("fingerprint byte %d is %d, not a bool", at, payload[at])
+	}
+	for _, stream := range []byte{0, 1} {
+		old := bytes.Clone(payload)
+		old[at] = stream
+		s, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, version, old))
+		if err != nil {
+			t.Fatalf("stream byte %d: %v", stream, err)
+		}
+		s.RunUntil(nil)
+		got, err := s.Finish()
+		if err != nil {
+			t.Fatalf("stream byte %d: %v", stream, err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("stream byte %d: restored run diverged\nref: %+v\ngot: %+v", stream, ref, got)
+		}
+	}
+}
+
 // TestEncodeSnapshotRejectsBadStates pins the precondition errors.
 func TestEncodeSnapshotRejectsBadStates(t *testing.T) {
 	p := smallParams(10, 50, true)

@@ -11,7 +11,7 @@ import (
 )
 
 // materialize drains the exact task stream a run of p would consume
-// into a SliceSource, giving the non-streamed reference input. The
+// into a SliceSource, giving the non-recycled reference input. The
 // drain uses its own Simulator, so the returned source is independent
 // of any run made with it.
 func materialize(t *testing.T, p Params) workload.TaskSource {
@@ -27,42 +27,39 @@ func materialize(t *testing.T, p Params) workload.TaskSource {
 	return src
 }
 
-// TestStreamEquivalence is the determinism contract of the streaming
-// engine: with identical seeds, a streamed run (tasks recycled through
-// the generator's free list as they terminate) and a fully
-// materialized run (the whole workload drained up front into a
-// SliceSource) must produce byte-identical XML reports and deeply
-// equal Results — metrics, raw meter counters, phase census, final
-// snapshot. The RNG streams are covered transitively: any divergence
-// in draw order would shift workload or placement and break the
-// comparison.
+// TestStreamEquivalence is the determinism contract of task recycling:
+// with identical seeds, a run over the pooled generator (each task
+// struct released to its free list as the task terminates) and a run
+// over the same tasks replayed from a SliceSource (the whole workload
+// drained up front, nothing recycled) must produce byte-identical XML
+// reports and deeply equal Results — metrics, raw meter counters,
+// phase census, final snapshot. The RNG streams are covered
+// transitively: any divergence in draw order would shift workload or
+// placement and break the comparison.
 func TestStreamEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xDEADBEEF} {
 		for _, partial := range []bool{false, true} {
 			p := smallParams(40, 600, partial)
 			p.Seed = seed
-
-			streamed := p
-			streamed.Stream = true
-			sres := mustRun(t, streamed)
+			pres := mustRun(t, p)
 
 			mat := p
 			mat.Source = materialize(t, p)
 			mres := mustRun(t, mat)
 
-			if !reflect.DeepEqual(sres, mres) {
-				t.Errorf("seed=%d partial=%v: streamed and materialized results diverged\nstreamed     %+v\nmaterialized %+v",
-					seed, partial, sres, mres)
+			if !reflect.DeepEqual(pres, mres) {
+				t.Errorf("seed=%d partial=%v: pooled and replayed results diverged\npooled   %+v\nreplayed %+v",
+					seed, partial, pres, mres)
 			}
 
-			var sx, mx bytes.Buffer
-			if err := report.WriteXML(&sx, sres.XML(p)); err != nil {
+			var px, mx bytes.Buffer
+			if err := report.WriteXML(&px, pres.XML(p)); err != nil {
 				t.Fatal(err)
 			}
 			if err := report.WriteXML(&mx, mres.XML(p)); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(sx.Bytes(), mx.Bytes()) {
+			if !bytes.Equal(px.Bytes(), mx.Bytes()) {
 				t.Errorf("seed=%d partial=%v: XML reports not byte-identical", seed, partial)
 			}
 		}
@@ -70,12 +67,11 @@ func TestStreamEquivalence(t *testing.T) {
 }
 
 // TestStreamRecyclesThroughGenerator proves the free list is actually
-// exercised: on a streamed overloaded run (suspensions force terminal
+// exercised: on an overloaded run (suspensions force terminal
 // completions to interleave with pending arrivals) the generator must
 // hand out recycled task structs instead of allocating every one.
 func TestStreamRecyclesThroughGenerator(t *testing.T) {
 	p := smallParams(10, 400, true)
-	p.Stream = true
 	s, err := New(p)
 	if err != nil {
 		t.Fatal(err)
@@ -88,26 +84,45 @@ func TestStreamRecyclesThroughGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gen.Recycled() == 0 {
-		t.Fatal("streamed run never reused a released task")
+		t.Fatal("run never reused a released task")
 	}
 }
 
-// TestStreamIgnoredWithObserver pins the safety gate: an OnEvent
-// observer may retain task pointers, so Stream must not recycle under
-// it — and results still match the plain run.
-func TestStreamIgnoredWithObserver(t *testing.T) {
-	p := smallParams(20, 300, true)
-	plain := mustRun(t, p)
+// TestObserverRunRecycles: an OnEvent observer sees a task only during
+// its callback, so a run with one recycles like any other. Each task
+// number must reach exactly one terminal event, and the result must
+// deep-equal the same tasks replayed from a SliceSource.
+func TestObserverRunRecycles(t *testing.T) {
+	p := smallParams(10, 400, true)
+	ref := p
+	ref.Source = materialize(t, p)
+	want := mustRun(t, ref)
 
-	observed := p
-	observed.Stream = true
-	events := 0
-	observed.OnEvent = func(kind string, now int64, task *model.Task) { events++ }
-	ores := mustRun(t, observed)
-	if events == 0 {
-		t.Fatal("observer never fired")
+	terminal := make([]int, p.Spec.Tasks)
+	p.OnEvent = func(kind string, _ int64, task *model.Task) {
+		switch kind {
+		case "complete", "discard", "lost":
+			terminal[task.No]++
+		}
 	}
-	if !reflect.DeepEqual(plain, ores) {
-		t.Error("streamed run under an observer diverged from the plain run")
+	s, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Source().(*workload.Generator)
+	got, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.Recycled() == 0 {
+		t.Fatal("observed run never reused a released task")
+	}
+	for no, n := range terminal {
+		if n != 1 {
+			t.Fatalf("task %d reached %d terminal events, want 1", no, n)
+		}
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("observed run diverged from the replayed run\nreplayed %+v\nobserved %+v", want, got)
 	}
 }

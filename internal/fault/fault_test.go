@@ -234,7 +234,8 @@ func TestInjectorScriptedSequence(t *testing.T) {
 	if in.PendingRecoveries() != 1 {
 		t.Fatalf("pending recoveries before run = %d, want 1", in.PendingRecoveries())
 	}
-	eng.Run(func() bool { return false })
+	for eng.Step() {
+	}
 	want := "crash:1@10,cfail@20,recover:1@30"
 	if got := strings.Join(st.log, ","); got != want {
 		t.Fatalf("event log = %q, want %q", got, want)
@@ -256,7 +257,8 @@ func TestInjectorRandomCrashStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Start()
-	eng.Run(func() bool { return false })
+	for eng.Step() {
+	}
 	var crashes, recovers int
 	for _, e := range st.log {
 		if strings.HasPrefix(e, "crash:") {
@@ -292,7 +294,8 @@ func TestInjectorRandomStreamsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Start()
-		eng.Run(func() bool { return false })
+		for eng.Step() {
+		}
 		return strings.Join(st.log, ",")
 	}
 	a, b := run(), run()
@@ -315,7 +318,8 @@ func TestInjectorAllNodesDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Start()
-	eng.Run(func() bool { return false })
+	for eng.Step() {
+	}
 	var crashes int
 	for _, e := range st.log {
 		if strings.HasPrefix(e, "crash:") {

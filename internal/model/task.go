@@ -81,7 +81,7 @@ func NewTask(no int, neededArea Area, prefConfig int, requiredTime, createTime i
 // Init (re)initialises t exactly as NewTask would a fresh struct,
 // clearing every bookkeeping field from a previous life. It is the
 // reuse path of the task free lists (workload.Recycler): pooled
-// sources hand recycled structs through Init so a streamed run's
+// sources hand recycled structs through Init so a run's recycled
 // tasks are indistinguishable from freshly allocated ones.
 func (t *Task) Init(no int, neededArea Area, prefConfig int, requiredTime, createTime int64) *Task {
 	*t = Task{

@@ -146,7 +146,7 @@ func TestEngineKeepsRequeuedEvents(t *testing.T) {
 			e.Queue.Push(self)
 		}
 	}, nil, nil)
-	e.Run(nil)
+	drain(&e)
 	if fired != 3 {
 		t.Fatalf("periodic event fired %d times, want 3", fired)
 	}
@@ -157,25 +157,24 @@ func TestEngineKeepsRequeuedEvents(t *testing.T) {
 	}
 }
 
-// TestEngineResetRestoresInitialState: Reset rewinds clock, queue,
-// hooks and counters so one engine serves many runs.
+// TestEngineResetRestoresInitialState: Reset rewinds clock, queue and
+// counters so one engine serves many runs.
 func TestEngineResetRestoresInitialState(t *testing.T) {
 	var e Engine
-	e.TickStep = true
-	ticks := 0
-	e.OnTick = func(Time) { ticks++ }
 	e.ScheduleEventAt(3, "a", nop, nil, nil)
 	e.ScheduleEventAt(5, "b", nop, nil, nil)
-	e.Run(nil)
-	if e.Now() != 5 || e.Processed() != 2 || ticks != 5 {
-		t.Fatalf("pre-reset run wrong: now=%d processed=%d ticks=%d", e.Now(), e.Processed(), ticks)
+	e.ScheduleEventAt(9, "pending", nop, nil, nil)
+	for e.Now() < 5 && e.Step() {
+	}
+	if e.Now() != 5 || e.Processed() != 2 || e.Queue.Len() != 1 {
+		t.Fatalf("pre-reset run wrong: now=%d processed=%d pending=%d", e.Now(), e.Processed(), e.Queue.Len())
 	}
 	e.Reset()
-	if e.Now() != 0 || e.Processed() != 0 || e.Queue.Len() != 0 || e.TickStep || e.OnTick != nil {
+	if e.Now() != 0 || e.Processed() != 0 || e.Queue.Len() != 0 {
 		t.Fatal("Reset left engine state behind")
 	}
 	e.ScheduleEventAt(2, "c", nop, nil, nil)
-	if got := e.Run(nil); got != 2 || e.Processed() != 1 {
+	if got := drain(&e); got != 2 || e.Processed() != 1 {
 		t.Fatalf("post-reset run wrong: end=%d processed=%d", got, e.Processed())
 	}
 }

@@ -2,11 +2,9 @@
 // DReAMSim: the timetick clock (paper §IV-C, IncreaseTimeTick /
 // DecreaseTimeTick, Eq. 5) and a deterministic future-event queue.
 //
-// The paper advances time in unit "timeticks". A literal
-// tick-by-tick loop and an event-jumping loop produce identical
-// simulated results; the engine supports both (the core simulator
-// jumps to the next scheduled event by default and can be forced to
-// step tick-by-tick for the paper-faithful ablation).
+// The paper advances time in unit "timeticks". The Engine jumps from
+// one pending event's tick to the next, which fires the same events at
+// the same ticks as the paper's literal tick-by-tick loop.
 //
 // Because every event time is an integer tick and the engine pops
 // them in non-decreasing order, the queue is a radix heap (Ahuja,
@@ -51,7 +49,8 @@ type Clock struct {
 func (c *Clock) Now() Time { return c.now }
 
 // IncreaseTimeTick advances the clock by one tick and returns the new
-// time (paper method name).
+// time (paper method name; the Engine jumps over empty ticks with
+// AdvanceTo instead).
 func (c *Clock) IncreaseTimeTick() Time {
 	c.now++
 	return c.now
@@ -238,9 +237,9 @@ func (q *Queue) relink(ev *Event) {
 // allocating. With j = bucketOf(t), the events of the buckets below j
 // all belong in bucket j under t, so those buckets merge into it in
 // order; higher buckets keep their events. Bucket j itself is empty:
-// its events would have to lie below the old base. Only a bare-Queue
-// misuse or an Engine OnTick hook that schedules after a settling
-// PeekTime pushes below base.
+// its events would have to lie below the old base. A push lands below
+// base when a caller schedules at the current tick after a PeekTime
+// has settled base on a later one.
 func (q *Queue) rebase(t Time) {
 	j := q.bucketOf(t)
 	q.base = t
@@ -449,19 +448,11 @@ func (q *Queue) CheckInvariants() error {
 	return nil
 }
 
-// Engine couples a Clock with a Queue and runs events in time order.
+// Engine couples a Clock with a Queue and fires events in time order,
+// one Step at a time; the clock jumps straight to each event's tick.
 type Engine struct {
 	Clock Clock
 	Queue Queue
-
-	// TickStep, when true, advances the clock one tick at a time and
-	// invokes OnTick on every tick (the paper's literal loop). When
-	// false the clock jumps directly to the next event time.
-	TickStep bool
-	// OnTick, if set, runs once per timetick in TickStep mode, before
-	// that tick's events fire. Events it schedules at or after the
-	// current tick fire in time order.
-	OnTick func(now Time)
 
 	processed uint64
 }
@@ -470,13 +461,11 @@ type Engine struct {
 func (e *Engine) Now() Time { return e.Clock.Now() }
 
 // Reset rewinds the engine to its initial state — clock at tick 0, no
-// pending events, no tick hook — while keeping the queue's event pool
-// for reuse by the next run.
+// pending events — while keeping the queue's event pool for reuse by
+// the next run.
 func (e *Engine) Reset() {
 	e.Queue.Reset()
 	e.Clock = Clock{}
-	e.TickStep = false
-	e.OnTick = nil
 	e.processed = 0
 }
 
@@ -529,56 +518,4 @@ func (e *Engine) Step() bool {
 	e.Clock.AdvanceTo(ev.At)
 	e.fire(ev)
 	return true
-}
-
-// Run drives the simulation until the queue is empty or until stop
-// (when non-nil) returns true. It returns the final simulated time —
-// the paper's "total simulation time" (Eq. 5).
-//
-//dreamsim:noalloc
-func (e *Engine) Run(stop func() bool) Time {
-	if e.TickStep {
-		return e.runTicked(stop)
-	}
-	for {
-		if stop != nil && stop() {
-			return e.Clock.Now()
-		}
-		if !e.Step() {
-			return e.Clock.Now()
-		}
-	}
-}
-
-// runTicked advances one timetick at a time, firing any events due at
-// each tick and then the OnTick hook — the paper's literal main loop.
-func (e *Engine) runTicked(stop func() bool) Time {
-	for {
-		if stop != nil && stop() {
-			return e.Clock.Now()
-		}
-		next, ok := e.Queue.PeekTime()
-		if !ok {
-			return e.Clock.Now()
-		}
-		// Walk tick-by-tick up to the next event time. The hook may
-		// schedule an earlier event, so peek again after each call.
-		for e.Clock.Now() < next {
-			e.Clock.IncreaseTimeTick()
-			if e.OnTick != nil {
-				//lint:allocfree dynamic dispatch: the tick hook is user-supplied; tick-step mode is the paper-faithful ablation, not the gated hot path
-				e.OnTick(e.Clock.Now())
-				if next, ok = e.Queue.PeekTime(); !ok {
-					return e.Clock.Now()
-				}
-			}
-		}
-		for {
-			t, ok := e.Queue.PeekTime()
-			if !ok || t > e.Clock.Now() {
-				break
-			}
-			e.Step()
-		}
-	}
 }

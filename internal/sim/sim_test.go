@@ -9,6 +9,13 @@ import (
 // nop is a Handler for events whose firing the test does not observe.
 func nop(*Event, Time) {}
 
+// drain steps e until its queue is empty and returns the final time.
+func drain(e *Engine) Time {
+	for e.Step() {
+	}
+	return e.Now()
+}
+
 func TestClockBasics(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {
@@ -118,7 +125,7 @@ func TestEngineEventJump(t *testing.T) {
 		times = append(times, now)
 		e.ScheduleEventAfter(2, "c", func(_ *Event, now Time) { times = append(times, now) }, nil, nil)
 	}, nil, nil)
-	end := e.Run(nil)
+	end := drain(&e)
 	want := []Time{5, 7, 10}
 	if len(times) != len(want) {
 		t.Fatalf("fired %v", times)
@@ -136,80 +143,46 @@ func TestEngineEventJump(t *testing.T) {
 	}
 }
 
-func TestEngineTickStepEquivalence(t *testing.T) {
-	run := func(tick bool) ([]Time, Time) {
-		var e Engine
-		e.TickStep = tick
-		var times []Time
-		e.ScheduleEventAt(3, "a", func(_ *Event, now Time) {
-			times = append(times, now)
-			e.ScheduleEventAfter(4, "b", func(_ *Event, now Time) { times = append(times, now) }, nil, nil)
-		}, nil, nil)
-		e.ScheduleEventAt(9, "c", func(_ *Event, now Time) { times = append(times, now) }, nil, nil)
-		end := e.Run(nil)
-		return times, end
-	}
-	jt, je := run(false)
-	tt, te := run(true)
-	if je != te {
-		t.Fatalf("end times differ: jump %d vs tick %d", je, te)
-	}
-	if len(jt) != len(tt) {
-		t.Fatalf("event counts differ: %v vs %v", jt, tt)
-	}
-	for i := range jt {
-		if jt[i] != tt[i] {
-			t.Fatalf("event times differ: %v vs %v", jt, tt)
-		}
-	}
-}
-
-func TestEngineTickStepOnTick(t *testing.T) {
+// TestEnginePeekThenScheduleNow: a PeekTime that settles base on a
+// later tick, followed by an event scheduled at the current tick, sends
+// the push below base, the Engine's path to the queue's rebase. The
+// new event must fire first, at now, and the peeked one after it.
+func TestEnginePeekThenScheduleNow(t *testing.T) {
 	var e Engine
-	e.TickStep = true
-	ticks := 0
-	e.OnTick = func(Time) { ticks++ }
-	e.ScheduleEventAt(25, "end", nop, nil, nil)
-	e.Run(nil)
-	if ticks != 25 {
-		t.Fatalf("OnTick fired %d times, want 25", ticks)
-	}
-}
-
-// TestEngineTickStepHookSchedulesEarlier: an OnTick hook that
-// schedules before the next pending event must see its events fire on
-// time, in time order, before the later one. The stop predicate bounds
-// the run, so a loop that never reaches them fails instead of hanging.
-// Scheduling below the settled next time is also the Engine's only
-// path to the queue's rebase.
-func TestEngineTickStepHookSchedulesEarlier(t *testing.T) {
-	var e Engine
-	e.TickStep = true
-	var fired []Time
-	record := func(_ *Event, now Time) { fired = append(fired, now) }
-	e.OnTick = func(now Time) {
-		if now == 3 {
-			e.ScheduleEventAfter(2, "soon", record, nil, nil)
-			e.ScheduleEventAt(now, "now", record, nil, nil)
-		}
-	}
+	var fired []string
+	record := func(ev *Event, _ Time) { fired = append(fired, ev.Kind) }
+	e.ScheduleEventAt(3, "first", record, nil, nil)
 	e.ScheduleEventAt(10, "late", record, nil, nil)
-	polls := 0
-	end := e.Run(func() bool { polls++; return polls > 100 })
-	if want := []Time{3, 5, 10}; !slices.Equal(fired, want) || end != 10 {
-		t.Fatalf("fired %v ending at %d, want %v ending at 10", fired, end, want)
+	if !e.Step() || e.Now() != 3 {
+		t.Fatalf("first step ended at %d, want 3", e.Now())
+	}
+	if next, ok := e.Queue.PeekTime(); !ok || next != 10 || e.Queue.base != 10 {
+		t.Fatalf("PeekTime = %d, %v with base %d; want 10 settled", next, ok, e.Queue.base)
+	}
+	e.ScheduleEventAt(e.Now(), "now", record, nil, nil)
+	if err := e.Queue.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if end := drain(&e); end != 10 || !slices.Equal(fired, []string{"first", "now", "late"}) {
+		t.Fatalf("fired %v ending at %d, want [first now late] ending at 10", fired, end)
 	}
 }
 
+// TestEngineStop: Step fires exactly one event, so a caller's loop can
+// stop between any two; the rest stay queued at their times.
 func TestEngineStop(t *testing.T) {
 	var e Engine
 	count := 0
 	for i := 1; i <= 10; i++ {
 		e.ScheduleEventAt(Time(i), "n", func(*Event, Time) { count++ }, nil, nil)
 	}
-	e.Run(func() bool { return count >= 3 })
-	if count != 3 {
-		t.Fatalf("stop predicate ignored: count=%d", count)
+	for count < 3 && e.Step() {
+	}
+	if count != 3 || e.Now() != 3 || e.Queue.Len() != 7 {
+		t.Fatalf("stopped with count=%d now=%d pending=%d, want 3, 3, 7", count, e.Now(), e.Queue.Len())
+	}
+	if next, ok := e.Queue.PeekTime(); !ok || next != 4 {
+		t.Fatalf("next pending at %d, %v; want 4", next, ok)
 	}
 }
 
@@ -253,7 +226,7 @@ func TestEngineRemoveScheduledEvent(t *testing.T) {
 	if !e.Queue.Remove(drop) {
 		t.Fatal("Remove failed")
 	}
-	end := e.Run(nil)
+	end := drain(&e)
 	if len(fired) != 1 || fired[0] != "keep" {
 		t.Fatalf("fired %v", fired)
 	}
@@ -273,7 +246,7 @@ func TestEngineSelfCancellation(t *testing.T) {
 			t.Error("in-flight cancellation failed")
 		}
 	}, nil, nil)
-	e.Run(nil)
+	drain(&e)
 	if fired != 0 {
 		t.Fatal("cancelled event fired")
 	}

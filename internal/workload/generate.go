@@ -114,8 +114,8 @@ type Source = TaskSource
 // is lazy: each Next draws exactly one task, so a million-task
 // workload never exists in memory at once. It is the single synthetic
 // generation code path — materialized workloads are expressed over it
-// (Drain + SliceSource), never drawn by separate logic, so streamed
-// and materialized runs cannot drift.
+// (Drain + SliceSource), never drawn by separate logic, so a pooled
+// run and its replay cannot drift.
 type Generator struct {
 	taskPool
 	spec    *Spec

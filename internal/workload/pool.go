@@ -4,14 +4,13 @@ import "dreamsim/internal/model"
 
 // Recycler is implemented by task sources that maintain a free list
 // of task structs. A caller that fully owns a task whose lifecycle
-// has ended (completed, discarded or lost, with no observer retaining
-// the pointer) may Release it back; subsequent Next calls then reuse
-// the memory instead of allocating. Releasing is always optional and
-// never changes the emitted stream — a streamed run is byte-identical
+// has ended (completed, discarded or lost) may Release it back;
+// subsequent Next calls then reuse the memory instead of allocating.
+// Releasing never changes the emitted stream — a run is byte-identical
 // with or without recycling, only its allocation profile differs.
 // This is what keeps a large run's heap O(live tasks) instead of
-// O(all tasks): the core releases every terminal task when
-// core.Params.Stream is set.
+// O(all tasks): the core releases every terminal task to a source
+// that implements Recycler.
 type Recycler interface {
 	Release(*model.Task)
 }
@@ -39,8 +38,8 @@ func (p *taskPool) get(no int, area model.Area, pref int, required, create int64
 }
 
 // Recycled counts how many Next calls were served from the free list
-// instead of allocating — observability for the streaming engine's
-// memory claims (and its tests).
+// instead of allocating — observability for the bounded-memory claims
+// (and their tests).
 func (p *taskPool) Recycled() int64 { return p.recycled }
 
 // Release implements Recycler. Releasing nil is a no-op.

@@ -24,8 +24,9 @@ import (
 //     classes never perturbs another class's draws.
 //
 // Either way the result is a lazy, pooled TaskSource: one task in
-// flight per Next call, recycled through the PR 5 free list, so a
-// streamed scenario run keeps its heap bounded by the live task set.
+// flight per Next call, recycled through the same free list as the
+// Generator, so a scenario run keeps its heap bounded by the live task
+// set.
 
 // ClassedSource is implemented by task sources that partition their
 // stream into named traffic classes; emitted tasks carry the class

@@ -44,7 +44,6 @@ func TestStreamedHeapCeiling(t *testing.T) {
 		p.Nodes = 2000
 		p.Tasks = tasks
 		p.PartialReconfig = true
-		p.Stream = true
 		if _, err := dreamsim.Run(p); err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +104,6 @@ func TestScenarioStreamedHeapCeiling(t *testing.T) {
 		p.Nodes = 5000
 		p.Tasks = tasks
 		p.PartialReconfig = true
-		p.Stream = true
 		p.ScenarioText = scenarioCeilingSpec
 		if _, err := dreamsim.Run(p); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package dreamsim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -54,7 +55,6 @@ func TestScenarioEquivalenceGate(t *testing.T) {
 			p.TaskTimeDistribution = "lognormal"
 			p.ConfigPopularity = 0.8
 		},
-		"streamed": func(p *Params) { p.Stream = true },
 	}
 	for name, tweak := range variants {
 		p := DefaultParams()
@@ -90,9 +90,10 @@ func TestScenarioEquivalenceGate(t *testing.T) {
 	}
 }
 
-// TestScenarioStreamEquivalence extends the streamed-vs-materialized
-// contract to multi-class scenario runs: Stream on and off must agree
-// deeply and byte-for-byte, in both reconfiguration scenarios.
+// TestScenarioStreamEquivalence extends the recycling contract to
+// multi-class scenario runs: Run over the pooled scenario source must
+// agree deeply and byte-for-byte with the same tasks replayed from a
+// SliceSource, in both reconfiguration scenarios.
 func TestScenarioStreamEquivalence(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		p := DefaultParams()
@@ -101,28 +102,14 @@ func TestScenarioStreamEquivalence(t *testing.T) {
 		p.PartialReconfig = partial
 		p.ScenarioText = multiClassScenario
 
-		plain, err := Run(p)
+		pooled, err := Run(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Stream = true
-		streamed, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
+		if len(pooled.Classes) < 2 {
+			t.Fatalf("partial=%v: %d class rows, want a multi-class run", partial, len(pooled.Classes))
 		}
-		if !reflect.DeepEqual(plain, streamed) {
-			t.Errorf("partial=%v: streamed scenario run diverged", partial)
-		}
-		var px, sx bytes.Buffer
-		if err := plain.WriteXML(&px); err != nil {
-			t.Fatal(err)
-		}
-		if err := streamed.WriteXML(&sx); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(px.Bytes(), sx.Bytes()) {
-			t.Errorf("partial=%v: streamed scenario XML diverged", partial)
-		}
+		requireSameRun(t, fmt.Sprintf("partial=%v scenario", partial), pooled, replayRun(t, p))
 	}
 }
 

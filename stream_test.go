@@ -1,4 +1,4 @@
-package dreamsim_test
+package dreamsim
 
 import (
 	"bytes"
@@ -6,75 +6,115 @@ import (
 	"reflect"
 	"testing"
 
-	"dreamsim"
+	"dreamsim/internal/core"
 	"dreamsim/internal/monitor"
+	"dreamsim/internal/workload"
 )
 
-// TestStreamRunEquivalence is the public half of the streaming
-// engine's determinism contract: with identical seeds, Run with
-// Stream on and off must produce deeply equal Results and
-// byte-identical XML reports at every pre-existing scale and in both
-// reconfiguration scenarios.
+// classedSource gives a replayed task slice its scenario's class
+// names, so a multi-class replay keeps its per-class accounting.
+type classedSource struct {
+	workload.TaskSource
+	names []string
+}
+
+func (c classedSource) ClassNames() []string { return c.names }
+
+// replayRun runs p over the exact tasks its own run would draw, drained
+// up front into a SliceSource. A SliceSource has no free list, so the
+// replay keeps every task struct alive: it is the reference for the
+// pooled source, which recycles each struct once its task finishes.
+func replayRun(t *testing.T, p Params) Result {
+	t.Helper()
+	cp, err := p.coreParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained, err := core.New(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := workload.SliceSource(workload.Drain(drained.Source()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Source = src
+	if cs, ok := drained.Source().(workload.ClassedSource); ok {
+		cp.Source = classedSource{src, cs.ClassNames()}
+	}
+	s, err := core.New(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wrap(res, cp)
+}
+
+// requireSameRun fails unless a and b are deeply equal Results with
+// byte-identical XML reports.
+func requireSameRun(t *testing.T, what string, a, b Result) {
+	t.Helper()
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: results diverged\npooled   %+v\nreplayed %+v", what, a, b)
+	}
+	var ax, bx bytes.Buffer
+	if err := a.WriteXML(&ax); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteXML(&bx); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ax.Bytes(), bx.Bytes()) {
+		t.Errorf("%s: XML reports not byte-identical", what)
+	}
+}
+
+// TestStreamRunEquivalence is the public half of the recycling
+// contract: Run, whose generator recycles each task struct once the
+// task finishes, must produce a Result deeply equal, and an XML report
+// byte-identical, to the same tasks replayed from a SliceSource, at
+// several scales and in both reconfiguration scenarios.
 func TestStreamRunEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 5} {
 		for _, partial := range []bool{false, true} {
 			for _, tasks := range []int{500, 1500} {
-				p := dreamsim.DefaultParams()
+				p := DefaultParams()
 				p.Nodes = 60
 				p.Tasks = tasks
 				p.PartialReconfig = partial
 				p.Seed = seed
 
-				plain, err := dreamsim.Run(p)
+				pooled, err := Run(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p.Stream = true
-				streamed, err := dreamsim.Run(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(plain, streamed) {
-					t.Errorf("seed=%d partial=%v tasks=%d: streamed result diverged\nplain    %+v\nstreamed %+v",
-						seed, partial, tasks, plain, streamed)
-				}
-				var px, sx bytes.Buffer
-				if err := plain.WriteXML(&px); err != nil {
-					t.Fatal(err)
-				}
-				if err := streamed.WriteXML(&sx); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(px.Bytes(), sx.Bytes()) {
-					t.Errorf("seed=%d partial=%v tasks=%d: XML reports not byte-identical",
-						seed, partial, tasks)
-				}
+				requireSameRun(t, "run", pooled, replayRun(t, p))
 			}
 		}
 	}
 }
 
 // TestStreamCompareWorkerEquivalence covers the fan-out surface:
-// Compare (both scenarios over identical inputs) must return the same
-// pair streamed or not, sequentially or with concurrent workers.
+// Compare, sequentially or with concurrent workers sharing donated run
+// contexts, must return the pair of replayed runs.
 func TestStreamCompareWorkerEquivalence(t *testing.T) {
-	p := dreamsim.DefaultParams()
+	p := DefaultParams()
 	p.Nodes = 50
 	p.Tasks = 800
-	fullRef, partRef, err := dreamsim.Compare(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp, pp := p, p
+	fp.PartialReconfig, pp.PartialReconfig = false, true
+	fullRef, partRef := replayRun(t, fp), replayRun(t, pp)
 	for _, workers := range []int{1, 4} {
-		sp := p
-		sp.Stream = true
-		sp.Parallelism = workers
-		full, part, err := dreamsim.Compare(sp)
+		p.Parallelism = workers
+		full, part, err := Compare(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fullRef, full) || !reflect.DeepEqual(partRef, part) {
-			t.Errorf("workers=%d: streamed Compare diverged from the sequential plain reference", workers)
+			t.Errorf("workers=%d: Compare diverged from the replayed runs", workers)
 		}
 	}
 }
@@ -85,13 +125,13 @@ func TestStreamCompareWorkerEquivalence(t *testing.T) {
 // reduction of the corresponding full-history chunk.
 func TestWindowedAggregatesMatchFullHistory(t *testing.T) {
 	const window = 32
-	p := dreamsim.DefaultParams()
+	p := DefaultParams()
 	p.Nodes = 30
 	p.Tasks = 400
 	p.PartialReconfig = true
 	p.SampleEvery = 1
 
-	plain, err := dreamsim.Run(p)
+	plain, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +140,7 @@ func TestWindowedAggregatesMatchFullHistory(t *testing.T) {
 	}
 
 	p.WindowSamples = window
-	windowed, err := dreamsim.Run(p)
+	windowed, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,25 +181,24 @@ func TestWindowedAggregatesMatchFullHistory(t *testing.T) {
 	}
 }
 
-func publicStat(s monitor.WindowStat) dreamsim.WindowStat {
-	return dreamsim.WindowStat{Min: s.Min, Max: s.Max, Mean: s.Mean, P99: s.P99}
+func publicStat(s monitor.WindowStat) WindowStat {
+	return WindowStat{Min: s.Min, Max: s.Max, Mean: s.Mean, P99: s.P99}
 }
 
 // TestStreamedTimelineCSV exercises the incremental timeline writer
-// end to end: a streamed run with TimelinePath must leave a CSV whose
-// row count matches the run's closed windows.
+// end to end: a run with TimelinePath must leave a CSV whose row count
+// matches the run's closed windows.
 func TestStreamedTimelineCSV(t *testing.T) {
 	path := t.TempDir() + "/timeline.csv"
-	p := dreamsim.DefaultParams()
+	p := DefaultParams()
 	p.Nodes = 30
 	p.Tasks = 300
 	p.PartialReconfig = true
 	p.SampleEvery = 1
 	p.WindowSamples = 16
-	p.Stream = true
 	p.TimelinePath = path
 
-	res, err := dreamsim.Run(p)
+	res, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
