@@ -31,7 +31,9 @@ const SnapshotKind = "dreamsim-core"
 
 // SnapshotVersion is the current payload format version. Decoders
 // reject anything newer; older versions may be migrated in place.
-const SnapshotVersion = 1
+// Version 2 dropped the per-configuration busy lists from the fabric
+// section; version 1 payloads still restore.
+const SnapshotVersion = 2
 
 // Event kind identifiers in the snapshot payload. The string kinds
 // are not serialized: a one-byte ID keeps snapshots compact and makes
@@ -196,7 +198,7 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 		w.U64(s1)
 	}
 
-	// Fabric contents and list orders.
+	// Fabric contents and idle-list orders.
 	s.mgr.EncodeState(&w)
 
 	// Suspension queue, FIFO order, plus its historic peak.
@@ -463,7 +465,7 @@ func encodeTask(w *snapshot.Writer, t *model.Task) {
 // validates before it mutates — corrupt or adversarial payloads
 // produce an error wrapping snapshot.ErrCorrupt, never a panic.
 func RestoreSnapshot(params Params, data []byte) (*Simulator, error) {
-	payload, _, err := snapshot.Open(data, SnapshotKind, SnapshotVersion)
+	payload, version, err := snapshot.Open(data, SnapshotKind, SnapshotVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +480,7 @@ func RestoreSnapshot(params Params, data []byte) (*Simulator, error) {
 		return nil, err
 	}
 	r := snapshot.NewReader(payload)
-	if err := s.restore(r); err != nil {
+	if err := s.restore(r, version); err != nil {
 		return nil, err
 	}
 	if err := r.Close(); err != nil {
@@ -488,7 +490,7 @@ func RestoreSnapshot(params Params, data []byte) (*Simulator, error) {
 	return s, nil
 }
 
-func (s *Simulator) restore(r *snapshot.Reader) error {
+func (s *Simulator) restore(r *snapshot.Reader, version uint64) error {
 	// Fingerprint.
 	seed := r.U64()
 	partial := r.Bool()
@@ -614,7 +616,7 @@ func (s *Simulator) restore(r *snapshot.Reader) error {
 	}
 
 	// Fabric contents.
-	if err := s.mgr.RestoreState(r, tasks.find); err != nil {
+	if err := s.mgr.RestoreState(r, version, tasks.find); err != nil {
 		return err
 	}
 
@@ -686,7 +688,10 @@ const minTaskBytes = 17
 // The encoder writes the registry by strictly ascending task number
 // and the decoder requires it, which rules out a task encoded twice
 // without a lookup table; later sections find tasks in the slab by
-// number.
+// number. The sources a snapshot can hold (Generator, ScenarioSource)
+// number their tasks below Spec.Tasks, and the run context sizes its
+// per-task tables by task number, so a number outside [0, Spec.Tasks)
+// is rejected here, before any table grows to it.
 func (s *Simulator) restoreTasks(r *snapshot.Reader) (taskTable, error) {
 	n := r.Count()
 	if err := r.Err(); err != nil {
@@ -718,8 +723,8 @@ func (s *Simulator) restoreTasks(r *snapshot.Reader) (taskTable, error) {
 		if err := r.Err(); err != nil {
 			return taskTable{}, err
 		}
-		if t.No < 0 {
-			return taskTable{}, fmt.Errorf("%w: task number %d", snapshot.ErrCorrupt, t.No)
+		if t.No < 0 || t.No >= s.params.Spec.Tasks {
+			return taskTable{}, fmt.Errorf("%w: task number %d outside [0, %d)", snapshot.ErrCorrupt, t.No, s.params.Spec.Tasks)
 		}
 		if i > 0 && t.No <= slab[i-1].No {
 			return taskTable{}, fmt.Errorf("%w: task %d listed after task %d (registry not in ascending order)",

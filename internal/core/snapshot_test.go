@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"dreamsim/internal/fault"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
+	"dreamsim/internal/monitor"
 	"dreamsim/internal/snapshot"
 	"dreamsim/internal/workload"
 )
@@ -250,6 +252,43 @@ func TestSnapshotRestoresEitherStreamByte(t *testing.T) {
 	}
 }
 
+// v1Fixture returns testdata/snapshot_v1.bin: FuzzDecodeSnapshot's run,
+// smallParams(10, 120, true) paused at 100 processed events, as the
+// version 1 encoder (commit 3885f83) wrote it, busy lists included.
+func v1Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/snapshot_v1.bin")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, version, err := snapshot.Open(data, SnapshotKind, SnapshotVersion); err != nil || version != 1 {
+		tb.Fatalf("fixture opens as version %d (%v), want version 1", version, err)
+	}
+	return data
+}
+
+// TestSnapshotV1Restores: a version 1 checkpoint still resumes. Its
+// busy-list sections are read and discarded, and the run finishes
+// deep-equal to the uninterrupted one.
+func TestSnapshotV1Restores(t *testing.T) {
+	p := smallParams(10, 120, true)
+	s, err := RestoreSnapshot(p, v1Fixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.mgr.CheckInvariants(); err != nil {
+		t.Fatalf("restored fabric: %v", err)
+	}
+	s.RunUntil(nil)
+	got, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := mustRun(t, p); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("restored run diverged\nref: %+v\ngot: %+v", ref, got)
+	}
+}
+
 // TestEncodeSnapshotRejectsBadStates pins the precondition errors.
 func TestEncodeSnapshotRejectsBadStates(t *testing.T) {
 	p := smallParams(10, 50, true)
@@ -314,6 +353,27 @@ func registryLayout(tb testing.TB, payload []byte) (countAt int, taskAt []int) {
 		tb.Fatal(err)
 	}
 	return countAt, taskAt
+}
+
+// blockedSection returns the offset of the dependency-blocked count in
+// a payload whose task registry ends at registryEnd: the run context's
+// used-node flags, phase counters and terminal statuses come first.
+func blockedSection(tb testing.TB, payload []byte, registryEnd int) int {
+	tb.Helper()
+	r := snapshot.NewReader(payload[registryEnd:])
+	for n := r.Count(); n > 0; n-- {
+		r.Bool()
+	}
+	for n := r.Count(); n > 0; n-- {
+		r.I64()
+	}
+	for n := r.Count(); n > 0; n-- {
+		r.Int()
+	}
+	if err := r.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return len(payload) - r.Remaining()
 }
 
 // splice returns data with data[from:to] replaced by repl.
@@ -440,17 +500,23 @@ func eventFlood(t *testing.T, name string, p Params, s *Simulator, payload []byt
 	return hostilePayload{name, p, splice(payload, evCount, evEnd, events)}
 }
 
-// TestRestoreBoundsHostileRegistryCount: a tampered registry count, or
-// a flood of pending events the restored gauges cannot account for, is
-// rejected with ErrCorrupt while the restore allocates less than ten
-// times the snapshot's length. The registry counts are one far beyond
-// what the payload can hold and the largest the minimum task size lets
-// through. The floods are 100k events of one kind behind the genuine
-// ones: drain-checks, where the gauges allow at most one, and, on a run
-// with random and scripted faults, each kind of fault event, where each
-// random stream allows one pending firing, the script bounds scripted
-// crashes and armings, and recoveries are bounded by the script's and
-// the down nodes.
+// TestRestoreBoundsHostileRegistryCount: a tampered registry count, a
+// flood of pending events the restored gauges cannot account for, a
+// task number far beyond the run's, or an inflated monitoring sample
+// count is rejected with ErrCorrupt while the restore allocates less
+// than ten times the snapshot's length. The registry counts are one
+// far beyond what the payload can hold and the largest the minimum
+// task size lets through. The floods are 100k events of one kind
+// behind the genuine ones: drain-checks, where the gauges allow at most
+// one, and, on a run with random and scripted faults, each kind of
+// fault event, where each random stream allows one pending firing, the
+// script bounds scripted crashes and armings, and recoveries are
+// bounded by the script's and the down nodes. Task 1<<50 is named by
+// the dependency-blocked section of a run without dependencies, and is
+// a running task's number on the faulted run; the run context indexes
+// both tables by task number. The sample count, 16 short of the 1 MB
+// of zeros behind it, passes a one-byte-per-sample bound but not the
+// smallest sample's nine bytes.
 func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 	p := deepQueueParams()
 	s, payload := pausedPayload(t, p)
@@ -476,6 +542,42 @@ func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 	now := s.eng.Now()
 	inputs = append(inputs, eventFlood(t, "drain-check flood", p, s, payload, encode(evDrainCheck, now+1, -1), flood))
 
+	// The last registry task renumbered 1<<50 and named blocked. Splice
+	// the later section first, so the earlier offsets hold.
+	const farTask = 1 << 50
+	last := taskAt[len(taskAt)-2]
+	r := snapshot.NewReader(payload[last:])
+	r.Int()
+	noEnd := last + len(payload[last:]) - r.Remaining()
+	blocked := blockedSection(t, payload, taskAt[len(taskAt)-1])
+	if payload[blocked] != 0 {
+		t.Fatalf("run without dependencies has a dependency-blocked count of %d", payload[blocked])
+	}
+	farBlocked := splice(payload, blocked, blocked+1, append(varint(1), varint(farTask)...))
+	inputs = append(inputs, hostilePayload{"blocked task 1<<50", p, splice(farBlocked, last, noEnd, varint(farTask))})
+
+	// A plain recorder holding one sample, its count inflated.
+	rp := deepQueueParams()
+	rp.Recorder = monitor.NewRecorder(1 << 30)
+	rs, rpayload := pausedPayload(t, rp)
+	var rec snapshot.Writer
+	if err := rs.params.Recorder.EncodeState(&rec); err != nil {
+		t.Fatal(err)
+	}
+	hdr := snapshot.NewReader(rec.Bytes())
+	hdr.Int()  // stride
+	hdr.Int()  // classes
+	hdr.Int()  // observations
+	hdr.Bool() // windowed
+	samplesAt := len(rpayload) - hdr.Remaining()
+	if n := rs.params.Recorder.Len(); n != 1 || !bytes.Equal(rpayload[samplesAt:samplesAt+1], varint(n)) {
+		t.Fatalf("recorder section holds %d samples, want one", n)
+	}
+	const padding = 1 << 20
+	inflated := append(varint(padding-16), make([]byte, padding)...)
+	rp.Recorder = monitor.NewRecorder(1 << 30) // a fresh one to restore into
+	inputs = append(inputs, hostilePayload{"sample count", rp, splice(rpayload, samplesAt, len(rpayload), inflated)})
+
 	fp := deepQueueParams()
 	script, err := fault.ParseScript("crash@4000000:3,cfail@4000000,recover@4100000:3")
 	if err != nil {
@@ -500,6 +602,30 @@ func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 	} {
 		inputs = append(inputs, eventFlood(t, f.name+" flood", fp, fs, fpayload, encode(f.kind, now+1, f.node), flood))
 	}
+	// Renumber a running task of the paused faulted run and encode it
+	// again: its node entry and its completion event follow the number.
+	// The run is not driven afterwards.
+	var running *model.Task
+	for _, n := range fs.mgr.Nodes() {
+		for _, e := range n.Entries {
+			if e.Task != nil {
+				running = e.Task
+			}
+		}
+	}
+	if running == nil {
+		t.Fatal("faulted run paused with no running task")
+	}
+	running.No = farTask
+	far, err := fs.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	farPayload, _, err := snapshot.Open(far, SnapshotKind, SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, hostilePayload{"running task 1<<50", fp, farPayload})
 
 	for _, in := range inputs {
 		bad := snapshot.Seal(SnapshotKind, SnapshotVersion, in.payload)
@@ -530,8 +656,9 @@ func TestMinTaskBytes(t *testing.T) {
 
 // FuzzDecodeSnapshot: the decoder must never panic, whatever the
 // bytes. Raw inputs exercise the envelope (the checksum rejects
-// nearly everything); the re-sealed pass wraps the fuzzed bytes in a
-// valid envelope so the payload decoding past the CRC is reached too.
+// nearly everything); the re-sealed passes wrap the fuzzed bytes in a
+// valid envelope of either format version so the payload decoding past
+// the CRC is reached too.
 // Every outcome must be a structured error or a well-formed restore.
 func FuzzDecodeSnapshot(f *testing.F) {
 	p := smallParams(10, 120, true)
@@ -570,6 +697,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	countAt, taskAt := registryLayout(f, payload)
 	f.Add(splice(payload, countAt, taskAt[0], varint(len(payload)-taskAt[0])))
+	v1 := v1Fixture(f)
+	f.Add(v1)
+	v1Payload, _, err := snapshot.Open(v1, SnapshotKind, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), v1Payload...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, err := RestoreSnapshot(p, data); err == nil {
@@ -577,10 +711,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			s.RunUntil(nil)
 			s.Finish()
 		}
-		sealed := snapshot.Seal(SnapshotKind, SnapshotVersion, data)
-		if s, err := RestoreSnapshot(p, sealed); err == nil {
-			s.RunUntil(nil)
-			s.Finish()
+		// Sealed as version 1 too, the payload reaches the decoder's
+		// skip of the busy-list sections.
+		for _, version := range []uint64{1, SnapshotVersion} {
+			sealed := snapshot.Seal(SnapshotKind, version, data)
+			if s, err := RestoreSnapshot(p, sealed); err == nil {
+				s.RunUntil(nil)
+				s.Finish()
+			}
 		}
 	})
 }

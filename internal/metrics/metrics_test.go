@@ -126,48 +126,6 @@ func TestQuickRunningBounds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	counts := h.Counts()
-	for i, c := range counts {
-		if c != 10 {
-			t.Errorf("bucket %d count %d, want 10", i, c)
-		}
-	}
-	// Saturating edges.
-	h.Add(-5)
-	h.Add(1e9)
-	counts = h.Counts()
-	if counts[0] != 11 || counts[9] != 11 {
-		t.Errorf("edge saturation failed: %v", counts)
-	}
-	if h.N() != 102 {
-		t.Errorf("N = %d", h.N())
-	}
-	med := h.Quantile(0.5)
-	if med < 40 || med > 60 {
-		t.Errorf("median estimate %v", med)
-	}
-	if q := h.Quantile(-1); q != h.Quantile(0) {
-		t.Errorf("clamped quantile mismatch: %v", q)
-	}
-	if NewHistogram(0, 10, 5).Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile not 0")
-	}
-}
-
-func TestHistogramBadShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram accepted")
-		}
-	}()
-	NewHistogram(10, 10, 5)
-}
-
 func TestSeriesAndFigure(t *testing.T) {
 	var with, without Series
 	with.Name = "with partial configuration"

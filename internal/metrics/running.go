@@ -48,65 +48,3 @@ func (r *Running) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Histogram is a fixed-width bucket histogram over [lo, hi); values
-// outside the range land in saturating edge buckets.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64
-	n       int64
-}
-
-// NewHistogram builds a histogram with the given bucket count.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 || hi <= lo {
-		panic("metrics: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, buckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.buckets)) * (x - h.lo) / (h.hi - h.lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.n++
-}
-
-// Counts returns a copy of the bucket counts.
-func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
-// N returns total observations.
-func (h *Histogram) N() int64 { return h.n }
-
-// Quantile returns the approximate q-quantile (bucket midpoint).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(h.n-1))
-	var cum int64
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			return h.lo + width*(float64(i)+0.5)
-		}
-	}
-	return h.hi
-}

@@ -6,12 +6,13 @@ import "fmt"
 // ConfigTaskPair, Fig. 3). An Entry with a nil Task is an idle
 // region: the configuration is resident but nothing is running on it.
 //
-// The paper threads nodes through per-configuration idle/busy linked
-// lists with intrusive Inext/Bnext pointers on the node. Under
-// partial reconfiguration a node can hold several configurations and
-// must appear in several lists at once, so the intrusive hooks live
-// here, on the entry, instead (one entry = one list membership). The
-// hooks are maintained exclusively by the reslists package.
+// The paper threads nodes through per-configuration idle lists with
+// intrusive Inext pointers on the node. Under partial reconfiguration
+// a node can hold several configurations and must appear in several
+// idle lists at once, so the intrusive hooks live here, on the entry,
+// instead (one entry = one list membership). The hooks are maintained
+// exclusively by the reslists package. A busy region sits in no list:
+// the paper's Bnext busy lists are not kept (see package resinfo).
 type Entry struct {
 	// Config is the resident configuration. Never nil for a live entry.
 	Config *Config
@@ -20,12 +21,10 @@ type Entry struct {
 	// Node is the owning node.
 	Node *Node
 
-	// Intrusive hooks for the per-configuration idle list (INext/IPrev)
-	// and busy list (BNext/BPrev), mirroring the paper's Inext/Bnext.
+	// Intrusive hooks for the per-configuration idle list, mirroring
+	// the paper's Inext; InIdle records current membership.
 	INext, IPrev *Entry
-	BNext, BPrev *Entry
-	// InIdle/InBusy record current list membership.
-	InIdle, InBusy bool
+	InIdle       bool
 }
 
 // Idle reports whether no task is running on this region.

@@ -293,9 +293,10 @@ func TestInvariantDetectsCorruption(t *testing.T) {
 	}
 	n2 := NewNode(1, 3000, true)
 	e, _ := n2.SendBitstream(cfg(1, 1000))
-	e.InIdle, e.InBusy = true, true
+	_ = n2.AddTaskToNode(e, NewTask(1, 1000, 1, 100, 0))
+	e.InIdle = true
 	if err := n2.CheckInvariants(); err == nil {
-		t.Fatal("double list membership not detected")
+		t.Fatal("busy region in an idle list not detected")
 	}
 }
 

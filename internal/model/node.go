@@ -337,8 +337,8 @@ func (n *Node) CheckInvariants() error {
 			return fmt.Errorf("node %d: entry C%d holds task T%d in state %s",
 				n.No, e.Config.No, e.Task.No, e.Task.Status)
 		}
-		if e.InIdle && e.InBusy {
-			return fmt.Errorf("node %d: entry C%d in both idle and busy lists", n.No, e.Config.No)
+		if e.InIdle && e.Task != nil {
+			return fmt.Errorf("node %d: busy entry C%d in an idle list", n.No, e.Config.No)
 		}
 	}
 	if n.Down && len(n.Entries) > 0 {

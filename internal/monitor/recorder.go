@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dreamsim/internal/metrics"
 	"dreamsim/internal/resinfo"
 )
 
@@ -147,24 +146,6 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 
 // Len returns the number of recorded samples.
 func (r *Recorder) Len() int { return len(r.samples) }
-
-// UtilizationSeries returns fabric utilisation over time.
-func (r *Recorder) UtilizationSeries() metrics.Series {
-	s := metrics.Series{Name: "utilization"}
-	for _, p := range r.samples {
-		s.Add(float64(p.Time), p.Utilization)
-	}
-	return s
-}
-
-// QueueSeries returns suspension-queue depth over time.
-func (r *Recorder) QueueSeries() metrics.Series {
-	s := metrics.Series{Name: "suspended"}
-	for _, p := range r.samples {
-		s.Add(float64(p.Time), float64(p.Suspended))
-	}
-	return s
-}
 
 // sparkGlyphs maps a [0,1] level onto a bar glyph.
 var sparkGlyphs = []byte(" .:-=+*#%@")

@@ -66,21 +66,6 @@ func TestRecorderSampleContents(t *testing.T) {
 	}
 }
 
-func TestRecorderSeries(t *testing.T) {
-	m := recorderRig(t)
-	r := NewRecorder(1)
-	r.Observe(m, 1, 5)
-	r.Observe(m, 2, 7)
-	u := r.UtilizationSeries()
-	q := r.QueueSeries()
-	if len(u.Points) != 2 || len(q.Points) != 2 {
-		t.Fatal("series lengths wrong")
-	}
-	if q.Points[1].Y != 7 {
-		t.Fatalf("queue series: %+v", q.Points)
-	}
-}
-
 func TestRecorderTimeline(t *testing.T) {
 	m := recorderRig(t)
 	r := NewRecorder(1)

@@ -71,9 +71,12 @@ func (r *Recorder) RestoreState(rd *snapshot.Reader) error {
 	}
 	if r.agg == nil {
 		n := rd.Count()
+		if rd.Err() == nil && n > rd.Remaining()/minSampleBytes {
+			return fmt.Errorf("%w: %d samples cannot fit in %d bytes", snapshot.ErrCorrupt, n, rd.Remaining())
+		}
 		samples := make([]Sample, n)
 		for i := range samples {
-			if err := decodeSample(rd, &samples[i]); err != nil {
+			if err := r.decodeSample(rd, &samples[i]); err != nil {
 				return err
 			}
 		}
@@ -92,9 +95,12 @@ func (r *Recorder) RestoreState(rd *snapshot.Reader) error {
 		return fmt.Errorf("%w: open window holds %d samples, window closes at %d",
 			snapshot.ErrCorrupt, nbuf, a.window)
 	}
+	if rd.Err() == nil && nbuf > rd.Remaining()/minSampleBytes {
+		return fmt.Errorf("%w: %d samples cannot fit in %d bytes", snapshot.ErrCorrupt, nbuf, rd.Remaining())
+	}
 	buf := make([]Sample, nbuf)
 	for i := range buf {
-		if err := decodeSample(rd, &buf[i]); err != nil {
+		if err := r.decodeSample(rd, &buf[i]); err != nil {
 			return err
 		}
 	}
@@ -104,7 +110,7 @@ func (r *Recorder) RestoreState(rd *snapshot.Reader) error {
 	}
 	rows := make([]WindowRow, nrows)
 	for i := range rows {
-		if err := decodeRow(rd, &rows[i]); err != nil {
+		if err := r.decodeRow(rd, &rows[i]); err != nil {
 			return err
 		}
 	}
@@ -138,7 +144,16 @@ func encodeSample(w *snapshot.Writer, s *Sample) {
 	}
 }
 
-func decodeSample(rd *snapshot.Reader, s *Sample) error {
+// minSampleBytes is the smallest encoding of one sample: encodeSample
+// writes 9 fields of at least one byte each. A sample count above the
+// remaining payload over this size cannot be genuine, so the decoder
+// rejects it before allocating the series.
+const minSampleBytes = 9
+
+// decodeSample decodes one sample. Observe gives every sample a
+// per-class census of exactly Classes entries, so any other length is
+// corrupt.
+func (r *Recorder) decodeSample(rd *snapshot.Reader, s *Sample) error {
 	s.Time = rd.I64()
 	s.BlankNodes = rd.Int()
 	s.IdleNodes = rd.Int()
@@ -147,7 +162,9 @@ func decodeSample(rd *snapshot.Reader, s *Sample) error {
 	s.Suspended = rd.Int()
 	s.WastedArea = rd.I64()
 	s.Utilization = rd.F64()
-	if n := rd.Count(); n > 0 {
+	if n := rd.Count(); rd.Err() == nil && n != r.Classes {
+		return fmt.Errorf("%w: sample census of %d classes, recorder has %d", snapshot.ErrCorrupt, n, r.Classes)
+	} else if n > 0 {
 		s.ClassRunning = make([]int, n)
 		for i := range s.ClassRunning {
 			s.ClassRunning[i] = rd.Int()
@@ -184,7 +201,9 @@ func encodeRow(w *snapshot.Writer, row *WindowRow) {
 	}
 }
 
-func decodeRow(rd *snapshot.Reader, row *WindowRow) error {
+// decodeRow decodes one window row; like a sample, its census must
+// have Classes entries (Reduce sizes it from its samples').
+func (r *Recorder) decodeRow(rd *snapshot.Reader, row *WindowRow) error {
 	row.Start = rd.I64()
 	row.End = rd.I64()
 	row.Samples = rd.Int()
@@ -192,7 +211,9 @@ func decodeRow(rd *snapshot.Reader, row *WindowRow) error {
 	decodeStat(rd, &row.Running)
 	decodeStat(rd, &row.Suspended)
 	decodeStat(rd, &row.WastedArea)
-	if n := rd.Count(); n > 0 {
+	if n := rd.Count(); rd.Err() == nil && n != r.Classes {
+		return fmt.Errorf("%w: window census of %d classes, recorder has %d", snapshot.ErrCorrupt, n, r.Classes)
+	} else if n > 0 {
 		row.ClassRunning = make([]WindowStat, n)
 		for i := range row.ClassRunning {
 			decodeStat(rd, &row.ClassRunning[i])

@@ -207,29 +207,6 @@ func CompareText(nameA string, a metrics.Report, nameB string, b metrics.Report)
 	return string(AppendCompare(nil, nameA, a, nameB, b))
 }
 
-// A Renderer amortises text rendering across calls: one reusable byte
-// buffer and row slice serve every table it produces, so rendering a
-// stream of reports (a sweep's per-cell tables, a comparison per
-// seed) allocates only the returned strings. The zero value is ready;
-// a Renderer must not be shared by concurrent goroutines.
-type Renderer struct {
-	buf []byte
-}
-
-// TableIText is the free function of the same name on the reused
-// buffer; output is byte-identical.
-func (rd *Renderer) TableIText(r metrics.Report) string {
-	rd.buf = AppendTableI(rd.buf[:0], r)
-	return string(rd.buf)
-}
-
-// CompareText is the free function of the same name on the reused
-// buffer; output is byte-identical.
-func (rd *Renderer) CompareText(nameA string, a metrics.Report, nameB string, b metrics.Report) string {
-	rd.buf = AppendCompare(rd.buf[:0], nameA, a, nameB, b)
-	return string(rd.buf)
-}
-
 // dashes backs the separator rows (the longest is CompareText's 72).
 const dashes = "------------------------------------------------------------------------"
 

@@ -129,27 +129,6 @@ func faultSample() metrics.Report {
 	return r
 }
 
-// TestRendererMatchesFreeFunctions pins the buffer-reuse contract: a
-// Renderer recycled across reports of different shapes produces the
-// exact bytes of the one-shot functions every time.
-func TestRendererMatchesFreeFunctions(t *testing.T) {
-	var rd Renderer
-	reports := []metrics.Report{sample(), faultSample(), {}, sample()}
-	for i, r := range reports {
-		if got, want := rd.TableIText(r), TableIText(r); got != want {
-			t.Fatalf("report %d: renderer TableIText diverged:\n%q\n!=\n%q", i, got, want)
-		}
-	}
-	for i, r := range reports {
-		other := reports[(i+1)%len(reports)]
-		got := rd.CompareText("full", r, "partial", other)
-		want := CompareText("full", r, "partial", other)
-		if got != want {
-			t.Fatalf("report %d: renderer CompareText diverged:\n%q\n!=\n%q", i, got, want)
-		}
-	}
-}
-
 // TestCompactAgainstFmt pins appendCompact to the fmt verbs the old
 // string-building renderer used.
 func TestCompactAgainstFmt(t *testing.T) {
@@ -172,8 +151,7 @@ func TestCompactAgainstFmt(t *testing.T) {
 }
 
 // BenchmarkReport measures the reused-buffer rendering core; the
-// Append forms must report 0 allocs/op (the Renderer forms add only
-// the returned string).
+// Append forms must report 0 allocs/op.
 func BenchmarkReport(b *testing.B) {
 	r := faultSample()
 	b.Run("append-table", func(b *testing.B) {
@@ -188,13 +166,6 @@ func BenchmarkReport(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf = AppendCompare(buf[:0], "full", r, "partial", r)
-		}
-	})
-	b.Run("renderer-table", func(b *testing.B) {
-		var rd Renderer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = rd.TableIText(r)
 		}
 	})
 }

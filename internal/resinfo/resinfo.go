@@ -1,10 +1,17 @@
 // Package resinfo implements DReAMSim's resource information manager
 // (paper §III, information subsystem): it owns the node list and the
-// configurations list, maintains the per-configuration idle/busy
-// linked lists and every node's config-task-pair list as nodes change
-// state, and meters each search and housekeeping step into the run's
-// counters exactly as the paper's SearchLength / TotalSimWorkLoad
-// accounting does.
+// configurations list, maintains the per-configuration idle lists and
+// every node's config-task-pair list as nodes change state, and meters
+// each search and housekeeping step into the run's counters exactly as
+// the paper's SearchLength / TotalSimWorkLoad accounting does.
+//
+// The paper also moves every region between an idle and a busy list
+// per configuration. Its one reader of a busy list, the
+// suspend-or-discard check (AnyBusyNodeCouldFit), scans the SoA block
+// here, so no busy list is kept. Each transition still charges the
+// paper's list moves, as a constant: one step per link or unlink,
+// since every resident region sits in exactly one of the paper's two
+// lists.
 package resinfo
 
 import (
@@ -17,12 +24,12 @@ import (
 )
 
 // Manager is the resource information manager. All mutations of node
-// state must flow through it so the idle/busy lists, Eq. 4 area
-// accounting, and the housekeeping counters stay consistent.
+// state must flow through it so the idle lists, Eq. 4 area accounting,
+// and the housekeeping counters stay consistent.
 type Manager struct {
 	nodes     []*model.Node
 	configs   []*model.Config
-	pairs     []reslists.Pair // config No -> idle/busy lists
+	idle      []*reslists.List // config No -> idle list
 	c         *metrics.Counters
 	downCount int // nodes currently failed (CrashNode minus RecoverNode)
 
@@ -54,7 +61,7 @@ func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counter
 	m := &Manager{
 		nodes:   nodes,
 		configs: configs,
-		pairs:   make([]reslists.Pair, len(configs)),
+		idle:    make([]*reslists.List, len(configs)),
 		c:       counters,
 	}
 	for _, opt := range opts {
@@ -67,7 +74,7 @@ func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counter
 		if cfg.No != i {
 			return nil, fmt.Errorf("resinfo: configuration %d is numbered %d, not by its position", i, cfg.No)
 		}
-		m.pairs[i] = reslists.NewPair()
+		m.idle[i] = new(reslists.List)
 	}
 	counters.TotalNodes = len(nodes)
 	counters.TotalConfigs = len(configs)
@@ -105,13 +112,13 @@ func (m *Manager) Configs() []*model.Config { return m.configs }
 // Counters exposes the metered counters.
 func (m *Manager) Counters() *metrics.Counters { return m.c }
 
-// Pair returns the idle/busy list pair of configuration cfgNo.
+// Idle returns the idle list of configuration cfgNo.
 // It panics for unknown configurations — those are scheduler bugs.
-func (m *Manager) Pair(cfgNo int) reslists.Pair {
-	if cfgNo < 0 || cfgNo >= len(m.pairs) {
+func (m *Manager) Idle(cfgNo int) *reslists.List {
+	if cfgNo < 0 || cfgNo >= len(m.idle) {
 		panic(fmt.Sprintf("resinfo: unknown config %d", cfgNo))
 	}
-	return m.pairs[cfgNo]
+	return m.idle[cfgNo]
 }
 
 // search charges n scheduler search steps (the paper's SL counter,
@@ -189,7 +196,7 @@ func (m *Manager) Configure(node *model.Node, cfg *model.Config) (*model.Entry, 
 		}
 		return nil, err
 	}
-	m.Pair(cfg.No).Idle.Add(e)
+	m.Idle(cfg.No).Add(e)
 	m.housekeep(1)
 	m.c.Reconfigurations++
 	m.c.ConfigurationTime += cfg.ConfigTime
@@ -198,15 +205,17 @@ func (m *Manager) Configure(node *model.Node, cfg *model.Config) (*model.Entry, 
 }
 
 // EvictIdle removes the given idle regions from their node
-// (paper MakeNodePartiallyBlank) and unlinks them from the idle lists.
+// (paper MakeNodePartiallyBlank) and unlinks them from the idle lists,
+// one housekeeping step each.
 //
 //dreamsim:noalloc
 func (m *Manager) EvictIdle(node *model.Node, victims []*model.Entry) error {
 	if err := node.MakeNodePartiallyBlank(victims); err != nil {
 		return err
 	}
+	m.housekeep(uint64(len(victims)))
 	for _, v := range victims {
-		m.housekeep(m.Pair(v.Config.No).Drop(v))
+		m.Idle(v.Config.No).Remove(v)
 		m.recycleEntry(v)
 	}
 	m.reindex(node)
@@ -215,16 +224,18 @@ func (m *Manager) EvictIdle(node *model.Node, victims []*model.Entry) error {
 
 // recycleEntry zeroes an unlinked region's Entry and pools it for the
 // next Configure. Callers must guarantee no live reference remains —
-// evicted, blanked and crashed regions qualify because the node, the
-// idle/busy lists and the scheduler have all dropped them by the time
-// they reach the pool.
+// evicted and blanked regions qualify because the node, the idle lists
+// and the scheduler have all dropped them by the time they reach the
+// pool.
 func (m *Manager) recycleEntry(e *model.Entry) {
 	*e = model.Entry{}
 	m.entryFree = append(m.entryFree, e)
 }
 
 // BlankNode strips every configuration from node (paper
-// MakeNodeBlank) and unlinks the regions from their lists.
+// MakeNodeBlank) and unlinks the idle regions from their lists. Each
+// removed region is one housekeeping step: the paper unlinks it from
+// its idle or busy list.
 //
 //dreamsim:noalloc
 func (m *Manager) BlankNode(node *model.Node) error {
@@ -232,8 +243,9 @@ func (m *Manager) BlankNode(node *model.Node) error {
 	if err != nil {
 		return err
 	}
+	m.housekeep(uint64(len(removed)))
 	for _, v := range removed {
-		m.housekeep(m.Pair(v.Config.No).Drop(v))
+		m.Idle(v.Config.No).Remove(v)
 		m.recycleEntry(v)
 	}
 	m.reindex(node)
@@ -241,12 +253,12 @@ func (m *Manager) BlankNode(node *model.Node) error {
 }
 
 // CrashNode fails node: the fabric state dies with it, so every
-// resident configuration is invalidated and unlinked from the
-// idle/busy lists, and the tasks it was running are detached and
+// resident configuration is invalidated, its idle regions are unlinked
+// from the idle lists, and the tasks it was running are detached and
 // returned for the caller's retry path. The node is excluded from
-// every placement search until RecoverNode. Unlinking the dead
-// regions is list maintenance like any eviction, so it charges
-// housekeeping steps.
+// every placement search until RecoverNode. Removing the dead regions
+// is list maintenance like any eviction, so it charges one
+// housekeeping step per region.
 func (m *Manager) CrashNode(node *model.Node) ([]*model.Task, error) {
 	tasks, removed, err := node.Fail()
 	if err != nil {
@@ -258,8 +270,9 @@ func (m *Manager) CrashNode(node *model.Node) ([]*model.Task, error) {
 	// (so Apply fails with the down-node guard) rather than as a
 	// recycled live one. Crashes are fault-path events, outside the
 	// zero-allocation contract.
+	m.housekeep(uint64(len(removed)))
 	for _, v := range removed {
-		m.housekeep(m.Pair(v.Config.No).Drop(v))
+		m.Idle(v.Config.No).Remove(v)
 	}
 	m.downCount++
 	m.reindex(node)
@@ -279,20 +292,23 @@ func (m *Manager) RecoverNode(node *model.Node) error {
 }
 
 // StartTask places task on the idle region e (paper AddTaskToNode)
-// and moves the region to its configuration's busy list.
+// and unlinks the region from its idle list. It charges the paper's
+// move to the busy list: two housekeeping steps, an unlink and a link.
 //
 //dreamsim:noalloc
 func (m *Manager) StartTask(e *model.Entry, task *model.Task) error {
 	if err := e.Node.AddTaskToNode(e, task); err != nil {
 		return err
 	}
-	m.housekeep(m.Pair(e.Config.No).MarkBusy(e))
+	m.Idle(e.Config.No).Remove(e)
+	m.housekeep(2)
 	m.reindex(e.Node)
 	return nil
 }
 
 // FinishTask detaches task from node (paper RemoveTaskFromNode); the
-// region stays configured and returns to its idle list.
+// region stays configured and returns to its idle list. Like
+// StartTask, it charges the paper's two-step list move.
 //
 //dreamsim:noalloc
 func (m *Manager) FinishTask(node *model.Node, task *model.Task) (*model.Entry, error) {
@@ -300,7 +316,8 @@ func (m *Manager) FinishTask(node *model.Node, task *model.Task) (*model.Entry, 
 	if err != nil {
 		return nil, err
 	}
-	m.housekeep(m.Pair(e.Config.No).MarkIdle(e))
+	m.Idle(e.Config.No).Add(e)
+	m.housekeep(2)
 	m.reindex(node)
 	return e, nil
 }
@@ -314,7 +331,7 @@ func (m *Manager) FinishTask(node *model.Node, task *model.Task) (*model.Entry, 
 //
 //dreamsim:noalloc
 func (m *Manager) BestIdleEntry(cfgNo int) *model.Entry {
-	best, steps := m.Pair(cfgNo).Idle.FindMin(
+	best, steps := m.Idle(cfgNo).FindMin(
 		func(e *model.Entry) bool {
 			return e.Node.PartialMode || e.Node.RunningTasks() == 0
 		},
@@ -457,22 +474,20 @@ func (m *Manager) AnyDownNodeCouldFit(cfg *model.Config) bool {
 }
 
 // CheckInvariants validates global consistency: every node passes its
-// own checks, every region sits in exactly the right list, and list
-// linkage is intact. Intended for tests and debug runs.
+// own checks, every idle region sits in its configuration's idle list,
+// no busy region sits in any list, and list linkage is intact. Intended
+// for tests and debug runs.
 //
 //lint:metering debug validator; its walks are host-side checking, not simulated scheduler work
 func (m *Manager) CheckInvariants() error {
-	listed := make(map[*model.Entry]bool)
-	for no, p := range m.pairs {
-		if err := p.Idle.CheckInvariants(); err != nil {
-			return err
-		}
-		if err := p.Busy.CheckInvariants(); err != nil {
+	listed := 0
+	for no, l := range m.idle {
+		if err := l.CheckInvariants(); err != nil {
 			return err
 		}
 		var bad error
-		p.Idle.Each(func(e *model.Entry) bool {
-			listed[e] = true
+		l.Each(func(e *model.Entry) bool {
+			listed++
 			if e.Config.No != no {
 				bad = fmt.Errorf("resinfo: entry %v in idle list of C%d", e, no)
 				return false
@@ -486,22 +501,8 @@ func (m *Manager) CheckInvariants() error {
 		if bad != nil {
 			return bad
 		}
-		p.Busy.Each(func(e *model.Entry) bool {
-			listed[e] = true
-			if e.Config.No != no {
-				bad = fmt.Errorf("resinfo: entry %v in busy list of C%d", e, no)
-				return false
-			}
-			if e.Idle() {
-				bad = fmt.Errorf("resinfo: idle entry %v in busy list", e)
-				return false
-			}
-			return true
-		})
-		if bad != nil {
-			return bad
-		}
 	}
+	idle := 0
 	for _, n := range m.nodes {
 		if err := n.CheckInvariants(); err != nil {
 			return err
@@ -511,10 +512,16 @@ func (m *Manager) CheckInvariants() error {
 				n.No, n.AvailableArea, n.TotalArea)
 		}
 		for _, e := range n.Entries {
-			if !listed[e] {
-				return fmt.Errorf("resinfo: entry %v not in any list", e)
+			if e.Idle() != e.InIdle {
+				return fmt.Errorf("resinfo: entry %v idle=%v but listed=%v", e, e.Idle(), e.InIdle)
+			}
+			if e.InIdle {
+				idle++
 			}
 		}
+	}
+	if idle != listed {
+		return fmt.Errorf("resinfo: %d idle regions resident but %d listed", idle, listed)
 	}
 	return m.soa.check(m.nodes)
 }

@@ -1,10 +1,12 @@
 package resinfo
 
 import (
+	"errors"
 	"testing"
 
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
+	"dreamsim/internal/snapshot"
 )
 
 // rig builds a manager with n partial-mode nodes of the given areas
@@ -91,8 +93,8 @@ func TestConfigureAndLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Pair(0).Idle.Len() != 1 || m.Pair(0).Busy.Len() != 0 {
-		t.Fatal("configured region not in idle list")
+	if m.Idle(0).Len() != 1 || !e.InIdle || c.HousekeepingSteps != 1 {
+		t.Fatalf("configured region: idle list %d, housekeeping %d", m.Idle(0).Len(), c.HousekeepingSteps)
 	}
 	if c.Reconfigurations != 1 || c.ConfigurationTime != 10 {
 		t.Fatalf("reconfig accounting: count=%d time=%d", c.Reconfigurations, c.ConfigurationTime)
@@ -101,8 +103,9 @@ func TestConfigureAndLists(t *testing.T) {
 	if err := m.StartTask(e, task); err != nil {
 		t.Fatal(err)
 	}
-	if m.Pair(0).Idle.Len() != 0 || m.Pair(0).Busy.Len() != 1 {
-		t.Fatal("started region not in busy list")
+	// The paper's move to the busy list: an unlink and a link.
+	if m.Idle(0).Len() != 0 || e.InIdle || c.HousekeepingSteps != 3 {
+		t.Fatalf("started region: idle list %d, housekeeping %d", m.Idle(0).Len(), c.HousekeepingSteps)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -111,8 +114,8 @@ func TestConfigureAndLists(t *testing.T) {
 	if err != nil || got != e {
 		t.Fatalf("FinishTask = %v, %v", got, err)
 	}
-	if m.Pair(0).Idle.Len() != 1 || m.Pair(0).Busy.Len() != 0 {
-		t.Fatal("finished region not back in idle list")
+	if m.Idle(0).Len() != 1 || !e.InIdle || c.HousekeepingSteps != 5 {
+		t.Fatalf("finished region: idle list %d, housekeeping %d", m.Idle(0).Len(), c.HousekeepingSteps)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -120,22 +123,21 @@ func TestConfigureAndLists(t *testing.T) {
 }
 
 func TestEvictAndBlank(t *testing.T) {
-	m, _ := rig(t, []int64{3000}, []int64{500, 700}, true)
+	m, c := rig(t, []int64{3000}, []int64{500, 700}, true)
 	n := m.Nodes()[0]
 	e1, _ := m.Configure(n, m.Configs()[0])
-	e2, _ := m.Configure(n, m.Configs()[1])
+	_, _ = m.Configure(n, m.Configs()[1])
 	if err := m.EvictIdle(n, []*model.Entry{e1}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Pair(0).Idle.Len() != 0 || n.AvailableArea != 3000-700 {
-		t.Fatalf("eviction wrong: avail=%d", n.AvailableArea)
+	if m.Idle(0).Len() != 0 || n.AvailableArea != 3000-700 || c.HousekeepingSteps != 3 {
+		t.Fatalf("eviction wrong: avail=%d housekeeping=%d", n.AvailableArea, c.HousekeepingSteps)
 	}
-	_ = e2
 	if err := m.BlankNode(n); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Blank() || m.Pair(1).Idle.Len() != 0 {
-		t.Fatal("BlankNode left residue")
+	if !n.Blank() || m.Idle(1).Len() != 0 || c.HousekeepingSteps != 4 {
+		t.Fatalf("BlankNode left residue or charged %d", c.HousekeepingSteps)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -281,10 +283,10 @@ func TestUnknownConfigPanics(t *testing.T) {
 	m, _ := rig(t, nil, []int64{500}, true)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Pair(unknown) did not panic")
+			t.Fatal("Idle(unknown) did not panic")
 		}
 	}()
-	m.Pair(42)
+	m.Idle(42)
 }
 
 func TestSearchSteppingAccumulates(t *testing.T) {
@@ -341,5 +343,30 @@ func TestInvariantCatchesStaleBlock(t *testing.T) {
 	blk.ents++
 	if err := m.CheckInvariants(); err == nil {
 		t.Error("wrong block entry count not detected")
+	}
+}
+
+// TestRestoreRejectsRepeatedListEntry: an idle list that names one
+// region twice is corrupt, and restoring it fails cleanly instead of
+// double-inserting the region.
+func TestRestoreRejectsRepeatedListEntry(t *testing.T) {
+	areas, cfgs := []int64{2000, 2000}, []int64{500}
+	m, _ := rig(t, areas, cfgs, true)
+	for _, n := range m.Nodes() {
+		if _, err := m.Configure(n, m.Configs()[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w snapshot.Writer
+	m.EncodeState(&w)
+	data := w.Bytes()
+	// The payload ends with C0's idle list, two (node, slot) pairs of
+	// one-byte varints; make both name node 0, slot 0.
+	copy(data[len(data)-4:], []byte{0, 0, 0, 0})
+	fresh, _ := rig(t, areas, cfgs, true)
+	const version = 2 // the current snapshot format: idle lists only
+	err := fresh.RestoreState(snapshot.NewReader(data), version, func(int) *model.Task { return nil })
+	if !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("repeated list entry gave %v, want ErrCorrupt", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Checkpoint support. The manager's dynamic state is the fabric
 // picture: which configurations sit on which nodes, which tasks run
 // on which regions, which nodes are down — plus the ORDER of the
-// per-configuration idle/busy lists, because FindMin breaks ties by
+// per-configuration idle lists, because FindMin breaks ties by
 // first-encountered and Each walks charge metering in list order, so
 // list order is observable in scheduling decisions and counters.
 //
@@ -20,11 +20,15 @@ import (
 // downCount is a recount, the SoA scan block (per-slot arrays and
 // block bounds) re-syncs from node state through reindex, and the
 // entry/evict pools are allocation artifacts that restore empty.
+//
+// Version 1 payloads also carried each configuration's busy list
+// after its idle list; RestoreState reads and discards it.
 
 // EncodeState appends the manager's dynamic state: per-node fabric
-// contents in node order, then per-configuration list orders in
+// contents in node order, then per-configuration idle-list orders in
 // configuration order (never map order — encoding must be
-// deterministic).
+// deterministic). Each list is written head first, each entry as
+// (node number, slot in that node's Entries).
 //
 //lint:metering serialization walks are host-side I/O between ticks, not simulated scheduler work
 func (m *Manager) EncodeState(w *snapshot.Writer) {
@@ -42,24 +46,14 @@ func (m *Manager) EncodeState(w *snapshot.Writer) {
 			}
 		}
 	}
-	for _, cfg := range m.configs {
-		p := m.pairs[cfg.No]
-		encodeList(w, p.Idle)
-		encodeList(w, p.Busy)
+	for _, l := range m.idle {
+		w.Int(l.Len())
+		l.Each(func(e *model.Entry) bool {
+			w.Int(e.Node.No)
+			w.Int(entrySlot(e))
+			return true
+		})
 	}
-}
-
-// encodeList appends one list's membership in head-first order; each
-// entry is addressed as (node number, slot in that node's Entries).
-//
-//lint:metering serialization walks are host-side I/O between ticks, not simulated scheduler work
-func encodeList(w *snapshot.Writer, l *reslists.List) {
-	w.Int(l.Len())
-	l.Each(func(e *model.Entry) bool {
-		w.Int(e.Node.No)
-		w.Int(entrySlot(e))
-		return true
-	})
 }
 
 // entrySlot locates e within its node's entry slice.
@@ -75,16 +69,18 @@ func entrySlot(e *model.Entry) int {
 }
 
 // RestoreState rebuilds the fabric picture onto a freshly constructed
-// manager (blank nodes, empty lists). taskByNo resolves task numbers
-// to the run's restored task structs; it returns nil for unknown
-// numbers, which this validation rejects.
+// manager (blank nodes, empty lists) from a payload of the given
+// snapshot format version. taskByNo resolves task numbers to the run's
+// restored task structs; it returns nil for unknown numbers, which
+// this validation rejects.
 //
 //lint:metering restore walks re-build host data structures between ticks; the resumed run's counters come from the snapshot
-func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.Task) error {
+func (m *Manager) RestoreState(r *snapshot.Reader, version uint64, taskByNo func(no int) *model.Task) error {
 	if n := r.Int(); r.Err() == nil && n != len(m.nodes) {
 		return fmt.Errorf("%w: snapshot has %d nodes, run parameters build %d", snapshot.ErrCorrupt, n, len(m.nodes))
 	}
 	m.downCount = 0
+	idle := 0 // resident regions without a task
 	for _, n := range m.nodes {
 		if len(n.Entries) != 0 {
 			return fmt.Errorf("resinfo: RestoreState needs blank nodes, node %d holds %d entries", n.No, len(n.Entries))
@@ -124,6 +120,8 @@ func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.
 					return fmt.Errorf("%w: node %d runs unknown task %d", snapshot.ErrCorrupt, n.No, taskNo)
 				}
 				e.Task = task
+			} else {
+				idle++
 			}
 			n.Entries = append(n.Entries, e)
 			n.AvailableArea -= cfg.ReqArea
@@ -134,26 +132,25 @@ func (m *Manager) RestoreState(r *snapshot.Reader, taskByNo func(no int) *model.
 			m.downCount++
 		}
 	}
-	total := 0
-	for _, n := range m.nodes {
-		total += len(n.Entries)
-	}
 	// Every list decodes into one shared array: a list can hold at most
-	// the resident entries no earlier list took.
-	scratch := make([]*model.Entry, total)
+	// the idle regions no earlier list took.
+	scratch := make([]*model.Entry, idle)
 	placed := 0
-	for _, cfg := range m.configs {
-		p := m.pairs[cfg.No]
-		for _, l := range []*reslists.List{p.Idle, p.Busy} {
-			n, err := m.restoreList(r, l, cfg, scratch[:total-placed])
-			if err != nil {
-				return err
-			}
-			placed += n
+	for no, l := range m.idle {
+		n, err := m.restoreList(r, l, no, scratch[:idle-placed])
+		if err != nil {
+			return err
+		}
+		placed += n
+		if version == 1 {
+			skipList(r)
 		}
 	}
-	if placed != total {
-		return fmt.Errorf("%w: %d entries resident but %d listed", snapshot.ErrCorrupt, total, placed)
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if placed != idle {
+		return fmt.Errorf("%w: %d idle regions resident but %d listed", snapshot.ErrCorrupt, idle, placed)
 	}
 	for _, n := range m.nodes {
 		m.reindex(n)
@@ -171,18 +168,19 @@ func (m *Manager) ConfigByNo(no int) *model.Config {
 	return nil
 }
 
-// restoreList rebuilds one list's membership and order, decoding it
-// into buf, which bounds its length. The snapshot holds head-first
-// order and Add pushes at the head, so entries are re-added in
-// reverse.
-func (m *Manager) restoreList(r *snapshot.Reader, l *reslists.List, cfg *model.Config, buf []*model.Entry) (int, error) {
+// restoreList rebuilds the membership and order of configuration
+// cfgNo's idle list l, decoding it into buf, which bounds its length.
+// Only idle regions may be listed, each once. The snapshot holds
+// head-first order and Add pushes at the head, so entries are re-added
+// in reverse.
+func (m *Manager) restoreList(r *snapshot.Reader, l *reslists.List, cfgNo int, buf []*model.Entry) (int, error) {
 	n := r.Count()
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
 	if n > len(buf) {
-		return 0, fmt.Errorf("%w: %s list of C%d holds %d entries, only %d resident entries are unlisted",
-			snapshot.ErrCorrupt, l.Kind(), cfg.No, n, len(buf))
+		return 0, fmt.Errorf("%w: idle list of C%d holds %d entries, only %d idle regions are unlisted",
+			snapshot.ErrCorrupt, cfgNo, n, len(buf))
 	}
 	entries := buf[:n]
 	for i := 0; i < n; i++ {
@@ -192,26 +190,38 @@ func (m *Manager) restoreList(r *snapshot.Reader, l *reslists.List, cfg *model.C
 			return 0, err
 		}
 		if nodeNo < 0 || nodeNo >= len(m.nodes) {
-			return 0, fmt.Errorf("%w: %s list of C%d references node %d", snapshot.ErrCorrupt, l.Kind(), cfg.No, nodeNo)
+			return 0, fmt.Errorf("%w: idle list of C%d references node %d", snapshot.ErrCorrupt, cfgNo, nodeNo)
 		}
 		node := m.nodes[nodeNo]
 		if slot < 0 || slot >= len(node.Entries) {
-			return 0, fmt.Errorf("%w: %s list of C%d references slot %d of node %d", snapshot.ErrCorrupt, l.Kind(), cfg.No, slot, nodeNo)
+			return 0, fmt.Errorf("%w: idle list of C%d references slot %d of node %d", snapshot.ErrCorrupt, cfgNo, slot, nodeNo)
 		}
 		e := node.Entries[slot]
-		if e.Config != cfg {
-			return 0, fmt.Errorf("%w: entry N%d/%d holds C%d, listed under C%d", snapshot.ErrCorrupt, nodeNo, slot, e.Config.No, cfg.No)
+		if e.Config.No != cfgNo {
+			return 0, fmt.Errorf("%w: entry N%d/%d holds C%d, listed under C%d", snapshot.ErrCorrupt, nodeNo, slot, e.Config.No, cfgNo)
 		}
-		if e.InIdle || e.InBusy {
+		if e.Task != nil {
+			return 0, fmt.Errorf("%w: busy entry N%d/%d in an idle list", snapshot.ErrCorrupt, nodeNo, slot)
+		}
+		if e.InIdle {
 			return 0, fmt.Errorf("%w: entry N%d/%d listed twice", snapshot.ErrCorrupt, nodeNo, slot)
 		}
-		if idle := e.Task == nil; idle != (l.Kind() == reslists.Idle) {
-			return 0, fmt.Errorf("%w: entry N%d/%d in the wrong state for the %s list", snapshot.ErrCorrupt, nodeNo, slot, l.Kind())
-		}
+		e.InIdle = true // marks a repeat within this list too, until the Adds below
 		entries[i] = e
 	}
 	for i := n - 1; i >= 0; i-- {
+		entries[i].InIdle = false
 		l.Add(entries[i])
 	}
 	return n, nil
+}
+
+// skipList reads past one version 1 busy list: a count, then a node
+// number and slot per entry. Count bounds the entries by the
+// remaining bytes, and a failed read latches in r.
+func skipList(r *snapshot.Reader) {
+	for n := r.Count(); n > 0; n-- {
+		r.Int()
+		r.Int()
+	}
 }

@@ -75,7 +75,8 @@ func TestSoASnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := snapshot.NewReader(w.Bytes())
-	if err := m2.RestoreState(r, func(no int) *model.Task {
+	const version = 2 // the current snapshot format: idle lists only
+	if err := m2.RestoreState(r, version, func(no int) *model.Task {
 		if tk := taskByNo[no]; tk != nil {
 			cp := *tk
 			return &cp

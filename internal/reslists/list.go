@@ -1,16 +1,19 @@
 // Package reslists implements the dynamic data structures of the
 // DReAMSim resource information system (paper §IV-B, Fig. 3): the
-// per-configuration linked lists of idle and busy node regions
-// (the paper's Idle_start/Busy_start with Inext/Bnext pointers) and
-// the suspension queue (SusList, §IV-C).
+// per-configuration idle lists of node regions (the paper's
+// Idle_start with Inext pointers) and the suspension queue (SusList,
+// §IV-C).
+//
+// The paper also keeps a busy list per configuration. No decision here
+// reads one, so none is kept (see package resinfo).
 //
 // The paper threads whole nodes through the lists; under partial
-// reconfiguration one node can simultaneously hold an idle region of
-// one configuration and a busy region of another, so the lists here
-// thread config-task *entries* (model.Entry) instead — one entry is
-// one membership. All list traversals report how many links they
-// explored so callers can account scheduler search length and
-// housekeeping workload exactly as the paper's counters do.
+// reconfiguration one node can hold idle regions of several
+// configurations at once, so the lists here thread config-task
+// *entries* (model.Entry) instead — one entry is one membership. All
+// list traversals report how many links they explored so callers can
+// account scheduler search length and housekeeping workload exactly as
+// the paper's counters do.
 package reslists
 
 import (
@@ -19,128 +22,59 @@ import (
 	"dreamsim/internal/model"
 )
 
-// Kind selects which intrusive hook set a List uses.
-type Kind int
-
-const (
-	// Idle threads entries whose region has no running task.
-	Idle Kind = iota
-	// Busy threads entries whose region is executing a task.
-	Busy
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	if k == Idle {
-		return "idle"
-	}
-	return "busy"
-}
-
-// List is a doubly linked, nil-terminated list of entries of one
-// configuration, in one state. Insertion and removal are O(1); every
-// traversal hop counts as one search step.
+// List is a doubly linked, nil-terminated list of the idle entries of
+// one configuration. Insertion and removal are O(1); every traversal
+// hop counts as one search step.
 type List struct {
-	kind Kind
 	head *model.Entry
 	size int
 }
 
-// NewList returns an empty list of the given kind.
-func NewList(kind Kind) *List { return &List{kind: kind} }
-
-// Kind returns the list's state kind.
-func (l *List) Kind() Kind { return l.kind }
-
 // Len returns the number of entries in the list.
 func (l *List) Len() int { return l.size }
 
-// Head returns the first entry, or nil when empty.
-func (l *List) Head() *model.Entry { return l.head }
-
-// Contains reports membership in O(1) via the entry's hook flags.
-func (l *List) Contains(e *model.Entry) bool {
-	if l.kind == Idle {
-		return e.InIdle
-	}
-	return e.InBusy
-}
-
-// Add pushes e at the head of the list (the paper's AddNodeToIdleList
-// / AddNodeToBusyList). It panics on double insertion — that is
-// always a scheduler bug.
+// Add pushes e at the head of the list (the paper's
+// AddNodeToIdleList). It panics on double insertion — that is always a
+// scheduler bug.
 func (l *List) Add(e *model.Entry) {
-	if l.Contains(e) {
-		panic(fmt.Sprintf("reslists: %s list double insert of %v", l.kind, e))
+	if e.InIdle {
+		panic(fmt.Sprintf("reslists: idle list double insert of %v", e))
 	}
-	switch l.kind {
-	case Idle:
-		e.INext = l.head
-		e.IPrev = nil
-		if l.head != nil {
-			l.head.IPrev = e
-		}
-		e.InIdle = true
-	case Busy:
-		e.BNext = l.head
-		e.BPrev = nil
-		if l.head != nil {
-			l.head.BPrev = e
-		}
-		e.InBusy = true
+	e.INext = l.head
+	e.IPrev = nil
+	if l.head != nil {
+		l.head.IPrev = e
 	}
+	e.InIdle = true
 	l.head = e
 	l.size++
 }
 
-// Remove unlinks e (the paper's RemoveNodeFromIdleList /
-// RemoveNodeFromBusyList). It reports whether e was a member.
+// Remove unlinks e (the paper's RemoveNodeFromIdleList). It reports
+// whether e was a member.
 func (l *List) Remove(e *model.Entry) bool {
-	if !l.Contains(e) {
+	if !e.InIdle {
 		return false
 	}
-	switch l.kind {
-	case Idle:
-		if e.IPrev != nil {
-			e.IPrev.INext = e.INext
-		} else {
-			l.head = e.INext
-		}
-		if e.INext != nil {
-			e.INext.IPrev = e.IPrev
-		}
-		e.INext, e.IPrev = nil, nil
-		e.InIdle = false
-	case Busy:
-		if e.BPrev != nil {
-			e.BPrev.BNext = e.BNext
-		} else {
-			l.head = e.BNext
-		}
-		if e.BNext != nil {
-			e.BNext.BPrev = e.BPrev
-		}
-		e.BNext, e.BPrev = nil, nil
-		e.InBusy = false
+	if e.IPrev != nil {
+		e.IPrev.INext = e.INext
+	} else {
+		l.head = e.INext
 	}
+	if e.INext != nil {
+		e.INext.IPrev = e.IPrev
+	}
+	e.INext, e.IPrev = nil, nil
+	e.InIdle = false
 	l.size--
 	return true
 }
 
-// next returns the successor of e under the list's hook set.
-func (l *List) next(e *model.Entry) *model.Entry {
-	if l.kind == Idle {
-		return e.INext
-	}
-	return e.BNext
-}
-
-// Each walks the list (the paper's SearchIdleList/SearchBusyList),
-// calling visit for every entry until visit returns false. It
-// returns the number of links explored — the search steps charged to
-// the caller.
+// Each walks the list (the paper's SearchIdleList), calling visit for
+// every entry until visit returns false. It returns the number of
+// links explored — the search steps charged to the caller.
 func (l *List) Each(visit func(*model.Entry) bool) (steps uint64) {
-	for e := l.head; e != nil; e = l.next(e) {
+	for e := l.head; e != nil; e = e.INext {
 		steps++
 		if !visit(e) {
 			return steps
@@ -174,69 +108,21 @@ func (l *List) FindMin(ok func(*model.Entry) bool, key func(*model.Entry) int64)
 func (l *List) CheckInvariants() error {
 	count := 0
 	var prev *model.Entry
-	for e := l.head; e != nil; e = l.next(e) {
+	for e := l.head; e != nil; e = e.INext {
 		count++
 		if count > l.size {
-			return fmt.Errorf("reslists: %s list longer than size %d (cycle?)", l.kind, l.size)
+			return fmt.Errorf("reslists: idle list longer than size %d (cycle?)", l.size)
 		}
-		if !l.Contains(e) {
-			return fmt.Errorf("reslists: %s list member %v lacks membership flag", l.kind, e)
+		if !e.InIdle {
+			return fmt.Errorf("reslists: idle list member %v lacks membership flag", e)
 		}
-		var back *model.Entry
-		if l.kind == Idle {
-			back = e.IPrev
-		} else {
-			back = e.BPrev
-		}
-		if back != prev {
-			return fmt.Errorf("reslists: %s list back-pointer mismatch at %v", l.kind, e)
+		if e.IPrev != prev {
+			return fmt.Errorf("reslists: idle list back-pointer mismatch at %v", e)
 		}
 		prev = e
 	}
 	if count != l.size {
-		return fmt.Errorf("reslists: %s list size %d but chain length %d", l.kind, l.size, count)
+		return fmt.Errorf("reslists: idle list size %d but chain length %d", l.size, count)
 	}
 	return nil
-}
-
-// Pair bundles the idle and busy lists of one configuration — the
-// paper's Config class fields IdleHead/BusyHead.
-type Pair struct {
-	Idle *List
-	Busy *List
-}
-
-// NewPair returns an empty idle/busy pair.
-func NewPair() Pair {
-	return Pair{Idle: NewList(Idle), Busy: NewList(Busy)}
-}
-
-// MarkBusy moves e from the idle list to the busy list, returning the
-// housekeeping steps spent (constant: one unlink + one insert).
-func (p Pair) MarkBusy(e *model.Entry) (steps uint64) {
-	if p.Idle.Remove(e) {
-		steps++
-	}
-	p.Busy.Add(e)
-	return steps + 1
-}
-
-// MarkIdle moves e from the busy list to the idle list.
-func (p Pair) MarkIdle(e *model.Entry) (steps uint64) {
-	if p.Busy.Remove(e) {
-		steps++
-	}
-	p.Idle.Add(e)
-	return steps + 1
-}
-
-// Drop removes e from whichever list holds it.
-func (p Pair) Drop(e *model.Entry) (steps uint64) {
-	if p.Idle.Remove(e) {
-		steps++
-	}
-	if p.Busy.Remove(e) {
-		steps++
-	}
-	return steps
 }

@@ -33,16 +33,16 @@ func collect(l *List) []*model.Entry {
 }
 
 func TestListAddRemove(t *testing.T) {
-	l := NewList(Idle)
-	if l.Len() != 0 || l.Head() != nil {
+	l := new(List)
+	if l.Len() != 0 || len(collect(l)) != 0 {
 		t.Fatal("fresh list not empty")
 	}
 	e1, e2, e3 := mkEntry(1), mkEntry(2), mkEntry(3)
 	l.Add(e1)
 	l.Add(e2)
 	l.Add(e3)
-	if l.Len() != 3 || l.Head() != e3 {
-		t.Fatalf("len=%d head=%v", l.Len(), l.Head())
+	if got := collect(l); l.Len() != 3 || got[0] != e3 {
+		t.Fatalf("len=%d list=%v", l.Len(), got)
 	}
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestListAddRemove(t *testing.T) {
 	// Remove head then tail.
 	l.Remove(e3)
 	l.Remove(e1)
-	if l.Len() != 0 || l.Head() != nil {
+	if l.Len() != 0 || len(collect(l)) != 0 {
 		t.Fatal("list not empty after removing all")
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -73,7 +73,7 @@ func TestListAddRemove(t *testing.T) {
 }
 
 func TestListDoubleInsertPanics(t *testing.T) {
-	l := NewList(Busy)
+	l := new(List)
 	e := mkEntry(1)
 	l.Add(e)
 	defer func() {
@@ -84,25 +84,8 @@ func TestListDoubleInsertPanics(t *testing.T) {
 	l.Add(e)
 }
 
-func TestIdleBusyHooksIndependent(t *testing.T) {
-	idle := NewList(Idle)
-	busy := NewList(Busy)
-	e := mkEntry(1)
-	idle.Add(e)
-	busy.Add(e) // same entry may sit in one idle and one busy list
-	if !e.InIdle || !e.InBusy {
-		t.Fatal("hook flags not set")
-	}
-	if !idle.Remove(e) || !busy.Remove(e) {
-		t.Fatal("removal failed")
-	}
-	if e.InIdle || e.InBusy {
-		t.Fatal("hook flags not cleared")
-	}
-}
-
 func TestEachStepsAndEarlyStop(t *testing.T) {
-	l := NewList(Idle)
+	l := new(List)
 	for i := 0; i < 10; i++ {
 		l.Add(mkEntry(i))
 	}
@@ -121,7 +104,7 @@ func TestEachStepsAndEarlyStop(t *testing.T) {
 }
 
 func TestFindMin(t *testing.T) {
-	l := NewList(Idle)
+	l := new(List)
 	var entries []*model.Entry
 	areas := []int64{900, 300, 700, 300, 500}
 	for i, a := range areas {
@@ -151,47 +134,10 @@ func TestFindMin(t *testing.T) {
 }
 
 func TestFindMinEmptyList(t *testing.T) {
-	l := NewList(Idle)
+	l := new(List)
 	best, steps := l.FindMin(nil, func(*model.Entry) int64 { return 0 })
 	if best != nil || steps != 0 {
 		t.Fatalf("empty FindMin: %v, %d", best, steps)
-	}
-}
-
-func TestPairTransitions(t *testing.T) {
-	p := NewPair()
-	e := mkEntry(1)
-	p.Idle.Add(e)
-	steps := p.MarkBusy(e)
-	if steps != 2 {
-		t.Fatalf("MarkBusy steps=%d", steps)
-	}
-	if p.Idle.Len() != 0 || p.Busy.Len() != 1 {
-		t.Fatal("MarkBusy did not move entry")
-	}
-	steps = p.MarkIdle(e)
-	if steps != 2 {
-		t.Fatalf("MarkIdle steps=%d", steps)
-	}
-	if p.Idle.Len() != 1 || p.Busy.Len() != 0 {
-		t.Fatal("MarkIdle did not move entry")
-	}
-	if got := p.Drop(e); got != 1 {
-		t.Fatalf("Drop steps=%d", got)
-	}
-	if p.Idle.Len() != 0 || p.Busy.Len() != 0 {
-		t.Fatal("Drop left entry behind")
-	}
-	// MarkBusy on an unlisted entry still lands it in busy.
-	p.MarkBusy(e)
-	if p.Busy.Len() != 1 {
-		t.Fatal("MarkBusy from nowhere failed")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if Idle.String() != "idle" || Busy.String() != "busy" {
-		t.Fatal("Kind.String wrong")
 	}
 }
 
@@ -423,7 +369,7 @@ func TestSusQueueRebaseRekeys(t *testing.T) {
 // Property: arbitrary interleavings of list add/remove keep linkage sane.
 func TestQuickListOps(t *testing.T) {
 	f := func(ops []uint8) bool {
-		l := NewList(Idle)
+		l := new(List)
 		pool := make([]*model.Entry, 8)
 		for i := range pool {
 			pool[i] = mkEntry(i)
@@ -432,7 +378,7 @@ func TestQuickListOps(t *testing.T) {
 			e := pool[op%8]
 			if op&0x80 != 0 {
 				l.Remove(e)
-			} else if !l.Contains(e) {
+			} else if !e.InIdle {
 				l.Add(e)
 			}
 			if l.CheckInvariants() != nil {
@@ -649,7 +595,7 @@ func TestQuickSusQueueOrder(t *testing.T) {
 }
 
 func BenchmarkListAddRemove(b *testing.B) {
-	l := NewList(Idle)
+	l := new(List)
 	entries := make([]*model.Entry, 128)
 	for i := range entries {
 		entries[i] = mkEntry(i)
@@ -657,7 +603,7 @@ func BenchmarkListAddRemove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := entries[i%128]
-		if l.Contains(e) {
+		if e.InIdle {
 			l.Remove(e)
 		} else {
 			l.Add(e)

@@ -248,7 +248,7 @@ func (p *paperPolicy) pickIdleEntry(m *resinfo.Manager, cfgNo int) *model.Entry 
 	usable := func(e *model.Entry) bool {
 		return e.Node.PartialMode || e.Node.RunningTasks() == 0
 	}
-	idle := m.Pair(cfgNo).Idle
+	idle := m.Idle(cfgNo)
 	switch p.opts.Placement {
 	case FirstFit:
 		var pick *model.Entry
