@@ -8,12 +8,14 @@
 //	dreamsim -nodes 100 -tasks 10000 -compare
 //	dreamsim -tasks 2000 -partial -xml report.xml
 //	dreamsim -tasks 2000 -trace workload.trace -partial
+//	dreamsim -nodes 5000 -tasks 1000000 -partial -cpuprofile cpu.prof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"dreamsim"
 )
@@ -45,6 +47,7 @@ func main() {
 		parallel    = flag.Int("parallel", dreamsim.DefaultParallelism(), "workers for -compare/-replicate fan-out (1 = sequential)")
 		window      = flag.Int("window", 0, "monitoring samples per rolling aggregation window (0 = full series, or the default window with -timeline-out; implies sampling)")
 		timelineOut = flag.String("timeline-out", "", "stream rolling-window timeline rows to this CSV file as the run progresses")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 
 		faultCrashRate  = flag.Float64("fault-crash-rate", 0, "mean random node crashes per timetick (0 = off)")
 		faultDowntime   = flag.Float64("fault-downtime", 0, "mean downtime of randomly crashed nodes, in timeticks")
@@ -55,6 +58,15 @@ func main() {
 		faultBackoffCap = flag.Int64("fault-backoff-cap", 0, "retry backoff ceiling in timeticks (0 = default 4096)")
 	)
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		fail(err)
+		fail(pprof.StartCPUProfile(f))
+		// fail exits through os.Exit, which skips defers.
+		onExit = pprof.StopCPUProfile
+		defer pprof.StopCPUProfile()
+	}
 
 	p := dreamsim.DefaultParams()
 	p.Nodes = *nodes
@@ -170,9 +182,14 @@ func printPhases(label string, r dreamsim.Result) {
 	}
 }
 
+// onExit flushes an in-flight CPU profile before an error exit; main
+// replaces it once profiling starts.
+var onExit = func() {}
+
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dreamsim:", err)
+		onExit()
 		os.Exit(1)
 	}
 }

@@ -36,8 +36,8 @@ func GoodWalk(m *real.Manager, nodes []*model.Node, area int64) *model.Node {
 
 // BadDiscard throws the traversal cost away twice over.
 func BadDiscard(m *real.Manager, l *reslists.List) *model.Entry {
-	l.Each(func(e *model.Entry) bool { return true })      // want `steps result of List.Each discarded`
-	best, _ := l.FindMin(nil, func(e *model.Entry) int64 { // want `steps result of List.FindMin discarded`
+	l.Each(func(e *model.Entry) bool { return true }) // want `steps result of List.Each discarded`
+	best, _ := l.FindMin(func(e *model.Entry) int64 { // want `steps result of List.FindMin discarded`
 		return e.Config.ReqArea
 	})
 	m.ChargeSearch(1)

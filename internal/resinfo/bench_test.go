@@ -127,7 +127,7 @@ func (sb *suspendBench) cycle(tb testing.TB, i int) {
 	}
 
 	cfg := m.FindPreferredConfig(sb.probe.No)
-	if m.BestIdleEntry(cfg.No) != nil || m.BestBlankNode(cfg) != nil ||
+	if m.Idle(cfg.No).Len() != 0 || m.BestBlankNode(cfg) != nil ||
 		m.BestPartiallyBlankNode(cfg) != nil {
 		tb.Fatal("a placement phase found room in the saturated population")
 	}

@@ -3,9 +3,10 @@ package resinfo_test
 // The placement queries checked against an independent reference: the
 // paper's searches written once as plain walks over the node and
 // configuration lists (Fig. 5's phases and Algorithm 1), with no SoA
-// arrays, shards or blocks. A randomized sequence of state transitions
-// drives one manager; after every transition each query's answer and
-// its SchedulerSearch charge must equal the reference walk's.
+// arrays, shards, blocks or indexes. A randomized sequence of state
+// transitions drives one manager; after every transition each query's
+// answer and its SchedulerSearch charge must equal the reference
+// walk's.
 
 import (
 	"fmt"
@@ -25,6 +26,31 @@ import (
 // 0.3, and configuration i requires caps[i mod len(caps)] only, so
 // every name is in use once there are as many configurations.
 func population(seed uint64, nodes, configs int, caps []string) ([]*model.Node, []*model.Config) {
+	return shapedPopulation(seed, nodes, configs, caps, areaShape{})
+}
+
+// areaShape selects how a population draws its areas. The zero shape
+// draws node TotalArea uniformly from [1000, 4000] and configuration
+// ReqArea from [200, 2000].
+type areaShape struct {
+	nodeAreas []int64 // if set, node TotalArea is drawn from this set
+	cfgAreas  []int64 // if set, configuration ReqArea is drawn from this set
+	scale     int64   // if set, multiplies every area, probes' too
+}
+
+// area draws one area from set, or uniformly from [lo, hi] when set is
+// empty, and applies the scale.
+func (a areaShape) area(r *rng.RNG, set []int64, lo, hi int) int64 {
+	if len(set) > 0 {
+		return set[r.Intn(len(set))] * a.unit()
+	}
+	return int64(r.IntRange(lo, hi)) * a.unit()
+}
+
+func (a areaShape) unit() int64 { return max(a.scale, 1) }
+
+// shapedPopulation is population with the areas drawn by shape.
+func shapedPopulation(seed uint64, nodes, configs int, caps []string, shape areaShape) ([]*model.Node, []*model.Config) {
 	r := rng.New(seed)
 	large := len(caps) > 8
 	offer := 0.6
@@ -34,7 +60,7 @@ func population(seed uint64, nodes, configs int, caps []string) ([]*model.Node, 
 	ns := make([]*model.Node, nodes)
 	for i := range ns {
 		partial := r.Bool(0.5)
-		ns[i] = model.NewNode(i, int64(r.IntRange(1000, 4000)), partial)
+		ns[i] = model.NewNode(i, shape.area(r, shape.nodeAreas, 1000, 4000), partial)
 		for _, c := range caps {
 			if r.Bool(offer) {
 				ns[i].Caps = append(ns[i].Caps, c)
@@ -45,7 +71,7 @@ func population(seed uint64, nodes, configs int, caps []string) ([]*model.Node, 
 	for i := range cs {
 		cs[i] = &model.Config{
 			No:         i,
-			ReqArea:    int64(r.IntRange(200, 2000)),
+			ReqArea:    shape.area(r, shape.cfgAreas, 200, 2000),
 			Ptype:      model.PTypeSoftCore,
 			ConfigTime: int64(r.IntRange(10, 20)),
 		}
@@ -162,26 +188,27 @@ func (r reference) anyDownFit(cfg *model.Config) bool {
 	return false
 }
 
-// refDriver drives one manager through random transitions and checks
+// refRunner drives one manager through random transitions and checks
 // every query against the reference.
-type refDriver struct {
+type refRunner struct {
 	t        *testing.T
 	m        *resinfo.Manager
 	c        *metrics.Counters
 	ref      reference
 	caps     []string
+	unit     int64 // the population's area scale
 	r        *rng.RNG
 	nextTask int
 }
 
 // charged runs one query and returns the SchedulerSearch it charged.
-func (d *refDriver) charged(query func()) uint64 {
+func (d *refRunner) charged(query func()) uint64 {
 	before := d.c.SchedulerSearch
 	query()
 	return d.c.SchedulerSearch - before
 }
 
-func (d *refDriver) sameNode(what string, got, want *model.Node, gotSteps, wantSteps uint64) {
+func (d *refRunner) sameNode(what string, got, want *model.Node, gotSteps, wantSteps uint64) {
 	d.t.Helper()
 	if got != want {
 		d.t.Fatalf("%s returned %v, reference %v", what, got, want)
@@ -194,12 +221,12 @@ func (d *refDriver) sameNode(what string, got, want *model.Node, gotSteps, wantS
 // probe draws a query configuration: a listed one, or an unlisted one
 // with any area and capabilities, sometimes a capability no node or
 // configuration declares.
-func (d *refDriver) probe() *model.Config {
+func (d *refRunner) probe() *model.Config {
 	r := d.r
 	if r.Bool(0.6) {
 		return d.ref.configs[r.Intn(len(d.ref.configs))]
 	}
-	cfg := &model.Config{No: -1, ReqArea: int64(r.IntRange(1, 4500)), ConfigTime: 10}
+	cfg := &model.Config{No: -1, ReqArea: int64(r.IntRange(1, 4500)) * d.unit, ConfigTime: 10}
 	if len(d.caps) > 0 && r.Bool(0.5) {
 		cfg.RequiredCaps = []string{d.caps[r.Intn(len(d.caps))]}
 	}
@@ -211,7 +238,7 @@ func (d *refDriver) probe() *model.Config {
 
 // queryAll checks every placement query for one probe and returns
 // Algorithm 1's answer.
-func (d *refDriver) queryAll(cfg *model.Config) (*model.Node, []*model.Entry) {
+func (d *refRunner) queryAll(cfg *model.Config) (*model.Node, []*model.Entry) {
 	d.t.Helper()
 	var n *model.Node
 	var victims []*model.Entry
@@ -224,7 +251,7 @@ func (d *refDriver) queryAll(cfg *model.Config) (*model.Node, []*model.Entry) {
 	if pc != want || got != steps {
 		d.t.Fatalf("FindPreferredConfig(%d) = %v charging %d, reference %v charging %d", no, pc, got, want, steps)
 	}
-	area := int64(d.r.IntRange(1, 2200))
+	area := int64(d.r.IntRange(1, 2200)) * d.unit
 	got = d.charged(func() { pc = d.m.FindClosestConfig(area) })
 	want, steps = d.ref.closestConfig(area)
 	if pc != want || got != steps {
@@ -260,7 +287,7 @@ func (d *refDriver) queryAll(cfg *model.Config) (*model.Node, []*model.Entry) {
 }
 
 // mutate applies one random state transition to a random node.
-func (d *refDriver) mutate() {
+func (d *refRunner) mutate() {
 	d.t.Helper()
 	r := d.r
 	node := d.ref.nodes[r.Intn(len(d.ref.nodes))]
@@ -314,12 +341,69 @@ func (d *refDriver) mutate() {
 	}
 }
 
-func runReference(t *testing.T, seed uint64, nodes int, caps []string) {
+// saturate configures every blank working node with the first listed
+// configuration that fits it and crashes the nodes none fits, so that
+// no node is blank.
+func (d *refRunner) saturate() {
+	d.t.Helper()
+	for _, n := range d.ref.nodes {
+		if n.Down || len(n.Entries) > 0 {
+			continue
+		}
+		var err error
+		if i := slices.IndexFunc(d.ref.configs, func(cfg *model.Config) bool {
+			return cfg.ReqArea <= n.AvailableArea && n.HasCaps(cfg.RequiredCaps)
+		}); i >= 0 {
+			_, err = d.m.Configure(n, d.ref.configs[i])
+		} else {
+			_, err = d.m.CrashNode(n)
+		}
+		if err != nil {
+			d.t.Fatal(err)
+		}
+	}
+	for _, n := range d.ref.nodes {
+		if len(n.Entries) == 0 && !n.Down {
+			d.t.Fatalf("node %d is still blank after saturation", n.No)
+		}
+	}
+}
+
+// revive crashes every third working node and recovers every down
+// one, so the recovered nodes come back blank.
+func (d *refRunner) revive() {
+	d.t.Helper()
+	for i, n := range d.ref.nodes {
+		if !n.Down && i%3 == 0 {
+			if _, err := d.m.CrashNode(n); err != nil {
+				d.t.Fatal(err)
+			}
+		}
+		if n.Down {
+			if err := d.m.RecoverNode(n); err != nil {
+				d.t.Fatal(err)
+			}
+		}
+	}
+}
+
+// queryPhase checks the queries for a few probes, then the invariants.
+func (d *refRunner) queryPhase(what string) {
+	d.t.Helper()
+	for i := 0; i < 20; i++ {
+		d.queryAll(d.probe())
+	}
+	if err := d.m.CheckInvariants(); err != nil {
+		d.t.Fatalf("%s: %v", what, err)
+	}
+}
+
+func runReference(t *testing.T, seed uint64, nodes int, caps []string, shape areaShape) {
 	configs := 25
 	if len(caps) > 64 {
 		configs = len(caps) + 5
 	}
-	ns, cs := population(seed, nodes, configs, caps)
+	ns, cs := shapedPopulation(seed, nodes, configs, caps, shape)
 	c := &metrics.Counters{}
 	m, err := resinfo.New(ns, cs, c)
 	if err != nil {
@@ -328,7 +412,7 @@ func runReference(t *testing.T, seed uint64, nodes int, caps []string) {
 	if len(caps) > 64 && m.ShardCount() != 1 {
 		t.Fatalf("%d capability names must fall back to one shard, got %d", len(caps), m.ShardCount())
 	}
-	d := &refDriver{t: t, m: m, c: c, ref: reference{ns, cs}, caps: caps, r: rng.New(seed ^ 0x5eed)}
+	d := &refRunner{t: t, m: m, c: c, ref: reference{ns, cs}, caps: caps, unit: shape.unit(), r: rng.New(seed ^ 0x5eed)}
 	steps := 400 + 2*nodes
 	for step := 0; step < steps; step++ {
 		d.mutate()
@@ -350,30 +434,71 @@ func runReference(t *testing.T, seed uint64, nodes int, caps []string) {
 			}
 		}
 	}
+	// No blank node left, then blank nodes back from crash and recovery.
+	d.saturate()
+	d.queryPhase("saturated")
+	d.revive()
+	d.queryPhase("revived")
 }
 
-// TestPlacementQueriesMatchReference runs the reference comparison on
-// populations around the 64-member block size, with no capabilities,
-// three capability kinds (several shards) and more than 64 capability
-// names (the single-shard string-test fallback).
-func TestPlacementQueriesMatchReference(t *testing.T) {
+// capSpaces are the capability name spaces the reference comparison
+// runs on: none, three kinds (several shards) and more than 64 names
+// (the single-shard string-test fallback).
+func capSpaces() []struct {
+	name string
+	caps []string
+} {
 	huge := make([]string, 70)
 	for i := range huge {
 		huge[i] = fmt.Sprintf("cap-%d", i)
 	}
-	for _, space := range []struct {
+	return []struct {
 		name string
 		caps []string
 	}{
 		{"homogeneous", nil},
 		{"capabilities", []string{"bram", "dsp", "serdes"}},
 		{"huge-cap-space", huge},
-	} {
+	}
+}
+
+// TestPlacementQueriesMatchReference runs the reference comparison on
+// populations around the 64-member block size in every capability
+// space.
+func TestPlacementQueriesMatchReference(t *testing.T) {
+	for _, space := range capSpaces() {
 		t.Run(space.name, func(t *testing.T) {
 			for _, nodes := range []int{1, 63, 64, 65, 200, 1000} {
 				t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-					runReference(t, uint64(nodes)*7+uint64(len(space.caps)), nodes, space.caps)
+					runReference(t, uint64(nodes)*7+uint64(len(space.caps)), nodes, space.caps, areaShape{})
 				})
+			}
+		})
+	}
+}
+
+// TestPlacementQueriesMatchReferenceTiesAndRange reruns the comparison
+// on area shapes that stress the searches' orderings: node TotalArea
+// drawn from three values, so equal blank nodes must resolve to the
+// lower node; configurations sharing ReqArea values, so the closest
+// match must be the first in list order; and areas spread above 2^32.
+func TestPlacementQueriesMatchReferenceTiesAndRange(t *testing.T) {
+	shapes := []struct {
+		name  string
+		shape areaShape
+	}{
+		{"tied-node-areas", areaShape{nodeAreas: []int64{1500, 2500, 3500}}},
+		{"tied-config-areas", areaShape{cfgAreas: []int64{300, 700, 1200, 1900}}},
+		{"areas-above-2^32", areaShape{scale: 1<<23 + 7}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for _, space := range capSpaces() {
+				for _, nodes := range []int{64, 65, 300} {
+					t.Run(fmt.Sprintf("%s/nodes=%d", space.name, nodes), func(t *testing.T) {
+						runReference(t, uint64(nodes)*11+uint64(len(space.caps)), nodes, space.caps, sh.shape)
+					})
+				}
 			}
 		})
 	}

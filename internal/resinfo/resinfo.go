@@ -16,6 +16,7 @@ package resinfo
 
 import (
 	"fmt"
+	"sort"
 
 	"dreamsim/internal/invariant"
 	"dreamsim/internal/metrics"
@@ -29,6 +30,7 @@ import (
 type Manager struct {
 	nodes     []*model.Node
 	configs   []*model.Config
+	byArea    []int32          // config numbers by (ReqArea, No), for FindClosestConfig
 	idle      []*reslists.List // config No -> idle list
 	c         *metrics.Counters
 	downCount int // nodes currently failed (CrashNode minus RecoverNode)
@@ -76,6 +78,14 @@ func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counter
 		}
 		m.idle[i] = new(reslists.List)
 	}
+	// FindClosestConfig's index: the configuration numbers by ReqArea,
+	// ties in list order (the sort is stable).
+	areas, nos := make([]int64, len(configs)), make([]int32, 2*len(configs))
+	for i, cfg := range configs {
+		areas[i], nos[i] = cfg.ReqArea, int32(i)
+	}
+	m.byArea = nos[:len(configs):len(configs)]
+	sortByKey(m.byArea, nos[len(configs):], areas)
 	counters.TotalNodes = len(nodes)
 	counters.TotalConfigs = len(configs)
 	for i, n := range nodes {
@@ -142,39 +152,37 @@ func (m *Manager) ChargeHousekeeping(n uint64) { m.housekeep(n) }
 // FindPreferredConfig searches the configurations list for cfgNo
 // (paper method; metered as the linear search the paper describes —
 // "currently a simple linear search is employed"). It returns nil
-// when the preferred configuration does not exist.
+// when the preferred configuration does not exist. Configurations are
+// numbered by position, so the answer is an index and the walk's
+// charge is arithmetic: cfgNo+1 steps to reach it, or the whole list
+// on a miss.
 //
 //dreamsim:noalloc
 func (m *Manager) FindPreferredConfig(cfgNo int) *model.Config {
-	var steps uint64
-	for _, cfg := range m.configs {
-		steps++
-		if cfg.No == cfgNo {
-			m.search(steps)
-			return cfg
-		}
+	cfg := m.ConfigByNo(cfgNo)
+	if cfg == nil {
+		m.search(uint64(len(m.configs)))
+		return nil
 	}
-	m.search(steps)
-	return nil
+	m.search(uint64(cfgNo) + 1)
+	return cfg
 }
 
 // FindClosestConfig searches for C_ClosestMatch: the configuration
 // whose ReqArea is minimal among all configurations with ReqArea ≥
-// neededArea (paper §IV-C). It returns nil when no configuration is
-// large enough.
+// neededArea (paper §IV-C), the first in list order on a tie. It
+// returns nil when no configuration is large enough. The paper's walk
+// visits the whole list, which is what it charges; the answer comes
+// from a binary search of the configurations ordered by (ReqArea, No).
 //
 //dreamsim:noalloc
 func (m *Manager) FindClosestConfig(neededArea model.Area) *model.Config {
-	var best *model.Config
-	var steps uint64
-	for _, cfg := range m.configs {
-		steps++
-		if cfg.ReqArea >= neededArea && (best == nil || cfg.ReqArea < best.ReqArea) {
-			best = cfg
-		}
+	m.search(uint64(len(m.configs)))
+	i := sort.Search(len(m.byArea), func(i int) bool { return m.configs[m.byArea[i]].ReqArea >= neededArea })
+	if i == len(m.byArea) {
+		return nil
 	}
-	m.search(steps)
-	return best
+	return m.configs[m.byArea[i]]
 }
 
 // Configure sends the bitstream of cfg to node (paper SendBitstream):
@@ -322,35 +330,15 @@ func (m *Manager) FinishTask(node *model.Node, task *model.Task) (*model.Entry, 
 	return e, nil
 }
 
-// BestIdleEntry returns the best-match idle region configured with
-// cfgNo: the one on the node with minimum AvailableArea ("so that the
-// nodes with larger AvailableArea are utilized for later
-// re-configurations", §V). In full-reconfiguration mode an idle entry
-// is only usable if its node runs nothing else; the filter is built
-// in because the idle lists thread regions, not whole nodes.
-//
-//dreamsim:noalloc
-func (m *Manager) BestIdleEntry(cfgNo int) *model.Entry {
-	best, steps := m.Idle(cfgNo).FindMin(
-		func(e *model.Entry) bool {
-			return e.Node.PartialMode || e.Node.RunningTasks() == 0
-		},
-		func(e *model.Entry) int64 { return e.Node.AvailableArea },
-	)
-	m.search(steps)
-	return best
-}
-
-// BestBlankNode scans for blank, capability-compatible nodes that can
-// hold cfg and returns the one with minimum sufficient TotalArea. The
-// scan visits the SoA block's compatible capability shards, skipping
-// blocks that hold no blank node large enough; the paper's walk always
-// visits every node, so the whole list is charged.
+// BestBlankNode returns the blank, capability-compatible node with the
+// minimum TotalArea that can hold cfg, the lower node number on a tie.
+// The paper's walk visits every node, so the whole list is charged;
+// the answer comes from the SoA block's blank index (scanBlank).
 //
 //dreamsim:noalloc
 func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
-	return m.scanBest(cfg, keyBlank)
+	return m.scanBlank(cfg)
 }
 
 // BestPartiallyBlankNode scans for configured, capability-compatible
@@ -363,7 +351,7 @@ func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 //dreamsim:noalloc
 func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
-	return m.scanBest(cfg, keyPart)
+	return m.scanBest(cfg)
 }
 
 // FindAnyIdleNode is Algorithm 1 of the paper: walk the node list,

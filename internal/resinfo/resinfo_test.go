@@ -1,11 +1,15 @@
 package resinfo
 
 import (
+	"cmp"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
+	"dreamsim/internal/rng"
 	"dreamsim/internal/snapshot"
 )
 
@@ -65,8 +69,12 @@ func TestFindPreferredConfig(t *testing.T) {
 	if c.SchedulerSearch-before != 2 { // linear scan hits it at position 2
 		t.Errorf("search steps = %d, want 2", c.SchedulerSearch-before)
 	}
+	before = c.SchedulerSearch
 	if cfg := m.FindPreferredConfig(99); cfg != nil {
 		t.Fatalf("absent config found: %v", cfg)
+	}
+	if c.SchedulerSearch-before != 3 { // a miss walks the whole list
+		t.Errorf("miss charged %d steps, want 3", c.SchedulerSearch-before)
 	}
 }
 
@@ -83,6 +91,15 @@ func TestFindClosestConfig(t *testing.T) {
 	// Nothing big enough.
 	if cfg := m.FindClosestConfig(2001); cfg != nil {
 		t.Fatalf("FindClosestConfig(2001) = %v", cfg)
+	}
+	// An area tie goes to the first configuration in list order, and
+	// every search charges the whole list.
+	m, c := rig(t, nil, []int64{900, 600, 300, 600}, true)
+	if cfg := m.FindClosestConfig(450); cfg == nil || cfg.No != 1 {
+		t.Fatalf("FindClosestConfig(450) over a tie = %v, want C1", cfg)
+	}
+	if c.SchedulerSearch != 4 {
+		t.Errorf("search steps = %d, want 4", c.SchedulerSearch)
 	}
 }
 
@@ -141,35 +158,6 @@ func TestEvictAndBlank(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBestIdleEntryMinAvailableArea(t *testing.T) {
-	m, _ := rig(t, []int64{4000, 2000, 3000}, []int64{500}, true)
-	cfg := m.Configs()[0]
-	for _, n := range m.Nodes() {
-		if _, err := m.Configure(n, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	best := m.BestIdleEntry(0)
-	if best == nil || best.Node.No != 1 { // node 1 has min available (1500)
-		t.Fatalf("BestIdleEntry = %v", best)
-	}
-}
-
-func TestBestIdleEntryFullModeFilter(t *testing.T) {
-	// In full mode, an idle region on a node already running a task
-	// cannot exist, but the shared-list filter also guards partial
-	// lists: simulate by checking the filter path with partial nodes.
-	m, _ := rig(t, []int64{4000}, []int64{500, 600}, true)
-	n := m.Nodes()[0]
-	e1, _ := m.Configure(n, m.Configs()[0])
-	_, _ = m.Configure(n, m.Configs()[1])
-	_ = m.StartTask(e1, model.NewTask(1, 500, 0, 100, 0))
-	// Partial mode: the idle C1 region is usable even though the node is busy.
-	if got := m.BestIdleEntry(1); got == nil {
-		t.Fatal("partial-mode idle region filtered out")
 	}
 }
 
@@ -343,6 +331,78 @@ func TestInvariantCatchesStaleBlock(t *testing.T) {
 	blk.ents++
 	if err := m.CheckInvariants(); err == nil {
 		t.Error("wrong block entry count not detected")
+	}
+}
+
+// TestInvariantCatchesStaleBlankIndex corrupts the blank index
+// BestBlankNode trusts: a flipped blank bit, which would return a
+// configured node or hide a blank one; two swapped order entries,
+// which would break the area order the binary search needs; and a
+// wrong blank count, which would end a search early.
+func TestInvariantCatchesStaleBlankIndex(t *testing.T) {
+	m, _ := rig(t, []int64{2000, 3000, 1000, 2000}, []int64{500}, true)
+	if _, err := m.Configure(m.Nodes()[1], m.Configs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.BestBlankNode(m.Configs()[0]); n == nil || n.No != 2 { // builds the index
+		t.Fatalf("BestBlankNode = %v, want node 2", n)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s := m.soa
+	for i := range s.order {
+		s.blank[i>>6] ^= 1 << (i & 63)
+		if err := m.CheckInvariants(); err == nil {
+			t.Errorf("flipped blank bit %d not detected", i)
+		}
+		s.blank[i>>6] ^= 1 << (i & 63)
+	}
+	s.order[0], s.order[3] = s.order[3], s.order[0]
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("swapped order entries not detected")
+	}
+	s.order[0], s.order[3] = s.order[3], s.order[0]
+	s.nblank--
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("wrong blank count not detected")
+	}
+	s.nblank++
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("restored index: %v", err)
+	}
+}
+
+// TestSortByKey checks the radix sort both indexes are built with
+// against a stable comparison sort, on keys with ties, negative keys,
+// keys above 2^32 and the int64 extremes.
+func TestSortByKey(t *testing.T) {
+	r := rng.New(9)
+	key := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1}
+	for len(key) < 300 {
+		switch r.Intn(3) {
+		case 0:
+			key = append(key, int64(r.IntRange(0, 4))) // ties
+		case 1:
+			key = append(key, -int64(r.IntRange(0, 1<<20)))
+		default:
+			key = append(key, int64(r.IntRange(0, 1<<20))<<24)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 5, len(key)} {
+		idx, tmp := make([]int32, n), make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(n - 1 - i) // equal keys must keep this order
+		}
+		want := slices.Clone(idx)
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(key[a], key[b]) })
+		sortByKey(idx, tmp, key)
+		if !slices.Equal(idx, want) {
+			t.Fatalf("n=%d: sortByKey gave %v, want %v", n, idx, want)
+		}
 	}
 }
 

@@ -158,9 +158,10 @@ func (m *Manager) RestoreState(r *snapshot.Reader, version uint64, taskByNo func
 	return nil
 }
 
-// ConfigByNo returns the configuration numbered no, or nil. It is the
-// unmetered lookup for restores, not a scheduling search: New requires
-// configurations numbered by position, so the index answers directly.
+// ConfigByNo returns the configuration numbered no, or nil, without
+// charging a search: restores use it as is, and FindPreferredConfig
+// adds the paper walk's charge. New requires configurations numbered
+// by position, so the index answers directly.
 func (m *Manager) ConfigByNo(no int) *model.Config {
 	if no >= 0 && no < len(m.configs) {
 		return m.configs[no]

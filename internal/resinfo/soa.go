@@ -2,6 +2,8 @@ package resinfo
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"dreamsim/internal/model"
 )
@@ -23,9 +25,18 @@ import (
 // block whose bound lies below the request: no member can fit. sync
 // raises a bound in O(1) when a member's key grows and leaves it loose
 // when the key shrinks; a scan that visits a whole block tightens its
-// bound to the exact maximum. Skipping changes only host work: the
-// paper's linear walks are still charged step for step, BestBlankNode
-// and BestPartiallyBlankNode as the whole node list and Algorithm 1
+// bound to the exact maximum.
+//
+// BestBlankNode's key, TotalArea, never changes during a run, so blank
+// nodes are found from an index instead of a bound: each shard's
+// members ordered by (TotalArea, slot), and a bitset over that order
+// marking the blank ones. A query binary-searches the order for the
+// request and takes the first set bit. sync flips a member's bit when
+// its blank flag changes.
+//
+// The index and the blocks change only host work: the paper's linear
+// walks are still charged step for step, BestBlankNode and
+// BestPartiallyBlankNode as the whole node list and Algorithm 1
 // arithmetically from the per-block entry counts (alg1Steps).
 //
 // Populations whose capability name space exceeds 64 distinct names
@@ -47,9 +58,8 @@ const (
 
 // Query keys a block bounds, indexing soaBlock.bound.
 const (
-	keyBlank = iota // TotalArea of blank members (BestBlankNode)
-	keyPart         // AvailableArea of partial members (BestPartiallyBlankNode)
-	keyRecl         // reclaimable area of members (FindAnyIdleNode)
+	keyPart = iota // AvailableArea of partial members (BestPartiallyBlankNode)
+	keyRecl        // reclaimable area of members (FindAnyIdleNode)
 	soaKeys
 )
 
@@ -100,6 +110,7 @@ type soaBlock struct {
 // node number without extra work), and the blocks that cut them.
 type soaShard struct {
 	mask    uint64
+	base    int // members' offset in the shared member and order arrays
 	members []int32
 	blocks  []soaBlock // blocks[b] covers members[b*soaBlockSize:]
 }
@@ -122,6 +133,17 @@ type soaState struct {
 	capBits map[string]uint64
 	maskOK  bool // false: >64 capability names, single-shard fallback
 	shards  []soaShard
+
+	// The blank index. order[sh.base:] holds shard sh's members by
+	// (TotalArea, slot), rank maps a slot to its position in order, and
+	// bit i of blank is set when order[i] is blank. They are filled on
+	// the first blank search that finds a blank node (indexed); nblank,
+	// the number of blank slots, is kept from the start.
+	order   []int32
+	rank    []int32
+	blank   []uint64
+	nblank  int
+	indexed bool
 }
 
 // newSoaState builds the scan block over a fresh population. Both node
@@ -133,7 +155,7 @@ type soaState struct {
 func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 	n := len(nodes)
 	i64 := make([]int64, 3*n)
-	i32 := make([]int32, 3*n)
+	i32 := make([]int32, 5*n)
 	s := &soaState{
 		total: i64[:n:n],
 		avail: i64[n : 2*n : 2*n],
@@ -141,8 +163,11 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 		flags: make([]uint8, n),
 		nent:  i32[:n:n],
 		blk:   i32[n : 2*n : 2*n],
+		order: i32[3*n : 4*n : 4*n],
+		rank:  i32[4*n:],
+		blank: make([]uint64, (n+63)/64),
 	}
-	members := i32[2*n:]
+	members := i32[2*n : 3*n : 3*n]
 	capLists := make([][]string, 0, n+len(configs))
 	for _, node := range nodes {
 		capLists = append(capLists, node.Caps)
@@ -173,10 +198,11 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 		s.shards = []soaShard{{}}
 		sizes = []int{n}
 	}
-	nblocks := 0
+	nblocks, base := 0, 0
 	for si := range s.shards {
-		s.shards[si].members = members[:0:sizes[si]]
-		members = members[sizes[si]:]
+		s.shards[si].base = base
+		s.shards[si].members = members[base : base : base+sizes[si]]
+		base += sizes[si]
 		nblocks += (sizes[si] + soaBlockSize - 1) / soaBlockSize
 	}
 	for i := range nodes {
@@ -184,7 +210,7 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 		sh.members = append(sh.members, int32(i))
 	}
 	s.blocks = make([]soaBlock, nblocks)
-	base := 0
+	base = 0
 	for si := range s.shards {
 		sh := &s.shards[si]
 		nb := (len(sh.members) + soaBlockSize - 1) / soaBlockSize
@@ -195,7 +221,7 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 		base += nb
 	}
 	for b := range s.blocks {
-		s.blocks[b].bound = [soaKeys]int64{-1, -1, -1}
+		s.blocks[b].bound = [soaKeys]int64{-1, -1}
 	}
 	for i, node := range nodes {
 		s.total[i] = node.TotalArea
@@ -204,17 +230,25 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 	return s
 }
 
-// sync refreshes one slot from its node and raises its block's bounds
-// to cover the slot's new keys.
+// sync refreshes one slot from its node, raises its block's bounds to
+// cover the slot's new keys and keeps the blank index in step.
 func (s *soaState) sync(slot int, n *model.Node) {
 	flags, recl := soaFlagsOf(n)
 	nent := int32(len(n.Entries))
 	b := &s.blocks[s.blk[slot]]
 	b.ents += int64(nent - s.nent[slot])
-	s.avail[slot], s.recl[slot], s.flags[slot], s.nent[slot] = n.AvailableArea, recl, flags, nent
-	if flags&soaBlank != 0 && n.TotalArea > b.bound[keyBlank] {
-		b.bound[keyBlank] = n.TotalArea
+	if (flags^s.flags[slot])&soaBlank != 0 {
+		if flags&soaBlank != 0 {
+			s.nblank++
+		} else {
+			s.nblank--
+		}
+		if s.indexed {
+			r := s.rank[slot]
+			s.blank[r>>6] ^= 1 << (r & 63)
+		}
 	}
+	s.avail[slot], s.recl[slot], s.flags[slot], s.nent[slot] = n.AvailableArea, recl, flags, nent
 	if flags&soaPart != 0 && n.AvailableArea > b.bound[keyPart] {
 		b.bound[keyPart] = n.AvailableArea
 	}
@@ -282,6 +316,51 @@ func (s *soaState) check(nodes []*model.Node) error {
 	if seen != len(nodes) {
 		return fmt.Errorf("resinfo: shards hold %d slots, population has %d", seen, len(nodes))
 	}
+	blank := 0
+	for _, f := range s.flags {
+		if f&soaBlank != 0 {
+			blank++
+		}
+	}
+	if blank != s.nblank {
+		return fmt.Errorf("resinfo: blank count %d, %d slots are blank", s.nblank, blank)
+	}
+	if s.indexed {
+		return s.checkBlankIndex()
+	}
+	return nil
+}
+
+// checkBlankIndex validates the built blank index: each shard's order
+// is a permutation of its members sorted by (TotalArea, slot), rank is
+// its inverse, and the blank bits are exactly the blank slots.
+func (s *soaState) checkBlankIndex() error {
+	for si := range s.shards {
+		sh := &s.shards[si]
+		lo, hi := sh.base, sh.base+len(sh.members)
+		for _, p := range sh.members {
+			if r := int(s.rank[p]); r < lo || r >= hi || s.order[r] != p {
+				return fmt.Errorf("resinfo: shard %d: rank of slot %d is %d, not its position in the shard's order", si, p, r)
+			}
+		}
+		for i := lo + 1; i < hi; i++ {
+			if !s.areaBefore(s.order[i-1], s.order[i]) {
+				return fmt.Errorf("resinfo: shard %d: order position %d breaks (TotalArea, slot) order", si, i)
+			}
+		}
+	}
+	set := 0
+	for _, w := range s.blank {
+		set += bits.OnesCount64(w)
+	}
+	if set != s.nblank {
+		return fmt.Errorf("resinfo: %d blank bits set for %d blank slots", set, s.nblank)
+	}
+	for p, r := range s.rank {
+		if bit := s.blank[r>>6]>>(r&63)&1 != 0; bit != (s.flags[p]&soaBlank != 0) {
+			return fmt.Errorf("resinfo: blank bit of slot %d is %v, its flags %04b", p, bit, s.flags[p])
+		}
+	}
 	return nil
 }
 
@@ -289,17 +368,14 @@ func (s *soaState) check(nodes []*model.Node) error {
 // bounds cover their keys and its entry count is exact.
 func (s *soaState) checkBlock(nodes []*model.Node, sh *soaShard, b int) error {
 	blk := &sh.blocks[b]
-	top := [soaKeys]int64{-1, -1, -1}
+	top := [soaKeys]int64{-1, -1}
 	var ents int64
 	for _, p := range sh.span(b) {
 		if &s.blocks[s.blk[p]] != blk {
 			return fmt.Errorf("node %d maps to block %d", nodes[p].No, s.blk[p])
 		}
 		ents += int64(len(nodes[p].Entries))
-		keys := [soaKeys]int64{-1, -1, s.recl[p]}
-		if s.flags[p]&soaBlank != 0 {
-			keys[keyBlank] = s.total[p]
-		}
+		keys := [soaKeys]int64{-1, s.recl[p]}
 		if s.flags[p]&soaPart != 0 {
 			keys[keyPart] = s.avail[p]
 		}
@@ -320,34 +396,29 @@ func (s *soaState) checkBlock(nodes []*model.Node, sh *soaShard, b int) error {
 	return nil
 }
 
-// shardBest is the argmin scan over one shard: the minimum key k
-// (TotalArea of blank members for keyBlank, AvailableArea of partial
-// members for keyPart) among candidates with sufficient area. Blocks
+// shardBest is the argmin scan over one shard: the minimum
+// AvailableArea among partial members with sufficient area. Blocks
 // whose bound lies below reqArea are skipped, and every visited block's
 // bound is tightened to its exact maximum. Members ascend, so the
-// strict < keeps the lower slot on a tie. Returns the best (key, slot),
-// slot -1 when the shard holds no candidate.
+// strict < keeps the lower slot on a tie. Returns the best (area,
+// slot), slot -1 when the shard holds no candidate.
 //
 //dreamsim:noalloc
-func (m *Manager) shardBest(sh *soaShard, k int, reqArea int64, caps []string, useCaps bool) (int64, int64) {
-	flags := m.soa.flags
-	want, key := soaBlank, m.soa.total
-	if k == keyPart {
-		want, key = soaPart, m.soa.avail
-	}
+func (m *Manager) shardBest(sh *soaShard, reqArea int64, caps []string, useCaps bool) (int64, int64) {
+	flags, avail := m.soa.flags, m.soa.avail
 	bestPos := int64(-1)
 	var bestKey int64
 	for b := range sh.blocks {
 		blk := &sh.blocks[b]
-		if blk.bound[k] < reqArea {
+		if blk.bound[keyPart] < reqArea {
 			continue
 		}
 		top := int64(-1)
 		for _, p := range sh.span(b) {
-			if flags[p]&want == 0 {
+			if flags[p]&soaPart == 0 {
 				continue
 			}
-			a := key[p]
+			a := avail[p]
 			top = max(top, a)
 			if a < reqArea {
 				continue
@@ -359,19 +430,18 @@ func (m *Manager) shardBest(sh *soaShard, k int, reqArea int64, caps []string, u
 				bestKey, bestPos = a, int64(p)
 			}
 		}
-		blk.bound[k] = top
+		blk.bound[keyPart] = top
 	}
 	return bestKey, bestPos
 }
 
-// scanBest is the sharded argmin search behind BestBlankNode (k =
-// keyBlank) and BestPartiallyBlankNode (k = keyPart). It reduces shard
-// results by (key, slot) with ties to the lower slot — exactly the
-// node the flat strict-< walk in node order would keep. The caller
-// charges the walk.
+// scanBest is the sharded argmin search behind BestPartiallyBlankNode.
+// It reduces shard results by (AvailableArea, slot) with ties to the
+// lower slot — exactly the node the flat strict-< walk in node order
+// would keep. The caller charges the walk.
 //
 //dreamsim:noalloc
-func (m *Manager) scanBest(cfg *model.Config, k int) *model.Node {
+func (m *Manager) scanBest(cfg *model.Config) *model.Node {
 	s := m.soa
 	// masked: the requirement is representable, so incompatible shards
 	// are skipped wholesale and the mask test replaces HasCaps. An
@@ -387,7 +457,7 @@ func (m *Manager) scanBest(cfg *model.Config, k int) *model.Node {
 		if masked && sh.mask&req != req {
 			continue
 		}
-		a, p := m.shardBest(sh, k, cfg.ReqArea, cfg.RequiredCaps, !masked)
+		a, p := m.shardBest(sh, cfg.ReqArea, cfg.RequiredCaps, !masked)
 		if p >= 0 && (bestPos < 0 || a < bestKey || (a == bestKey && p < bestPos)) {
 			bestKey, bestPos = a, p
 		}
@@ -397,6 +467,138 @@ func (m *Manager) scanBest(cfg *model.Config, k int) *model.Node {
 	}
 	return m.nodes[bestPos]
 }
+
+// scanBlank is the blank-node search behind BestBlankNode: the blank,
+// compatible node with the smallest sufficient TotalArea, ties to the
+// lower slot, or nil. Each compatible shard answers from the blank
+// index (firstBlank), and the shard answers reduce by (TotalArea,
+// slot). The caller charges the walk.
+//
+//dreamsim:noalloc
+func (m *Manager) scanBlank(cfg *model.Config) *model.Node {
+	s := m.soa
+	if s.nblank == 0 {
+		return nil
+	}
+	if !s.indexed {
+		s.buildBlankIndex()
+	}
+	req, reqOK := s.reqMask(cfg.RequiredCaps)
+	masked := s.maskOK && reqOK // as in scanBest
+	best := int32(-1)
+	for si := range s.shards {
+		sh := &s.shards[si]
+		if masked && sh.mask&req != req {
+			continue
+		}
+		p := m.firstBlank(sh, cfg.ReqArea, cfg.RequiredCaps, !masked)
+		if p >= 0 && (best < 0 || s.areaBefore(p, best)) {
+			best = p
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return m.nodes[best]
+}
+
+// firstBlank returns shard sh's blank member with the smallest TotalArea
+// of at least reqArea, ties to the lower slot, or -1: the first set
+// blank bit at or after the area's lower bound in the shard's order.
+// With useCaps the walk goes on past members that fail HasCaps.
+//
+//dreamsim:noalloc
+func (m *Manager) firstBlank(sh *soaShard, reqArea int64, caps []string, useCaps bool) int32 {
+	s := m.soa
+	order := s.order[sh.base : sh.base+len(sh.members)]
+	lo := sh.base + sort.Search(len(order), func(i int) bool { return s.total[order[i]] >= reqArea })
+	end := sh.base + len(order)
+	for i := nextSet(s.blank, lo, end); i < end; i = nextSet(s.blank, i+1, end) {
+		if p := s.order[i]; !useCaps || m.nodes[p].HasCaps(caps) {
+			return p
+		}
+	}
+	return -1
+}
+
+// nextSet returns the position of the first set bit of words at or
+// after i, or a position at or past end when none lies before end.
+func nextSet(words []uint64, i, end int) int {
+	for ; i < end; i = (i | 63) + 1 {
+		if w := words[i>>6] >> (i & 63); w != 0 {
+			return i + bits.TrailingZeros64(w)
+		}
+	}
+	return end
+}
+
+// areaBefore reports whether slot a precedes slot b in the blank
+// index's (TotalArea, slot) order.
+func (s *soaState) areaBefore(a, b int32) bool {
+	return s.total[a] < s.total[b] || (s.total[a] == s.total[b] && a < b)
+}
+
+// buildBlankIndex orders every shard's members by (TotalArea, slot) and
+// sets the blank bits. TotalArea never changes during a run, so this
+// runs once; from then on sync flips the bits. It runs on first use
+// rather than in New, so a manager that never meets a blank node never
+// pays for the sort.
+//
+//dreamsim:noalloc
+func (s *soaState) buildBlankIndex() {
+	for si := range s.shards {
+		sh := &s.shards[si]
+		order := s.order[sh.base : sh.base+len(sh.members)]
+		copy(order, sh.members)
+		sortByKey(order, s.rank[:len(order)], s.total) // rank is unused until filled below
+	}
+	for i, p := range s.order {
+		s.rank[p] = int32(i)
+		if s.flags[p]&soaBlank != 0 {
+			s.blank[i>>6] |= 1 << (i & 63)
+		}
+	}
+	s.indexed = true
+}
+
+// sortByKey sorts idx stably by key[idx[i]] with an LSD radix sort
+// over the keys' bytes, so equal keys keep their order in idx. Bytes
+// above the highest bit in which the smallest and largest keys differ
+// are shared by every key and take no pass. tmp is a buffer of the
+// same length as idx.
+//
+//dreamsim:noalloc
+func sortByKey(idx, tmp []int32, key []int64) {
+	if len(idx) < 2 {
+		return
+	}
+	lo, hi := radixKey(key[idx[0]]), radixKey(key[idx[0]])
+	for _, p := range idx {
+		lo, hi = min(lo, radixKey(key[p])), max(hi, radixKey(key[p]))
+	}
+	src, dst := idx, tmp
+	for shift := uint(0); shift < 64 && (lo^hi)>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, p := range src {
+			count[radixKey(key[p])>>shift&0xff]++
+		}
+		sum := 0
+		for b, c := range count {
+			count[b], sum = sum, sum+c
+		}
+		for _, p := range src {
+			b := radixKey(key[p]) >> shift & 0xff
+			dst[count[b]] = p
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(idx, src) // a no-op when src is idx
+}
+
+// radixKey maps a key to an unsigned value of the same order, by
+// flipping its sign bit.
+func radixKey(k int64) uint64 { return uint64(k) ^ 1<<63 }
 
 // firstReclaimable returns the lowest member of sh below slot limit
 // whose reclaimable area reaches reqArea, or -1: the node Algorithm 1

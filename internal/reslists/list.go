@@ -85,14 +85,10 @@ func (l *List) Each(visit func(*model.Entry) bool) (steps uint64) {
 
 // FindMin walks the whole list and returns the entry minimising
 // key(entry) (ties: first encountered), together with the search
-// steps spent. A nil entry means the list was empty or no entry
-// passed the ok filter.
-func (l *List) FindMin(ok func(*model.Entry) bool, key func(*model.Entry) int64) (best *model.Entry, steps uint64) {
+// steps spent. A nil entry means the list was empty.
+func (l *List) FindMin(key func(*model.Entry) int64) (best *model.Entry, steps uint64) {
 	var bestKey int64
 	steps = l.Each(func(e *model.Entry) bool {
-		if ok != nil && !ok(e) {
-			return true
-		}
 		k := key(e)
 		if best == nil || k < bestKey {
 			best, bestKey = e, k

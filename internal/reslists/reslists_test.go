@@ -115,7 +115,7 @@ func TestFindMin(t *testing.T) {
 		entries = append(entries, e)
 		l.Add(e)
 	}
-	best, steps := l.FindMin(nil, func(e *model.Entry) int64 { return e.Node.AvailableArea })
+	best, steps := l.FindMin(func(e *model.Entry) int64 { return e.Node.AvailableArea })
 	if best == nil || best.Node.AvailableArea != 300 {
 		t.Fatalf("FindMin returned %v", best)
 	}
@@ -126,16 +126,11 @@ func TestFindMin(t *testing.T) {
 	if best != entries[3] {
 		t.Fatalf("tie-break wrong: got node %d", best.Node.No)
 	}
-	// Filter that rejects everything.
-	none, _ := l.FindMin(func(*model.Entry) bool { return false }, func(*model.Entry) int64 { return 0 })
-	if none != nil {
-		t.Fatalf("filtered FindMin returned %v", none)
-	}
 }
 
 func TestFindMinEmptyList(t *testing.T) {
 	l := new(List)
-	best, steps := l.FindMin(nil, func(*model.Entry) int64 { return 0 })
+	best, steps := l.FindMin(func(*model.Entry) int64 { return 0 })
 	if best != nil || steps != 0 {
 		t.Fatalf("empty FindMin: %v, %d", best, steps)
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"dreamsim/internal/invariant"
 	"dreamsim/internal/model"
 	"dreamsim/internal/resinfo"
 	"dreamsim/internal/rng"
@@ -186,13 +187,13 @@ func (p *paperPolicy) DecideOnNode(m *resinfo.Manager, task *model.Task, node *m
 	var steps uint64
 	for _, e := range node.Entries {
 		steps++
-		if e.Idle() && e.Config.No == cfg.No &&
-			(node.PartialMode || node.RunningTasks() == 0) {
+		if e.Idle() && e.Config.No == cfg.No {
 			alloc = e
 			break
 		}
 	}
 	m.ChargeSearch(steps)
+	assertRunnable(alloc)
 	if alloc != nil {
 		d.Action, d.Entry = ActAllocate, alloc
 		return d
@@ -242,45 +243,32 @@ func (p *paperPolicy) DecideOnNode(m *resinfo.Manager, task *model.Task, node *m
 }
 
 // pickIdleEntry runs the Allocation-phase selection under the
-// configured placement criterion. Full-mode regions on nodes that
-// already run a task are never usable.
+// configured placement criterion. Every listed region is usable: a
+// full-mode node holds at most one region, so an idle region there
+// means the node runs nothing (assertRunnable checks it).
 func (p *paperPolicy) pickIdleEntry(m *resinfo.Manager, cfgNo int) *model.Entry {
-	usable := func(e *model.Entry) bool {
-		return e.Node.PartialMode || e.Node.RunningTasks() == 0
-	}
 	idle := m.Idle(cfgNo)
+	var pick *model.Entry
+	var steps uint64
 	switch p.opts.Placement {
 	case FirstFit:
-		var pick *model.Entry
-		steps := idle.Each(func(e *model.Entry) bool {
-			if usable(e) {
-				pick = e
-				return false
-			}
-			return true
+		steps = idle.Each(func(e *model.Entry) bool {
+			pick = e
+			return false
 		})
-		m.ChargeSearch(steps)
-		return pick
 	case WorstFit:
-		pick, steps := idle.FindMin(usable, func(e *model.Entry) int64 {
+		pick, steps = idle.FindMin(func(e *model.Entry) int64 {
 			return -e.Node.AvailableArea
 		})
-		m.ChargeSearch(steps)
-		return pick
 	case RandomFit:
-		var pick *model.Entry
 		seen := int64(0)
-		steps := idle.Each(func(e *model.Entry) bool {
-			if usable(e) {
-				seen++
-				if p.opts.RNG.Int64Range(1, seen) == 1 {
-					pick = e
-				}
+		steps = idle.Each(func(e *model.Entry) bool {
+			seen++
+			if p.opts.RNG.Int64Range(1, seen) == 1 {
+				pick = e
 			}
 			return true
 		})
-		m.ChargeSearch(steps)
-		return pick
 	default: // BestFit, the paper criterion, optionally load-balanced.
 		key := func(e *model.Entry) int64 { return e.Node.AvailableArea }
 		if p.opts.LoadBalance {
@@ -291,8 +279,20 @@ func (p *paperPolicy) pickIdleEntry(m *resinfo.Manager, cfgNo int) *model.Entry 
 				return e.Node.AvailableArea*1024 + int64(e.Node.RunningTasks())
 			}
 		}
-		pick, steps := idle.FindMin(usable, key)
-		m.ChargeSearch(steps)
-		return pick
+		pick, steps = idle.FindMin(key)
+	}
+	m.ChargeSearch(steps)
+	assertRunnable(pick)
+	return pick
+}
+
+// assertRunnable checks, in the -tags invariants build, that an idle
+// region the Allocation phase picked can take a task now: its node is
+// in partial mode or runs nothing.
+func assertRunnable(e *model.Entry) {
+	if invariant.Enabled && e != nil {
+		invariant.Assertf(e.Node.PartialMode || e.Node.RunningTasks() == 0,
+			"sched: idle region %v sits on full-mode node %d, which runs %d tasks",
+			e, e.Node.No, e.Node.RunningTasks())
 	}
 }

@@ -219,11 +219,8 @@ func TestFullModeFlow(t *testing.T) {
 }
 
 func TestFullModeIdleEntryOnBusyNodeUnusable(t *testing.T) {
-	// A full-mode node that runs a task has no idle entries by
-	// construction, but the usable() filter also protects first-fit
-	// traversal order; verify allocation skips busy-node regions in
-	// partial mode when mode is full elsewhere. Simplest: full mode,
-	// one node, C0 idle; place a task, then try to allocate again.
+	// A full-mode node holds at most one region, so once it runs a
+	// task it has no idle region for a second task to allocate.
 	m := rig(t, []int64{3000}, []int64{1000}, false)
 	p := New(Options{})
 	t0 := task(0, 0, 1000)
@@ -231,6 +228,27 @@ func TestFullModeIdleEntryOnBusyNodeUnusable(t *testing.T) {
 	d := p.Decide(m, task(1, 0, 1000))
 	if d.Action == ActAllocate {
 		t.Fatalf("allocated onto busy full-mode node: %v", d)
+	}
+}
+
+// TestAllocateBesideRunningTask: in partial mode an idle region is
+// allocatable while its node runs a task on another region.
+func TestAllocateBesideRunningTask(t *testing.T) {
+	m := rig(t, []int64{4000}, []int64{500, 600}, true)
+	n := m.Nodes()[0]
+	e0, _ := m.Configure(n, m.Configs()[0])
+	e1, _ := m.Configure(n, m.Configs()[1])
+	if err := m.StartTask(e0, task(0, 0, 500)); err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range []Placement{BestFit, FirstFit, WorstFit, RandomFit} {
+		p := New(Options{Placement: pl, RNG: rng.New(1)})
+		if d := p.Decide(m, task(1, 1, 600)); d.Action != ActAllocate || d.Entry != e1 {
+			t.Errorf("%s: %v, want allocate on the idle C1 region", pl, d)
+		}
+	}
+	if d := New(Options{}).DecideOnNode(m, task(2, 1, 600), n); d.Action != ActAllocate || d.Entry != e1 {
+		t.Errorf("DecideOnNode: %v, want allocate on the idle C1 region", d)
 	}
 }
 
