@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"dreamsim/internal/fault"
@@ -621,6 +622,11 @@ func (s *Simulator) place(task *model.Task, d sched.Decision, now int64) {
 		cfgDelay = s.params.Net.ConfigDelay(node, d.Config)
 	}
 	commDelay := s.params.Net.CommDelay(node, task)
+	if !fitsClock(now, commDelay, cfgDelay, task.RequiredTime) {
+		s.fail(fmt.Errorf("core: task %d would complete %d+%d+%d ticks after tick %d, beyond the clock's range",
+			task.No, commDelay, cfgDelay, task.RequiredTime, now))
+		return
+	}
 
 	task.StartTime = now
 	task.CommDelay = commDelay
@@ -648,6 +654,14 @@ func (s *Simulator) place(task *model.Task, d sched.Decision, now int64) {
 	if s.faultsOn {
 		s.ctx.setInflight(task.No, ev)
 	}
+}
+
+// fitsClock reports whether three non-negative delays after now still
+// name a tick the int64 clock can hold. Only a workload or a tampered
+// checkpoint with times near that limit fails it.
+func fitsClock(now, a, b, c int64) bool {
+	room := math.MaxInt64 - now
+	return a >= 0 && b >= 0 && c >= 0 && a <= room && b <= room-a && c <= room-a-b
 }
 
 // failReconfig consumes one armed reconfiguration fault: the
@@ -1017,32 +1031,48 @@ func (s *Simulator) fail(err error) {
 // every event, Debug or not.
 func (s *Simulator) debugCheck() {
 	if invariant.Enabled && s.err == nil {
-		settled := s.c.CompletedTasks + s.c.DiscardedTasks + s.c.LostTasks +
-			s.c.RunningTasks + s.retryPending +
-			int64(s.sus.Len()) + int64(s.ctx.depBlockedCount)
-		invariant.Assertf(settled == s.c.GeneratedTasks,
-			"core: task conservation broken: generated %d != completed %d + discarded %d + lost %d + running %d + retrying %d + suspended %d + dep-blocked %d",
-			s.c.GeneratedTasks, s.c.CompletedTasks, s.c.DiscardedTasks, s.c.LostTasks,
-			s.c.RunningTasks, s.retryPending, s.sus.Len(), s.ctx.depBlockedCount)
+		if err := s.conservationError(); err != nil {
+			invariant.Assertf(false, "%v", err)
+		}
 	}
 	if !s.params.Debug || s.err != nil {
 		return
 	}
 	//lint:allocfree debug-only path: guarded by params.Debug, which is off on the gated hot path
-	if err := s.checkStructures(); err != nil {
+	if err := s.checkStructures(true); err != nil {
 		s.fail(err)
 	}
 }
 
 // checkStructures returns the first failure of the resource
 // manager's, the suspension queue's and the event queue's own
-// invariant checks.
-func (s *Simulator) checkStructures() error {
+// invariant checks. sameTick adds the event queue's same-tick order
+// check, which allocates; a restore leaves it out, because re-pushing
+// the events in stored order gives them that order.
+func (s *Simulator) checkStructures(sameTick bool) error {
 	if err := s.mgr.CheckInvariants(); err != nil {
 		return err
 	}
 	if err := s.sus.CheckInvariants(); err != nil {
 		return err
 	}
-	return s.eng.Queue.CheckInvariants()
+	if sameTick {
+		return s.eng.Queue.CheckInvariants()
+	}
+	return s.eng.Queue.CheckStructure()
+}
+
+// conservationError reports a broken task-conservation identity:
+// every generated task is completed, discarded, lost, running, waiting
+// to retry, suspended or dependency-blocked.
+func (s *Simulator) conservationError() error {
+	settled := s.c.CompletedTasks + s.c.DiscardedTasks + s.c.LostTasks +
+		s.c.RunningTasks + s.retryPending +
+		int64(s.sus.Len()) + int64(s.ctx.depBlockedCount)
+	if settled == s.c.GeneratedTasks {
+		return nil
+	}
+	return fmt.Errorf("core: task conservation broken: generated %d != completed %d + discarded %d + lost %d + running %d + retrying %d + suspended %d + dep-blocked %d",
+		s.c.GeneratedTasks, s.c.CompletedTasks, s.c.DiscardedTasks, s.c.LostTasks,
+		s.c.RunningTasks, s.retryPending, s.sus.Len(), s.ctx.depBlockedCount)
 }

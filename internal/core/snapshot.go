@@ -32,8 +32,10 @@ const SnapshotKind = "dreamsim-core"
 // SnapshotVersion is the current payload format version. Decoders
 // reject anything newer; older versions may be migrated in place.
 // Version 2 dropped the per-configuration busy lists from the fabric
-// section; version 1 payloads still restore.
-const SnapshotVersion = 2
+// section. Version 3 writes the suspended tasks by value in the
+// suspension-queue section instead of in the task registry. Version 1
+// and 2 payloads still restore.
+const SnapshotVersion = 3
 
 // Event kind identifiers in the snapshot payload. The string kinds
 // are not serialized: a one-byte ID keeps snapshots compact and makes
@@ -92,19 +94,15 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 		return nil, fmt.Errorf("core: snapshot mid-tick (events pending at %d, clock %d)", next, s.eng.Now())
 	}
 
-	// Gather the live state once. The task registry, the suspension
-	// queue section and the event section all read these lists, and
-	// their lengths size the payload buffer. Queued tasks' retry counts
-	// are credited lazily; settle them before the registry records them.
-	s.sus.Materialize()
-	queue := s.sus.AppendTasks(make([]*model.Task, 0, s.sus.Len()))
+	// Gather the pending events and the task registry once; their
+	// lengths and the queue's size the payload buffer.
 	events := s.eng.Queue.Pending()
-	tasks, err := s.liveTasks(queue, events)
+	tasks, err := s.registryTasks(events)
 	if err != nil {
 		return nil, err
 	}
 
-	w := snapshot.NewSealWriter(SnapshotKind, s.snapshotSizeHint(len(tasks), len(queue), len(events)))
+	w := snapshot.NewSealWriter(SnapshotKind, s.snapshotSizeHint(len(tasks), s.sus.Len(), len(events)))
 
 	// Fingerprint: enough of the parameters to reject a restore into
 	// a differently-shaped run before any state is overwritten.
@@ -142,7 +140,8 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 	w.I64(s.retryPending)
 	w.Bool(s.drainCheckQueued)
 
-	// Task registry: every live task struct, once, by ascending number.
+	// Task registry: every referenced task struct, once, by ascending
+	// number.
 	w.Int(len(tasks))
 	for _, t := range tasks {
 		encodeTask(&w, t)
@@ -201,11 +200,9 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 	// Fabric contents and idle-list orders.
 	s.mgr.EncodeState(&w)
 
-	// Suspension queue, FIFO order, plus its historic peak.
-	w.Int(len(queue))
-	for _, t := range queue {
-		w.Int(t.No)
-	}
+	// Suspension queue: the queued tasks by value, in FIFO order, plus
+	// the queue's historic peak.
+	s.encodeQueue(&w)
 	w.Int(s.sus.Peak())
 
 	// Pending events in total (At, seq) order.
@@ -227,77 +224,50 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 	return w.Seal(SnapshotKind, SnapshotVersion), nil
 }
 
-// liveTasks builds the task registry from the suspension queue (FIFO
-// order) and the pending events: every task struct reachable from run
-// state — suspended tasks, payloads of pending events, tasks resident
-// on nodes and dependency-blocked tasks — once, by ascending number.
-// Identity matters: the task a node entry references and the one its
-// completion event carries must restore as the same struct, so all
-// later sections name tasks by number. Two distinct structs sharing a
-// number is an internal-consistency failure.
-//
-// The queue is in ascending task-number order except for tasks a
-// reconfiguration fault or a crash re-dispatch appended again. Its
-// ascending run is merged as it stands; only the stragglers join the
-// other sources — the nodes' entries, the pending events and the
-// dependency-blocked tasks — in the list that is sorted. The build is
-// therefore linear in the queue, and the sort covers the stragglers
-// plus a list the fabric and the event queue bound, not the whole
-// queue.
-func (s *Simulator) liveTasks(queue []*model.Task, events []*sim.Event) ([]*model.Task, error) {
-	rest := make([]*model.Task, 0, len(queue)+len(events)+s.residentEntries()+s.ctx.depBlockedCount)
-	top := -1 // number of the queue's last in-order task
-	for _, t := range queue {
-		if t.No >= top {
-			top = t.No
-		} else {
-			rest = append(rest, t)
-		}
-	}
+// registryTasks builds the task registry: every task struct that run
+// state references by number — payloads of pending events, tasks
+// resident on nodes and dependency-blocked tasks — once, by ascending
+// number. Identity matters: the task a node entry references and the
+// one its completion event carries must restore as the same struct.
+// Two distinct structs sharing a number, or a registry task that is
+// also queued, is an internal-consistency failure: the queue section
+// writes its tasks by value, so either would restore as two structs.
+// The list is bounded by the fabric and the event queue, not by the
+// suspension queue.
+func (s *Simulator) registryTasks(events []*sim.Event) ([]*model.Task, error) {
+	tasks := make([]*model.Task, 0, len(events)+s.residentEntries()+s.ctx.depBlockedCount)
 	for _, ev := range events {
 		if t, isTask := ev.A.(*model.Task); isTask && t != nil {
-			rest = append(rest, t)
+			tasks = append(tasks, t)
 		}
 	}
 	for _, n := range s.mgr.Nodes() {
 		for _, e := range n.Entries {
 			if e.Task != nil {
-				rest = append(rest, e.Task)
+				tasks = append(tasks, e.Task)
 			}
 		}
 	}
 	for _, t := range s.ctx.depBlocked {
 		if t != nil {
-			rest = append(rest, t)
+			tasks = append(tasks, t)
 		}
 	}
-	slices.SortFunc(rest, func(a, b *model.Task) int { return cmp.Compare(a.No, b.No) })
-
-	tasks := make([]*model.Task, 0, len(queue)+len(rest))
-	top = -1
-	for i, j := 0, 0; ; {
-		for i < len(queue) && queue[i].No < top {
-			i++ // a straggler, merged from rest
-		}
-		var t *model.Task
-		switch {
-		case i < len(queue) && (j == len(rest) || queue[i].No <= rest[j].No):
-			t, top = queue[i], queue[i].No
-			i++
-		case j < len(rest):
-			t = rest[j]
-			j++
-		default:
-			return tasks, nil
-		}
-		if k := len(tasks) - 1; k >= 0 && tasks[k].No == t.No {
-			if tasks[k] != t {
+	slices.SortFunc(tasks, func(a, b *model.Task) int { return cmp.Compare(a.No, b.No) })
+	out := tasks[:0]
+	for _, t := range tasks {
+		if k := len(out) - 1; k >= 0 && out[k].No == t.No {
+			if out[k] != t {
 				return nil, fmt.Errorf("core: two live task structs share number %d", t.No)
 			}
 			continue
 		}
-		tasks = append(tasks, t)
+		if s.sus.Contains(t) {
+			return nil, fmt.Errorf("core: queued task %d is referenced outside the suspension queue", t.No)
+		}
+		out = append(out, t)
 	}
+	return out, nil
 }
 
 // residentEntries counts the configurations resident on the nodes.
@@ -311,23 +281,154 @@ func (s *Simulator) residentEntries() int {
 
 // Payload size estimate per item, in bytes: upper bounds of the varint
 // encodings on the paper's workloads (a registry entry's 17 fields come
-// to about 25 bytes there), so EncodeSnapshot allocates its buffer
-// once. An underestimate costs a buffer growth, never a wrong byte.
+// to about 25 bytes there, a queue record to about 14), so
+// EncodeSnapshot allocates its buffer once. An underestimate costs a
+// buffer growth, never a wrong byte.
 const (
-	hintBase  = 1024 // fingerprint, counters, flags, source cursors, RNG positions
-	hintTask  = 40   // one registry entry
-	hintRef   = 5    // one task number in the queue or dependency sections
-	hintEvent = 16   // one pending event
-	hintNode  = 24   // one node's used flag, downtime and fabric header
-	hintEntry = 16   // one resident configuration and its list membership
+	hintBase   = 1024 // fingerprint, counters, flags, source cursors, RNG positions
+	hintTask   = 40   // one registry entry
+	hintQueued = 16   // one suspension-queue record
+	hintRef    = 5    // one task number in the dependency section
+	hintEvent  = 16   // one pending event
+	hintNode   = 24   // one node's used flag, downtime and fabric header
+	hintEntry  = 16   // one resident configuration and its list membership
 )
 
 // snapshotSizeHint estimates the payload size of a snapshot with the
 // given registry, queue and event counts.
 func (s *Simulator) snapshotSizeHint(tasks, queued, events int) int {
 	return hintBase + 2*len(s.mgr.Configs()) + 8*len(s.classAcc) +
-		hintTask*tasks + hintRef*(queued+s.ctx.depBlockedCount) + len(s.ctx.terminal) +
+		hintTask*tasks + hintQueued*queued + hintRef*s.ctx.depBlockedCount + len(s.ctx.terminal) +
 		hintEvent*events + hintNode*len(s.mgr.Nodes()) + hintEntry*s.residentEntries()
+}
+
+// Flag bits of a suspension-queue record. A record names the fields
+// that differ from a fresh task's (model.Task.Init) and whether the
+// task has a resolved configuration; any other bit is corruption.
+const (
+	qResolved  = 1 << iota // Resolved follows, as a configuration number
+	qClosest               // ResolvedClosest
+	qClass                 // Class follows
+	qRetries               // Retries follows
+	qStarted               // AssignedConfig, StartTime, CommDelay and ConfigDelay follow
+	qCompleted             // CompletionTime follows
+	qKnown     = qResolved | qClosest | qClass | qRetries | qStarted | qCompleted
+)
+
+// minQueuedBytes is the smallest encoding of one suspension-queue
+// record: the flags, three deltas and four fields of one byte each. A
+// queue count above the remaining payload over this size cannot be
+// genuine, so the decoder rejects it before allocating anything.
+const minQueuedBytes = 8
+
+// queueCursor holds the fields of a record's FIFO predecessor that the
+// next record stores as deltas; the first record's predecessor is zero.
+// The arithmetic wraps, so every int64 round-trips.
+type queueCursor struct {
+	no, create, retry int64
+}
+
+// encodeQueue writes the suspension-queue section: the count, then
+// every queued task by value in FIFO order, its SusRetry credited as
+// it is written.
+func (s *Simulator) encodeQueue(w *snapshot.Writer) {
+	w.Int(s.sus.Len())
+	var cur queueCursor
+	s.sus.Each(func(t *model.Task) { encodeQueued(w, t, &cur) })
+}
+
+// encodeQueued appends one suspension-queue record: the flags, No,
+// CreateTime and SusRetry as deltas from cur, the fields every task
+// carries, then the optional fields the flags name. Status is implied.
+func encodeQueued(w *snapshot.Writer, t *model.Task, cur *queueCursor) {
+	var flags uint64
+	if t.Resolved != nil {
+		flags |= qResolved
+	}
+	if t.ResolvedClosest {
+		flags |= qClosest
+	}
+	if t.Class != 0 {
+		flags |= qClass
+	}
+	if t.Retries != 0 {
+		flags |= qRetries
+	}
+	if t.AssignedConfig != -1 || t.StartTime != -1 || t.CommDelay != 0 || t.ConfigDelay != 0 {
+		flags |= qStarted
+	}
+	if t.CompletionTime != -1 {
+		flags |= qCompleted
+	}
+	w.U64(flags)
+	w.I64(int64(t.No) - cur.no)
+	w.I64(t.CreateTime - cur.create)
+	w.I64(t.SusRetry - cur.retry)
+	cur.no, cur.create, cur.retry = int64(t.No), t.CreateTime, t.SusRetry
+	w.I64(t.NeededArea)
+	w.Int(t.PrefConfig)
+	w.I64(t.Data)
+	w.I64(t.RequiredTime)
+	if flags&qResolved != 0 {
+		w.Int(t.Resolved.No)
+	}
+	if flags&qClass != 0 {
+		w.Int(t.Class)
+	}
+	if flags&qRetries != 0 {
+		w.I64(t.Retries)
+	}
+	if flags&qStarted != 0 {
+		w.Int(t.AssignedConfig)
+		w.I64(t.StartTime)
+		w.I64(t.CommDelay)
+		w.I64(t.ConfigDelay)
+	}
+	if flags&qCompleted != 0 {
+		w.I64(t.CompletionTime)
+	}
+}
+
+// decodeQueued decodes one suspension-queue record into t, a zeroed
+// task, and advances cur. It returns the record's resolved
+// configuration number, or -1 when it has none; the caller resolves it.
+func decodeQueued(r *snapshot.Reader, t *model.Task, cur *queueCursor) (resolved int, err error) {
+	flags := r.U64()
+	if flags&^qKnown != 0 {
+		return 0, fmt.Errorf("%w: suspension-queue record flags %#x", snapshot.ErrCorrupt, flags)
+	}
+	cur.no += r.I64()
+	cur.create += r.I64()
+	cur.retry += r.I64()
+	t.No, t.CreateTime, t.SusRetry = int(cur.no), cur.create, cur.retry
+	t.NeededArea = r.I64()
+	t.PrefConfig = r.Int()
+	t.Data = r.I64()
+	t.RequiredTime = r.I64()
+	resolved = -1
+	if flags&qResolved != 0 {
+		resolved = r.Int()
+	}
+	t.ResolvedClosest = flags&qClosest != 0
+	if flags&qClass != 0 {
+		t.Class = r.Int()
+	}
+	if flags&qRetries != 0 {
+		t.Retries = r.I64()
+	}
+	t.AssignedConfig, t.StartTime = -1, -1
+	if flags&qStarted != 0 {
+		t.AssignedConfig = r.Int()
+		t.StartTime = r.I64()
+		t.CommDelay = r.I64()
+		t.ConfigDelay = r.I64()
+	}
+	t.CompletionTime = -1
+	if flags&qCompleted != 0 {
+		t.CompletionTime = r.I64()
+	}
+	t.Status = model.TaskSuspended
+	return resolved, r.Err()
 }
 
 // encodeEvent appends one pending event as kind ID, firing time and
@@ -463,7 +564,9 @@ func encodeTask(w *snapshot.Writer, t *model.Task) {
 // be the ones the snapshotted run was built with; the embedded
 // fingerprint rejects the obvious mismatches. Every decode path
 // validates before it mutates — corrupt or adversarial payloads
-// produce an error wrapping snapshot.ErrCorrupt, never a panic.
+// produce an error wrapping snapshot.ErrCorrupt, never a panic — and
+// the restored run must conserve its tasks and pass the structural
+// checks of its fabric, suspension queue and event queue.
 func RestoreSnapshot(params Params, data []byte) (*Simulator, error) {
 	payload, version, err := snapshot.Open(data, SnapshotKind, SnapshotVersion)
 	if err != nil {
@@ -485,6 +588,12 @@ func RestoreSnapshot(params Params, data []byte) (*Simulator, error) {
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
+	}
+	if err := s.conservationError(); err != nil {
+		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
+	}
+	if err := s.checkStructures(false); err != nil {
+		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
 	s.ran = true
 	return s, nil
@@ -621,32 +730,13 @@ func (s *Simulator) restore(r *snapshot.Reader, version uint64) error {
 	}
 
 	// Suspension queue.
-	nsus := r.Count()
-	if err := r.Err(); err != nil {
+	if version < 3 {
+		err = s.restoreQueueRefs(r, &tasks)
+	} else {
+		err = s.restoreQueue(r, tasks.slab)
+	}
+	if err != nil {
 		return err
-	}
-	// Queued tasks are distinct registry entries, which bounds the
-	// arena the queue reserves.
-	if nsus > len(tasks.slab) {
-		return fmt.Errorf("%w: suspension queue of %d tasks, registry holds %d", snapshot.ErrCorrupt, nsus, len(tasks.slab))
-	}
-	s.sus.Reserve(nsus)
-	for i := 0; i < nsus; i++ {
-		no := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		t := tasks.find(no)
-		if t == nil {
-			return fmt.Errorf("%w: suspension queue references unknown task %d", snapshot.ErrCorrupt, no)
-		}
-		if t.Status != model.TaskSuspended {
-			return fmt.Errorf("%w: queued task %d has status %v", snapshot.ErrCorrupt, no, t.Status)
-		}
-		if s.sus.Contains(t) {
-			return fmt.Errorf("%w: task %d queued twice", snapshot.ErrCorrupt, no)
-		}
-		s.sus.Add(t)
 	}
 	peak := r.Int()
 	if err := r.Err(); err != nil {
@@ -678,6 +768,145 @@ func (s *Simulator) restore(r *snapshot.Reader, version uint64) error {
 	return r.Err()
 }
 
+// restoreQueue rebuilds the suspension queue from a version 3 queue
+// section: it decodes the records into one slab and re-queues them in
+// stored order. A task number may appear once across the queue and the
+// registry. The queue is in ascending number order but for the
+// stragglers a reconfiguration fault or a crash re-dispatch appended
+// again, so its ascending run is checked against the registry, which is
+// in ascending order too, as it is decoded; only when there are
+// stragglers are they sorted and merged with both.
+func (s *Simulator) restoreQueue(r *snapshot.Reader, registry []model.Task) error {
+	n := r.Count()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if n > r.Remaining()/minQueuedBytes {
+		return fmt.Errorf("%w: %d queued tasks cannot fit in %d bytes", snapshot.ErrCorrupt, n, r.Remaining())
+	}
+	if n > s.params.Spec.Tasks-len(registry) {
+		return fmt.Errorf("%w: %d queued and %d registered tasks, the run has %d", snapshot.ErrCorrupt, n, len(registry), s.params.Spec.Tasks)
+	}
+	slab := make([]model.Task, n)
+	s.sus.Reserve(n)
+	var cur queueCursor
+	var stragglers []int
+	top := -1 // number of the ascending run's last task
+	k := 0    // registry index: registry[:k] is numbered below top
+	for i := range slab {
+		t := &slab[i]
+		resolved, err := decodeQueued(r, t, &cur)
+		if err != nil {
+			return err
+		}
+		if t.No < 0 || t.No >= s.params.Spec.Tasks {
+			return fmt.Errorf("%w: queued task number %d outside [0, %d)", snapshot.ErrCorrupt, t.No, s.params.Spec.Tasks)
+		}
+		if err := t.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
+		}
+		switch {
+		case t.No > top:
+			top = t.No
+			for k < len(registry) && registry[k].No < top {
+				k++
+			}
+			if k < len(registry) && registry[k].No == top {
+				return fmt.Errorf("%w: task %d is both queued and in the registry", snapshot.ErrCorrupt, top)
+			}
+		case t.No == top:
+			return fmt.Errorf("%w: task %d queued twice", snapshot.ErrCorrupt, t.No)
+		default:
+			stragglers = append(stragglers, t.No)
+		}
+		if resolved >= 0 {
+			if t.Resolved = s.mgr.ConfigByNo(resolved); t.Resolved == nil {
+				return fmt.Errorf("%w: queued task %d resolved to unknown configuration %d", snapshot.ErrCorrupt, t.No, resolved)
+			}
+		}
+		s.sus.Add(t)
+	}
+	if len(stragglers) > 0 {
+		if no := repeatedTask(slab, stragglers, registry); no >= 0 {
+			return fmt.Errorf("%w: task %d listed twice across the suspension queue and the registry", snapshot.ErrCorrupt, no)
+		}
+	}
+	return nil
+}
+
+// repeatedTask returns a task number that appears twice among the
+// queued tasks and the registry, or -1. The queue's ascending run —
+// each task numbered above every one before it — is merged in place
+// with the sorted stragglers and the registry, which is in ascending
+// order, so the cost is linear but for sorting the stragglers.
+func repeatedTask(queue []model.Task, stragglers []int, registry []model.Task) int {
+	slices.Sort(stragglers)
+	prev, top := -1, -1
+	for i, j, k := 0, 0, 0; ; {
+		for i < len(queue) && queue[i].No < top {
+			i++ // a straggler, merged from stragglers
+		}
+		no, from := 0, 0
+		if i < len(queue) {
+			no, from = queue[i].No, 1
+		}
+		if j < len(stragglers) && (from == 0 || stragglers[j] < no) {
+			no, from = stragglers[j], 2
+		}
+		if k < len(registry) && (from == 0 || registry[k].No < no) {
+			no, from = registry[k].No, 3
+		}
+		switch from {
+		case 0:
+			return -1
+		case 1:
+			top = no
+			i++
+		case 2:
+			j++
+		case 3:
+			k++
+		}
+		if no == prev {
+			return no
+		}
+		prev = no
+	}
+}
+
+// restoreQueueRefs rebuilds the suspension queue from a version 1 or 2
+// queue section, which names registry tasks by number in FIFO order.
+func (s *Simulator) restoreQueueRefs(r *snapshot.Reader, tasks *taskTable) error {
+	nsus := r.Count()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	// Queued tasks are distinct registry entries, which bounds the
+	// arena the queue reserves.
+	if nsus > len(tasks.slab) {
+		return fmt.Errorf("%w: suspension queue of %d tasks, registry holds %d", snapshot.ErrCorrupt, nsus, len(tasks.slab))
+	}
+	s.sus.Reserve(nsus)
+	for i := 0; i < nsus; i++ {
+		no := r.Int()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		t := tasks.find(no)
+		if t == nil {
+			return fmt.Errorf("%w: suspension queue references unknown task %d", snapshot.ErrCorrupt, no)
+		}
+		if t.Status != model.TaskSuspended {
+			return fmt.Errorf("%w: queued task %d has status %v", snapshot.ErrCorrupt, no, t.Status)
+		}
+		if s.sus.Contains(t) {
+			return fmt.Errorf("%w: task %d queued twice", snapshot.ErrCorrupt, no)
+		}
+		s.sus.Add(t)
+	}
+	return nil
+}
+
 // minTaskBytes is the smallest encoding of one registry entry:
 // encodeTask writes 17 fields of at least one byte each. A registry
 // count above the remaining payload over this size cannot be genuine,
@@ -691,7 +920,9 @@ const minTaskBytes = 17
 // number. The sources a snapshot can hold (Generator, ScenarioSource)
 // number their tasks below Spec.Tasks, and the run context sizes its
 // per-task tables by task number, so a number outside [0, Spec.Tasks)
-// is rejected here, before any table grows to it.
+// is rejected here, before any table grows to it. Every task must also
+// pass model.Task.Validate, as the sources' tasks do: a non-positive
+// RequiredTime would schedule its completion in the past.
 func (s *Simulator) restoreTasks(r *snapshot.Reader) (taskTable, error) {
 	n := r.Count()
 	if err := r.Err(); err != nil {
@@ -725,6 +956,9 @@ func (s *Simulator) restoreTasks(r *snapshot.Reader) (taskTable, error) {
 		}
 		if t.No < 0 || t.No >= s.params.Spec.Tasks {
 			return taskTable{}, fmt.Errorf("%w: task number %d outside [0, %d)", snapshot.ErrCorrupt, t.No, s.params.Spec.Tasks)
+		}
+		if err := t.Validate(); err != nil {
+			return taskTable{}, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 		}
 		if i > 0 && t.No <= slab[i-1].No {
 			return taskTable{}, fmt.Errorf("%w: task %d listed after task %d (registry not in ascending order)",

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dreamsim/internal/fault"
@@ -289,6 +291,44 @@ func TestSnapshotV1Restores(t *testing.T) {
 	}
 }
 
+// v2Fixture returns testdata/snapshot_v2.bin: the same run and pause as
+// v1Fixture, as the version 2 encoder (commit 228269e) wrote it, the
+// suspended tasks in the registry and the queue as task numbers.
+func v2Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/snapshot_v2.bin")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, version, err := snapshot.Open(data, SnapshotKind, SnapshotVersion); err != nil || version != 2 {
+		tb.Fatalf("fixture opens as version %d (%v), want version 2", version, err)
+	}
+	return data
+}
+
+// TestSnapshotV2Restores: a version 2 checkpoint, as dreamserve job
+// directories hold them, still resumes through the registry and its
+// queue of task numbers, and the run finishes deep-equal to the
+// uninterrupted one.
+func TestSnapshotV2Restores(t *testing.T) {
+	p := smallParams(10, 120, true)
+	s, err := RestoreSnapshot(p, v2Fixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.sus.Len() == 0 {
+		t.Fatal("fixture restored with an empty suspension queue")
+	}
+	s.RunUntil(nil)
+	got, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := mustRun(t, p); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("restored run diverged\nref: %+v\ngot: %+v", ref, got)
+	}
+}
+
 // TestEncodeSnapshotRejectsBadStates pins the precondition errors.
 func TestEncodeSnapshotRejectsBadStates(t *testing.T) {
 	p := smallParams(10, 50, true)
@@ -315,18 +355,7 @@ func registryLayout(tb testing.TB, payload []byte) (countAt int, taskAt []int) {
 	tb.Helper()
 	r := snapshot.NewReader(payload)
 	at := func() int { return len(payload) - r.Remaining() }
-	r.U64()  // seed
-	r.Bool() // partial
-	r.Bool() // stream
-	r.Int()  // nodes
-	r.Int()  // configurations
-	r.Str()  // policy
-	r.Bool() // faults
-	r.Bool() // dependencies
-	r.Int()  // classes
-	r.I64()  // clock
-	r.U64()  // processed
-	r.U64()  // next event sequence
+	skipPosition(r)
 	decodeCounters(r, &metrics.Counters{})
 	for n := 6 * r.Count(); n > 0; n-- { // class accumulators
 		r.I64()
@@ -353,6 +382,23 @@ func registryLayout(tb testing.TB, payload []byte) (countAt int, taskAt []int) {
 		tb.Fatal(err)
 	}
 	return countAt, taskAt
+}
+
+// skipPosition reads a payload's fingerprint and engine position, the
+// sections ahead of the counters.
+func skipPosition(r *snapshot.Reader) {
+	r.U64()  // seed
+	r.Bool() // partial
+	r.Bool() // stream
+	r.Int()  // nodes
+	r.Int()  // configurations
+	r.Str()  // policy
+	r.Bool() // faults
+	r.Bool() // dependencies
+	r.Int()  // classes
+	r.I64()  // clock
+	r.U64()  // processed
+	r.U64()  // next event sequence
 }
 
 // blockedSection returns the offset of the dependency-blocked count in
@@ -388,8 +434,9 @@ func varint(v int) []byte { return binary.AppendVarint(nil, int64(v)) }
 
 // malformedRegistries derives payloads whose task registry breaks the
 // decoder's rules from a valid payload with at least two registry
-// entries: entries out of order, a task number listed twice, and a
-// task resolved to configuration configs, one past the list.
+// entries: entries out of order, a task number listed twice, a task
+// resolved to configuration configs, one past the list, and a task
+// that fails model.Task.Validate.
 func malformedRegistries(tb testing.TB, payload []byte, configs int) []struct {
 	name    string
 	payload []byte
@@ -403,14 +450,19 @@ func malformedRegistries(tb testing.TB, payload []byte, configs int) []struct {
 	second := payload[taskAt[1]:taskAt[2]]
 	swapped := append(append([]byte(nil), second...), first...)
 
-	// Field 14 of an entry is its resolved configuration.
-	r := snapshot.NewReader(first)
-	for f := 0; f < 14; f++ {
+	// Field 1 of an entry is its NeededArea, field 14 its resolved
+	// configuration.
+	field := func(f int) (from, to int) {
+		r := snapshot.NewReader(first)
+		for range f {
+			r.I64()
+		}
+		from = taskAt[0] + len(first) - r.Remaining()
 		r.I64()
+		return from, taskAt[0] + len(first) - r.Remaining()
 	}
-	from := taskAt[0] + len(first) - r.Remaining()
-	r.Int()
-	to := taskAt[0] + len(first) - r.Remaining()
+	areaFrom, areaTo := field(1)
+	from, to := field(14)
 
 	return []struct {
 		name    string
@@ -419,27 +471,241 @@ func malformedRegistries(tb testing.TB, payload []byte, configs int) []struct {
 		{"descending", splice(payload, taskAt[0], taskAt[2], swapped)},
 		{"duplicate", splice(payload, taskAt[1], taskAt[2], first)},
 		{"unknown-configuration", splice(payload, from, to, varint(configs))},
+		{"zero-area", splice(payload, areaFrom, areaTo, varint(0))},
 	}
 }
 
 // TestRestoreRejectsMalformedRegistry: the decoder requires strictly
 // ascending task numbers and known configurations, and rejects
-// anything else with ErrCorrupt.
+// anything else with ErrCorrupt. A version 2 registry also holds the
+// suspended tasks, so the cases run on the version 2 fixture too;
+// TestRestoreRejectsMalformedQueue covers the version 3 queue section
+// that holds them now.
 func TestRestoreRejectsMalformedRegistry(t *testing.T) {
 	p := smallParams(10, 120, true)
 	snap, ok := pauseAndSnapshot(t, p, 100)
 	if !ok {
 		t.Fatal("run too short")
 	}
-	payload, _, err := snapshot.Open(snap, SnapshotKind, SnapshotVersion)
+	for _, snap := range [][]byte{snap, v2Fixture(t)} {
+		payload, version, err := snapshot.Open(snap, SnapshotKind, SnapshotVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range malformedRegistries(t, payload, p.Spec.Configs) {
+			_, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, version, bad.payload))
+			if !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("version %d: %s registry gave %v, want ErrCorrupt", version, bad.name, err)
+			}
+		}
+	}
+}
+
+// queueSection locates the suspension-queue section of a version 3
+// payload that s encoded without a recorder: the count and the
+// records, followed by the queue's peak and the pending events. It
+// returns the offsets of the count and of the section's end, and
+// copies of the queued tasks in FIFO order.
+func queueSection(tb testing.TB, s *Simulator, payload []byte) (countAt, endAt int, queued []model.Task) {
+	tb.Helper()
+	var w snapshot.Writer
+	s.encodeQueue(&w)
+	evCount, _ := eventSection(tb, s, payload)
+	endAt = evCount - len(varint(s.sus.Peak()))
+	countAt = endAt - w.Len()
+	if countAt < 0 || !bytes.Equal(payload[countAt:endAt], w.Bytes()) {
+		tb.Fatal("suspension-queue section not found ahead of the pending events")
+	}
+	s.sus.Each(func(t *model.Task) { queued = append(queued, *t) })
+	return countAt, endAt, queued
+}
+
+// encodeQueueSection encodes tasks as a version 3 suspension-queue
+// section, in order.
+func encodeQueueSection(tasks []model.Task) []byte {
+	var w snapshot.Writer
+	w.Int(len(tasks))
+	var cur queueCursor
+	for i := range tasks {
+		encodeQueued(&w, &tasks[i], &cur)
+	}
+	return w.Bytes()
+}
+
+// malformedQueues derives version 3 payloads whose suspension queue
+// breaks the decoder's rules from the payload of the paused run s,
+// which must hold at least six queued tasks and a running one: a task
+// number twice in the queue (in its ascending run, and as stragglers),
+// a number in both the queue and the registry, an unknown flag bit,
+// numbers outside [0, Spec.Tasks), an unknown resolved configuration,
+// a task that fails model.Task.Validate, and a pending event or a node
+// entry naming a queued task.
+func malformedQueues(tb testing.TB, s *Simulator, payload []byte, p Params) []struct {
+	name    string
+	payload []byte
+} {
+	tb.Helper()
+	countAt, endAt, queued := queueSection(tb, s, payload)
+	if len(queued) < 6 {
+		tb.Fatalf("queue holds %d tasks, want at least 6", len(queued))
+	}
+	type malformed = struct {
+		name    string
+		payload []byte
+	}
+	edit := func(name string, change func(q []model.Task)) malformed {
+		q := slices.Clone(queued)
+		change(q)
+		return malformed{name, splice(payload, countAt, endAt, encodeQueueSection(q))}
+	}
+	// The registry's first task, and a number below the queue's first
+	// that neither the queue nor the registry holds.
+	_, taskAt := registryLayout(tb, payload)
+	if len(taskAt) < 2 {
+		tb.Fatal("registry is empty")
+	}
+	registered := snapshot.NewReader(payload[taskAt[0]:]).Int()
+	free := -1
+	for no := queued[0].No - 1; no >= 0 && free < 0; no-- {
+		free = no
+		for i := range len(taskAt) - 1 {
+			if snapshot.NewReader(payload[taskAt[i]:]).Int() == no {
+				free = -1
+			}
+		}
+	}
+	if registered >= queued[len(queued)-2].No || free < 0 {
+		tb.Fatalf("registry starts at task %d, queue at %d: no straggler numbers to plant", registered, queued[0].No)
+	}
+	flags := bytes.Clone(payload)
+	flags[countAt+len(varint(len(queued)))] |= 1 << 6
+
+	// A completion event and a node entry retargeted at a queued task.
+	var running *model.Task
+	var entry *model.Entry
+	for _, n := range s.mgr.Nodes() {
+		for _, e := range n.Entries {
+			if e.Task != nil {
+				running, entry = e.Task, e
+			}
+		}
+	}
+	var target *model.Task
+	s.sus.Each(func(t *model.Task) { target = t })
+	evCount, evEnd := eventSection(tb, s, payload)
+	var events snapshot.Writer
+	pending := s.eng.Queue.Pending()
+	events.Int(len(pending))
+	for _, ev := range pending {
+		if ev.A == running {
+			ev.A = target
+			defer func() { ev.A = running }()
+		}
+		if err := s.encodeEvent(&events, ev); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var fabric, retargeted snapshot.Writer
+	s.mgr.EncodeState(&fabric)
+	fabricAt := bytes.Index(payload, fabric.Bytes())
+	if fabricAt < 0 || bytes.LastIndex(payload, fabric.Bytes()) != fabricAt {
+		tb.Fatal("fabric section not found once in the payload")
+	}
+	entry.Task = target
+	s.mgr.EncodeState(&retargeted)
+	entry.Task = running
+
+	return []malformed{
+		edit("queued twice in a row", func(q []model.Task) { q[1].No = q[0].No }),
+		edit("queued twice as a straggler", func(q []model.Task) { q[3].No = q[1].No }),
+		edit("two stragglers", func(q []model.Task) { q[4].No, q[5].No = free, free }),
+		edit("queued and registered", func(q []model.Task) { q[0].No = registered }),
+		edit("registered straggler", func(q []model.Task) { q[len(q)-1].No = registered }),
+		{"unknown flag bit", flags},
+		edit("number past the run's tasks", func(q []model.Task) { q[2].No = p.Spec.Tasks }),
+		edit("negative number", func(q []model.Task) { q[2].No = -1 }),
+		edit("unknown configuration", func(q []model.Task) { q[0].Resolved = &model.Config{No: p.Spec.Configs} }),
+		edit("negative required time", func(q []model.Task) { q[1].RequiredTime = -1 }),
+		{"event naming a queued task", splice(payload, evCount, evEnd, events.Bytes())},
+		{"node entry naming a queued task", splice(payload, fabricAt, fabricAt+fabric.Len(), retargeted.Bytes())},
+	}
+}
+
+// TestRestoreRejectsMalformedQueue: a version 3 queue section may name
+// each task number once across the queue and the registry, only within
+// [0, Spec.Tasks), with known flag bits and configurations and valid
+// tasks, and no other section may name a queued task; anything else is
+// ErrCorrupt.
+// The duplicate and unknown-configuration cases are the version 3
+// twins of TestRestoreRejectsMalformedRegistry's, whose version 2
+// registry held the suspended tasks. Each case is rejected for its own
+// reason: restored with the edit undone, the payload is accepted.
+func TestRestoreRejectsMalformedQueue(t *testing.T) {
+	p := smallParams(10, 120, true)
+	s, payload := pausedAt(t, p, 100)
+	countAt, endAt, queued := queueSection(t, s, payload)
+	intact := splice(payload, countAt, endAt, encodeQueueSection(queued))
+	if _, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, SnapshotVersion, intact)); err != nil {
+		t.Fatalf("re-encoded queue section rejected: %v", err)
+	}
+	for _, bad := range malformedQueues(t, s, payload, p) {
+		_, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, SnapshotVersion, bad.payload))
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s gave %v, want ErrCorrupt", bad.name, err)
+		} else {
+			t.Logf("%s: %v", bad.name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsUnconservedTasks: a payload that decodes cleanly
+// but breaks task conservation — GeneratedTasks one above the tasks the
+// snapshot accounts for — is rejected, not run.
+func TestRestoreRejectsUnconservedTasks(t *testing.T) {
+	p := smallParams(10, 120, true)
+	_, payload := pausedAt(t, p, 100)
+	r := snapshot.NewReader(payload)
+	skipPosition(r)
+	r.Int() // TotalNodes
+	r.Int() // TotalConfigs
+	at := len(payload) - r.Remaining()
+	generated := r.I64()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	bumped := splice(payload, at, len(payload)-r.Remaining(), varint(int(generated)+1))
+	_, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, SnapshotVersion, bumped))
+	if !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("GeneratedTasks %d -> %d gave %v, want ErrCorrupt", generated, generated+1, err)
+	}
+}
+
+// TestCompletionPastClockFailsRun: a task whose completion tick would
+// overflow the clock fails the run with an error instead of panicking,
+// whether the workload drew its RequiredTime or a tampered checkpoint
+// carried it in a queue record that is otherwise valid.
+func TestCompletionPastClockFailsRun(t *testing.T) {
+	p := smallParams(10, 50, true)
+	p.Spec.TaskReqTimeLow, p.Spec.TaskReqTimeHigh = math.MaxInt64-5, math.MaxInt64-5
+	s, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range malformedRegistries(t, payload, p.Spec.Configs) {
-		_, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, SnapshotVersion, bad.payload))
-		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("%s registry gave %v, want ErrCorrupt", bad.name, err)
-		}
+	if _, err := s.Run(); err == nil {
+		t.Fatal("a run whose tasks complete past the clock's range succeeded")
+	}
+
+	p = smallParams(10, 120, true)
+	s, payload := pausedAt(t, p, 100)
+	countAt, endAt, queued := queueSection(t, s, payload)
+	queued[0].RequiredTime = math.MaxInt64 - 10
+	r, err := RestoreSnapshot(p, snapshot.Seal(SnapshotKind, SnapshotVersion, splice(payload, countAt, endAt, encodeQueueSection(queued))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunUntil(nil)
+	if _, err := r.Finish(); err == nil {
+		t.Fatal("a restored task completing past the clock's range finished cleanly")
 	}
 }
 
@@ -473,6 +739,31 @@ type hostilePayload struct {
 	payload []byte
 }
 
+// pausedAt pauses a run of p once target events have fired and
+// returns the run and its snapshot payload.
+func pausedAt(tb testing.TB, p Params, target uint64) (*Simulator, []byte) {
+	tb.Helper()
+	s, err := New(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	if s.RunUntil(func(_ int64, processed uint64) bool { return processed >= target }) {
+		tb.Fatalf("run finished before %d events", target)
+	}
+	snap, err := s.EncodeSnapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload, _, err := snapshot.Open(snap, SnapshotKind, SnapshotVersion)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, payload
+}
+
 // pausedPayload pauses a run of p with 8k queued tasks and returns the
 // run and its snapshot payload.
 func pausedPayload(t *testing.T, p Params) (*Simulator, []byte) {
@@ -500,23 +791,24 @@ func eventFlood(t *testing.T, name string, p Params, s *Simulator, payload []byt
 	return hostilePayload{name, p, splice(payload, evCount, evEnd, events)}
 }
 
-// TestRestoreBoundsHostileRegistryCount: a tampered registry count, a
-// flood of pending events the restored gauges cannot account for, a
-// task number far beyond the run's, or an inflated monitoring sample
-// count is rejected with ErrCorrupt while the restore allocates less
-// than ten times the snapshot's length. The registry counts are one
-// far beyond what the payload can hold and the largest the minimum
-// task size lets through. The floods are 100k events of one kind
-// behind the genuine ones: drain-checks, where the gauges allow at most
-// one, and, on a run with random and scripted faults, each kind of
-// fault event, where each random stream allows one pending firing, the
-// script bounds scripted crashes and armings, and recoveries are
-// bounded by the script's and the down nodes. Task 1<<50 is named by
-// the dependency-blocked section of a run without dependencies, and is
-// a running task's number on the faulted run; the run context indexes
-// both tables by task number. The sample count, 16 short of the 1 MB
-// of zeros behind it, passes a one-byte-per-sample bound but not the
-// smallest sample's nine bytes.
+// TestRestoreBoundsHostileRegistryCount: a tampered registry or queue
+// count, a flood of pending events the restored gauges cannot account
+// for, a task number far beyond the run's, or an inflated monitoring
+// sample count is rejected with ErrCorrupt while the restore allocates
+// less than ten times the snapshot's length. The registry counts are
+// one far beyond what the payload can hold and the largest the minimum
+// task size lets through; the queue counts are one far beyond and one
+// just above what the minimum record size lets through. The floods are
+// 100k events of one kind behind the genuine ones: drain-checks, where
+// the gauges allow at most one, and, on a run with random and scripted
+// faults, each kind of fault event, where each random stream allows
+// one pending firing, the script bounds scripted crashes and armings,
+// and recoveries are bounded by the script's and the down nodes. Task
+// 1<<50 is named by the dependency-blocked section of a run without
+// dependencies, and is a running task's number on the faulted run; the
+// run context indexes both tables by task number. The sample count, 16
+// short of the 1 MB of zeros behind it, passes a one-byte-per-sample
+// bound but not the smallest sample's nine bytes.
 func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 	p := deepQueueParams()
 	s, payload := pausedPayload(t, p)
@@ -528,6 +820,15 @@ func TestRestoreBoundsHostileRegistryCount(t *testing.T) {
 			fmt.Sprintf("registry count %d", n), p,
 			splice(payload, countAt, taskAt[0], varint(n)),
 		})
+	}
+	// Queue counts the minimum record size rules out: one far beyond
+	// what the payload can hold and one just above the bound.
+	qCount, qEnd, queued := queueSection(t, s, payload)
+	qRecords := qCount + len(varint(len(queued)))
+	qRemaining := len(payload) - qRecords
+	for _, n := range []int{qRemaining - 16, qRemaining/minQueuedBytes + 1} {
+		section := append(varint(n), payload[qRecords:qEnd]...)
+		inputs = append(inputs, hostilePayload{fmt.Sprintf("queue count %d", n), p, splice(payload, qCount, qEnd, section)})
 	}
 	const flood = 100000
 	encode := func(kind int, at int64, node int) []byte {
@@ -654,37 +955,134 @@ func TestMinTaskBytes(t *testing.T) {
 	}
 }
 
+// TestMinQueuedBytes pins the queue bound to the encoder: the smallest
+// suspension-queue record is minQueuedBytes long.
+func TestMinQueuedBytes(t *testing.T) {
+	var w snapshot.Writer
+	encodeQueued(&w, new(model.Task).Init(0, 0, 0, 0, 0), &queueCursor{})
+	if w.Len() != minQueuedBytes {
+		t.Fatalf("smallest queue record takes %d bytes, minQueuedBytes is %d", w.Len(), minQueuedBytes)
+	}
+}
+
+// TestSnapshotBytesShrink pins the version 3 saving on the encode
+// benchmark's pause, 8k tasks deep: the version 2 encoder wrote
+// 237,669 bytes there, and version 3 must write at most 60% of that.
+func TestSnapshotBytesShrink(t *testing.T) {
+	s := pausedRun(t, deepQueueParams(), 8000)
+	snap, err := s.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v2Bytes = 237669
+	t.Logf("%d queued: %d bytes, %.1f%% of version 2's", s.sus.Len(), len(snap), 100*float64(len(snap))/v2Bytes)
+	if limit := v2Bytes * 6 / 10; len(snap) > limit {
+		t.Fatalf("snapshot takes %d bytes, limit %d", len(snap), limit)
+	}
+}
+
+// FuzzQueueRecord: a suspension-queue record round-trips every task
+// field exactly, and leaves the encoder's and the decoder's cursors
+// equal, whatever the predecessor. The seeds cover every combination of
+// the optional fields, the negative deltas of a straggler re-appended
+// behind higher numbers, and extreme int64 values whose deltas wrap.
+func FuzzQueueRecord(f *testing.F) {
+	configs := []*model.Config{{No: 0}, {No: 1}, {No: 2}}
+	// A seed: the predecessor's No, CreateTime and SusRetry, the task's
+	// fields, and the resolved configuration's index (none beyond the
+	// list).
+	type seed struct {
+		prevNo, prevCreate, prevRetry                             int64
+		no, create, retry, needed, pref, data, required           int64
+		class, retries, assigned, start, comm, cfgDelay, complete int64
+		resolved                                                  uint8
+		closest                                                   bool
+	}
+	add := func(s seed) {
+		f.Add(s.prevNo, s.prevCreate, s.prevRetry, s.no, s.create, s.retry, s.needed, s.pref, s.data, s.required,
+			s.class, s.retries, s.assigned, s.start, s.comm, s.cfgDelay, s.complete, s.resolved, s.closest)
+	}
+	fresh := seed{prevNo: 7, prevCreate: 100, prevRetry: 3, no: 8, create: 104, retry: 2, needed: 300, pref: 4,
+		data: 9000, required: 1500, assigned: -1, start: -1, complete: -1, resolved: 1}
+	for combo := 0; combo < 1<<6; combo++ {
+		s := fresh
+		on := func(bit int) bool { return combo&(1<<bit) != 0 }
+		if !on(0) {
+			s.resolved = uint8(len(configs))
+		}
+		s.closest = on(1)
+		if on(2) {
+			s.class = 3
+		}
+		if on(3) {
+			s.retries = 2
+		}
+		if on(4) {
+			s.assigned, s.start, s.comm, s.cfgDelay = 1, 120, 5, 40
+		}
+		if on(5) {
+			s.complete = 900
+		}
+		add(s)
+	}
+	straggler := fresh
+	straggler.prevNo, straggler.prevCreate, straggler.prevRetry = 9000, 5000, 40
+	straggler.no, straggler.create, straggler.retry = 12, 300, 0
+	add(straggler)
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	add(seed{hi, hi, hi, lo, lo, lo, lo, lo, lo, lo, lo, lo, lo, lo, lo, lo, lo, 0, true})
+	add(seed{lo, lo, lo, hi, hi, hi, hi, hi, hi, hi, hi, hi, hi, hi, hi, hi, hi, 255, false})
+	f.Fuzz(func(t *testing.T, prevNo, prevCreate, prevRetry, no, create, retry, needed, pref, data, required,
+		class, retries, assigned, start, comm, cfgDelay, complete int64, resolved uint8, closest bool) {
+		want := model.Task{
+			No: int(no), CreateTime: create, SusRetry: retry, NeededArea: needed, PrefConfig: int(pref),
+			Data: data, RequiredTime: required, Class: int(class), Retries: retries,
+			AssignedConfig: int(assigned), StartTime: start, CommDelay: comm, ConfigDelay: cfgDelay,
+			CompletionTime: complete, ResolvedClosest: closest, Status: model.TaskSuspended,
+		}
+		if int(resolved) < len(configs) {
+			want.Resolved = configs[resolved]
+		}
+		enc := queueCursor{prevNo, prevCreate, prevRetry}
+		dec := enc
+		var w snapshot.Writer
+		encodeQueued(&w, &want, &enc)
+		r := snapshot.NewReader(w.Bytes())
+		var got model.Task
+		cfg, err := decodeQueued(r, &got, &dec)
+		if err == nil {
+			err = r.Close()
+		}
+		if err != nil {
+			t.Fatalf("decoding %+v: %v", want, err)
+		}
+		if cfg >= 0 {
+			if cfg >= len(configs) {
+				t.Fatalf("decoded configuration %d of %d", cfg, len(configs))
+			}
+			got.Resolved = configs[cfg]
+		}
+		if got != want || dec != enc {
+			t.Fatalf("round trip\nwant %+v, cursor %+v\ngot  %+v, cursor %+v", want, enc, got, dec)
+		}
+	})
+}
+
 // FuzzDecodeSnapshot: the decoder must never panic, whatever the
 // bytes. Raw inputs exercise the envelope (the checksum rejects
 // nearly everything); the re-sealed passes wrap the fuzzed bytes in a
-// valid envelope of either format version so the payload decoding past
+// valid envelope of each format version so the payload decoding past
 // the CRC is reached too.
 // Every outcome must be a structured error or a well-formed restore.
 func FuzzDecodeSnapshot(f *testing.F) {
 	p := smallParams(10, 120, true)
-	valid, ok := func() ([]byte, bool) {
-		s, err := New(p)
-		if err != nil {
-			return nil, false
-		}
-		if err := s.Start(); err != nil {
-			return nil, false
-		}
-		if s.RunUntil(func(_ int64, processed uint64) bool { return processed >= 100 }) {
-			return nil, false
-		}
-		snap, err := s.EncodeSnapshot()
-		return snap, err == nil
-	}()
-	if !ok {
-		f.Fatal("could not build the seed snapshot")
-	}
+	s, payload := pausedAt(f, p, 100)
+	valid := snapshot.Seal(SnapshotKind, SnapshotVersion, payload)
 	f.Add(valid)
-	payload, _, err := snapshot.Open(valid, SnapshotKind, SnapshotVersion)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(append([]byte(nil), payload...))
+	for _, bad := range malformedQueues(f, s, payload, p) {
+		f.Add(bad.payload)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("DRSNAP"))
 	truncated := append([]byte(nil), valid[:len(valid)/2]...)
@@ -697,13 +1095,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	countAt, taskAt := registryLayout(f, payload)
 	f.Add(splice(payload, countAt, taskAt[0], varint(len(payload)-taskAt[0])))
-	v1 := v1Fixture(f)
-	f.Add(v1)
-	v1Payload, _, err := snapshot.Open(v1, SnapshotKind, 1)
-	if err != nil {
-		f.Fatal(err)
+	for _, old := range [][]byte{v1Fixture(f), v2Fixture(f)} {
+		f.Add(old)
+		oldPayload, _, err := snapshot.Open(old, SnapshotKind, SnapshotVersion)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), oldPayload...))
 	}
-	f.Add(append([]byte(nil), v1Payload...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, err := RestoreSnapshot(p, data); err == nil {
@@ -711,9 +1110,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			s.RunUntil(nil)
 			s.Finish()
 		}
-		// Sealed as version 1 too, the payload reaches the decoder's
-		// skip of the busy-list sections.
-		for _, version := range []uint64{1, SnapshotVersion} {
+		// Sealed as each version, the payload reaches version 1's skip
+		// of the busy-list sections, the queue of task numbers versions
+		// 1 and 2 share, and version 3's queue records.
+		for _, version := range []uint64{1, 2, 3} {
 			sealed := snapshot.Seal(SnapshotKind, version, data)
 			if s, err := RestoreSnapshot(p, sealed); err == nil {
 				s.RunUntil(nil)

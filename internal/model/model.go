@@ -44,24 +44,33 @@ func (s NodeState) String() string {
 	}
 }
 
-// CapBits assigns one bit per capability name, in first-seen order —
-// the dense encoding the indexed placement search uses for O(1)
-// subset tests over node caps and configuration RequiredCaps. It
-// returns false when the name space exceeds 64 capabilities (callers
-// then fall back to string subset tests).
-func CapBits(capLists ...[]string) (map[string]uint64, bool) {
+// CapBits assigns one bit per capability name, in first-seen order
+// over the nodes' Caps and then the configurations' RequiredCaps — the
+// dense encoding the indexed placement search uses for O(1) subset
+// tests. It returns false when the name space exceeds 64 capabilities
+// (callers then fall back to string subset tests).
+func CapBits(nodes []*Node, configs []*Config) (map[string]uint64, bool) {
 	bits := make(map[string]uint64)
-	next := uint(0)
-	for _, caps := range capLists {
+	add := func(caps []string) bool {
 		for _, c := range caps {
 			if _, ok := bits[c]; ok {
 				continue
 			}
-			if next >= 64 {
-				return nil, false
+			if len(bits) == 64 {
+				return false
 			}
-			bits[c] = 1 << next
-			next++
+			bits[c] = 1 << len(bits)
+		}
+		return true
+	}
+	for _, n := range nodes {
+		if !add(n.Caps) {
+			return nil, false
+		}
+	}
+	for _, cfg := range configs {
+		if !add(cfg.RequiredCaps) {
+			return nil, false
 		}
 	}
 	return bits, true

@@ -168,14 +168,7 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 		blank: make([]uint64, (n+63)/64),
 	}
 	members := i32[2*n : 3*n : 3*n]
-	capLists := make([][]string, 0, n+len(configs))
-	for _, node := range nodes {
-		capLists = append(capLists, node.Caps)
-	}
-	for _, cfg := range configs {
-		capLists = append(capLists, cfg.RequiredCaps)
-	}
-	s.capBits, s.maskOK = model.CapBits(capLists...)
+	s.capBits, s.maskOK = model.CapBits(nodes, configs)
 
 	// Group slots by mask: blk holds each slot's shard until the
 	// blocks exist, and members is carved shard by shard.

@@ -122,3 +122,18 @@ func BenchmarkScan5000(b *testing.B) {
 		sb.cycle(b, i)
 	}
 }
+
+// BenchmarkNew5000 measures building a manager, the SoA scan block
+// included, over a 5000-node population with Table II's 50
+// configurations: the per-run setup cost StartRun and RestoreSnapshot
+// pay.
+func BenchmarkNew5000(b *testing.B) {
+	nodes, cfgs := population(1234, 5000, 50, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := resinfo.New(nodes, cfgs, &metrics.Counters{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -213,7 +213,7 @@ func TestSusQueueWalkBumpsRetry(t *testing.T) {
 	if steps != 3 {
 		t.Fatalf("steps=%d, want 3 (the queue length at walk start)", steps)
 	}
-	q.Materialize()
+	q.Each(func(*model.Task) {})
 	if tasks[0].SusRetry != 1 || tasks[1].SusRetry != 1 || tasks[2].SusRetry != 1 {
 		t.Fatalf("retry counters: %d %d %d", tasks[0].SusRetry, tasks[1].SusRetry, tasks[2].SusRetry)
 	}
@@ -283,13 +283,13 @@ func TestSusQueueWalkVisitsOnlyFittingBuckets(t *testing.T) {
 				want = 1 // only visited tasks are credited eagerly
 			}
 			if task.SusRetry != want {
-				t.Fatalf("%s: %v: SusRetry %d before materialize, want %d", tc.name, task, task.SusRetry, want)
+				t.Fatalf("%s: %v: SusRetry %d before the crediting walk, want %d", tc.name, task, task.SusRetry, want)
 			}
 		}
-		q.Materialize()
+		q.Each(func(*model.Task) {})
 		for _, task := range tasks {
 			if task.SusRetry != 1 {
-				t.Fatalf("%s: %v: SusRetry %d after materialize, want 1", tc.name, task, task.SusRetry)
+				t.Fatalf("%s: %v: SusRetry %d after the crediting walk, want 1", tc.name, task, task.SusRetry)
 			}
 		}
 		if err := q.CheckInvariants(); err != nil {
@@ -564,11 +564,11 @@ func TestQuickSusQueueOrder(t *testing.T) {
 				return false
 			}
 		}
-		q.Materialize()
+		var got []*model.Task
+		q.Each(func(task *model.Task) { got = append(got, task) })
 		if !slices.Equal(live.visited, mirror.visited) || !slices.Equal(live.steps, mirror.steps) {
 			return false
 		}
-		got := q.Tasks()
 		if len(got) != len(ref.tasks) {
 			return false
 		}

@@ -389,11 +389,13 @@ func (q *SusQueue) credit(at int32) {
 	el.walk = q.walks
 }
 
-// Materialize brings every queued task's SusRetry up to date, e.g.
-// before a checkpoint serializes them.
-func (q *SusQueue) Materialize() {
+// Each calls visit on every queued task in FIFO order, first bringing
+// the task's SusRetry up to date, so a checkpoint serializes the queue
+// in one pass. visit must not add or remove tasks.
+func (q *SusQueue) Each(visit func(*model.Task)) {
 	for at := q.arena[0].next[lvlFIFO]; at != 0; at = q.arena[at].next[lvlFIFO] {
 		q.credit(at)
+		visit(q.arena[at].task)
 	}
 }
 
@@ -419,7 +421,7 @@ func (q *SusQueue) rebase() {
 // each visit, so a task appended while the tail is visited is not
 // reached). Each of those tasks is one retry examination: its SusRetry
 // grows by one, lazily — a queued task's field may lag until Remove,
-// Materialize or its next visit brings it up to date.
+// Each or its next visit brings it up to date.
 //
 // With every set, or while unresolved tasks are queued, visit sees
 // every task the paper's walk reaches. Otherwise it sees only tasks

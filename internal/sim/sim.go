@@ -405,15 +405,29 @@ func (q *Queue) Reset() {
 	*q = Queue{free: free}
 }
 
-// CheckInvariants validates the radix heap: each queued event sits in
-// bucketOf(At) for the current base (so bucket 0 holds only events at
-// base), mask matches the non-empty buckets, every back link mirrors
-// a forward link, each index names its bucket, Len equals the linked
-// count, and equal-time events appear in ascending insertion order.
-// It walks every queued event and allocates; Debug runs call it.
+// CheckInvariants validates the radix heap (see CheckStructure) and
+// that equal-time events appear in ascending insertion order. It walks
+// every queued event and allocates; Debug runs call it.
 func (q *Queue) CheckInvariants() error {
+	return q.check(true)
+}
+
+// CheckStructure validates the radix heap without allocating: each
+// queued event sits in bucketOf(At) for the current base (so bucket 0
+// holds only events at base), mask matches the non-empty buckets,
+// every back link mirrors a forward link, each index names its bucket
+// and Len equals the linked count.
+func (q *Queue) CheckStructure() error {
+	return q.check(false)
+}
+
+// check is CheckInvariants, or CheckStructure without sameTick.
+func (q *Queue) check(sameTick bool) error {
 	n := 0
-	lastSeq := make(map[Time]uint64)
+	var lastSeq map[Time]uint64
+	if sameTick {
+		lastSeq = make(map[Time]uint64)
+	}
 	for i := range q.buckets {
 		b := &q.buckets[i]
 		if i > 0 && (b.head != nil) != (q.mask&bit(i) != 0) {
@@ -433,10 +447,12 @@ func (q *Queue) CheckInvariants() error {
 			if ev.At < q.base || q.bucketOf(ev.At) != i {
 				return fmt.Errorf("sim: event %q at %d filed in bucket %d under base %d", ev.Kind, ev.At, i, q.base)
 			}
-			if s, ok := lastSeq[ev.At]; ok && ev.seq <= s {
-				return fmt.Errorf("sim: events at %d out of insertion order", ev.At)
+			if sameTick {
+				if s, ok := lastSeq[ev.At]; ok && ev.seq <= s {
+					return fmt.Errorf("sim: events at %d out of insertion order", ev.At)
+				}
+				lastSeq[ev.At] = ev.seq
 			}
-			lastSeq[ev.At] = ev.seq
 		}
 		if b.tail != prev {
 			return fmt.Errorf("sim: event queue bucket %d tail mismatch", i)
