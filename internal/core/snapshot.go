@@ -724,10 +724,13 @@ func (s *Simulator) restore(r *snapshot.Reader, version uint64) error {
 		return err
 	}
 
-	// Fabric contents.
+	// Fabric contents. The per-class running gauge is not stored: it
+	// is recounted from the fabric, and checkStructures then holds it
+	// and the running counter to the fabric.
 	if err := s.mgr.RestoreState(r, version, tasks.find); err != nil {
 		return err
 	}
+	s.countRunning(s.classRunning)
 
 	// Suspension queue.
 	if version < 3 {

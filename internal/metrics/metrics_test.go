@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestComputeTableI(t *testing.T) {
@@ -68,61 +66,6 @@ func TestAccounted(t *testing.T) {
 	c := &Counters{CompletedTasks: 5, DiscardedTasks: 2, SuspendedTasks: 3, RunningTasks: 1}
 	if c.Accounted() != 11 {
 		t.Errorf("Accounted = %d, want 11", c.Accounted())
-	}
-}
-
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.N() != 0 || r.Variance() != 0 {
-		t.Fatal("empty Running not zeroed")
-	}
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, v := range data {
-		r.Add(v)
-	}
-	if r.N() != 8 || r.Mean() != 5 {
-		t.Errorf("n=%d mean=%v", r.N(), r.Mean())
-	}
-	// Sample variance of the data is 32/7.
-	if math.Abs(r.Variance()-32.0/7.0) > 1e-12 {
-		t.Errorf("variance=%v, want %v", r.Variance(), 32.0/7.0)
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("min=%v max=%v", r.Min(), r.Max())
-	}
-	if math.Abs(r.StdDev()-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("stddev=%v", r.StdDev())
-	}
-}
-
-func TestRunningSingleValue(t *testing.T) {
-	var r Running
-	r.Add(-3)
-	if r.Mean() != -3 || r.Min() != -3 || r.Max() != -3 || r.Variance() != 0 {
-		t.Errorf("single observation: %+v", r)
-	}
-}
-
-// Property: Running mean always lies within [min, max].
-func TestQuickRunningBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		var r Running
-		for _, x := range xs {
-			// Skip non-finite and astronomically large inputs: Welford
-			// intermediates (x-mean)^2 overflow beyond ~1e154, which is
-			// far outside any simulator metric's range.
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				continue
-			}
-			r.Add(x)
-		}
-		if r.N() == 0 {
-			return true
-		}
-		return r.Mean() >= r.Min()-1e-9 && r.Mean() <= r.Max()+1e-9 && r.Variance() >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 

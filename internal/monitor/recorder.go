@@ -1,3 +1,9 @@
+// Package monitor implements DReAMSim's monitoring module (paper
+// §III, core subsystem): "the current states of different nodes can be
+// checked by the monitoring module". A Recorder samples those states
+// over a run, from the node census the resource information manager
+// keeps on every transition, and keeps the samples as a series or
+// folds them into rolling windows.
 package monitor
 
 import (
@@ -8,6 +14,7 @@ import (
 )
 
 // Sample is one light-weight time-series point recorded during a run.
+// A down node holds no configuration, so BlankNodes counts it.
 type Sample struct {
 	Time        int64
 	BlankNodes  int
@@ -15,16 +22,16 @@ type Sample struct {
 	BusyNodes   int
 	Running     int
 	Suspended   int
-	WastedArea  int64 // Eq. 6 instantaneous value
-	Utilization float64
+	WastedArea  int64   // Eq. 6 instantaneous value
+	Utilization float64 // configured share of the total fabric area
 	// ClassRunning splits Running across traffic classes; nil unless
 	// the recorder has Classes set (multi-class scenario runs).
 	ClassRunning []int
 }
 
 // Recorder collects periodic samples of system state — the
-// monitoring module's view over time. Observe is cheap relative to a
-// full Snapshot: one pass over the nodes.
+// monitoring module's view over time. Observe reads counts the engine
+// already keeps, so a sample walks nothing.
 //
 // A plain recorder accumulates every sample (O(samples) memory, fine
 // for paper-scale runs). A windowed recorder (NewWindowRecorder)
@@ -36,8 +43,7 @@ type Recorder struct {
 	Every int
 	// Classes, when positive, makes every sample carry a per-class
 	// running-task census of that many traffic classes. Zero (the
-	// default) keeps the cheap node-only walk and the legacy sample
-	// shape.
+	// default) keeps the legacy sample shape.
 	Classes int
 
 	calls   int
@@ -95,44 +101,30 @@ func (r *Recorder) WindowsTotal() int {
 	return r.agg.TotalRows()
 }
 
-// Observe possibly records a sample of the manager's state.
-func (r *Recorder) Observe(m *resinfo.Manager, now int64, suspended int) {
+// Observe possibly records a sample: the node census c, the running
+// and suspended task counts and, with Classes set, each class's
+// running tasks (classRunning, indexed by class; a class past its end
+// counts zero).
+func (r *Recorder) Observe(now int64, c resinfo.Census, running, suspended int, classRunning []int) {
 	r.calls++
 	if (r.calls-1)%r.Every != 0 {
 		return
 	}
-	s := Sample{Time: now, Suspended: suspended}
+	s := Sample{
+		Time:       now,
+		BlankNodes: c.Blank + c.Down,
+		IdleNodes:  c.Idle(),
+		BusyNodes:  c.Busy,
+		Running:    running,
+		Suspended:  suspended,
+		WastedArea: c.WastedArea,
+	}
+	if c.TotalArea > 0 {
+		s.Utilization = float64(c.TotalArea-c.AvailableArea) / float64(c.TotalArea)
+	}
 	if r.Classes > 0 {
 		s.ClassRunning = make([]int, r.Classes)
-	}
-	var total, used int64
-	for _, n := range m.Nodes() {
-		total += n.TotalArea
-		used += n.TotalArea - n.AvailableArea
-		running := n.RunningTasks()
-		s.Running += running
-		switch {
-		case n.Blank():
-			s.BlankNodes++
-		case running == 0:
-			s.IdleNodes++
-		default:
-			s.BusyNodes++
-			s.WastedArea += n.AvailableArea
-		}
-		if !n.Blank() && running == 0 {
-			s.WastedArea += n.AvailableArea
-		}
-		if s.ClassRunning != nil && running > 0 {
-			for _, e := range n.Entries {
-				if e.Task != nil && e.Task.Class >= 0 && e.Task.Class < len(s.ClassRunning) {
-					s.ClassRunning[e.Task.Class]++
-				}
-			}
-		}
-	}
-	if total > 0 {
-		s.Utilization = float64(used) / float64(total)
+		copy(s.ClassRunning, classRunning)
 	}
 	if r.agg != nil {
 		r.agg.Add(s)

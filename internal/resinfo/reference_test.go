@@ -6,7 +6,7 @@ package resinfo_test
 // arrays, shards, blocks or indexes. A randomized sequence of state
 // transitions drives one manager; after every transition each query's
 // answer and its SchedulerSearch charge must equal the reference
-// walk's.
+// walk's, and the manager's node census must equal a recount.
 
 import (
 	"fmt"
@@ -188,6 +188,33 @@ func (r reference) anyDownFit(cfg *model.Config) bool {
 	return false
 }
 
+// census recounts the node census from the nodes' own state.
+func (r reference) census() resinfo.Census {
+	c := resinfo.Census{Nodes: len(r.nodes)}
+	for _, n := range r.nodes {
+		c.TotalArea += n.TotalArea
+		c.AvailableArea += n.AvailableArea
+		running := 0
+		for _, e := range n.Entries {
+			if e.Task != nil {
+				running++
+			}
+		}
+		switch {
+		case n.Down:
+			c.Down++
+		case len(n.Entries) == 0:
+			c.Blank++
+		case running > 0:
+			c.Busy++
+		}
+		if len(n.Entries) > 0 {
+			c.WastedArea += n.AvailableArea
+		}
+	}
+	return c
+}
+
 // refRunner drives one manager through random transitions and checks
 // every query against the reference.
 type refRunner struct {
@@ -234,6 +261,14 @@ func (d *refRunner) probe() *model.Config {
 		cfg.RequiredCaps = append(cfg.RequiredCaps, "ghost")
 	}
 	return cfg
+}
+
+// sameCensus checks the manager's census against the recount.
+func (d *refRunner) sameCensus(what string) {
+	d.t.Helper()
+	if got, want := d.m.Census(), d.ref.census(); got != want {
+		d.t.Fatalf("%s: census %+v, recount %+v", what, got, want)
+	}
 }
 
 // queryAll checks every placement query for one probe and returns
@@ -339,6 +374,7 @@ func (d *refRunner) mutate() {
 	if err != nil {
 		d.t.Fatal(err)
 	}
+	d.sameCensus(fmt.Sprintf("after a transition of node %d", node.No))
 }
 
 // saturate configures every blank working node with the first listed
@@ -361,6 +397,7 @@ func (d *refRunner) saturate() {
 		if err != nil {
 			d.t.Fatal(err)
 		}
+		d.sameCensus(fmt.Sprintf("saturating node %d", n.No))
 	}
 	for _, n := range d.ref.nodes {
 		if len(n.Entries) == 0 && !n.Down {
@@ -378,11 +415,13 @@ func (d *refRunner) revive() {
 			if _, err := d.m.CrashNode(n); err != nil {
 				d.t.Fatal(err)
 			}
+			d.sameCensus(fmt.Sprintf("crashing node %d", n.No))
 		}
 		if n.Down {
 			if err := d.m.RecoverNode(n); err != nil {
 				d.t.Fatal(err)
 			}
+			d.sameCensus(fmt.Sprintf("recovering node %d", n.No))
 		}
 	}
 }
@@ -413,6 +452,7 @@ func runReference(t *testing.T, seed uint64, nodes int, caps []string, shape are
 		t.Fatalf("%d capability names must fall back to one shard, got %d", len(caps), m.ShardCount())
 	}
 	d := &refRunner{t: t, m: m, c: c, ref: reference{ns, cs}, caps: caps, unit: shape.unit(), r: rng.New(seed ^ 0x5eed)}
+	d.sameCensus("after New")
 	steps := 400 + 2*nodes
 	for step := 0; step < steps; step++ {
 		d.mutate()
@@ -427,6 +467,7 @@ func runReference(t *testing.T, seed uint64, nodes int, caps []string, shape are
 			if _, err := m.Configure(n, cfg); err != nil {
 				t.Fatal(err)
 			}
+			d.sameCensus(fmt.Sprintf("step %d: applying Algorithm 1's answer", step))
 		}
 		if step%97 == 0 || step == steps-1 {
 			if err := m.CheckInvariants(); err != nil {

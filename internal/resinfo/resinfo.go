@@ -28,15 +28,15 @@ import (
 // state must flow through it so the idle lists, Eq. 4 area accounting,
 // and the housekeeping counters stay consistent.
 type Manager struct {
-	nodes     []*model.Node
-	configs   []*model.Config
-	byArea    []int32          // config numbers by (ReqArea, No), for FindClosestConfig
-	idle      []*reslists.List // config No -> idle list
-	c         *metrics.Counters
-	downCount int // nodes currently failed (CrashNode minus RecoverNode)
+	nodes   []*model.Node
+	configs []*model.Config
+	byArea  []int32          // config numbers by (ReqArea, No), for FindClosestConfig
+	idle    []*reslists.List // config No -> idle list
+	c       *metrics.Counters
 
 	// SoA scan block: the capability-sharded, blocked dense arrays the
-	// placement scans walk (see soa.go), kept in sync by reindex.
+	// placement scans walk and the node census (see soa.go), kept in
+	// sync by reindex.
 	soa *soaState
 
 	// evict is FindAnyIdleNode's reusable victim buffer; the returned
@@ -115,6 +115,9 @@ func (m *Manager) reindex(node *model.Node) {
 // Nodes returns the node list (callers must not mutate node state
 // directly; use the Manager's transition methods).
 func (m *Manager) Nodes() []*model.Node { return m.nodes }
+
+// Census returns the node census as of the last state transition.
+func (m *Manager) Census() Census { return m.soa.census }
 
 // Configs returns the configurations list.
 func (m *Manager) Configs() []*model.Config { return m.configs }
@@ -282,7 +285,6 @@ func (m *Manager) CrashNode(node *model.Node) ([]*model.Task, error) {
 	for _, v := range removed {
 		m.Idle(v.Config.No).Remove(v)
 	}
-	m.downCount++
 	m.reindex(node)
 	return tasks, nil
 }
@@ -293,7 +295,6 @@ func (m *Manager) RecoverNode(node *model.Node) error {
 	if err := node.Restore(); err != nil {
 		return err
 	}
-	m.downCount--
 	m.housekeep(1)
 	m.reindex(node)
 	return nil
@@ -437,10 +438,10 @@ func (m *Manager) AnyBusyNodeCouldFit(cfg *model.Config) bool {
 //
 //lint:metering fault-path liveness probe; uncharged so fault-free metering stays identical
 func (m *Manager) AnyDownNodeCouldFit(cfg *model.Config) bool {
-	if m.downCount == 0 {
+	s := m.soa
+	if s.census.Down == 0 {
 		return false
 	}
-	s := m.soa
 	req, reqOK := s.reqMask(cfg.RequiredCaps)
 	masked := s.maskOK && reqOK
 	for si := range s.shards {

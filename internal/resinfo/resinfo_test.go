@@ -366,13 +366,65 @@ func TestInvariantCatchesStaleBlankIndex(t *testing.T) {
 		t.Error("swapped order entries not detected")
 	}
 	s.order[0], s.order[3] = s.order[3], s.order[0]
-	s.nblank--
+	s.census.Blank--
 	if err := m.CheckInvariants(); err == nil {
 		t.Error("wrong blank count not detected")
 	}
-	s.nblank++
+	s.census.Blank++
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("restored index: %v", err)
+	}
+}
+
+// TestInvariantCatchesStaleCensus reads the census of a fabric with a
+// blank, an idle, a busy and a down node, then corrupts each census
+// field in turn: CheckInvariants must recount the census from the
+// nodes and catch every one.
+func TestInvariantCatchesStaleCensus(t *testing.T) {
+	m, _ := rig(t, []int64{2000, 3000, 1000, 4000}, []int64{500, 700}, true)
+	nodes, cfgs := m.Nodes(), m.Configs()
+	if _, err := m.Configure(nodes[1], cfgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	e, err := m.Configure(nodes[2], cfgs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StartTask(e, &model.Task{No: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CrashNode(nodes[3]); err != nil {
+		t.Fatal(err)
+	}
+	want := Census{Nodes: 4, TotalArea: 10000, Blank: 1, Busy: 1, Down: 1,
+		AvailableArea: 10000 - 500 - 700, WastedArea: 2500 + 300}
+	if got := m.Census(); got != want || got.Idle() != 1 {
+		t.Fatalf("census %+v (idle %d), want %+v (idle 1)", got, got.Idle(), want)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c := &m.soa.census
+	for _, f := range []struct {
+		name string
+		bump func(d int)
+	}{
+		{"Nodes", func(d int) { c.Nodes += d }},
+		{"TotalArea", func(d int) { c.TotalArea += int64(d) }},
+		{"Blank", func(d int) { c.Blank += d }},
+		{"Busy", func(d int) { c.Busy += d }},
+		{"Down", func(d int) { c.Down += d }},
+		{"AvailableArea", func(d int) { c.AvailableArea += int64(d) }},
+		{"WastedArea", func(d int) { c.WastedArea += int64(d) }},
+	} {
+		f.bump(1)
+		if err := m.CheckInvariants(); err == nil {
+			t.Errorf("stale census %s not detected", f.name)
+		}
+		f.bump(-1)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("restored census: %v", err)
 	}
 }
 

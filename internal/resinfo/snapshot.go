@@ -16,10 +16,10 @@ import (
 // list order is observable in scheduling decisions and counters.
 //
 // Everything else is derived and rebuilt rather than stored: node
-// AvailableArea follows Eq. 4 from the resident configurations,
-// downCount is a recount, the SoA scan block (per-slot arrays and
-// block bounds) re-syncs from node state through reindex, and the
-// entry/evict pools are allocation artifacts that restore empty.
+// AvailableArea follows Eq. 4 from the resident configurations, the
+// SoA scan block (per-slot arrays, block bounds and the node census)
+// re-syncs from node state through reindex, and the entry/evict pools
+// are allocation artifacts that restore empty.
 //
 // Version 1 payloads also carried each configuration's busy list
 // after its idle list; RestoreState reads and discards it.
@@ -79,7 +79,6 @@ func (m *Manager) RestoreState(r *snapshot.Reader, version uint64, taskByNo func
 	if n := r.Int(); r.Err() == nil && n != len(m.nodes) {
 		return fmt.Errorf("%w: snapshot has %d nodes, run parameters build %d", snapshot.ErrCorrupt, n, len(m.nodes))
 	}
-	m.downCount = 0
 	idle := 0 // resident regions without a task
 	for _, n := range m.nodes {
 		if len(n.Entries) != 0 {
@@ -128,9 +127,6 @@ func (m *Manager) RestoreState(r *snapshot.Reader, version uint64, taskByNo func
 		}
 		n.Down = down
 		n.ReconfigCount = reconfigs
-		if down {
-			m.downCount++
-		}
 	}
 	// Every list decodes into one shared array: a list can hold at most
 	// the idle regions no earlier list took.

@@ -137,14 +137,37 @@ type soaState struct {
 	// The blank index. order[sh.base:] holds shard sh's members by
 	// (TotalArea, slot), rank maps a slot to its position in order, and
 	// bit i of blank is set when order[i] is blank. They are filled on
-	// the first blank search that finds a blank node (indexed); nblank,
-	// the number of blank slots, is kept from the start.
+	// the first blank search that finds a blank node (indexed).
 	order   []int32
 	rank    []int32
 	blank   []uint64
-	nblank  int
 	indexed bool
+
+	// census is the node census, kept by sync from the start.
+	census Census
 }
+
+// Census is the fabric's node census: the "current states of
+// different nodes" the paper's monitoring module reads (§III). The
+// SoA block keeps it on every state transition, so reading it costs
+// no walk.
+type Census struct {
+	Nodes     int   // the population size
+	TotalArea int64 // Σ TotalArea
+
+	Blank int // working nodes holding no configuration
+	Busy  int // nodes running at least one task
+	Down  int // crashed nodes, which hold no configuration either
+
+	AvailableArea int64 // Σ AvailableArea (Eq. 4)
+	// WastedArea is the instantaneous Eq. 6 value: Σ AvailableArea
+	// over the nodes holding at least one configuration.
+	WastedArea int64
+}
+
+// Idle returns the number of nodes holding a configuration and
+// running no task.
+func (c Census) Idle() int { return c.Nodes - c.Blank - c.Busy - c.Down }
 
 // newSoaState builds the scan block over a fresh population. Both node
 // capabilities and configuration requirements register in the bit
@@ -216,30 +239,39 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 	for b := range s.blocks {
 		s.blocks[b].bound = [soaKeys]int64{-1, -1}
 	}
+	s.census.Nodes = n
 	for i, node := range nodes {
 		s.total[i] = node.TotalArea
+		s.census.TotalArea += node.TotalArea
 		s.sync(i, node)
 	}
 	return s
 }
 
 // sync refreshes one slot from its node, raises its block's bounds to
-// cover the slot's new keys and keeps the blank index in step.
+// cover the slot's new keys and keeps the blank index and the census
+// in step. Before a slot's first sync its arrays read zero, so the
+// first sync adds the node to the census.
 func (s *soaState) sync(slot int, n *model.Node) {
 	flags, recl := soaFlagsOf(n)
 	nent := int32(len(n.Entries))
 	b := &s.blocks[s.blk[slot]]
 	b.ents += int64(nent - s.nent[slot])
-	if (flags^s.flags[slot])&soaBlank != 0 {
-		if flags&soaBlank != 0 {
-			s.nblank++
-		} else {
-			s.nblank--
-		}
-		if s.indexed {
-			r := s.rank[slot]
-			s.blank[r>>6] ^= 1 << (r & 63)
-		}
+	old := s.flags[slot]
+	if (flags^old)&soaBlank != 0 && s.indexed {
+		r := s.rank[slot]
+		s.blank[r>>6] ^= 1 << (r & 63)
+	}
+	c := &s.census
+	c.Blank += flagStep(old, flags, soaBlank)
+	c.Busy += flagStep(old, flags, soaBusy)
+	c.Down += flagStep(old, flags, soaDown)
+	c.AvailableArea += n.AvailableArea - s.avail[slot]
+	if s.nent[slot] > 0 {
+		c.WastedArea -= s.avail[slot]
+	}
+	if nent > 0 {
+		c.WastedArea += n.AvailableArea
 	}
 	s.avail[slot], s.recl[slot], s.flags[slot], s.nent[slot] = n.AvailableArea, recl, flags, nent
 	if flags&soaPart != 0 && n.AvailableArea > b.bound[keyPart] {
@@ -248,6 +280,18 @@ func (s *soaState) sync(slot int, n *model.Node) {
 	if recl > b.bound[keyRecl] {
 		b.bound[keyRecl] = recl
 	}
+}
+
+// flagStep returns 1 when a slot gains the flag bit, -1 when it loses
+// it and 0 otherwise.
+func flagStep(old, now, bit uint8) int {
+	switch {
+	case old&bit == now&bit:
+		return 0
+	case now&bit != 0:
+		return 1
+	}
+	return -1
 }
 
 // reqMask folds a required-capability list into its query mask. A
@@ -260,11 +304,26 @@ func (s *soaState) reqMask(caps []string) (uint64, bool) {
 	return model.CapMaskOf(s.capBits, caps)
 }
 
-// check validates the scan block against live node state.
+// check validates the scan block against live node state, and the
+// census against a recount.
 //
 //lint:metering debug validator; its walks are host-side checking, not simulated scheduler work
 func (s *soaState) check(nodes []*model.Node) error {
+	recount := Census{Nodes: len(nodes)}
 	for i, n := range nodes {
+		recount.TotalArea += n.TotalArea
+		recount.AvailableArea += n.AvailableArea
+		switch n.State() {
+		case model.StateBlank:
+			recount.Blank++
+		case model.StateBusy:
+			recount.Busy++
+		case model.StateDown:
+			recount.Down++
+		}
+		if !n.Blank() {
+			recount.WastedArea += n.AvailableArea
+		}
 		if n.Slot != i {
 			return fmt.Errorf("resinfo: node %d carries slot %d, expected %d", n.No, n.Slot, i)
 		}
@@ -309,14 +368,8 @@ func (s *soaState) check(nodes []*model.Node) error {
 	if seen != len(nodes) {
 		return fmt.Errorf("resinfo: shards hold %d slots, population has %d", seen, len(nodes))
 	}
-	blank := 0
-	for _, f := range s.flags {
-		if f&soaBlank != 0 {
-			blank++
-		}
-	}
-	if blank != s.nblank {
-		return fmt.Errorf("resinfo: blank count %d, %d slots are blank", s.nblank, blank)
+	if s.census != recount {
+		return fmt.Errorf("resinfo: census %+v stale, the nodes count %+v", s.census, recount)
 	}
 	if s.indexed {
 		return s.checkBlankIndex()
@@ -346,8 +399,8 @@ func (s *soaState) checkBlankIndex() error {
 	for _, w := range s.blank {
 		set += bits.OnesCount64(w)
 	}
-	if set != s.nblank {
-		return fmt.Errorf("resinfo: %d blank bits set for %d blank slots", set, s.nblank)
+	if set != s.census.Blank {
+		return fmt.Errorf("resinfo: %d blank bits set for %d blank slots", set, s.census.Blank)
 	}
 	for p, r := range s.rank {
 		if bit := s.blank[r>>6]>>(r&63)&1 != 0; bit != (s.flags[p]&soaBlank != 0) {
@@ -470,7 +523,7 @@ func (m *Manager) scanBest(cfg *model.Config) *model.Node {
 //dreamsim:noalloc
 func (m *Manager) scanBlank(cfg *model.Config) *model.Node {
 	s := m.soa
-	if s.nblank == 0 {
+	if s.census.Blank == 0 {
 		return nil
 	}
 	if !s.indexed {

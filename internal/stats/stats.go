@@ -1,15 +1,13 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses to attach confidence to simulator comparisons: paired
-// differences with t-based confidence intervals, Welch's two-sample
-// t-test, and the Wilcoxon/Mann–Whitney rank-sum test for
-// distribution-free comparisons. The paper reports single runs; this
-// toolkit shows its orderings are not seed artifacts.
+// harness uses to attach confidence to simulator comparisons: sample
+// summaries for replicated runs, and paired differences with t-based
+// confidence intervals. The paper reports single runs; this toolkit
+// shows its orderings are not seed artifacts.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds the moments of one sample.
@@ -97,104 +95,6 @@ func Paired(a, b []float64) (PairedResult, error) {
 	}
 	r.CI95 = tQuantile975(s.N-1) * se
 	return r, nil
-}
-
-// WelchResult is the outcome of Welch's unequal-variance t-test.
-type WelchResult struct {
-	T  float64 // t statistic for mean(a) - mean(b)
-	DF float64 // Welch–Satterthwaite degrees of freedom
-	// Significant05 reports |T| above the two-sided 5% critical value
-	// for DF degrees of freedom.
-	Significant05 bool
-}
-
-// Welch runs Welch's t-test on two independent samples.
-func Welch(a, b []float64) (WelchResult, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return WelchResult{}, fmt.Errorf("stats: Welch needs at least 2 observations per sample")
-	}
-	sa, sb := Summarize(a), Summarize(b)
-	va := sa.Variance / float64(sa.N)
-	vb := sb.Variance / float64(sb.N)
-	if va+vb == 0 {
-		// Identical constants: significant iff means differ at all.
-		diff := sa.Mean - sb.Mean
-		return WelchResult{T: math.Inf(sign(diff)), DF: float64(sa.N + sb.N - 2),
-			Significant05: diff != 0}, nil
-	}
-	t := (sa.Mean - sb.Mean) / math.Sqrt(va+vb)
-	df := (va + vb) * (va + vb) /
-		(va*va/float64(sa.N-1) + vb*vb/float64(sb.N-1))
-	crit := tQuantile975(int(df))
-	return WelchResult{T: t, DF: df, Significant05: math.Abs(t) > crit}, nil
-}
-
-// RankSumResult is the outcome of the Mann–Whitney U test.
-type RankSumResult struct {
-	U float64 // U statistic for sample a
-	Z float64 // normal approximation z-score
-	// Significant05 uses the two-sided 5% normal critical value 1.96;
-	// the approximation is standard for n >= ~8 per group.
-	Significant05 bool
-}
-
-// MannWhitney runs the rank-sum test on two independent samples
-// (normal approximation with tie correction).
-func MannWhitney(a, b []float64) (RankSumResult, error) {
-	na, nb := len(a), len(b)
-	if na < 2 || nb < 2 {
-		return RankSumResult{}, fmt.Errorf("stats: MannWhitney needs at least 2 observations per sample")
-	}
-	type obs struct {
-		v    float64
-		isA  bool
-		rank float64
-	}
-	all := make([]obs, 0, na+nb)
-	for _, v := range a {
-		all = append(all, obs{v: v, isA: true})
-	}
-	for _, v := range b {
-		all = append(all, obs{v: v})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-	// Assign mid-ranks to ties; accumulate tie correction.
-	tieCorr := 0.0
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		mid := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			all[k].rank = mid
-		}
-		t := float64(j - i)
-		tieCorr += t*t*t - t
-		i = j
-	}
-	var ra float64
-	for _, o := range all {
-		if o.isA {
-			ra += o.rank
-		}
-	}
-	u := ra - float64(na*(na+1))/2
-	n := float64(na + nb)
-	mu := float64(na) * float64(nb) / 2
-	sigma2 := float64(na) * float64(nb) / 12 * ((n + 1) - tieCorr/(n*(n-1)))
-	if sigma2 <= 0 {
-		return RankSumResult{U: u}, nil
-	}
-	z := (u - mu) / math.Sqrt(sigma2)
-	return RankSumResult{U: u, Z: z, Significant05: math.Abs(z) > 1.96}, nil
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }
 
 // tQuantile975 returns the 97.5% quantile of Student's t distribution

@@ -73,94 +73,6 @@ func TestPairedMixedSigns(t *testing.T) {
 	}
 }
 
-func TestWelchDetectsSeparation(t *testing.T) {
-	r := rng.New(1)
-	a := make([]float64, 30)
-	b := make([]float64, 30)
-	for i := range a {
-		a[i] = r.NormalMS(100, 5)
-		b[i] = r.NormalMS(80, 8)
-	}
-	res, err := Welch(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Significant05 || res.T <= 0 {
-		t.Fatalf("clear separation not detected: %+v", res)
-	}
-	// Same distribution: usually insignificant.
-	insig := 0
-	for trial := 0; trial < 20; trial++ {
-		for i := range a {
-			a[i] = r.NormalMS(50, 10)
-			b[i] = r.NormalMS(50, 10)
-		}
-		res, _ = Welch(a, b)
-		if !res.Significant05 {
-			insig++
-		}
-	}
-	if insig < 15 { // 5% false positive rate -> expect ~19
-		t.Fatalf("null rejected too often: %d/20 insignificant", insig)
-	}
-}
-
-func TestWelchDegenerate(t *testing.T) {
-	res, err := Welch([]float64{5, 5, 5}, []float64{3, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Significant05 {
-		t.Fatal("distinct constants not significant")
-	}
-	res, err = Welch([]float64{4, 4}, []float64{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Significant05 {
-		t.Fatal("identical constants significant")
-	}
-	if _, err := Welch([]float64{1}, []float64{2, 3}); err == nil {
-		t.Fatal("tiny sample accepted")
-	}
-}
-
-func TestMannWhitneyDetectsShift(t *testing.T) {
-	r := rng.New(3)
-	a := make([]float64, 25)
-	b := make([]float64, 25)
-	for i := range a {
-		a[i] = r.Exponential() + 2 // shifted
-		b[i] = r.Exponential()
-	}
-	res, err := MannWhitney(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Significant05 || res.Z <= 0 {
-		t.Fatalf("clear shift not detected: %+v", res)
-	}
-	if _, err := MannWhitney(a[:1], b); err == nil {
-		t.Fatal("tiny sample accepted")
-	}
-}
-
-func TestMannWhitneyTies(t *testing.T) {
-	// Heavy ties must not blow up the variance computation.
-	a := []float64{1, 1, 2, 2, 3}
-	b := []float64{1, 2, 2, 3, 3}
-	res, err := MannWhitney(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(res.Z) {
-		t.Fatalf("tie handling produced NaN: %+v", res)
-	}
-	if res.Significant05 {
-		t.Fatalf("near-identical samples significant: %+v", res)
-	}
-}
-
 func TestTQuantileMonotone(t *testing.T) {
 	prev := math.Inf(1)
 	for df := 1; df <= 200; df++ {
@@ -198,6 +110,29 @@ func TestQuickPairedAntisymmetry(t *testing.T) {
 			math.Abs(ab.CI95-ba.CI95) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: a summary's mean lies within [min, max] and its variance
+// is not negative.
+func TestQuickSummarizeBounds(t *testing.T) {
+	f := func(xs []float64) bool {
+		finite := xs[:0]
+		for _, x := range xs {
+			// Squared deviations overflow beyond ~1e154, far outside
+			// any simulator metric's range.
+			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) <= 1e100 {
+				finite = append(finite, x)
+			}
+		}
+		s := Summarize(finite)
+		if s.N == 0 {
+			return true
+		}
+		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9 && s.Variance >= 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

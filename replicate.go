@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"dreamsim/internal/exec"
-	"dreamsim/internal/metrics"
 	"dreamsim/internal/report"
 	"dreamsim/internal/stats"
 )
@@ -49,29 +48,26 @@ func RunReplicated(p Params, seeds []uint64) ([]MetricStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	accum := map[string]*metrics.Running{}
+	vals := map[string][]float64{}
 	var order []string
 	for _, res := range results {
 		for _, row := range report.MetricRows(res.rep) {
-			r := accum[row.Name]
-			if r == nil {
-				r = &metrics.Running{}
-				accum[row.Name] = r
+			if _, seen := vals[row.Name]; !seen {
 				order = append(order, row.Name)
 			}
-			r.Add(row.Value)
+			vals[row.Name] = append(vals[row.Name], row.Value)
 		}
 	}
 	out := make([]MetricStats, 0, len(order))
 	for _, name := range order {
-		r := accum[name]
+		s := stats.Summarize(vals[name])
 		out = append(out, MetricStats{
 			Name:   name,
-			Mean:   r.Mean(),
-			StdDev: r.StdDev(),
-			Min:    r.Min(),
-			Max:    r.Max(),
-			CI95:   1.96 * r.StdDev() / math.Sqrt(float64(r.N())),
+			Mean:   s.Mean,
+			StdDev: s.StdDev(),
+			Min:    s.Min,
+			Max:    s.Max,
+			CI95:   1.96 * s.StdDev() / math.Sqrt(float64(s.N)),
 		})
 	}
 	return out, nil
