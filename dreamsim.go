@@ -157,7 +157,7 @@ type Params struct {
 	// window, reduced to min/max/mean/p99 per metric
 	// (Result.Windows, and TimelinePath when set). 0 keeps the full
 	// series, unless TimelinePath is set: then it defaults to
-	// DefaultWindowSamples.
+	// DefaultWindowSamples. Negative values are rejected.
 	WindowSamples int
 	// TimelinePath, when non-empty (and SampleEvery > 0), streams the
 	// closed window rows to this file as CSV while the run progresses
