@@ -37,7 +37,14 @@ func TestRunSmallDebugBothModes(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		p := smallParams(10, 200, partial)
 		p.Debug = true
-		res := mustRun(t, p)
+		s, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := res.Counters
 		if c.GeneratedTasks != 200 {
 			t.Fatalf("partial=%v: generated %d", partial, c.GeneratedTasks)
@@ -54,6 +61,10 @@ func TestRunSmallDebugBothModes(t *testing.T) {
 		}
 		if res.Report.TotalUsedNodes > 10 {
 			t.Fatalf("used nodes %d > 10", res.Report.TotalUsedNodes)
+		}
+		// The final census must show a drained fabric.
+		if busy := s.Manager().Census().Busy; busy != 0 {
+			t.Fatalf("partial=%v: final census shows %d busy nodes", partial, busy)
 		}
 	}
 }

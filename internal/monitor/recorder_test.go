@@ -81,6 +81,16 @@ func TestRecorderSampleContents(t *testing.T) {
 	}
 }
 
+// TestUtilizationZeroTotal: a census of no fabric area samples zero
+// utilization, not NaN.
+func TestUtilizationZeroTotal(t *testing.T) {
+	r := NewRecorder(1)
+	r.Observe(0, resinfo.Census{}, 0, 0, nil)
+	if u := r.Samples()[0].Utilization; u != 0 {
+		t.Fatalf("zero-area utilization %v, want 0", u)
+	}
+}
+
 func TestRecorderTimeline(t *testing.T) {
 	m := recorderRig(t)
 	r := NewRecorder(1)

@@ -3,6 +3,7 @@ package resinfo
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -426,6 +427,153 @@ func TestInvariantCatchesStaleCensus(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("restored census: %v", err)
 	}
+}
+
+// TestCensusEmptySystem reads the census of a fresh fabric in both
+// reconfiguration modes: every node blank, no area configured and
+// none wasted.
+func TestCensusEmptySystem(t *testing.T) {
+	for _, partial := range []bool{false, true} {
+		m, _ := rig(t, []int64{3000, 2000, 4000}, []int64{1000, 500}, partial)
+		want := Census{Nodes: 3, TotalArea: 9000, Blank: 3, AvailableArea: 9000}
+		if got := m.Census(); got != want || got.Idle() != 0 {
+			t.Fatalf("partial=%v: census %+v (idle %d), want %+v (idle 0)", partial, got, got.Idle(), want)
+		}
+	}
+}
+
+// TestCensusPopulatedSystem reads the census of a fabric with a busy
+// node that also holds an idle region, an idle node and a blank node.
+// A node running any region counts as busy, and Eq. 6 wastes the free
+// area of both configured nodes.
+func TestCensusPopulatedSystem(t *testing.T) {
+	m, _ := rig(t, []int64{3000, 2000, 4000}, []int64{1000, 500}, true)
+	nodes, cfgs := m.Nodes(), m.Configs()
+	e, err := m.Configure(nodes[0], cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Configure(nodes[0], cfgs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Configure(nodes[1], cfgs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StartTask(e, model.NewTask(1, 1000, 0, 100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Eq. 6: (3000-1500) + (2000-500) wasted; 2000 of 9000 configured.
+	want := Census{Nodes: 3, TotalArea: 9000, Blank: 1, Busy: 1, AvailableArea: 7000, WastedArea: 3000}
+	if got := m.Census(); got != want || got.Idle() != 1 {
+		t.Fatalf("census %+v (idle %d), want %+v (idle 1)", got, got.Idle(), want)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// censusStep is one manager transition and the census it must leave,
+// less the population fields, which no transition changes.
+type censusStep struct {
+	name string
+	do   func() error
+	want Census
+}
+
+// runCensusSteps applies each step in turn and holds the kept census
+// to the step's expected value and to a recount (CheckInvariants).
+func runCensusSteps(t *testing.T, m *Manager, steps []censusStep) {
+	t.Helper()
+	pop := m.Census()
+	for _, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		s.want.Nodes, s.want.TotalArea = pop.Nodes, pop.TotalArea
+		if got := m.Census(); got != s.want {
+			t.Fatalf("after %s: census %+v, want %+v", s.name, got, s.want)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", s.name, err)
+		}
+	}
+}
+
+// TestCensusFollowsTaskLifecycle walks a node through configuration,
+// two tasks' starts and finishes, an eviction and blanking. The node
+// stays busy until its last region stops running, and leaves the
+// wasted area only when it holds no configuration.
+func TestCensusFollowsTaskLifecycle(t *testing.T) {
+	m, _ := rig(t, []int64{3000, 2000}, []int64{1000, 500}, true)
+	n, cfgs := m.Nodes()[0], m.Configs()
+	t1, t2 := &model.Task{No: 1}, &model.Task{No: 2}
+	var e0, e1 *model.Entry
+	runCensusSteps(t, m, []censusStep{
+		{"configure C0", func() (err error) { e0, err = m.Configure(n, cfgs[0]); return err },
+			Census{Blank: 1, AvailableArea: 4000, WastedArea: 2000}},
+		{"configure C1", func() (err error) { e1, err = m.Configure(n, cfgs[1]); return err },
+			Census{Blank: 1, AvailableArea: 3500, WastedArea: 1500}},
+		{"start on C0", func() error { return m.StartTask(e0, t1) },
+			Census{Blank: 1, Busy: 1, AvailableArea: 3500, WastedArea: 1500}},
+		{"start on C1", func() error { return m.StartTask(e1, t2) },
+			Census{Blank: 1, Busy: 1, AvailableArea: 3500, WastedArea: 1500}},
+		{"finish on C0", func() error { _, err := m.FinishTask(n, t1); return err },
+			Census{Blank: 1, Busy: 1, AvailableArea: 3500, WastedArea: 1500}},
+		{"finish on C1", func() error { _, err := m.FinishTask(n, t2); return err },
+			Census{Blank: 1, AvailableArea: 3500, WastedArea: 1500}},
+		{"evict C0", func() error { return m.EvictIdle(n, []*model.Entry{e0}) },
+			Census{Blank: 1, AvailableArea: 4500, WastedArea: 2500}},
+		{"blank", func() error { return m.BlankNode(n) },
+			Census{Blank: 2, AvailableArea: 5000}},
+	})
+}
+
+// TestCensusFollowsCrashAndRecover crashes a busy, a blank and an idle
+// node, then recovers them. A crash frees the node's whole area and
+// takes it out of the blank, busy and wasted counts; a recovery
+// returns it blank.
+func TestCensusFollowsCrashAndRecover(t *testing.T) {
+	m, _ := rig(t, []int64{3000, 2000, 4000}, []int64{1000, 500}, true)
+	nodes, cfgs := m.Nodes(), m.Configs()
+	e, err := m.Configure(nodes[0], cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Configure(nodes[0], cfgs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Configure(nodes[1], cfgs[1]); err != nil {
+		t.Fatal(err)
+	}
+	task := &model.Task{No: 1}
+	if err := m.StartTask(e, task); err != nil {
+		t.Fatal(err)
+	}
+	crash := func(no int) func() error {
+		return func() error {
+			_, err := m.CrashNode(nodes[no])
+			return err
+		}
+	}
+	runCensusSteps(t, m, []censusStep{
+		{"crash busy node 0", func() error {
+			displaced, err := m.CrashNode(nodes[0])
+			if err == nil && (len(displaced) != 1 || displaced[0] != task) {
+				err = fmt.Errorf("displaced %v, want the running task", displaced)
+			}
+			return err
+		}, Census{Blank: 1, Down: 1, AvailableArea: 8500, WastedArea: 1500}},
+		{"crash blank node 2", crash(2),
+			Census{Down: 2, AvailableArea: 8500, WastedArea: 1500}},
+		{"crash idle node 1", crash(1),
+			Census{Down: 3, AvailableArea: 9000}},
+		{"recover node 0", func() error { return m.RecoverNode(nodes[0]) },
+			Census{Blank: 1, Down: 2, AvailableArea: 9000}},
+		{"recover node 1", func() error { return m.RecoverNode(nodes[1]) },
+			Census{Blank: 2, Down: 1, AvailableArea: 9000}},
+		{"recover node 2", func() error { return m.RecoverNode(nodes[2]) },
+			Census{Blank: 3, AvailableArea: 9000}},
+	})
 }
 
 // TestSortByKey checks the radix sort both indexes are built with
