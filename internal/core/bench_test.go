@@ -2,11 +2,15 @@ package core
 
 import (
 	"cmp"
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 
+	"dreamsim/internal/fault"
 	"dreamsim/internal/invariant"
 	"dreamsim/internal/model"
+	"dreamsim/internal/workload"
 )
 
 // emptySource is an exhausted arrival stream: the tick benchmark
@@ -94,33 +98,97 @@ func TestTickZeroAlloc(t *testing.T) {
 }
 
 // TestScratchReuseAcrossRuns pins the run-context contract: a stream
-// of runs sharing one donated RunContext produces byte-identical
-// results to fresh-context runs, including when consecutive runs
-// change population size and feature set (the grow-and-clear paths).
+// of runs sharing one donated RunContext produces results equal to
+// fresh-context runs (Report, Counters, Classes and Phases), including
+// when consecutive runs change population size, task count and feature
+// set (the grow-and-clear paths), and when the task free list the
+// context keeps has to grow, shrink or be dropped by a failed run.
 func TestScratchReuseAcrossRuns(t *testing.T) {
-	shapes := []Params{
-		smallParams(10, 150, true),
-		smallParams(25, 300, false),
-		smallParams(6, 80, true),
+	scn, err := workload.ParseScenario(collidingScenario)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shapes[2].DefragThreshold = 2
+	classed := smallParams(30, 500, true)
+	classed.Scenario = scn
+	faulted := smallParams(20, 400, true)
+	faulted.Faults = fault.Plan{CrashRate: 0.002, MeanDowntime: 150, ReconfigFaultRate: 0.001}
+	deps := smallParams(10, 300, false)
+	deps.Deps = map[int][]int{}
+	for child := 3; child < 300; child += 4 {
+		deps.Deps[child] = []int{child - 3, child / 2}
+	}
+	failing := smallParams(10, 50, true)
+	failing.Spec.TaskReqTimeLow, failing.Spec.TaskReqTimeHigh = math.MaxInt64-5, math.MaxInt64-5
+
+	var shapes []Params
+	for _, partial := range []bool{true, false} {
+		shrunk := smallParams(6, 80, partial)
+		shrunk.DefragThreshold = 2
+		shapes = append(shapes, smallParams(10, 150, partial), smallParams(25, 3000, partial), shrunk)
+	}
+	shapes = append(shapes, classed, faulted, deps, failing, smallParams(12, 400, true))
 
 	ctx := NewRunContext()
 	for i, base := range shapes {
-		fresh := mustRun(t, base)
 		donated := base
 		donated.Scratch = ctx
-		reused := mustRun(t, donated)
-		if fresh.Report != reused.Report || fresh.Counters != reused.Counters {
-			t.Fatalf("shape %d: donated-context run diverged from fresh run", i)
-		}
-		if len(fresh.Phases) != len(reused.Phases) {
-			t.Fatalf("shape %d: phase histograms diverged", i)
-		}
-		for k, v := range fresh.Phases {
-			if reused.Phases[k] != v {
-				t.Fatalf("shape %d: phase %q: %d != %d", i, k, v, reused.Phases[k])
+		if i == len(shapes)-2 { // the failing run
+			for _, p := range []Params{base, donated} {
+				if _, err := runOnce(p); err == nil {
+					t.Fatalf("shape %d: a run whose tasks complete past the clock succeeded", i)
+				}
 			}
+			if ctx.tasks != nil {
+				t.Fatalf("shape %d: a failed run handed %d task structs back to the context", i, len(ctx.tasks))
+			}
+			continue
+		}
+		fresh := mustRun(t, base)
+		reused := mustRun(t, donated)
+		if !reflect.DeepEqual(fresh, reused) {
+			t.Fatalf("shape %d: donated-context run diverged from fresh run\nfresh  %+v\nreused %+v", i, fresh, reused)
+		}
+		if len(ctx.tasks) == 0 {
+			t.Fatalf("shape %d: the finished run left the context no task structs", i)
+		}
+	}
+}
+
+// runOnce builds and runs p.
+func runOnce(p Params) (*Result, error) {
+	s, err := New(p)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run()
+}
+
+// TestRepeatedRunDrawsEveryTaskFromFreeList: the second of two equal
+// runs on one context finds every task struct it needs on the free
+// list the first one left, so its source never calls model.NewTask.
+func TestRepeatedRunDrawsEveryTaskFromFreeList(t *testing.T) {
+	for _, partial := range []bool{false, true} {
+		p := smallParams(10, 2000, partial)
+		p.Scratch = NewRunContext()
+		first := mustRun(t, p)
+		allocated := len(p.Scratch.tasks)
+		s, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := s.Source().(*workload.Generator)
+		second, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("partial=%v: the repeated run diverged", partial)
+		}
+		if fresh := int64(gen.Emitted()) - gen.Recycled(); fresh != 0 {
+			t.Fatalf("partial=%v: the repeated run allocated %d of %d tasks", partial, fresh, gen.Emitted())
+		}
+		if got := len(p.Scratch.tasks); got != allocated {
+			t.Fatalf("partial=%v: the free list holds %d structs after the repeat, %d before", partial, got, allocated)
 		}
 	}
 }

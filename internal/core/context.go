@@ -45,12 +45,14 @@ var phaseNames = [phaseCount]string{
 
 // RunContext is the reusable per-run scratch state of a Simulator:
 // the event engine (whose queue pool and heap slice survive across
-// runs) and the dense, index-keyed bookkeeping slices that replace
-// the per-run map allocations. Passing the same context to a stream
-// of runs (Params.Scratch) makes their setup allocation-light and
-// their hot loops allocation-free; results are byte-identical with or
-// without reuse because nothing here feeds the RNG streams or the
-// metered counters — it is cleared storage, not state.
+// runs), the dense, index-keyed bookkeeping slices that replace the
+// per-run map allocations, and the task free list. Passing the same
+// context to a stream of runs (Params.Scratch) makes their setup
+// allocation-light, their hot loops allocation-free and their
+// arrivals reuse the task structs of earlier runs; results are
+// byte-identical with or without reuse because nothing here feeds the
+// RNG streams or the metered counters — it is cleared storage, not
+// state.
 //
 // A context must not be shared by two simulators running
 // concurrently; give each worker its own.
@@ -79,6 +81,13 @@ type RunContext struct {
 	// fault-free runs.
 	inflight  []*sim.Event
 	downSince []int64
+
+	// tasks is the task free list. New lends it to the pooled source
+	// it builds, and Finish takes it back once every task the run drew
+	// is terminal, so a worker's task structs outlive each run. It is
+	// nil while a run holds it; a run that fails keeps it, and the
+	// list is dropped.
+	tasks []*model.Task
 }
 
 // NewRunContext returns an empty reusable run context.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"dreamsim/internal/invariant"
+	"dreamsim/internal/model"
 )
 
 // deepQueueParams is the checkpoint workload's shape: 100 partial
@@ -131,5 +133,47 @@ func TestSnapshotAllocsIndependentOfQueueDepth(t *testing.T) {
 	}
 	if restore[0] != restore[1] {
 		t.Errorf("RestoreSnapshot allocates %.0f times at 1k queued tasks and %.0f at 8k", restore[0], restore[1])
+	}
+}
+
+// TestRestoreLeavesQueueHeadroom: a restore reserves the suspension
+// queue's arena with headroom, so the first suspensions after a resume
+// do not copy the whole arena. After restoring the 8k-deep snapshot,
+// queuing an eighth as many tasks again allocates nothing.
+func TestRestoreLeavesQueueHeadroom(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant assertions allocate their message arguments")
+	}
+	if invariant.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p := deepQueueParams()
+	snap, err := pausedRun(t, p, 8000).EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreSnapshot(p, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := r.sus.Len()
+	cfg := r.mgr.Configs()[0]
+	extra := make([]model.Task, n/8)
+	for i := range extra {
+		extra[i].Init(p.Spec.Tasks+i, cfg.ReqArea, cfg.No, 50, 0)
+		extra[i].Resolved = cfg
+	}
+	// As in testing.AllocsPerRun: one thread, so no other goroutine's
+	// allocation is counted, and no collection mid-count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range extra {
+		r.sus.Add(&extra[i])
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Fatalf("queuing %d tasks after restoring %d allocated %d times", len(extra), n, got)
 	}
 }

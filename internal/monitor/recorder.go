@@ -122,13 +122,13 @@ func (r *Recorder) Observe(now int64, c resinfo.Census, running, suspended int, 
 	if c.TotalArea > 0 {
 		s.Utilization = float64(c.TotalArea-c.AvailableArea) / float64(c.TotalArea)
 	}
+	if r.agg != nil {
+		r.agg.add(s, r.Classes, classRunning)
+		return
+	}
 	if r.Classes > 0 {
 		s.ClassRunning = make([]int, r.Classes)
 		copy(s.ClassRunning, classRunning)
-	}
-	if r.agg != nil {
-		r.agg.Add(s)
-		return
 	}
 	r.samples = append(r.samples, s)
 }
@@ -148,8 +148,9 @@ var sparkGlyphs = []byte(" .:-=+*#%@")
 // rows (one pseudo-sample per row, carrying the row means), so the
 // rendering stays bounded no matter how long the run was.
 func (r *Recorder) Timeline(width int) string {
-	samples := r.samples
+	samples, unit := r.samples, "samples"
 	if r.agg != nil {
+		unit = "windows"
 		rows := r.agg.Rows()
 		samples = make([]Sample, len(rows))
 		for i, row := range rows {
@@ -160,11 +161,12 @@ func (r *Recorder) Timeline(width int) string {
 			}
 		}
 	}
-	return renderTimeline(samples, width)
+	return renderTimeline(samples, width, unit)
 }
 
-// renderTimeline draws the sparklines over an explicit sample series.
-func renderTimeline(samples []Sample, width int) string {
+// renderTimeline draws the sparklines over an explicit sample series
+// and counts the series in unit.
+func renderTimeline(samples []Sample, width int, unit string) string {
 	if width < 1 {
 		width = 60
 	}
@@ -202,8 +204,8 @@ func renderTimeline(samples []Sample, width int) string {
 		ub.WriteByte(glyph(u))
 		qb.WriteByte(glyph(q))
 	}
-	return fmt.Sprintf("fabric utilization |%s|\nsuspension queue   |%s| (peak %d)\nticks %d..%d, %d samples\n",
-		ub.String(), qb.String(), int(maxQ), t0, t1, len(samples))
+	return fmt.Sprintf("fabric utilization |%s|\nsuspension queue   |%s| (peak %d)\nticks %d..%d, %d %s\n",
+		ub.String(), qb.String(), int(maxQ), t0, t1, len(samples), unit)
 }
 
 // glyph maps level in [0,1] to a density character.

@@ -2,9 +2,11 @@ package monitor
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dreamsim/internal/invariant"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
 	"dreamsim/internal/resinfo"
@@ -110,6 +112,76 @@ func TestRecorderTimeline(t *testing.T) {
 	// Degenerate width clamps.
 	if r.Timeline(0) == "" {
 		t.Fatal("zero width broke")
+	}
+}
+
+// TestWindowedObserveZeroAlloc: a windowed recorder keeps each buffer
+// slot's per-class census from one window to the next, so once the
+// first window has filled, a two-class sample allocates nothing.
+func TestWindowedObserveZeroAlloc(t *testing.T) {
+	if invariant.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	m := recorderRig(t)
+	r := NewWindowRecorder(1, 1024, nil)
+	r.Classes = 2
+	c, gauge := m.Census(), []int{3, 1}
+	for i := 0; i < 1024; i++ { // fill and close the first window
+		r.Observe(int64(i), c, 4, 0, gauge)
+	}
+	if avg := testing.AllocsPerRun(500, func() { r.Observe(2000, c, 4, 0, gauge) }); avg != 0 {
+		t.Fatalf("windowed two-class Observe allocates: %.1f allocs/op", avg)
+	}
+}
+
+// TestWindowedClassCensusMatchesPlain: the census slices the window
+// buffer reuses give the rows a plain recorder's samples reduce to,
+// window by window, also when the gauge is shorter than Classes.
+func TestWindowedClassCensusMatchesPlain(t *testing.T) {
+	const window = 16
+	m := recorderRig(t)
+	plain := NewRecorder(1)
+	plain.Classes = 3
+	win := NewWindowRecorder(1, window, nil)
+	win.Classes = 3
+	gauge := make([]int, 3)
+	for i := 0; i < 100; i++ {
+		gauge[i%3] = i * 7 % 11
+		g := gauge
+		if i%5 == 0 {
+			g = gauge[:2]
+		}
+		plain.Observe(int64(i), m.Census(), i, 0, g)
+		win.Observe(int64(i), m.Census(), i, 0, g)
+	}
+	if err := win.FinishWindows(); err != nil {
+		t.Fatal(err)
+	}
+	samples, rows := plain.Samples(), win.Windows()
+	if want := (len(samples) + window - 1) / window; len(rows) != want {
+		t.Fatalf("%d windows, want %d", len(rows), want)
+	}
+	for j := range rows {
+		chunk := samples[j*window : min((j+1)*window, len(samples))]
+		if want := Reduce(chunk); !reflect.DeepEqual(rows[j], want) {
+			t.Fatalf("window %d: streamed %+v != reduced %+v", j, rows[j], want)
+		}
+	}
+}
+
+// TestWindowedTimelineCountsWindows: a windowed recorder draws its
+// sparklines from the window rows, and its count line names them so.
+func TestWindowedTimelineCountsWindows(t *testing.T) {
+	m := recorderRig(t)
+	r := NewWindowRecorder(1, 10, nil)
+	for i := 0; i < 95; i++ {
+		r.Observe(int64(i*10), m.Census(), 0, i%17, nil)
+	}
+	if err := r.FinishWindows(); err != nil {
+		t.Fatal(err)
+	}
+	if out := r.Timeline(40); !strings.HasSuffix(out, ", 10 windows\n") {
+		t.Fatalf("windowed timeline does not count 10 windows:\n%s", out)
 	}
 }
 

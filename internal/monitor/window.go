@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -69,8 +70,30 @@ func NewAggregator(window int, sink func(WindowRow) error) *Aggregator {
 }
 
 // Add folds one sample into the current window, closing it when full.
+// The window keeps a copy of s.ClassRunning, not the slice itself.
 func (a *Aggregator) Add(s Sample) {
-	a.buf = append(a.buf, s)
+	a.add(s, len(s.ClassRunning), s.ClassRunning)
+}
+
+// add folds s into the current window with a per-class census of
+// classes entries copied from gauge (a class past gauge's end counts
+// zero). Each buffer slot keeps its census slice from one window to
+// the next, so after the first window a sample allocates nothing.
+func (a *Aggregator) add(s Sample, classes int, gauge []int) {
+	n := len(a.buf)
+	a.buf = slices.Grow(a.buf, 1)[:n+1]
+	slot := &a.buf[n]
+	census := slot.ClassRunning
+	*slot = s
+	slot.ClassRunning = nil
+	if classes > 0 {
+		if cap(census) < classes {
+			census = make([]int, classes)
+		}
+		census = census[:classes]
+		clear(census[copy(census, gauge):])
+		slot.ClassRunning = census
+	}
 	if len(a.buf) >= a.window {
 		a.closeWindow()
 	}

@@ -265,10 +265,11 @@ func (q *SusQueue) unfile(at int32) {
 	q.unlink(lvlBucket, at)
 }
 
-// Reserve makes room in the arena for n more tasks, so a caller that
-// knows how many it will add (a checkpoint restore) grows it at most
-// once.
-func (q *SusQueue) Reserve(n int) { q.arena = slices.Grow(q.arena, n) }
+// Reserve makes room in the arena for n more tasks and a quarter as
+// many again, so a caller that knows how many it will add (a
+// checkpoint restore) grows it at most once, and the suspensions that
+// follow do not copy the whole arena at once.
+func (q *SusQueue) Reserve(n int) { q.arena = slices.Grow(q.arena, n+n/4) }
 
 // alloc returns a free element slot, growing the arena on a miss.
 func (q *SusQueue) alloc() int32 {

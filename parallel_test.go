@@ -40,6 +40,39 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestMatrixCellsMatchFreshRuns: a sweep's workers carry their run
+// context, the task free list included, from unit to unit, through
+// task counts that grow and shrink; every cell must still equal the
+// same run made alone on a fresh context.
+func TestMatrixCellsMatchFreshRuns(t *testing.T) {
+	p := dreamsim.DefaultParams()
+	for _, parallel := range []int{1, 2} {
+		p.Parallelism = parallel
+		m, err := dreamsim.RunMatrix(p, []int{20, 40}, []int{400, 100, 800}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range m.Cells {
+			for _, partial := range []bool{false, true} {
+				q := p
+				q.Nodes, q.Tasks, q.PartialReconfig = c.Nodes, c.Tasks, partial
+				want, err := dreamsim.Run(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := c.Full
+				if partial {
+					got = c.Partial
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("parallel=%d cell %d nodes/%d tasks partial=%v differs from a fresh run",
+						parallel, c.Nodes, c.Tasks, partial)
+				}
+			}
+		}
+	}
+}
+
 // TestCompareParallelMatchesSequential checks the scenario halves of
 // Compare produce identical results run concurrently or in sequence.
 func TestCompareParallelMatchesSequential(t *testing.T) {
