@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"dreamsim/internal/fault"
@@ -596,6 +597,14 @@ func RestoreSnapshot(params Params, data []byte) (*Simulator, error) {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
 	s.ran = true
+	// A restore allocates a whole run at once, so it often starts a GC
+	// cycle. On a few Ps the collector's background worker may share
+	// the caller's P and run only once the caller yields or is
+	// preempted, about 10 ms later. A caller that keeps allocating
+	// meanwhile, as a chain of snapshots and resumes does, has all of
+	// it counted live, which can double the next heap goal; yielding
+	// here lets the worker finish the cycle first.
+	runtime.Gosched()
 	return s, nil
 }
 
