@@ -285,12 +285,21 @@ func BenchmarkAblationDefrag(b *testing.B) {
 var sweepNodes = []int{50, 100, 150}
 var sweepTasks = []int{500, 1000, 1500}
 
-func benchMatrix(b *testing.B, parallel int) {
+// benchMatrix times the sweep grid at the given worker count. cold
+// empties the context pool before every iteration: two collections,
+// outside the timer, drop the set the previous sweep gave back.
+func benchMatrix(b *testing.B, parallel int, cold bool) {
 	b.Helper()
 	p := dreamsim.DefaultParams()
 	p.Parallelism = parallel
 	cells := len(sweepNodes) * len(sweepTasks)
 	for i := 0; i < b.N; i++ {
+		if cold {
+			b.StopTimer()
+			runtime.GC()
+			runtime.GC()
+			b.StartTimer()
+		}
 		if _, err := dreamsim.RunMatrix(p, sweepNodes, sweepTasks, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -301,14 +310,26 @@ func benchMatrix(b *testing.B, parallel int) {
 // BenchmarkMatrixSweep is the sequential baseline for the parallel
 // experiment engine.
 func BenchmarkMatrixSweep(b *testing.B) {
-	benchMatrix(b, 1)
+	benchMatrix(b, 1, false)
 }
 
 // BenchmarkParallelMatrixSweep fans the same grid over all cores;
 // results are byte-identical to BenchmarkMatrixSweep (see
-// TestMatrixParallelDeterminism), only wall time changes.
+// TestMatrixParallelDeterminism), only wall time changes. Every
+// iteration after the first takes the worker contexts the one before
+// gave back, so it times the steady state of a process that sweeps
+// repeatedly.
 func BenchmarkParallelMatrixSweep(b *testing.B) {
-	benchMatrix(b, runtime.NumCPU())
+	benchMatrix(b, runtime.NumCPU(), false)
+}
+
+// BenchmarkColdMatrixSweep is BenchmarkParallelMatrixSweep with the
+// context pool emptied before every iteration, so its B/op is what a
+// one-shot dreamsweep allocates. Its ns/op is not comparable with the
+// warm benchmark's: the collections run outside the timer and leave
+// each timed sweep a fresh heap.
+func BenchmarkColdMatrixSweep(b *testing.B) {
+	benchMatrix(b, runtime.NumCPU(), true)
 }
 
 // BenchmarkThroughput reports simulator throughput in tasks/second —

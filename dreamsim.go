@@ -618,6 +618,7 @@ func Compare(p Params) (full, partial Result, err error) {
 			q.PartialReconfig = i == 1
 			return runScratch(q, scratch.get(w))
 		})
+	scratch.release()
 	if err != nil {
 		return Result{}, Result{}, err
 	}

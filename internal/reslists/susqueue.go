@@ -271,13 +271,19 @@ func (q *SusQueue) unfile(at int32) {
 // follow do not copy the whole arena at once.
 func (q *SusQueue) Reserve(n int) { q.arena = slices.Grow(q.arena, n+n/4) }
 
-// alloc returns a free element slot, growing the arena on a miss.
+// alloc returns a free element slot, growing the arena on a miss. A
+// full arena doubles: over its growth steps, append's 1.25x step for
+// large slices allocates about five slots per slot of depth reached,
+// doubling about two.
 func (q *SusQueue) alloc() int32 {
 	if at := q.free; at != 0 {
 		q.free = q.arena[at].next[lvlFIFO]
 		return at
 	}
-	//lint:allocfree pool miss: the arena grows once per suspension-depth high-water mark and is reused across runs, amortized to zero in steady state
+	if len(q.arena) == cap(q.arena) {
+		//lint:allocfree pool miss: the arena grows once per suspension-depth high-water mark and is reused across runs, amortized to zero in steady state
+		q.arena = slices.Grow(q.arena, len(q.arena))
+	}
 	q.arena = append(q.arena, susElem{})
 	return int32(len(q.arena) - 1)
 }

@@ -117,6 +117,7 @@ func RunMatrix(base Params, nodeCounts, taskCounts []int, onCell func(Cell)) (*M
 			}
 			return nil
 		})
+	scratch.release()
 	if err != nil {
 		return nil, err
 	}

@@ -45,6 +45,7 @@ func RunReplicated(p Params, seeds []uint64) ([]MetricStats, error) {
 			}
 			return res, nil
 		})
+	scratch.release()
 	if err != nil {
 		return nil, err
 	}
@@ -133,6 +134,7 @@ func ComparePaired(p Params, seeds []uint64) ([]PairedMetric, error) {
 			}
 			return pair{full: full, partial: partial}, nil
 		})
+	scratch.release()
 	if err != nil {
 		return nil, err
 	}

@@ -100,6 +100,7 @@ func RunScenarioSet(base Params, set []NamedScenario, onCell func(ScenarioCell))
 			}
 			return nil
 		})
+	scratch.release()
 	if err != nil {
 		return nil, err
 	}
