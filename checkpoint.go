@@ -106,8 +106,5 @@ func (c *CheckpointedRun) Finish() (Result, error) {
 	return assembleResult(res, c.cp, c.rec)
 }
 
-// Now reports the simulation clock.
-func (c *CheckpointedRun) Now() int64 { return c.sim.Now() }
-
 // Processed reports how many events the run has fired so far.
 func (c *CheckpointedRun) Processed() uint64 { return c.sim.Processed() }

@@ -6,6 +6,7 @@
 //
 //	dreamsim -nodes 200 -tasks 5000 -partial
 //	dreamsim -nodes 100 -tasks 10000 -compare
+//	dreamsim -nodes 100 -tasks 2000 -compare -replicate 5
 //	dreamsim -tasks 2000 -partial -xml report.xml
 //	dreamsim -tasks 2000 -trace workload.trace -partial
 //	dreamsim -nodes 5000 -tasks 1000000 -partial -cpuprofile cpu.prof
@@ -44,7 +45,7 @@ func main() {
 		scenario    = flag.String("scenario", "", "read a workload scenario (dreamsim-scenario v1) from this file")
 		phases      = flag.Bool("phases", false, "print the per-phase placement census")
 		timeline    = flag.Bool("timeline", false, "print utilization/queue sparklines over the run")
-		replicate   = flag.Int("replicate", 0, "replicate the run over N seeds and print metric statistics")
+		replicate   = flag.Int("replicate", 0, "replicate the run over N seeds and print metric statistics (with -compare: paired full-vs-partial differences)")
 		parallel    = flag.Int("parallel", dreamsim.DefaultParallelism(), "workers for -compare/-replicate fan-out (1 = sequential)")
 		window      = flag.Int("window", 0, "monitoring samples per rolling aggregation window (0 = full series, or the default window with -timeline-out; implies sampling)")
 		timelineOut = flag.String("timeline-out", "", "stream rolling-window timeline rows to this CSV file as the run progresses")
@@ -59,6 +60,10 @@ func main() {
 		faultBackoffCap = flag.Int64("fault-backoff-cap", 0, "retry backoff ceiling in timeticks (0 = default 4096)")
 	)
 	flag.Parse()
+	if *tracePath != "" && (*compare || *replicate > 0) {
+		fmt.Fprintln(os.Stderr, "dreamsim: -trace replays one run; it cannot be combined with -compare or -replicate")
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -111,6 +116,17 @@ func main() {
 		if !explicit["interval"] {
 			p.NextTaskMaxInterval = 0
 		}
+	}
+
+	if *replicate > 0 && *compare {
+		ms, err := dreamsim.ComparePaired(p, dreamsim.Seeds(p.Seed, *replicate))
+		fail(err)
+		fmt.Printf("full vs partial, paired over %d seeds (base %d); diff = full - partial\n\n", *replicate, p.Seed)
+		fmt.Printf("%-34s %14s %14s %14s %12s %s\n", "metric", "full mean", "partial mean", "diff", "ci95", "consistent")
+		for _, m := range ms {
+			fmt.Printf("%-34s %14.2f %14.2f %14.2f %12.2f %v\n", m.Name, m.FullMean, m.PartialMean, m.MeanDiff, m.CI95, m.Consistent)
+		}
+		return
 	}
 
 	if *replicate > 0 {

@@ -439,20 +439,25 @@ func (r Result) TimelineText() string { return r.timelineText }
 
 // Run executes one simulation.
 func Run(p Params) (Result, error) {
-	return runScratch(p, nil)
+	return runScratch(p, nil, nil, nil)
 }
 
-// runScratch is Run with an optional donated run context: the
-// experiment helpers give each of their workers one context for its
-// whole unit stream, so a sweep reallocates per-run state once per
-// worker instead of once per cell. Results are identical either way
-// (TestScratchReuseAcrossRuns pins this at the core layer).
-func runScratch(p Params, scratch *core.RunContext) (Result, error) {
+// runScratch is the one path every non-checkpointed run takes. The
+// experiment helpers donate a run context: they give each of their
+// workers one context for its whole unit stream, so a sweep
+// reallocates per-run state once per worker instead of once per cell.
+// Results are identical either way (TestScratchReuseAcrossRuns pins
+// this at the core layer). src, when non-nil, replaces the synthetic
+// task stream (RunTrace, RunGraph), and deps adds precedence
+// constraints (RunGraph).
+func runScratch(p Params, scratch *core.RunContext, src workload.TaskSource, deps map[int][]int) (Result, error) {
 	cp, err := p.coreParams()
 	if err != nil {
 		return Result{}, err
 	}
 	cp.Scratch = scratch
+	cp.Source = src
+	cp.Deps = deps
 	rec, timelineFile, err := buildRecorder(p, &cp)
 	if err != nil {
 		return Result{}, err
@@ -574,20 +579,7 @@ func publicWindow(row monitor.WindowRow) TimelineWindow {
 // trace (see the dreamgen tool); nodes and configurations still come
 // from the parameters.
 func RunTrace(r io.Reader, p Params) (Result, error) {
-	cp, err := p.coreParams()
-	if err != nil {
-		return Result{}, err
-	}
-	cp.Source = workload.NewTraceReader(r)
-	s, err := core.New(cp)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := s.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(res, cp), nil
+	return runScratch(p, nil, workload.NewTraceReader(r), nil)
 }
 
 // GenerateTrace synthesises the task stream the given parameters
@@ -610,13 +602,16 @@ func GenerateTrace(w io.Writer, p Params) error {
 // With Params.Parallelism > 1 the two scenarios run concurrently;
 // results are identical either way.
 func Compare(p Params) (full, partial Result, err error) {
+	if err := checkSweep(p); err != nil {
+		return Result{}, Result{}, err
+	}
 	workers := workersFor(p.Parallelism, 2)
 	scratch := newScratchPool(workers)
 	res, err := exec.MapWorkers(context.Background(), workers, 2,
 		func(_ context.Context, w, i int) (Result, error) {
 			q := p
 			q.PartialReconfig = i == 1
-			return runScratch(q, scratch.get(w))
+			return runScratch(q, scratch.get(w), nil, nil)
 		})
 	scratch.release()
 	if err != nil {

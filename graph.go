@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"dreamsim/internal/core"
 	"dreamsim/internal/model"
 	"dreamsim/internal/rng"
 	"dreamsim/internal/taskgraph"
@@ -87,21 +86,7 @@ func RunGraph(tasks []GraphTask, p Params) (Result, error) {
 	// The spec's Tasks count only sizes the synthetic generator, which
 	// the explicit source replaces; echo the real count for reports.
 	p.Tasks = len(tasks)
-	cp, err := p.coreParams()
-	if err != nil {
-		return Result{}, err
-	}
-	cp.Source = src
-	cp.Deps = deps
-	s, err := core.New(cp)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := s.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(res, cp), nil
+	return runScratch(p, nil, src, deps)
 }
 
 // SWFMapping controls how Standard Workload Format jobs (Parallel

@@ -184,8 +184,8 @@ func TestRepeatedRunDrawsEveryTaskFromFreeList(t *testing.T) {
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("partial=%v: the repeated run diverged", partial)
 		}
-		if fresh := int64(gen.Emitted()) - gen.Recycled(); fresh != 0 {
-			t.Fatalf("partial=%v: the repeated run allocated %d of %d tasks", partial, fresh, gen.Emitted())
+		if fresh := int64(p.Spec.Tasks) - gen.Recycled(); fresh != 0 {
+			t.Fatalf("partial=%v: the repeated run allocated %d of %d tasks", partial, fresh, p.Spec.Tasks)
 		}
 		if got := len(p.Scratch.tasks); got != allocated {
 			t.Fatalf("partial=%v: the free list holds %d structs after the repeat, %d before", partial, got, allocated)

@@ -72,8 +72,8 @@ type Params struct {
 	// Deps lists precedence constraints: Deps[child] = parent task
 	// numbers that must complete before child may be scheduled (task-
 	// graph workloads, the paper's §VII future work). A task whose
-	// parent is discarded is discarded too. taskgraph.Graph.DepsMap
-	// produces this form.
+	// parent is discarded is discarded too. dreamsim.RunGraph builds
+	// it from each GraphTask's DependsOn.
 	Deps map[int][]int
 	// DefragThreshold, when positive, compacts fully-idle partial
 	// nodes: after the suspension retry, a node left with at least
@@ -385,10 +385,9 @@ func (s *Simulator) faultLive() bool {
 	return !s.arrDone || s.c.RunningTasks > 0 || s.sus.Len() > 0 || s.retryPending > 0
 }
 
-// Manager exposes the resource information manager (read-only use).
-func (s *Simulator) Manager() *resinfo.Manager { return s.mgr }
-
 // Deprecated: BatchStats returns 0, 0; runs no longer batch same-tick arrivals.
+//
+//lint:deadexport (a) benchsuite, a separate module, calls it
 func (s *Simulator) BatchStats() (speculated, committed int64) { return 0, 0 }
 
 // Source exposes the task arrival stream. Draining it manually (for

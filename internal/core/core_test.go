@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/xml"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestRunSmallDebugBothModes(t *testing.T) {
 			t.Fatalf("used nodes %d > 10", res.Report.TotalUsedNodes)
 		}
 		// The final census must show a drained fabric.
-		if busy := s.Manager().Census().Busy; busy != 0 {
+		if busy := s.mgr.Census().Busy; busy != 0 {
 			t.Fatalf("partial=%v: final census shows %d busy nodes", partial, busy)
 		}
 	}
@@ -103,13 +104,13 @@ func TestScenariosShareWorkload(t *testing.T) {
 		return s
 	}
 	sa, sb := mk(false), mk(true)
-	na, nb := sa.Manager().Nodes(), sb.Manager().Nodes()
+	na, nb := sa.mgr.Nodes(), sb.mgr.Nodes()
 	for i := range na {
 		if na[i].TotalArea != nb[i].TotalArea || na[i].NetworkDelay != nb[i].NetworkDelay {
 			t.Fatalf("node %d differs across scenarios", i)
 		}
 	}
-	ca, cb := sa.Manager().Configs(), sb.Manager().Configs()
+	ca, cb := sa.mgr.Configs(), sb.mgr.Configs()
 	for i := range ca {
 		if ca[i].ReqArea != cb[i].ReqArea || ca[i].ConfigTime != cb[i].ConfigTime {
 			t.Fatalf("config %d differs across scenarios", i)
@@ -330,8 +331,8 @@ func TestXMLReportRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "simulation-report") || !strings.Contains(out, "avg_wasted_area_per_task") {
 		t.Fatalf("XML missing expected content:\n%s", out)
 	}
-	parsed, err := report.ReadXML(&buf)
-	if err != nil {
+	var parsed report.Simulation
+	if err := xml.NewDecoder(&buf).Decode(&parsed); err != nil {
 		t.Fatal(err)
 	}
 	if parsed.Scenario != "partial" || len(parsed.Metrics) != 10 {
@@ -438,7 +439,7 @@ func TestCensusMidRun(t *testing.T) {
 	p.OnEvent = func(kind string, now int64, task *model.Task) {
 		if kind == "place" && !seen {
 			seen = true
-			if c := sim.Manager().Census(); c.Busy < 1 {
+			if c := sim.mgr.Census(); c.Busy < 1 {
 				t.Errorf("mid-run census shows no busy node: %+v", c)
 			}
 		}

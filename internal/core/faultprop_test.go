@@ -51,8 +51,8 @@ func TestFaultPropertyRandomSchedules(t *testing.T) {
 	}
 	r := rng.New(0xfa177)
 	for i := 0; i < schedules; i++ {
-		nodes := r.IntRange(4, 16)
-		tasks := r.IntRange(20, 200)
+		nodes := 4 + r.Intn(13)
+		tasks := 20 + r.Intn(181)
 		script := randomFaultSchedule(r, nodes, int64(tasks)*30)
 
 		p := smallParams(nodes, tasks, r.Bool(0.5))
@@ -91,10 +91,10 @@ func TestFaultPropertyRandomSchedules(t *testing.T) {
 		if c.NodeRecoveries > c.NodeCrashes {
 			t.Fatalf("schedule %d: %d recoveries for %d crashes", i, c.NodeRecoveries, c.NodeCrashes)
 		}
-		if err := s.Manager().CheckInvariants(); err != nil {
+		if err := s.mgr.CheckInvariants(); err != nil {
 			t.Fatalf("schedule %d (%s): %v", i, fault.FormatScript(script), err)
 		}
-		if down := s.Manager().Census().Down; down != 0 {
+		if down := s.mgr.Census().Down; down != 0 {
 			t.Fatalf("schedule %d: %d nodes left down despite paired recoveries", i, down)
 		}
 	}

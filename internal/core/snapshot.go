@@ -63,9 +63,6 @@ var faultEventNames = [evKindCount]string{
 	evArmStream:     "random arming",
 }
 
-// Now reports the simulation clock.
-func (s *Simulator) Now() int64 { return s.eng.Now() }
-
 // Processed reports how many events the run has fired so far.
 func (s *Simulator) Processed() uint64 { return s.eng.Processed() }
 

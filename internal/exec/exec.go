@@ -19,24 +19,19 @@ import (
 	"sync/atomic"
 )
 
-// Do runs n independent units on at most workers goroutines. Units
-// are claimed in index order; workers <= 1 degenerates to a plain
-// sequential loop (today's behavior, zero goroutines). The first
-// error — by unit index, not by wall-clock — is returned, and its
-// occurrence cancels the context passed to still-unclaimed units.
-// A cancelled parent context is returned as-is.
-func Do(ctx context.Context, workers, n int, unit func(ctx context.Context, i int) error) error {
-	return DoWorkers(ctx, workers, n, func(ctx context.Context, _, i int) error {
-		return unit(ctx, i)
-	})
-}
-
-// DoWorkers is Do with the identity of the claiming worker passed to
-// each unit: w is stable for one goroutine's whole unit stream and no
-// two concurrent units ever share it, so a caller can hand each
-// worker exclusive reusable state — a run context, a scratch arena —
-// indexed by w, without locking. Sequential execution (workers <= 1)
-// claims everything as worker 0.
+// DoWorkers runs n independent units on at most workers goroutines.
+// Units are claimed in index order; workers <= 1 degenerates to a
+// plain sequential loop (zero goroutines). The first error — by unit
+// index, not by wall-clock — is returned, and its occurrence cancels
+// the context passed to still-unclaimed units. A cancelled parent
+// context is returned as-is.
+//
+// Each unit is passed the identity of the claiming worker: w is
+// stable for one goroutine's whole unit stream and no two concurrent
+// units ever share it, so a caller can hand each worker exclusive
+// reusable state — a run context, a scratch arena — indexed by w,
+// without locking. Sequential execution (workers <= 1) claims
+// everything as worker 0.
 func DoWorkers(ctx context.Context, workers, n int, unit func(ctx context.Context, w, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -89,16 +84,9 @@ func DoWorkers(ctx context.Context, workers, n int, unit func(ctx context.Contex
 	return ctx.Err()
 }
 
-// Map runs fn for every index in [0, n) under Do's scheduling rules
-// and assembles the results in index order. On error the partial
-// results are discarded.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapWorkers(ctx, workers, n, func(ctx context.Context, _, i int) (T, error) {
-		return fn(ctx, i)
-	})
-}
-
-// MapWorkers is Map with DoWorkers' worker identity passed to fn.
+// MapWorkers runs fn for every index in [0, n) under DoWorkers'
+// scheduling rules and assembles the results in index order. On error
+// the partial results are discarded.
 func MapWorkers[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, w, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := DoWorkers(ctx, workers, n, func(ctx context.Context, w, i int) error {

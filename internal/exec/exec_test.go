@@ -10,12 +10,12 @@ import (
 	"dreamsim/internal/exec"
 )
 
-func TestDoRunsEveryUnit(t *testing.T) {
+func TestDoWorkersRunsEveryUnit(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 100
 			var done [n]atomic.Int64
-			err := exec.Do(context.Background(), workers, n, func(_ context.Context, i int) error {
+			err := exec.DoWorkers(context.Background(), workers, n, func(_ context.Context, _, i int) error {
 				done[i].Add(1)
 				return nil
 			})
@@ -31,9 +31,9 @@ func TestDoRunsEveryUnit(t *testing.T) {
 	}
 }
 
-func TestDoSequentialOrder(t *testing.T) {
+func TestDoWorkersSequentialOrder(t *testing.T) {
 	var order []int
-	err := exec.Do(context.Background(), 1, 5, func(_ context.Context, i int) error {
+	err := exec.DoWorkers(context.Background(), 1, 5, func(_ context.Context, _, i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -47,11 +47,11 @@ func TestDoSequentialOrder(t *testing.T) {
 	}
 }
 
-func TestDoReturnsLowestIndexError(t *testing.T) {
+func TestDoWorkersReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("unit 3 failed")
 	errB := errors.New("unit 7 failed")
 	for _, workers := range []int{1, 4} {
-		err := exec.Do(context.Background(), workers, 10, func(_ context.Context, i int) error {
+		err := exec.DoWorkers(context.Background(), workers, 10, func(_ context.Context, _, i int) error {
 			switch i {
 			case 3:
 				return errA
@@ -67,10 +67,10 @@ func TestDoReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestDoCancelsRemainingUnits(t *testing.T) {
+func TestDoWorkersCancelsRemainingUnits(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	err := exec.Do(context.Background(), 2, 1000, func(_ context.Context, i int) error {
+	err := exec.DoWorkers(context.Background(), 2, 1000, func(_ context.Context, _, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return boom
@@ -85,18 +85,18 @@ func TestDoCancelsRemainingUnits(t *testing.T) {
 	}
 }
 
-func TestDoHonorsParentCancellation(t *testing.T) {
+func TestDoWorkersHonorsParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := exec.Do(ctx, 4, 10, func(context.Context, int) error { return nil })
+	err := exec.DoWorkers(ctx, 4, 10, func(context.Context, int, int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
-func TestMapAssemblesInOrder(t *testing.T) {
+func TestMapWorkersAssemblesInOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		out, err := exec.Map(context.Background(), workers, 50, func(_ context.Context, i int) (int, error) {
+		out, err := exec.MapWorkers(context.Background(), workers, 50, func(_ context.Context, _, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -110,8 +110,8 @@ func TestMapAssemblesInOrder(t *testing.T) {
 	}
 }
 
-func TestMapDiscardsResultsOnError(t *testing.T) {
-	out, err := exec.Map(context.Background(), 2, 10, func(_ context.Context, i int) (int, error) {
+func TestMapWorkersDiscardsResultsOnError(t *testing.T) {
+	out, err := exec.MapWorkers(context.Background(), 2, 10, func(_ context.Context, _, i int) (int, error) {
 		if i == 4 {
 			return 0, errors.New("nope")
 		}
@@ -122,9 +122,9 @@ func TestMapDiscardsResultsOnError(t *testing.T) {
 	}
 }
 
-// TestDoWorkersExclusiveIdentity pins the contract DoWorkers adds
-// over Do: a worker index is never held by two units at once, so
-// per-worker scratch state needs no locking.
+// TestDoWorkersExclusiveIdentity pins the worker-identity contract: a
+// worker index is never held by two units at once, so per-worker
+// scratch state needs no locking.
 func TestDoWorkersExclusiveIdentity(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -164,20 +164,5 @@ func TestDoWorkersSequentialIsWorkerZero(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMapWorkersAssemblesInOrder mirrors TestMapAssemblesInOrder for
-// the worker-identity variant.
-func TestMapWorkersAssemblesInOrder(t *testing.T) {
-	out, err := exec.MapWorkers(context.Background(), 4, 50,
-		func(_ context.Context, _, i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("slot %d holds %d", i, v)
-		}
 	}
 }

@@ -15,7 +15,7 @@ func baseParams(resources int) Params {
 	}
 }
 
-func source(t *testing.T, tasks []*model.Task) workload.Source {
+func source(t *testing.T, tasks []*model.Task) workload.TaskSource {
 	t.Helper()
 	src, err := workload.SliceSource(tasks)
 	if err != nil {

@@ -204,7 +204,7 @@ func NewProgram(pkgs []*Package) *Program {
 					}
 				}
 				prog.Funcs[obj] = fi
-				prog.byKey[funcKey(obj)] = fi
+				prog.byKey[objKey(obj)] = fi
 				prog.Ordered = append(prog.Ordered, fi)
 			}
 		}
@@ -235,27 +235,25 @@ func (prog *Program) FuncOf(obj *types.Func) *FuncInfo {
 	}
 	// Cross-package reference: the caller's view of this function is
 	// an export-data object, not the source-checked one we indexed.
-	return prog.byKey[funcKey(obj)]
+	return prog.byKey[objKey(obj)]
 }
 
-// funcKey identifies a function declaration across type-checker
-// instances: package path, receiver type name, function name.
-func funcKey(f *types.Func) string {
-	pkg := f.Pkg()
+// objKey identifies a declaration across type-checker instances:
+// package path, receiver type name (methods only), object name.
+func objKey(obj types.Object) string {
+	pkg := obj.Pkg()
 	if pkg == nil {
-		return f.Name()
+		return obj.Name()
 	}
 	recv := ""
-	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			recv = n.Obj().Name()
+	if f, ok := obj.(*types.Func); ok {
+		if r := f.Type().(*types.Signature).Recv(); r != nil {
+			if n := namedOf(r.Type()); n != nil {
+				recv = n.Obj().Name()
+			}
 		}
 	}
-	return pkg.Path() + "." + recv + "." + f.Name()
+	return pkg.Path() + "." + recv + "." + obj.Name()
 }
 
 // StaticCallee resolves a call expression to the declared function it
@@ -826,23 +824,6 @@ func (prog *Program) suppressedAt(analyzer string, pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// EnclosingFunc returns the FuncInfo whose declaration contains pos.
-func (prog *Program) EnclosingFunc(pos token.Pos) *FuncInfo {
-	position := prog.Fset.Position(pos)
-	fp := prog.fileOf[position.Filename]
-	if fp == nil {
-		return nil
-	}
-	for _, decl := range fp.file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
-			if obj, ok := fp.pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				return prog.FuncOf(obj)
-			}
-		}
-	}
-	return nil
 }
 
 // A ProgramPass provides one whole-program analyzer with the Program.

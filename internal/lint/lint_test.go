@@ -38,6 +38,7 @@ func TestAnalyzers(t *testing.T) {
 		{"allocfree", []*Analyzer{AllocFree}},
 		{"sharedstate", []*Analyzer{SharedState}},
 		{"rngflow", []*Analyzer{RNGFlow}},
+		{"deadexport", []*Analyzer{DeadExport}},
 		{"directive", Analyzers()},
 	}
 	for _, tc := range cases {

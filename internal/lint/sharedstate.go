@@ -1,6 +1,6 @@
 // The sharedstate analyzer: the parallel engine's safety contract,
 // checked instead of by-convention. Every closure handed to
-// exec.Do/DoWorkers/Map/MapWorkers runs concurrently with its
+// exec.DoWorkers or exec.MapWorkers runs concurrently with its
 // siblings, so any mutable state it reaches from outside its own
 // frame — captured variables, package-level variables, memory behind
 // captured pointers — must be either
@@ -37,7 +37,7 @@ import (
 // from exec worker closures.
 var SharedState = &Analyzer{
 	Name: "sharedstate",
-	Doc: "closures handed to exec.Do/DoWorkers/Map/MapWorkers must " +
+	Doc: "closures handed to exec.DoWorkers/MapWorkers must " +
 		"not write shared state except through per-unit indices, " +
 		"per-worker donation, sync/atomic, or a held mutex",
 	RunProgram: runSharedState,
@@ -46,11 +46,11 @@ var SharedState = &Analyzer{
 // workerUnitFuncs maps an executor package's import-path suffix to the
 // functions whose final argument is a concurrently-run unit closure.
 var workerUnitFuncs = map[string]map[string]bool{
-	"internal/exec": {"Do": true, "DoWorkers": true, "Map": true, "MapWorkers": true},
+	"internal/exec": {"DoWorkers": true, "MapWorkers": true},
 }
 
 // unitDispatcher resolves a call to one of the recognised worker-pool
-// entry points, returning the display name ("exec.Do") used in
+// entry points, returning the display name ("exec.DoWorkers") used in
 // findings.
 func unitDispatcher(callee *types.Func) (string, bool) {
 	if callee == nil || callee.Pkg() == nil {

@@ -1,23 +1,14 @@
 // Package exec mirrors the simulator executor's API shape for the
 // sharedstate fixture: the analyzer recognises worker-pool callees by
-// the internal/exec import-path suffix and the Do/DoWorkers names, so
-// the fixture needs its own copy with matching signatures.
+// the internal/exec import-path suffix and the DoWorkers and
+// MapWorkers names, so the fixture needs its own copy with matching
+// signatures.
 package exec
 
 import "context"
 
-// Do runs n units on up to workers goroutines (here: sequentially —
-// only the signature matters to the analyzer).
-func Do(ctx context.Context, workers, n int, unit func(ctx context.Context, u int) error) error {
-	for u := 0; u < n; u++ {
-		if err := unit(ctx, u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DoWorkers is Do with the worker index exposed to the unit.
+// DoWorkers runs n units on up to workers goroutines (here:
+// sequentially — only the signature matters to the analyzer).
 func DoWorkers(ctx context.Context, workers, n int, unit func(ctx context.Context, w, u int) error) error {
 	for u := 0; u < n; u++ {
 		if err := unit(ctx, 0, u); err != nil {

@@ -45,14 +45,14 @@ func setAt(out []int, i, v int) {
 }
 
 func PerUnitIndex(out []int) error {
-	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+	return exec.DoWorkers(context.Background(), 4, len(out), func(_ context.Context, _, u int) error {
 		out[u] = u * u // the unit's own slot: safe
 		return nil
 	})
 }
 
 func DerivedUnitIndex(out []int) error {
-	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+	return exec.DoWorkers(context.Background(), 4, len(out), func(_ context.Context, _, u int) error {
 		j := u
 		out[j] = u // a local copied from the unit index: safe
 		return nil
@@ -60,25 +60,25 @@ func DerivedUnitIndex(out []int) error {
 }
 
 func EscapedUnitIndex(out []int) error {
-	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+	return exec.DoWorkers(context.Background(), 4, len(out), func(_ context.Context, _, u int) error {
 		j := u
 		j = 0      // reassignment off the unit index forfeits safety
-		out[j] = u // want `exec.Do unit writes shared state through out\[\.\.\.\]`
+		out[j] = u // want `exec.DoWorkers unit writes shared state through out\[\.\.\.\]`
 		return nil
 	})
 }
 
 func SharedCounter() error {
 	var total int
-	return exec.Do(context.Background(), 4, 8, func(_ context.Context, u int) error {
-		total += u // want `exec.Do unit writes shared state through total without synchronization`
+	return exec.DoWorkers(context.Background(), 4, 8, func(_ context.Context, _, u int) error {
+		total += u // want `exec.DoWorkers unit writes shared state through total without synchronization`
 		return nil
 	})
 }
 
 func MutexSerialised(sum *int) error {
 	var mu sync.Mutex
-	return exec.Do(context.Background(), 4, 8, func(_ context.Context, u int) error {
+	return exec.DoWorkers(context.Background(), 4, 8, func(_ context.Context, _, u int) error {
 		mu.Lock()
 		*sum += u // serialised under the mutex: safe
 		mu.Unlock()
@@ -88,17 +88,17 @@ func MutexSerialised(sum *int) error {
 
 func AtomicCounter() error {
 	var total atomic.Int64
-	return exec.Do(context.Background(), 4, 8, func(_ context.Context, u int) error {
+	return exec.DoWorkers(context.Background(), 4, 8, func(_ context.Context, _, u int) error {
 		total.Add(int64(u)) // sync/atomic: safe
 		return nil
 	})
 }
 
 func ValueCopy(p params) error {
-	return exec.Do(context.Background(), 4, 2, func(_ context.Context, u int) error {
+	return exec.DoWorkers(context.Background(), 4, 2, func(_ context.Context, _, u int) error {
 		q := p
 		q.Seed = uint64(u) // the unit's own copy: safe
-		q.Out[0] = u       // want `exec.Do unit writes shared state through q.Out`
+		q.Out[0] = u       // want `exec.DoWorkers unit writes shared state through q.Out`
 		return nil
 	})
 }
@@ -120,30 +120,30 @@ func WrongIndexDonation(pool scratch) error {
 }
 
 func HelperPlainWrite(out []int) error {
-	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
-		bumpAll(out) // want `exec.Do unit passes captured out to bumpAll, which writes through it without a per-worker index`
+	return exec.DoWorkers(context.Background(), 4, len(out), func(_ context.Context, _, u int) error {
+		bumpAll(out) // want `exec.DoWorkers unit passes captured out to bumpAll, which writes through it without a per-worker index`
 		return nil
 	})
 }
 
 func HelperIndexedWrite(out []int) error {
-	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+	return exec.DoWorkers(context.Background(), 4, len(out), func(_ context.Context, _, u int) error {
 		setAt(out, u, u) // helper writes only at this unit's index: safe
-		setAt(out, 0, u) // want `exec.Do unit passes captured out to setAt, which writes it at an index that is not this unit's worker or unit index`
+		setAt(out, 0, u) // want `exec.DoWorkers unit passes captured out to setAt, which writes it at an index that is not this unit's worker or unit index`
 		return nil
 	})
 }
 
 func CapturedFunc(notify func()) error {
-	return exec.Do(context.Background(), 4, 2, func(_ context.Context, u int) error {
-		notify() // want `exec.Do unit calls captured notify, whose effects on shared state cannot be proven`
+	return exec.DoWorkers(context.Background(), 4, 2, func(_ context.Context, _, u int) error {
+		notify() // want `exec.DoWorkers unit calls captured notify, whose effects on shared state cannot be proven`
 		return nil
 	})
 }
 
 func GlobalViaHelper() error {
-	return exec.Do(context.Background(), 4, 2, func(_ context.Context, u int) error {
-		bumpGlobal() // want `exec.Do unit calls bumpGlobal, which writes package-level variable "hits"`
+	return exec.DoWorkers(context.Background(), 4, 2, func(_ context.Context, _, u int) error {
+		bumpGlobal() // want `exec.DoWorkers unit calls bumpGlobal, which writes package-level variable "hits"`
 		return nil
 	})
 }

@@ -48,13 +48,6 @@ type Counters struct {
 	SusQueuePeak int64
 }
 
-// Accounted reports how many generated tasks have reached a terminal
-// or scheduled state; the run is drained when this equals
-// GeneratedTasks and nothing is running or suspended.
-func (c *Counters) Accounted() int64 {
-	return c.CompletedTasks + c.DiscardedTasks + c.LostTasks + c.SuspendedTasks + c.RunningTasks
-}
-
 // TotalSchedulerWorkload is the Table I metric: scheduler search
 // steps plus resource-information housekeeping steps.
 func (c *Counters) TotalSchedulerWorkload() uint64 {

@@ -39,16 +39,6 @@ type Figure struct {
 	Series []Series `json:"series"`
 }
 
-// SeriesByName returns the named curve or nil.
-func (f *Figure) SeriesByName(name string) *Series {
-	for i := range f.Series {
-		if f.Series[i].Name == name {
-			return &f.Series[i]
-		}
-	}
-	return nil
-}
-
 // CSV renders the figure as comma-separated rows: a header of
 // "x,<series...>" then one row per x value (series are assumed to be
 // sampled on the same grid; missing values render empty).

@@ -127,11 +127,11 @@ func TestFullModeSingleConfig(t *testing.T) {
 
 func TestNodeStates(t *testing.T) {
 	n := NewNode(0, 3000, true)
-	if n.State() != StateBlank || !n.Blank() || n.PartiallyBlank() {
+	if n.State() != StateBlank || !n.Blank() {
 		t.Fatal("fresh node not blank")
 	}
 	e, _ := n.SendBitstream(cfg(1, 1000))
-	if n.State() != StateIdle || !n.PartiallyBlank() {
+	if n.State() != StateIdle {
 		t.Fatalf("configured node state = %s", n.State())
 	}
 	task := NewTask(1, 1000, 1, 100, 0)
@@ -149,17 +149,6 @@ func TestNodeStates(t *testing.T) {
 	}
 	if n.State() != StateIdle {
 		t.Fatalf("state after removal = %s", n.State())
-	}
-}
-
-func TestPartiallyBlankEdge(t *testing.T) {
-	n := NewNode(0, 1000, true)
-	if _, err := n.SendBitstream(cfg(1, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	// Full fabric used: configured but NOT partially blank.
-	if n.PartiallyBlank() {
-		t.Fatal("zero AvailableArea node reported partially blank")
 	}
 }
 
@@ -253,36 +242,6 @@ func TestMakeNodePartiallyBlank(t *testing.T) {
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFindEntryWithConfig(t *testing.T) {
-	n := NewNode(0, 4000, true)
-	e1, _ := n.SendBitstream(cfg(1, 1000))
-	e2, _ := n.SendBitstream(cfg(1, 1000)) // same config twice
-	task := NewTask(1, 1000, 1, 100, 0)
-	_ = n.AddTaskToNode(e1, task)
-	// Prefers the idle duplicate.
-	if got := n.FindEntryWithConfig(1); got != e2 {
-		t.Fatalf("FindEntryWithConfig returned %v, want idle e2", got)
-	}
-	_ = n.AddTaskToNode(e2, NewTask(2, 1000, 1, 100, 0))
-	if got := n.FindEntryWithConfig(1); got == nil || !strings.Contains(got.String(), "N0") {
-		t.Fatalf("busy fallback wrong: %v", got)
-	}
-	if got := n.FindEntryWithConfig(99); got != nil {
-		t.Fatalf("absent config returned %v", got)
-	}
-}
-
-func TestIdleEntries(t *testing.T) {
-	n := NewNode(0, 4000, true)
-	e1, _ := n.SendBitstream(cfg(1, 1000))
-	_, _ = n.SendBitstream(cfg(2, 500))
-	_ = n.AddTaskToNode(e1, NewTask(1, 1000, 1, 100, 0))
-	idle := n.IdleEntries()
-	if len(idle) != 1 || idle[0].Config.No != 2 {
-		t.Fatalf("IdleEntries = %v", idle)
 	}
 }
 

@@ -100,12 +100,6 @@ func (n *Node) State() NodeState {
 // Blank reports whether the node holds no configurations.
 func (n *Node) Blank() bool { return len(n.Entries) == 0 }
 
-// PartiallyBlank reports whether the node holds at least one
-// configuration and still has unconfigured area left.
-func (n *Node) PartiallyBlank() bool {
-	return len(n.Entries) > 0 && n.AvailableArea > 0
-}
-
 // RunningTasks counts tasks currently executing on the node.
 func (n *Node) RunningTasks() int {
 	c := 0
@@ -115,17 +109,6 @@ func (n *Node) RunningTasks() int {
 		}
 	}
 	return c
-}
-
-// IdleEntries returns the entries whose region is configured but idle.
-func (n *Node) IdleEntries() []*Entry {
-	var out []*Entry
-	for _, e := range n.Entries {
-		if e.Task == nil {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // HasCaps reports whether the node offers every listed capability
@@ -146,27 +129,13 @@ func (n *Node) HasCaps(required []string) bool {
 	return true
 }
 
-// FindEntryWithConfig returns an entry resident with configuration
-// cfgNo, preferring idle entries; nil if the configuration is not
-// resident.
-func (n *Node) FindEntryWithConfig(cfgNo int) *Entry {
-	var busy *Entry
-	for _, e := range n.Entries {
-		if e.Config.No == cfgNo {
-			if e.Task == nil {
-				return e
-			}
-			busy = e
-		}
-	}
-	return busy
-}
-
 // SendBitstream adds configuration cfg to the node (paper method):
 // it creates a new idle config-task entry, deducts the required area
 // from AvailableArea and increments the reconfiguration count. In
 // full mode the node must be blank first; the node must offer every
 // capability the configuration requires.
+//
+//lint:deadexport (b) paper-named API: the node's SendBitstream of §IV-A
 func (n *Node) SendBitstream(cfg *Config) (*Entry, error) {
 	return n.SendBitstreamReusing(cfg, nil)
 }

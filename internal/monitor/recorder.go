@@ -136,9 +136,6 @@ func (r *Recorder) Observe(now int64, c resinfo.Census, running, suspended int, 
 // Samples returns the recorded series.
 func (r *Recorder) Samples() []Sample { return r.samples }
 
-// Len returns the number of recorded samples.
-func (r *Recorder) Len() int { return len(r.samples) }
-
 // sparkGlyphs maps a [0,1] level onto a bar glyph.
 var sparkGlyphs = []byte(" .:-=+*#%@")
 

@@ -33,8 +33,8 @@ func TestRecorderStride(t *testing.T) {
 		r.Observe(int64(i), m.Census(), 0, 0, nil)
 	}
 	// Calls 1,4,7,10 (1-indexed) are sampled: 4 samples.
-	if r.Len() != 4 {
-		t.Fatalf("samples %d, want 4", r.Len())
+	if n := len(r.Samples()); n != 4 {
+		t.Fatalf("samples %d, want 4", n)
 	}
 	if NewRecorder(0).Every != 1 {
 		t.Fatal("stride floor broken")

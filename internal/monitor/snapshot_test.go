@@ -12,8 +12,8 @@ import (
 func TestMinSampleBytes(t *testing.T) {
 	var w snapshot.Writer
 	encodeSample(&w, new(Sample))
-	if w.Len() != minSampleBytes {
-		t.Fatalf("smallest sample takes %d bytes, minSampleBytes is %d", w.Len(), minSampleBytes)
+	if len(w.Bytes()) != minSampleBytes {
+		t.Fatalf("smallest sample takes %d bytes, minSampleBytes is %d", len(w.Bytes()), minSampleBytes)
 	}
 }
 

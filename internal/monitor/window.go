@@ -60,19 +60,13 @@ type Aggregator struct {
 
 // NewAggregator returns an aggregator closing a window every `window`
 // samples (minimum 1). sink, when non-nil, receives each closed row
-// in order; its first error stops further sink calls and is reported
-// by Err.
+// in order; its first error stops further sink calls and is returned
+// by Flush.
 func NewAggregator(window int, sink func(WindowRow) error) *Aggregator {
 	if window < 1 {
 		window = 1
 	}
 	return &Aggregator{window: window, sink: sink}
-}
-
-// Add folds one sample into the current window, closing it when full.
-// The window keeps a copy of s.ClassRunning, not the slice itself.
-func (a *Aggregator) Add(s Sample) {
-	a.add(s, len(s.ClassRunning), s.ClassRunning)
 }
 
 // add folds s into the current window with a per-class census of
@@ -107,9 +101,6 @@ func (a *Aggregator) Flush() error {
 	}
 	return a.err
 }
-
-// Err returns the first sink error.
-func (a *Aggregator) Err() error { return a.err }
 
 // TotalRows reports how many windows closed over the whole run,
 // including rows evicted from the retained ring.

@@ -19,13 +19,13 @@ func syntheticSamples(n int, seed uint64) []Sample {
 	out := make([]Sample, n)
 	t := int64(0)
 	for i := range out {
-		t += int64(r.IntRange(1, 9))
+		t += int64(1 + r.Intn(9))
 		out[i] = Sample{
 			Time:        t,
-			Running:     r.IntRange(0, 500),
-			Suspended:   r.IntRange(0, 100),
+			Running:     r.Intn(501),
+			Suspended:   r.Intn(101),
 			WastedArea:  r.Int64Range(0, 10000),
-			Utilization: float64(r.IntRange(0, 1000)) / 1000,
+			Utilization: float64(r.Intn(1001)) / 1000,
 		}
 	}
 	return out
@@ -44,7 +44,7 @@ func TestAggregatorMatchesFullHistory(t *testing.T) {
 			return nil
 		})
 		for _, s := range samples {
-			agg.Add(s)
+			agg.add(s, len(s.ClassRunning), s.ClassRunning)
 		}
 		if err := agg.Flush(); err != nil {
 			t.Fatalf("window=%d: Flush: %v", window, err)
@@ -83,7 +83,7 @@ func TestAggregatorRingEviction(t *testing.T) {
 	total := windowRingCap + 137
 	agg := NewAggregator(1, nil)
 	for i := 0; i < total; i++ {
-		agg.Add(Sample{Time: int64(i), Running: i})
+		agg.add(Sample{Time: int64(i), Running: i}, 0, nil)
 	}
 	if err := agg.Flush(); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestWindowRecorderMatchesPlainRecorder(t *testing.T) {
 	// Windowed path: samples stream through the aggregator.
 	agg := NewAggregator(64, nil)
 	for _, s := range samples {
-		agg.Add(s)
+		agg.add(s, len(s.ClassRunning), s.ClassRunning)
 	}
 	if err := agg.Flush(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ package report
 
 import (
 	"encoding/xml"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -185,15 +184,6 @@ func WriteXML(w io.Writer, s Simulation) error {
 	}
 	_, err := io.WriteString(w, "\n")
 	return err
-}
-
-// ReadXML parses a report previously produced by WriteXML.
-func ReadXML(r io.Reader) (Simulation, error) {
-	var s Simulation
-	if err := xml.NewDecoder(r).Decode(&s); err != nil {
-		return Simulation{}, fmt.Errorf("report: parsing XML: %w", err)
-	}
-	return s, nil
 }
 
 // TableIText renders the Table I metrics as a fixed-width text table.

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,8 +56,8 @@ func TestXMLRoundTrip(t *testing.T) {
 			t.Errorf("XML missing %q:\n%s", want, out)
 		}
 	}
-	parsed, err := ReadXML(strings.NewReader(out))
-	if err != nil {
+	var parsed Simulation
+	if err := xml.NewDecoder(strings.NewReader(out)).Decode(&parsed); err != nil {
 		t.Fatal(err)
 	}
 	if parsed.Scenario != "partial" || parsed.Seed != 42 ||
@@ -66,12 +67,6 @@ func TestXMLRoundTrip(t *testing.T) {
 	// Params sorted by name.
 	if parsed.Params[0].Name != "arrival" {
 		t.Fatalf("params not sorted: %+v", parsed.Params)
-	}
-}
-
-func TestReadXMLRejectsGarbage(t *testing.T) {
-	if _, err := ReadXML(strings.NewReader("<<<not-xml")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -52,6 +52,8 @@ type Manager struct {
 type Option func(*Manager)
 
 // Deprecated: WithIntraParallel is a no-op; placement scans are sequential.
+//
+//lint:deadexport (a) benchsuite, a separate module, calls it
 func WithIntraParallel(int) Option { return func(*Manager) {} }
 
 // New builds a manager over the given resources. Configurations must
@@ -121,9 +123,6 @@ func (m *Manager) Census() Census { return m.soa.census }
 
 // Configs returns the configurations list.
 func (m *Manager) Configs() []*model.Config { return m.configs }
-
-// Counters exposes the metered counters.
-func (m *Manager) Counters() *metrics.Counters { return m.c }
 
 // Idle returns the idle list of configuration cfgNo.
 // It panics for unknown configurations — those are scheduler bugs.

@@ -585,11 +585,11 @@ func TestSortByKey(t *testing.T) {
 	for len(key) < 300 {
 		switch r.Intn(3) {
 		case 0:
-			key = append(key, int64(r.IntRange(0, 4))) // ties
+			key = append(key, int64(r.Intn(5))) // ties
 		case 1:
-			key = append(key, -int64(r.IntRange(0, 1<<20)))
+			key = append(key, -int64(r.Intn(1<<20+1)))
 		default:
-			key = append(key, int64(r.IntRange(0, 1<<20))<<24)
+			key = append(key, int64(r.Intn(1<<20+1))<<24)
 		}
 	}
 	for _, n := range []int{0, 1, 2, 5, len(key)} {

@@ -137,7 +137,8 @@ func TestFindMinEmptyList(t *testing.T) {
 }
 
 func TestSusQueueFIFO(t *testing.T) {
-	q := NewSusQueue()
+	q := new(SusQueue)
+	q.Reset(nil)
 	if q.Len() != 0 || q.Peak() != 0 {
 		t.Fatal("fresh queue not empty")
 	}
@@ -151,7 +152,7 @@ func TestSusQueueFIFO(t *testing.T) {
 	if t1.Status != model.TaskSuspended {
 		t.Fatal("Add did not mark task suspended")
 	}
-	got := q.Tasks()
+	got := q.AppendTasks(nil)
 	if got[0] != t1 || got[1] != t2 || got[2] != t3 {
 		t.Fatalf("FIFO order broken: %v", got)
 	}
@@ -161,7 +162,8 @@ func TestSusQueueFIFO(t *testing.T) {
 }
 
 func TestSusQueueRemove(t *testing.T) {
-	q := NewSusQueue()
+	q := new(SusQueue)
+	q.Reset(nil)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3), mkTask(4)}
 	for _, task := range tasks {
 		q.Add(task)
@@ -175,7 +177,7 @@ func TestSusQueueRemove(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("len=%d", q.Len())
 	}
-	got := q.Tasks()
+	got := q.AppendTasks(nil)
 	if got[0] != tasks[0] || got[1] != tasks[2] {
 		t.Fatalf("remaining order: %v", got)
 	}
@@ -192,7 +194,8 @@ func TestSusQueueRemove(t *testing.T) {
 }
 
 func TestSusQueueDoubleAddPanics(t *testing.T) {
-	q := NewSusQueue()
+	q := new(SusQueue)
+	q.Reset(nil)
 	task := mkTask(1)
 	q.Add(task)
 	defer func() {
@@ -204,7 +207,8 @@ func TestSusQueueDoubleAddPanics(t *testing.T) {
 }
 
 func TestSusQueueWalkBumpsRetry(t *testing.T) {
-	q := NewSusQueue()
+	q := new(SusQueue)
+	q.Reset(nil)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks {
 		q.Add(task)
@@ -220,7 +224,8 @@ func TestSusQueueWalkBumpsRetry(t *testing.T) {
 }
 
 func TestSusQueueWalkAllowsRemoval(t *testing.T) {
-	q := NewSusQueue()
+	q := new(SusQueue)
+	q.Reset(nil)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks {
 		q.Add(task)
@@ -260,7 +265,7 @@ func TestSusQueueWalkVisitsOnlyFittingBuckets(t *testing.T) {
 		{"area", Filter{Area: 250}, []int{1, 2, 4, 5, 7, 8}},
 		{"area and idle", Filter{Area: 150, Idle: []int{0}}, []int{0, 2, 3, 5, 6, 8}},
 	} {
-		q := NewSusQueue()
+		q := new(SusQueue)
 		q.Reset(cfgs)
 		var tasks []*model.Task
 		for i := 0; i < 9; i++ {
@@ -303,7 +308,7 @@ func TestSusQueueWalkVisitsOnlyFittingBuckets(t *testing.T) {
 // CheckInvariants to notice.
 func TestSusQueueCatchesStaleIndex(t *testing.T) {
 	cfgs := mkConfigs(5)
-	q := NewSusQueue()
+	q := new(SusQueue)
 	q.Reset(cfgs)
 	for i := 0; i < 10; i++ {
 		task := mkTask(i)
@@ -337,7 +342,7 @@ func TestSusQueueCatchesStaleIndex(t *testing.T) {
 // range minimum before taking fronts from it.
 func TestSusQueueRebaseRekeys(t *testing.T) {
 	cfgs := mkConfigs(3)
-	q := NewSusQueue()
+	q := new(SusQueue)
 	q.Reset(cfgs)
 	q.seq = rebaseAt - 3
 	for i := 0; i < 6; i++ {
@@ -470,7 +475,7 @@ func TestQuickSusQueueOrder(t *testing.T) {
 		for i, r := range filters.Perm(nCfg) {
 			cfgs[i].ReqArea = model.Area(100 * (r + 1))
 		}
-		q := NewSusQueue()
+		q := new(SusQueue)
 		q.Reset(cfgs)
 		ref := &refQueue{}
 		twins := [2]*walkTwin{}
@@ -611,7 +616,7 @@ func BenchmarkListAddRemove(b *testing.B) {
 // slots instead of allocating one element per suspension.
 func TestSusQueueSteadyStateZeroAlloc(t *testing.T) {
 	cfgs := mkConfigs(2)
-	q := NewSusQueue()
+	q := new(SusQueue)
 	q.Reset(cfgs)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for i, task := range tasks {
@@ -640,7 +645,8 @@ func TestSusQueueSteadyStateZeroAlloc(t *testing.T) {
 // drain loop: FIFO order into a reused backing array, no allocation
 // once the array fits the queue.
 func TestSusQueueAppendTasks(t *testing.T) {
-	q := NewSusQueue()
+	q := new(SusQueue)
+	q.Reset(nil)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks {
 		q.Add(task)
@@ -655,7 +661,7 @@ func TestSusQueueAppendTasks(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AppendTasks into a fitting array allocates %v allocs/op, want 0", allocs)
 	}
-	if got := q.Tasks(); len(got) != 3 {
+	if got := q.AppendTasks(nil); len(got) != 3 {
 		t.Fatalf("Tasks after AppendTasks: %v", got)
 	}
 }

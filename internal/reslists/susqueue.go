@@ -103,15 +103,6 @@ type SusQueue struct {
 	moved []int32
 }
 
-// NewSusQueue returns an empty suspension queue without configuration
-// buckets: every task is filed as unresolved, so walks follow the
-// global FIFO. Use Reset to bucket by a configuration list.
-func NewSusQueue() *SusQueue {
-	q := &SusQueue{}
-	q.Reset(nil)
-	return q
-}
-
 // Reset empties the queue and buckets it by configs, which must be
 // indexed by configuration number (configs[i].No == i); a task
 // resolved to any other configuration is filed with the unresolved
@@ -507,14 +498,9 @@ func (q *SusQueue) Walk(every bool, f *Filter, visit func(*model.Task) bool) (st
 	return steps
 }
 
-// Tasks returns the queued tasks in FIFO order (for reports).
-func (q *SusQueue) Tasks() []*model.Task {
-	return q.AppendTasks(nil)
-}
-
 // AppendTasks appends the queued tasks in FIFO order to dst and
-// returns the extended slice — the allocation-free form of Tasks for
-// callers that recycle the backing array across passes.
+// returns the extended slice; callers that recycle the backing array
+// across passes allocate nothing.
 //
 //dreamsim:noalloc
 func (q *SusQueue) AppendTasks(dst []*model.Task) []*model.Task {

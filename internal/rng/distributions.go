@@ -123,9 +123,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the sampler's support size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Draw samples a rank in [0, n).
 func (z *Zipf) Draw(r *RNG) int {
 	u := r.Float64()

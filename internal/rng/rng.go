@@ -78,6 +78,8 @@ func (r *RNG) RandUint64() uint64 {
 
 // RandInt32 returns a uniformly distributed 32-bit value, mirroring
 // the paper's rand_int32 primitive.
+//
+//lint:deadexport (b) paper-named API: the RNG class's rand_int32 of §IV-C
 func (r *RNG) RandInt32() uint32 {
 	return uint32(r.RandUint64() >> 32)
 }
@@ -125,16 +127,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// IntRange returns a uniform int in the inclusive range [lo, hi].
-// It panics if hi < lo. This is the sampler behind every
-// "[low ... high]" parameter in Table II of the paper.
-func (r *RNG) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rng: IntRange with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // Int64Range returns a uniform int64 in the inclusive range [lo, hi].
 func (r *RNG) Int64Range(lo, hi int64) int64 {
 	if hi < lo {
@@ -156,27 +148,6 @@ func (r *RNG) Int64Range(lo, hi int64) int64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a uniformly random permutation of [0,n) via
-// Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }
 
 // Normal returns a standard normal variate via the Ziggurat method
@@ -209,11 +180,6 @@ func (r *RNG) Normal() float64 {
 			return x
 		}
 	}
-}
-
-// NormalMS returns a normal variate with the given mean and stddev.
-func (r *RNG) NormalMS(mean, stddev float64) float64 {
-	return mean + stddev*r.Normal()
 }
 
 // Exponential returns a standard exponential variate (mean 1) via the
@@ -289,6 +255,8 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 // Poisson returns a Poisson(mean) variate. Small means use Knuth's
 // product method; large means use the log-gamma rejection method
 // (Atkinson/PTRS style) to stay O(1).
+//
+//lint:deadexport (b) paper-named API: the RNG class's Poisson distribution of §IV-C
 func (r *RNG) Poisson(mean float64) int {
 	// A NaN or +Inf mean turns the Atkinson envelope into NaN and the
 	// rejection test never accepts: reject non-finite up front.
@@ -383,6 +351,8 @@ func (r *RNG) Binomial(p float64, n int) int {
 // Multinom distributes n trials over the category probabilities in
 // probs (which must be non-negative; they are normalised internally)
 // by chained conditional binomials. The returned slice sums to n.
+//
+//lint:deadexport (b) paper-named API: the RNG class's multinomial distribution of §IV-C
 func (r *RNG) Multinom(n uint, probs []float64) []int {
 	out := make([]int, len(probs))
 	total := 0.0

@@ -1,6 +1,6 @@
 // Package sim provides the discrete simulation-time substrate of
-// DReAMSim: the timetick clock (paper §IV-C, IncreaseTimeTick /
-// DecreaseTimeTick, Eq. 5) and a deterministic future-event queue.
+// DReAMSim: the timetick clock (paper §IV-C, IncreaseTimeTick, Eq. 5)
+// and a deterministic future-event queue.
 //
 // The paper advances time in unit "timeticks". The Engine jumps from
 // one pending event's tick to the next, which fires the same events at
@@ -51,15 +51,10 @@ func (c *Clock) Now() Time { return c.now }
 // IncreaseTimeTick advances the clock by one tick and returns the new
 // time (paper method name; the Engine jumps over empty ticks with
 // AdvanceTo instead).
+//
+//lint:deadexport (b) paper-named API: the clock's IncreaseTimeTick of §IV-C
 func (c *Clock) IncreaseTimeTick() Time {
 	c.now++
-	return c.now
-}
-
-// DecreaseTimeTick rewinds the clock by one tick (paper method name;
-// used only by tooling/tests — the simulator itself never rewinds).
-func (c *Clock) DecreaseTimeTick() Time {
-	c.now--
 	return c.now
 }
 
@@ -291,6 +286,7 @@ func (q *Queue) release(ev *Event) {
 // event panics; cancel with Remove instead (which releases itself).
 //
 //dreamsim:noalloc
+//lint:deadexport (c) test support: perf-smoke's BenchmarkQueuePushPop 0-alloc gate drains the queue through it
 func (q *Queue) Release(ev *Event) {
 	if q.queued(ev) {
 		panic("sim: releasing queued event")

@@ -24,9 +24,6 @@ func TestClockBasics(t *testing.T) {
 	if c.IncreaseTimeTick() != 1 || c.Now() != 1 {
 		t.Fatal("IncreaseTimeTick broken")
 	}
-	if c.DecreaseTimeTick() != 0 {
-		t.Fatal("DecreaseTimeTick broken")
-	}
 	c.AdvanceTo(10)
 	if c.Now() != 10 {
 		t.Fatalf("AdvanceTo gave %d", c.Now())

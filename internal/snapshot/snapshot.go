@@ -63,9 +63,6 @@ func NewSealWriter(kind string, sizeHint int) Writer {
 // Bytes returns the encoded payload.
 func (w *Writer) Bytes() []byte { return w.buf[w.start:] }
 
-// Len returns the encoded size so far.
-func (w *Writer) Len() int { return len(w.buf) - w.start }
-
 // U64 appends an unsigned varint, byte for byte what
 // binary.AppendUvarint writes. It appends in place, so a value below
 // 128 — the bulk of every payload — costs one append and no call.

@@ -4,8 +4,8 @@
 //
 // A Graph is a set of application tasks with precedence edges; a task
 // becomes eligible to run only when all its parents have completed.
-// The graph hands the core simulator a dependency map (parent task
-// numbers per task) and a Source of arrivals; the engine holds
+// The root package's RandomLayeredGraph turns a generated graph into
+// the task list RunGraph simulates; the engine holds
 // arrived-but-blocked tasks until their parents finish.
 package taskgraph
 
@@ -36,14 +36,8 @@ func New() *Graph {
 	return &Graph{byNo: make(map[int]*Vertex)}
 }
 
-// Len returns the number of vertices.
-func (g *Graph) Len() int { return len(g.vertices) }
-
 // Vertices returns the vertices in insertion order.
 func (g *Graph) Vertices() []*Vertex { return g.vertices }
-
-// VertexByNo returns the vertex holding task number no, or nil.
-func (g *Graph) VertexByNo(no int) *Vertex { return g.byNo[no] }
 
 // Add inserts task with the given parent vertices. Parents must
 // already belong to this graph and task numbers must be unique, which
@@ -66,34 +60,6 @@ func (g *Graph) Add(task *model.Task, parents ...*Vertex) (*Vertex, error) {
 	g.vertices = append(g.vertices, v)
 	g.byNo[task.No] = v
 	return v, nil
-}
-
-// Roots returns the vertices with no parents.
-func (g *Graph) Roots() []*Vertex {
-	var out []*Vertex
-	for _, v := range g.vertices {
-		if len(v.Parents) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// DepsMap returns the parent task numbers per task number — the form
-// the core engine consumes.
-func (g *Graph) DepsMap() map[int][]int {
-	out := make(map[int][]int, len(g.vertices))
-	for _, v := range g.vertices {
-		if len(v.Parents) == 0 {
-			continue
-		}
-		deps := make([]int, len(v.Parents))
-		for i, p := range v.Parents {
-			deps[i] = p.Task.No
-		}
-		out[v.Task.No] = deps
-	}
-	return out
 }
 
 // TopoOrder returns the vertices in a topological order (Kahn). The
@@ -167,63 +133,6 @@ func (g *Graph) TotalWork() int64 {
 		sum += v.Task.RequiredTime
 	}
 	return sum
-}
-
-// Validate re-checks structural invariants (for graphs whose exported
-// fields were manipulated directly).
-func (g *Graph) Validate() error {
-	for _, v := range g.vertices {
-		if g.byNo[v.Task.No] != v {
-			return fmt.Errorf("taskgraph: index broken at task %d", v.Task.No)
-		}
-		for _, p := range v.Parents {
-			if g.byNo[p.Task.No] != p {
-				return fmt.Errorf("taskgraph: task %d has foreign parent", v.Task.No)
-			}
-			found := false
-			for _, c := range p.Children {
-				if c == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("taskgraph: edge %d->%d missing back-link", p.Task.No, v.Task.No)
-			}
-		}
-	}
-	_, err := g.TopoOrder()
-	return err
-}
-
-// Source yields the graph's tasks in CreateTime order as a workload
-// source for the core engine. Tasks must have been given
-// non-decreasing CreateTimes (GenerateLayered does this).
-func (g *Graph) Source() (workload.Source, error) {
-	order := make([]*Vertex, len(g.vertices))
-	copy(order, g.vertices)
-	for i := 1; i < len(order); i++ {
-		if order[i].Task.CreateTime < order[i-1].Task.CreateTime {
-			return nil, fmt.Errorf("taskgraph: task %d arrives before its predecessor in submission order",
-				order[i].Task.No)
-		}
-	}
-	return &graphSource{order: order}, nil
-}
-
-type graphSource struct {
-	order []*Vertex
-	next  int
-}
-
-// Next implements workload.Source.
-func (s *graphSource) Next() (*model.Task, bool) {
-	if s.next >= len(s.order) {
-		return nil, false
-	}
-	v := s.order[s.next]
-	s.next++
-	return v.Task, true
 }
 
 // LayeredSpec parameterises GenerateLayered.

@@ -13,6 +13,24 @@ func task(no int, req int64) *model.Task {
 	return model.NewTask(no, 500, no%10, req, int64(no))
 }
 
+// wellFormed reports whether every edge has its back-link and the
+// graph orders topologically.
+func wellFormed(g *Graph) bool {
+	for _, v := range g.Vertices() {
+		for _, p := range v.Parents {
+			found := false
+			for _, c := range p.Children {
+				found = found || c == v
+			}
+			if !found {
+				return false
+			}
+		}
+	}
+	_, err := g.TopoOrder()
+	return err == nil
+}
+
 func TestAddAndLookup(t *testing.T) {
 	g := New()
 	a, err := g.Add(task(0, 100))
@@ -23,14 +41,14 @@ func TestAddAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() != 2 || g.VertexByNo(1) != b || g.VertexByNo(0) != a {
-		t.Fatal("lookup broken")
+	if vs := g.Vertices(); len(vs) != 2 || vs[0] != a || vs[1] != b {
+		t.Fatal("insertion order broken")
 	}
 	if len(a.Children) != 1 || a.Children[0] != b || len(b.Parents) != 1 {
 		t.Fatal("edges broken")
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	if !wellFormed(g) {
+		t.Fatal("graph not well formed")
 	}
 }
 
@@ -52,25 +70,6 @@ func TestAddRejects(t *testing.T) {
 		t.Fatal("invalid task accepted")
 	}
 	_ = a
-}
-
-func TestRootsAndDeps(t *testing.T) {
-	g := New()
-	a, _ := g.Add(task(0, 100))
-	b, _ := g.Add(task(1, 100))
-	c, _ := g.Add(task(2, 100), a, b)
-	_, _ = g.Add(task(3, 100), c)
-	roots := g.Roots()
-	if len(roots) != 2 {
-		t.Fatalf("roots: %v", roots)
-	}
-	deps := g.DepsMap()
-	if len(deps) != 2 {
-		t.Fatalf("deps: %v", deps)
-	}
-	if len(deps[2]) != 2 || len(deps[3]) != 1 || deps[3][0] != 2 {
-		t.Fatalf("deps: %v", deps)
-	}
 }
 
 func TestTopoOrder(t *testing.T) {
@@ -102,9 +101,6 @@ func TestCycleDetection(t *testing.T) {
 	if _, err := g.TopoOrder(); err == nil {
 		t.Fatal("cycle not detected")
 	}
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate missed the cycle")
-	}
 }
 
 func TestCriticalPath(t *testing.T) {
@@ -129,29 +125,6 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-func TestSourceOrder(t *testing.T) {
-	g := New()
-	a, _ := g.Add(task(0, 100))
-	_, _ = g.Add(task(1, 100), a)
-	src, err := g.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, ok1 := src.Next()
-	t2, ok2 := src.Next()
-	_, ok3 := src.Next()
-	if !ok1 || !ok2 || ok3 || t1.No != 0 || t2.No != 1 {
-		t.Fatal("source order wrong")
-	}
-	// Backwards submission times are rejected.
-	g2 := New()
-	_, _ = g2.Add(model.NewTask(0, 500, 1, 100, 10))
-	_, _ = g2.Add(model.NewTask(1, 500, 1, 100, 5))
-	if _, err := g2.Source(); err == nil {
-		t.Fatal("backwards submissions accepted")
-	}
-}
-
 func layeredSpec(layers, width int) LayeredSpec {
 	return LayeredSpec{
 		Layers: layers, Width: width, EdgeProb: 0.4,
@@ -165,23 +138,26 @@ func TestGenerateLayered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() < 8 {
-		t.Fatalf("graph too small: %d", g.Len())
+	if n := len(g.Vertices()); n < 8 {
+		t.Fatalf("graph too small: %d", n)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	if !wellFormed(g) {
+		t.Fatal("graph not well formed")
 	}
-	// Every non-root layer task has at least one parent.
-	roots := len(g.Roots())
+	// Every non-root layer task has at least one parent, so only the
+	// first layer's tasks are roots.
+	roots := 0
+	for _, v := range g.Vertices() {
+		if len(v.Parents) == 0 {
+			roots++
+		}
+	}
 	if roots == 0 || roots > 6 {
 		t.Fatalf("roots: %d", roots)
 	}
 	length, path := g.CriticalPath()
 	if length <= 0 || len(path) < 8 { // at least one vertex per layer
 		t.Fatalf("critical path %d / %d vertices", length, len(path))
-	}
-	if _, err := g.Source(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -203,7 +179,7 @@ func TestGenerateLayeredRejects(t *testing.T) {
 func TestGenerateLayeredDeterministic(t *testing.T) {
 	a, _ := GenerateLayered(rng.New(9), layeredSpec(5, 4))
 	b, _ := GenerateLayered(rng.New(9), layeredSpec(5, 4))
-	if a.Len() != b.Len() {
+	if len(a.Vertices()) != len(b.Vertices()) {
 		t.Fatal("sizes differ")
 	}
 	la, _ := a.CriticalPath()
@@ -223,7 +199,7 @@ func TestQuickLayeredInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if g.Validate() != nil {
+		if !wellFormed(g) {
 			return false
 		}
 		length, _ := g.CriticalPath()

@@ -105,10 +105,6 @@ type TaskSource interface {
 	Next() (task *model.Task, ok bool)
 }
 
-// Source is the TaskSource interface's original name, kept as an
-// alias for existing call sites.
-type Source = TaskSource
-
 // Generator synthesises the task stream (the paper's CreateTask /
 // job submission manager). It is deterministic given its RNG, and it
 // is lazy: each Next draws exactly one task, so a million-task
@@ -141,9 +137,6 @@ func NewGenerator(r *rng.RNG, spec *Spec, configs []*model.Config) (*Generator, 
 	}
 	return g, nil
 }
-
-// Emitted reports how many tasks have been produced so far.
-func (g *Generator) Emitted() int { return g.emitted }
 
 // Next implements TaskSource.
 func (g *Generator) Next() (*model.Task, bool) {
@@ -232,6 +225,8 @@ func (g *Generator) gap() int64 {
 // explicit materialization point. Everything downstream of a Drain is
 // O(tasks) in memory; streamed consumers iterate the TaskSource
 // directly instead.
+//
+//lint:deadexport (c) test support: tests of the root, core, gridsim and workload packages materialize sources with it
 func Drain(src TaskSource) []*model.Task {
 	var out []*model.Task
 	for {

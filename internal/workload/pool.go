@@ -57,6 +57,8 @@ func (p *taskPool) get(no int, area model.Area, pref int, required, create int64
 // Recycled counts how many Next calls were served from the free list
 // instead of allocating — observability for the bounded-memory claims
 // (and their tests).
+//
+//lint:deadexport (a) benchsuite, a separate module, calls it through an interface
 func (p *taskPool) Recycled() int64 { return p.recycled }
 
 // Release implements Recycler. Releasing nil is a no-op.

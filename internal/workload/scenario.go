@@ -621,6 +621,8 @@ func parseArrivalFields(f []string) (ArrivalSpec, error) {
 // unset knobs omitted. Format∘Parse is idempotent — the property the
 // fuzzer checks — and Parse(FormatScenario(s)) reproduces s for any
 // parseable s.
+//
+//lint:deadexport (c) test support: FuzzScenario's canonical form, also checked by the root package's scenario tests
 func FormatScenario(s *Scenario) string {
 	var b strings.Builder
 	b.WriteString(ScenarioDirective)
@@ -828,6 +830,8 @@ func (s *Scenario) Validate() error {
 // onto a Generator that is byte-identical to running the Spec
 // directly — the equivalence gate the legacy surface is tested
 // against.
+//
+//lint:deadexport (c) test support: the oracle of the root package's scenario equivalence gate and of workload's tests
 func ScenarioFromSpec(spec *Spec) *Scenario {
 	return &Scenario{
 		Tasks:    spec.Tasks,

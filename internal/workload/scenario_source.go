@@ -256,9 +256,6 @@ func foldScenario(scn *Scenario, spec *Spec) {
 // ClassNames implements ClassedSource.
 func (s *ScenarioSource) ClassNames() []string { return s.names }
 
-// Emitted reports how many tasks have been produced so far.
-func (s *ScenarioSource) Emitted() int { return s.emitted }
-
 // Next implements TaskSource: emit the class with the earliest next
 // arrival (ties to the lower class index), then advance its clock.
 func (s *ScenarioSource) Next() (*model.Task, bool) {

@@ -292,8 +292,8 @@ end
 			recycler.Release(task) // stream must survive aggressive recycling
 		}
 	}
-	if s.Emitted() != 400 {
-		t.Fatalf("emitted %d tasks, want 400", s.Emitted())
+	if n := counts[0] + counts[1]; n != 400 {
+		t.Fatalf("emitted %d tasks, want 400", n)
 	}
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("class counts %v: every class must emit", counts)

@@ -207,6 +207,8 @@ func (s *Spec) Validate() error {
 
 // TableII returns the paper's default parameter values (Table II)
 // for the given node count and task count.
+//
+//lint:deadexport (a) benchsuite, a separate module, calls it
 func TableII(nodes, tasks int) Spec {
 	return Spec{
 		Tasks:               tasks,

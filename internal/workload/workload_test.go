@@ -225,7 +225,7 @@ func TestGeneratorStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if count != 500 || g.Emitted() != 500 {
+	if count != 500 {
 		t.Fatalf("emitted %d tasks", count)
 	}
 	// ~15% closest-match tasks; allow generous slack on 500 draws.

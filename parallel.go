@@ -14,6 +14,7 @@ package dreamsim
 // the pool.
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,7 +27,18 @@ import (
 func DefaultParallelism() int { return runtime.NumCPU() }
 
 // Deprecated: EffectiveIntraParallel returns 1; every run is sequential.
+//
+//lint:deadexport (a) benchsuite, a separate module, calls it
 func EffectiveIntraParallel(int) int { return 1 }
+
+// checkSweep rejects parameters no sweep can honour: every unit would
+// create, and overwrite, the same TimelinePath.
+func checkSweep(p Params) error {
+	if p.TimelinePath != "" {
+		return fmt.Errorf("dreamsim: a sweep cannot stream a timeline file: every run would write %s", p.TimelinePath)
+	}
+	return nil
+}
 
 // workersFor normalises a Params.Parallelism value (0 and 1 both mean
 // sequential) and caps it at the number of available units.

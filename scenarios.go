@@ -55,6 +55,9 @@ func RunScenarioSet(base Params, set []NamedScenario, onCell func(ScenarioCell))
 	if len(set) == 0 {
 		return nil, fmt.Errorf("dreamsim: empty scenario set")
 	}
+	if err := checkSweep(base); err != nil {
+		return nil, err
+	}
 	seen := make(map[string]bool, len(set))
 	for _, s := range set {
 		if seen[s.Name] {
@@ -82,7 +85,7 @@ func RunScenarioSet(base Params, set []NamedScenario, onCell func(ScenarioCell))
 			p := base
 			p.ScenarioText = set[u/2].Text
 			p.PartialReconfig = u%2 == 1
-			res, err := runScratch(p, scratch.get(w))
+			res, err := runScratch(p, scratch.get(w), nil, nil)
 			if err != nil {
 				return fmt.Errorf("dreamsim: scenario %q: %w", cell.Name, err)
 			}

@@ -6,13 +6,12 @@ import (
 	"io"
 )
 
-// The experiment store persists sweep results as JSON so expensive
-// matrices (the 100 000-task cells take minutes) can be archived,
-// re-plotted and diffed without re-simulation.
+// The experiment store saves sweep results as JSON (dreamsweep -json)
+// so expensive matrices (the 100 000-task cells take minutes) can be
+// archived and compared byte for byte without re-simulation.
 
-// storedMatrix is the serialised form; Result's unexported render
-// state is rebuilt from the public fields on load, so stored results
-// support everything except re-emitting the original XML report.
+// storedMatrix is the serialised form: the public fields of every
+// cell's results, without Result's unexported render state.
 type storedMatrix struct {
 	Version    int    `json:"version"`
 	BaseSeed   uint64 `json:"base_seed"`
@@ -21,7 +20,7 @@ type storedMatrix struct {
 	Cells      []Cell `json:"cells"`
 }
 
-// storeVersion guards the on-disk format.
+// storeVersion tags the on-disk format.
 const storeVersion = 1
 
 // SaveMatrix serialises a sweep matrix as indented JSON.
@@ -41,52 +40,4 @@ func SaveMatrix(w io.Writer, m *Matrix) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sm)
-}
-
-// LoadMatrix reads a matrix previously written by SaveMatrix.
-func LoadMatrix(r io.Reader) (*Matrix, error) {
-	var sm storedMatrix
-	if err := json.NewDecoder(r).Decode(&sm); err != nil {
-		return nil, fmt.Errorf("dreamsim: parsing matrix JSON: %w", err)
-	}
-	if sm.Version != storeVersion {
-		return nil, fmt.Errorf("dreamsim: matrix store version %d, want %d", sm.Version, storeVersion)
-	}
-	if len(sm.Cells) == 0 {
-		return nil, fmt.Errorf("dreamsim: stored matrix has no cells")
-	}
-	m := &Matrix{
-		NodeCounts: sm.NodeCounts,
-		TaskCounts: sm.TaskCounts,
-		Cells:      sm.Cells,
-	}
-	m.buildIndex()
-	return m, nil
-}
-
-// DiffMatrices compares the same metric across two stored sweeps
-// (e.g. two seeds, or two code versions) and returns, per shared
-// cell, the relative change of the chosen metric in the partial
-// scenario: (b-a)/a. Cells present in only one matrix are skipped.
-func DiffMatrices(a, b *Matrix, metric func(Result) float64) map[string]float64 {
-	out := map[string]float64{}
-	for _, ca := range a.Cells {
-		cb := b.CellAt(ca.Nodes, ca.Tasks)
-		if cb == nil {
-			continue
-		}
-		va := metric(ca.Partial)
-		vb := metric(cb.Partial)
-		key := fmt.Sprintf("%dn/%dt", ca.Nodes, ca.Tasks)
-		if va == 0 {
-			if vb == 0 {
-				out[key] = 0
-			} else {
-				out[key] = 1
-			}
-			continue
-		}
-		out[key] = (vb - va) / va
-	}
-	return out
 }

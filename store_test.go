@@ -2,36 +2,35 @@ package dreamsim_test
 
 import (
 	"bytes"
-	"math"
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"dreamsim"
 )
 
-func smallMatrix(t *testing.T, seed uint64) *dreamsim.Matrix {
-	t.Helper()
+// TestSaveMatrixJSON decodes what SaveMatrix writes and checks every
+// cell's coordinates and metrics survive.
+func TestSaveMatrixJSON(t *testing.T) {
 	base := dreamsim.DefaultParams()
-	base.Seed = seed
+	base.Seed = 5
 	m, err := dreamsim.RunMatrix(base, []int{30}, []int{200, 400}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
-}
-
-func TestMatrixSaveLoadRoundTrip(t *testing.T) {
-	m := smallMatrix(t, 5)
 	var buf bytes.Buffer
 	if err := dreamsim.SaveMatrix(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "\"cells\"") {
-		t.Fatal("JSON shape wrong")
+	var got struct {
+		Version  int             `json:"version"`
+		BaseSeed uint64          `json:"base_seed"`
+		Cells    []dreamsim.Cell `json:"cells"`
 	}
-	got, err := dreamsim.LoadMatrix(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
+	}
+	if got.Version != 1 || got.BaseSeed != 5 {
+		t.Fatalf("version %d, base seed %d", got.Version, got.BaseSeed)
 	}
 	if len(got.Cells) != len(m.Cells) {
 		t.Fatalf("cells lost: %d != %d", len(got.Cells), len(m.Cells))
@@ -46,12 +45,6 @@ func TestMatrixSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal("cell metrics corrupted")
 		}
 	}
-	// A loaded matrix still extracts figures for its node counts.
-	fig, err := got.Figure(dreamsim.Fig6a)
-	if err == nil {
-		_ = fig // 30-node matrix has no 100-node figure; error expected
-		t.Fatal("figure extracted for absent node count")
-	}
 }
 
 func TestSaveMatrixRejectsEmpty(t *testing.T) {
@@ -61,47 +54,5 @@ func TestSaveMatrixRejectsEmpty(t *testing.T) {
 	}
 	if err := dreamsim.SaveMatrix(&buf, nil); err == nil {
 		t.Fatal("nil matrix saved")
-	}
-}
-
-func TestLoadMatrixRejects(t *testing.T) {
-	if _, err := dreamsim.LoadMatrix(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := dreamsim.LoadMatrix(strings.NewReader(`{"version":99,"cells":[{}]}`)); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-	if _, err := dreamsim.LoadMatrix(strings.NewReader(`{"version":1,"cells":[]}`)); err == nil {
-		t.Fatal("empty store accepted")
-	}
-}
-
-func TestDiffMatrices(t *testing.T) {
-	a := smallMatrix(t, 5)
-	b := smallMatrix(t, 99)
-	diff := dreamsim.DiffMatrices(a, b, func(r dreamsim.Result) float64 {
-		return r.AvgWaitingTimePerTask
-	})
-	if len(diff) != 2 {
-		t.Fatalf("diff cells: %v", diff)
-	}
-	for key, rel := range diff {
-		if math.IsNaN(rel) || math.IsInf(rel, 0) {
-			t.Fatalf("diff %s = %v", key, rel)
-		}
-		// Different seeds must move the metric, but not by orders of
-		// magnitude.
-		if rel == 0 || math.Abs(rel) > 3 {
-			t.Fatalf("diff %s = %v implausible", key, rel)
-		}
-	}
-	// Identity diff is exactly zero.
-	self := dreamsim.DiffMatrices(a, a, func(r dreamsim.Result) float64 {
-		return r.AvgWaitingTimePerTask
-	})
-	for key, rel := range self {
-		if rel != 0 {
-			t.Fatalf("self diff %s = %v", key, rel)
-		}
 	}
 }
