@@ -97,10 +97,11 @@ func runCheckpointed(p Params, pauseSeed int64) (Result, int, error) {
 		if err != nil {
 			return Result{}, hops, fmt.Errorf("Snapshot after %d events: %w", run.Processed(), err)
 		}
-		run, err = ResumeRun(p, snap)
+		next, err := ResumeRun(p, snap)
 		if err != nil {
 			return Result{}, hops, fmt.Errorf("ResumeRun after %d events: %w", run.Processed(), err)
 		}
+		run = next
 		hops++
 	}
 	res, err := run.Finish()

@@ -20,19 +20,32 @@ type emptySource struct{}
 
 func (emptySource) Next() (*model.Task, bool) { return nil, false }
 
+// tickCases are the run shapes of the tick gate: a fault-free run,
+// and a run with fault injection on, whose placements set each task's
+// completion handle and whose completions clear it. The injector is
+// never started, so no fault fires.
+var tickCases = []struct {
+	name   string
+	faults fault.Plan
+}{
+	{"plain", fault.Plan{}},
+	{"faulted", fault.Plan{CrashRate: 0.001, MeanDowntime: 500}},
+}
+
 // newTickSim builds a one-node, one-configuration simulator whose
 // steady state is the hot scheduler tick: every injected task hits the
 // Allocation phase (the configuration stays resident and idle between
 // cycles), runs, and completes. The population is pinned so the single
 // configuration fits the node exactly once — no second placement path
 // ever opens up.
-func newTickSim(tb testing.TB) (*Simulator, *model.Task) {
+func newTickSim(tb testing.TB, faults fault.Plan) (*Simulator, *model.Task) {
 	tb.Helper()
 	p := smallParams(1, 1, true)
 	p.Spec.Configs = 1
 	p.Spec.ConfigAreaLow, p.Spec.ConfigAreaHigh = 1000, 1000
 	p.Spec.NodeAreaLow, p.Spec.NodeAreaHigh = 1500, 1500
 	p.Source = emptySource{}
+	p.Faults = faults
 	s, err := New(p)
 	if err != nil {
 		tb.Fatal(err)
@@ -57,8 +70,8 @@ func tickCycle(tb testing.TB, s *Simulator, task *model.Task) {
 	if s.err != nil {
 		tb.Fatal(s.err)
 	}
-	if task.Status != model.TaskCompleted {
-		tb.Fatalf("tick cycle left task %v", task.Status)
+	if task.Status != model.TaskCompleted || task.CompletionEvent != nil {
+		tb.Fatalf("tick cycle left task %v with completion handle %p", task.Status, task.CompletionEvent)
 	}
 }
 
@@ -69,31 +82,45 @@ func tickCycle(tb testing.TB, s *Simulator, task *model.Task) {
 // slices, and decisions are plain values. CI gates on the allocs/op
 // column.
 func BenchmarkTick(b *testing.B) {
-	s, task := newTickSim(b)
-	for i := 0; i < 8; i++ {
-		tickCycle(b, s, task) // warm the event pool and the resident config
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tickCycle(b, s, task)
+	for _, c := range tickCases {
+		b.Run(c.name, func(b *testing.B) {
+			s, task := newTickSim(b, c.faults)
+			for i := 0; i < 8; i++ {
+				tickCycle(b, s, task) // warm the event pool and the resident config
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tickCycle(b, s, task)
+			}
+		})
 	}
 }
 
-// TestTickZeroAlloc is the test-suite form of the benchmark gate.
+// TestTickZeroAlloc is the test-suite form of the benchmark gate. On
+// the faulted case it first checks that a placement sets the task's
+// completion handle.
 func TestTickZeroAlloc(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("invariant assertions allocate their message arguments")
-	}
-	if invariant.RaceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	s, task := newTickSim(t)
-	for i := 0; i < 8; i++ {
-		tickCycle(t, s, task)
-	}
-	if avg := testing.AllocsPerRun(200, func() { tickCycle(t, s, task) }); avg != 0 {
-		t.Fatalf("scheduler tick allocates: %.1f allocs/op", avg)
+	for _, c := range tickCases {
+		t.Run(c.name, func(t *testing.T) {
+			s, task := newTickSim(t, c.faults)
+			if c.faults.Enabled() {
+				s.handleArrival(task, 0)
+				if task.Status != model.TaskRunning || task.CompletionEvent == nil {
+					t.Fatalf("placement left task %v with completion handle %p", task.Status, task.CompletionEvent)
+				}
+				s.RunUntil(nil)
+			}
+			if invariant.Enabled || invariant.RaceEnabled {
+				return // assertions and race instrumentation allocate
+			}
+			for i := 0; i < 8; i++ {
+				tickCycle(t, s, task)
+			}
+			if avg := testing.AllocsPerRun(200, func() { tickCycle(t, s, task) }); avg != 0 {
+				t.Fatalf("scheduler tick allocates: %.1f allocs/op", avg)
+			}
+		})
 	}
 }
 

@@ -77,10 +77,15 @@ type RunContext struct {
 	depBlocked      []*model.Task
 	depBlockedCount int
 
-	// Fault bookkeeping, indexed by task/node number; zero-length on
-	// fault-free runs.
-	inflight  []*sim.Event
+	// downSince is each node's crash tick, indexed by node number;
+	// zero-length on fault-free runs. A running task's completion
+	// event, which a crash cancels, lives on the task itself
+	// (model.Task.CompletionEvent).
 	downSince []int64
+
+	// drainScratch is the recycled backing array for drainQueue's
+	// per-pass suspension snapshot.
+	drainScratch []*model.Task
 
 	// tasks is the task free list. New lends it to the pooled source
 	// it builds, and Finish takes it back once every task the run drew
@@ -107,9 +112,8 @@ func growClear[T any](s []T, n int) []T {
 
 // prepare readies the context for a fresh run over nodeCount nodes
 // and the given configurations. depMax is the highest task number
-// named by Params.Deps (-1 when absent); faults sizes the fault
-// slices. All state from the previous run is cleared; backing arrays
-// are kept.
+// named by Params.Deps (-1 when absent); faults sizes downSince. All
+// state from the previous run is cleared; backing arrays are kept.
 func (ctx *RunContext) prepare(nodeCount int, configs []*model.Config, depMax int, faults bool) {
 	ctx.eng.Reset()
 	ctx.used = growClear(ctx.used, nodeCount)
@@ -132,10 +136,8 @@ func (ctx *RunContext) prepare(nodeCount int, configs []*model.Config, depMax in
 
 	if faults {
 		ctx.downSince = growClear(ctx.downSince, nodeCount)
-		clear(ctx.inflight)
 	} else {
 		ctx.downSince = ctx.downSince[:0]
-		ctx.inflight = ctx.inflight[:0]
 	}
 }
 
@@ -215,28 +217,4 @@ func (ctx *RunContext) childrenOf(no int) []int {
 		return ctx.children[no]
 	}
 	return nil
-}
-
-// setInflight records the completion event of running task no.
-func (ctx *RunContext) setInflight(no int, ev *sim.Event) {
-	if no >= len(ctx.inflight) {
-		//lint:allocfree grow path: extends once per task-number high-water mark, then indexes in place (gated by TestTickZeroAlloc)
-		ctx.inflight = append(ctx.inflight, make([]*sim.Event, no+1-len(ctx.inflight))...)
-	}
-	ctx.inflight[no] = ev
-}
-
-// inflightOf returns running task no's completion event, if tracked.
-func (ctx *RunContext) inflightOf(no int) *sim.Event {
-	if no < len(ctx.inflight) {
-		return ctx.inflight[no]
-	}
-	return nil
-}
-
-// clearInflight forgets task no's completion event.
-func (ctx *RunContext) clearInflight(no int) {
-	if no < len(ctx.inflight) {
-		ctx.inflight[no] = nil
-	}
 }

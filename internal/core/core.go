@@ -181,10 +181,6 @@ type Simulator struct {
 	armedFaults      int64 // pending reconfiguration failures
 	retryPending     int64 // displaced tasks awaiting re-dispatch
 	drainCheckQueued bool  // a drain-check event is queued
-
-	// drainScratch is the recycled backing array for drainQueue's
-	// per-pass suspension snapshot.
-	drainScratch []*model.Task
 }
 
 // pooledSource is a source whose task free list can move in and out:
@@ -372,6 +368,7 @@ type faultTarget struct{ s *Simulator }
 
 func (t faultTarget) NodeCount() int          { return len(t.s.mgr.Nodes()) }
 func (t faultTarget) NodeDown(no int) bool    { return t.s.mgr.Nodes()[no].Down }
+func (t faultTarget) DownCount() int          { return t.s.mgr.Census().Down }
 func (t faultTarget) Crash(no int, now int64) { t.s.crashNode(no, now) }
 func (t faultTarget) Recover(no int, now int64) {
 	t.s.recoverNode(no, now)
@@ -674,7 +671,7 @@ func (s *Simulator) place(task *model.Task, d sched.Decision, now int64) {
 	ev := s.eng.ScheduleEventAfter(commDelay+cfgDelay+task.RequiredTime, "completion",
 		s.hCompletion, task, node)
 	if s.faultsOn {
-		s.ctx.setInflight(task.No, ev)
+		task.CompletionEvent = ev // a crash of node cancels it
 	}
 }
 
@@ -726,6 +723,9 @@ func (s *Simulator) discard(task *model.Task, now int64) {
 // list. Nothing in the simulator may touch the pointer afterwards: the
 // next arrival reuses the struct.
 func (s *Simulator) release(task *model.Task) {
+	if invariant.Enabled {
+		invariant.Assertf(task.CompletionEvent == nil, "core: task %d released with its completion event pending", task.No)
+	}
 	if s.recycle != nil {
 		//lint:allocfree interface dispatch: Release returns the struct to the source's free list; it allocates nothing by contract
 		s.recycle.Release(task)
@@ -741,9 +741,7 @@ func (s *Simulator) handleCompletion(task *model.Task, node *model.Node, now int
 	if s.err != nil {
 		return
 	}
-	if s.faultsOn {
-		s.ctx.clearInflight(task.No)
-	}
+	task.CompletionEvent = nil // the event is firing
 	if _, err := s.mgr.FinishTask(node, task); err != nil {
 		s.fail(fmt.Errorf("core: completing task %d: %w", task.No, err))
 		return
@@ -821,9 +819,9 @@ func (s *Simulator) crashNode(no int, now int64) {
 	s.c.NodeCrashes++
 	s.ctx.downSince[no] = now
 	for _, task := range victims {
-		if ev := s.ctx.inflightOf(task.No); ev != nil {
+		if ev := task.CompletionEvent; ev != nil {
 			s.eng.Queue.Remove(ev)
-			s.ctx.clearInflight(task.No)
+			task.CompletionEvent = nil
 		}
 		s.c.RunningTasks--
 		if s.classAccOf(task) != nil {
@@ -975,8 +973,8 @@ func (s *Simulator) retrySuspended(node *model.Node, now int64) {
 func (s *Simulator) drainQueue(now int64) {
 	for s.err == nil {
 		progress := false
-		s.drainScratch = s.sus.AppendTasks(s.drainScratch[:0])
-		for _, qt := range s.drainScratch {
+		s.ctx.drainScratch = s.sus.AppendTasks(s.ctx.drainScratch[:0])
+		for _, qt := range s.ctx.drainScratch {
 			was := qt.Resolved
 			//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
 			d := s.policy.Decide(s.mgr, qt)
@@ -1073,10 +1071,11 @@ func (s *Simulator) debugCheck() {
 
 // checkStructures returns the first failure of the resource
 // manager's, the suspension queue's and the event queue's own
-// invariant checks, or of the running gauges against the fabric.
-// sameTick adds the event queue's same-tick order check, which
-// allocates; a restore leaves it out, because re-pushing the events in
-// stored order gives them that order.
+// invariant checks, of the running gauges against the fabric, or of
+// the running tasks' completion handles. sameTick adds the event
+// queue's same-tick order check, which allocates; a restore leaves it
+// out, because re-pushing the events in stored order gives them that
+// order.
 func (s *Simulator) checkStructures(sameTick bool) error {
 	if err := s.mgr.CheckInvariants(); err != nil {
 		return err
@@ -1088,6 +1087,9 @@ func (s *Simulator) checkStructures(sameTick bool) error {
 	if running := s.countRunning(byClass); running != s.c.RunningTasks || !slices.Equal(byClass, s.classRunning) {
 		return fmt.Errorf("core: the fabric runs %d tasks (by class %v), the gauges say %d (%v)",
 			running, byClass, s.c.RunningTasks, s.classRunning)
+	}
+	if err := s.checkCompletionHandles(); err != nil {
+		return err
 	}
 	if sameTick {
 		return s.eng.Queue.CheckInvariants()
@@ -1111,6 +1113,33 @@ func (s *Simulator) countRunning(byClass []int) int64 {
 		}
 	}
 	return running
+}
+
+// checkCompletionHandles checks the round trip between each running
+// task and its completion event: on a faulted run the task's handle is
+// the pending completion event that carries the task and its node
+// (the queue releases an event's payload when the event is freed), and
+// on a fault-free run no task holds one.
+func (s *Simulator) checkCompletionHandles() error {
+	for _, n := range s.mgr.Nodes() {
+		for _, e := range n.Entries {
+			t := e.Task
+			if t == nil {
+				continue
+			}
+			ev := t.CompletionEvent
+			if !s.faultsOn {
+				if ev != nil {
+					return fmt.Errorf("core: task %d on node %d holds a completion handle on a run without faults", t.No, n.No)
+				}
+				continue
+			}
+			if ev == nil || ev.Kind != "completion" || ev.A != any(t) || ev.B != any(n) {
+				return fmt.Errorf("core: running task %d on node %d does not hold its pending completion event", t.No, n.No)
+			}
+		}
+	}
+	return nil
 }
 
 // conservationError reports a broken task-conservation identity:

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dreamsim/internal/fault"
 	"dreamsim/internal/model"
 	"dreamsim/internal/rng"
+	"dreamsim/internal/sim"
 )
 
 // randomFaultSchedule synthesises one scripted fault schedule over a
@@ -187,5 +189,67 @@ func TestFaultRetryBudgetExhaustion(t *testing.T) {
 	}
 	if c.TasksRetried == 0 {
 		t.Fatal("no retries recorded")
+	}
+}
+
+// pauseWithRunning starts a 20-node run with the given fault plan and
+// pauses it at the first tick boundary after 200 events. It returns
+// the simulator and the tasks running at the pause, at least two.
+func pauseWithRunning(t *testing.T, faults fault.Plan) (*Simulator, []*model.Task) {
+	t.Helper()
+	p := smallParams(20, 400, true)
+	p.Faults = faults
+	s, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(func(_ int64, processed uint64) bool { return processed >= 200 })
+	var running []*model.Task
+	for _, n := range s.mgr.Nodes() {
+		for _, e := range n.Entries {
+			if e.Task != nil {
+				running = append(running, e.Task)
+			}
+		}
+	}
+	if len(running) < 2 {
+		t.Fatalf("%d tasks running at the pause, want at least 2", len(running))
+	}
+	return s, running
+}
+
+// TestCompletionHandleCatchesCorruption breaks one running task's
+// completion handle at a time and expects checkStructures to fail each
+// time.
+func TestCompletionHandleCatchesCorruption(t *testing.T) {
+	faulted := fault.Plan{CrashRate: 0.002, MeanDowntime: 150}
+	cases := []struct {
+		name    string
+		faults  fault.Plan
+		corrupt func(s *Simulator, running []*model.Task)
+	}{
+		{"nil handle", faulted, func(_ *Simulator, r []*model.Task) { r[0].CompletionEvent = nil }},
+		{"handle carrying another task", faulted, func(_ *Simulator, r []*model.Task) {
+			r[0].CompletionEvent = r[1].CompletionEvent
+		}},
+		{"cancelled handle", faulted, func(s *Simulator, r []*model.Task) {
+			s.eng.Queue.Remove(r[0].CompletionEvent) // frees the event and drops its payload
+		}},
+		{"handle on a run without faults", fault.Plan{}, func(_ *Simulator, r []*model.Task) {
+			r[0].CompletionEvent = &sim.Event{Kind: "completion", A: r[0]}
+		}},
+	}
+	for _, c := range cases {
+		s, running := pauseWithRunning(t, c.faults)
+		if err := s.checkStructures(true); err != nil {
+			t.Fatalf("%s: the intact run fails its checks: %v", c.name, err)
+		}
+		c.corrupt(s, running)
+		if err := s.checkStructures(true); err == nil || !strings.Contains(err.Error(), "completion") {
+			t.Errorf("%s corruption gave %v, want a completion handle failure", c.name, err)
+		}
 	}
 }

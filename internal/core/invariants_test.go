@@ -5,6 +5,10 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"dreamsim/internal/fault"
+	"dreamsim/internal/model"
+	"dreamsim/internal/sim"
 )
 
 // TestRunCleanUnderInvariants runs both scenarios end to end with the
@@ -37,4 +41,25 @@ func TestConservationAssert(t *testing.T) {
 		}
 	}()
 	s.debugCheck()
+}
+
+// TestReleaseWithPendingCompletionAsserts: a task released while it
+// still holds its completion handle would leave the event pointing at
+// a struct the next arrival reuses, so the release asserts.
+func TestReleaseWithPendingCompletionAsserts(t *testing.T) {
+	p := smallParams(4, 10, true)
+	p.Faults = fault.Plan{CrashRate: 0.001, MeanDowntime: 500}
+	s, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := model.NewTask(0, 10, 0, 5, 0)
+	task.CompletionEvent = &sim.Event{Kind: "completion", A: task}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "completion event pending") {
+			t.Fatalf("panic %v, want the pending-completion assertion", r)
+		}
+	}()
+	s.release(task)
 }

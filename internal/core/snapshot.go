@@ -1232,7 +1232,7 @@ func (s *Simulator) restoreEvents(r *snapshot.Reader, now int64, tasks *taskTabl
 			completions++
 			ev := s.eng.ScheduleEventAt(at, "completion", s.hCompletion, t, node)
 			if s.faultsOn {
-				s.ctx.setInflight(t.No, ev)
+				t.CompletionEvent = ev
 			}
 		case evRetry:
 			if err := quota("retry", retries, s.retryPending); err != nil {

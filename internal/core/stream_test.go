@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"dreamsim/internal/fault"
 	"dreamsim/internal/model"
 	"dreamsim/internal/report"
 	"dreamsim/internal/workload"
@@ -124,5 +126,35 @@ func TestObserverRunRecycles(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("observed run diverged from the replayed run\nreplayed %+v\nobserved %+v", want, got)
+	}
+}
+
+// TestFaultedContextHeapIndependentOfTaskCount: what a run context
+// keeps after a run with node crashes is governed by the node count and
+// the live tasks, not by how many tasks passed through. The test holds
+// the context across the measurement, so state the context indexes by
+// task number would grow with the task count: a 10x longer run must
+// leave the context's retained heap within 256 KiB of the shorter
+// run's, where one pointer per extra task number would add 1.4 MB.
+func TestFaultedContextHeapIndependentOfTaskCount(t *testing.T) {
+	retained := func(tasks int) int64 {
+		p := smallParams(2000, tasks, true)
+		p.Faults = fault.Plan{CrashRate: 0.001, MeanDowntime: 500}
+		p.Scratch = NewRunContext()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if res := mustRun(t, p); res.Counters.NodeCrashes == 0 {
+			t.Fatalf("%d-task run crashed no node", tasks)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(p.Scratch)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	small, large := retained(20_000), retained(200_000)
+	t.Logf("context retains %d B after 20k tasks, %d B after 200k", small, large)
+	if growth := large - small; growth > 256<<10 {
+		t.Fatalf("the run context retains %d B more after 200k tasks than after 20k", growth)
 	}
 }

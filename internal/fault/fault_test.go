@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dreamsim/internal/invariant"
 	"dreamsim/internal/rng"
 	"dreamsim/internal/sim"
 )
@@ -179,6 +180,7 @@ func newStub(n, liveFor int) *stubTarget {
 
 func (t *stubTarget) NodeCount() int       { return t.n }
 func (t *stubTarget) NodeDown(no int) bool { return t.down[no] }
+func (t *stubTarget) DownCount() int       { return len(t.down) }
 func (t *stubTarget) Crash(no int, now int64) {
 	t.down[no] = true
 	t.log = append(t.log, fmt.Sprintf("crash:%d@%d", no, now))
@@ -328,5 +330,43 @@ func TestInjectorAllNodesDown(t *testing.T) {
 	}
 	if crashes != 1 {
 		t.Fatalf("crashes = %d, want exactly 1 (single node, huge downtime)", crashes)
+	}
+}
+
+// TestPickUpNodeTakesKthUpNode: the crash stream's victim is the k-th
+// up node in index order, for one draw of k below the up count, and
+// the pick allocates nothing.
+func TestPickUpNodeTakesKthUpNode(t *testing.T) {
+	st := newStub(10, 0)
+	for _, no := range []int{0, 3, 4, 9} {
+		st.down[no] = true
+	}
+	up := []int{1, 2, 5, 6, 7, 8}
+	in, err := NewInjector(Plan{CrashRate: 0.1, MeanDowntime: 5}, rng.New(7), &sim.Engine{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := rng.New(7)
+	seen := map[int]bool{}
+	for i := 0; i < 200; i++ {
+		no, ok := in.pickUpNode()
+		if want := up[ref.Intn(len(up))]; !ok || no != want {
+			t.Fatalf("draw %d: picked node %d (ok %v), want %d", i, no, ok, want)
+		}
+		seen[no] = true
+	}
+	if len(seen) != len(up) {
+		t.Fatalf("200 draws picked %d of the %d up nodes", len(seen), len(up))
+	}
+	if !invariant.RaceEnabled {
+		if avg := testing.AllocsPerRun(100, func() { in.pickUpNode() }); avg != 0 {
+			t.Fatalf("pickUpNode allocates: %.1f allocs/op", avg)
+		}
+	}
+	for no := range 10 {
+		st.down[no] = true
+	}
+	if no, ok := in.pickUpNode(); ok {
+		t.Fatalf("picked node %d with the whole population down", no)
 	}
 }

@@ -16,6 +16,9 @@ type Target interface {
 	NodeCount() int
 	// NodeDown reports whether node no is currently down.
 	NodeDown(no int) bool
+	// DownCount is how many nodes are currently down; it must agree
+	// with NodeDown.
+	DownCount() int
 	// Crash takes node no down at time now.
 	Crash(no int, now int64)
 	// Recover brings node no back at time now.
@@ -199,20 +202,24 @@ func (in *Injector) randomCrash(now int64) {
 	in.scheduleNextCrash()
 }
 
-// pickUpNode selects a uniform up node; ok is false when the whole
+// pickUpNode selects a uniform up node: it draws k below the up count
+// and returns the k-th up node in index order. It allocates nothing,
+// since the target counts its down nodes. ok is false when the whole
 // population is down.
 func (in *Injector) pickUpNode() (no int, ok bool) {
-	n := in.t.NodeCount()
-	up := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !in.t.NodeDown(i) {
-			up = append(up, i)
-		}
-	}
-	if len(up) == 0 {
+	up := in.t.NodeCount() - in.t.DownCount()
+	if up <= 0 {
 		return 0, false
 	}
-	return up[in.r.Intn(len(up))], true
+	k := in.r.Intn(up)
+	for no = 0; ; no++ {
+		if !in.t.NodeDown(no) {
+			if k == 0 {
+				return no, true
+			}
+			k--
+		}
+	}
 }
 
 func (in *Injector) scheduleNextArming() {

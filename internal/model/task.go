@@ -1,6 +1,10 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"dreamsim/internal/sim"
+)
 
 // Task is an application task (paper Eq. 3):
 //
@@ -68,6 +72,10 @@ type Task struct {
 	// SusSlot is the task's element in the suspension queue's arena;
 	// 0 when the task is not queued. Managed by reslists.SusQueue.
 	SusSlot int32
+	// CompletionEvent is the pending completion event of a task
+	// running on a run with fault injection, so a node crash can
+	// cancel it; nil otherwise. Managed by the core.
+	CompletionEvent *sim.Event
 
 	// Status is the lifecycle state.
 	Status TaskStatus
