@@ -24,8 +24,8 @@
 //     is exempt; the simulation stops on these paths.
 //   - a func literal passed directly to a call does not escape when
 //     the callee provably does not retain that parameter (the
-//     sort.Search / List.FindMin shape); its body is attributed to
-//     the caller and checked in place.
+//     sort.Search / List.Each shape); its body is attributed to the
+//     caller and checked in place.
 //   - calls to a function's own func-typed parameters are silent:
 //     each call site proves the argument it passes.
 //

@@ -20,8 +20,10 @@ import (
 //  1. a function that ranges over []*model.Node, []*model.Config or
 //     []*model.Entry must somewhere call one of the metering sinks
 //     (search, housekeep, ChargeSearch, ChargeHousekeeping);
-//  2. the steps count returned by reslists List.Each / List.FindMin
-//     must not be discarded.
+//  2. the steps count returned by a reslists List traversal (Each and
+//     the closure-free scans BestFit, WorstFit and BestFitBalanced:
+//     every List method whose last result is named steps) must not be
+//     discarded.
 //
 // Construction-time and debug-only walks are deliberate exceptions —
 // annotate them with //lint:metering and the reason.
@@ -76,26 +78,26 @@ func checkFuncMetering(pass *Pass, fd *ast.FuncDecl) {
 				metered = true
 			}
 		case *ast.ExprStmt:
-			// A bare List.Each/FindMin call throws the steps away.
+			// A bare traversal call throws the steps away.
 			if call, ok := n.X.(*ast.CallExpr); ok {
-				if name := reslistsWalkName(pass, call); name != "" {
+				if name, _ := reslistsWalk(pass, call); name != "" {
 					pass.Reportf(call.Pos(),
 						"steps result of List.%s discarded: traversal work must be charged to the counters", name)
 				}
 			}
 		case *ast.AssignStmt:
-			// `_ = list.Each(...)` and `x, _ := list.FindMin(...)`
+			// `_ = list.Each(...)` and `x, _ := list.BestFit()`
 			// discard the steps the same way.
 			for i, rhs := range n.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
 				if !ok {
 					continue
 				}
-				name := reslistsWalkName(pass, call)
+				name, results := reslistsWalk(pass, call)
 				if name == "" {
 					continue
 				}
-				if stepsDiscarded(n, name, i) {
+				if stepsDiscarded(n, results, i) {
 					pass.Reportf(call.Pos(),
 						"steps result of List.%s discarded: traversal work must be charged to the counters", name)
 				}
@@ -142,31 +144,44 @@ func isResourceListType(t types.Type) bool {
 		meteredElemTypes[obj.Name()]
 }
 
-// reslistsWalkName returns "Each"/"FindMin" when call is a traversal
-// method on a reslists.List, "" otherwise.
-func reslistsWalkName(pass *Pass, call *ast.CallExpr) string {
+// reslistsWalk returns the method name and its result count when call
+// is a traversal on a reslists.List, a method whose last result is
+// named steps, and "" otherwise.
+func reslistsWalk(pass *Pass, call *ast.CallExpr) (name string, results int) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Each" && sel.Sel.Name != "FindMin") {
-		return ""
+	if !ok {
+		return "", 0
 	}
-	obj := pass.ObjectOf(sel.Sel)
-	fn, ok := obj.(*types.Func)
+	fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
 	if !ok || fn.Pkg() == nil || !pathHasSuffix(fn.Pkg().Path(), "internal/reslists") {
-		return ""
+		return "", 0
 	}
-	return sel.Sel.Name
+	sig := fn.Type().(*types.Signature)
+	res := sig.Results()
+	if sig.Recv() == nil || !isNamed(sig.Recv().Type(), "List") || res.Len() == 0 || res.At(res.Len()-1).Name() != "steps" {
+		return "", 0
+	}
+	return sel.Sel.Name, res.Len()
 }
 
-// stepsDiscarded reports whether the steps result of an Each/FindMin
-// call lands in the blank identifier. Each returns (steps); FindMin
-// returns (best, steps).
-func stepsDiscarded(assign *ast.AssignStmt, name string, rhsIndex int) bool {
+// isNamed reports whether t, or the type t points to, is named name.
+func isNamed(t types.Type, name string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == name
+}
+
+// stepsDiscarded reports whether the steps result, the last of a
+// traversal's results, lands in the blank identifier.
+func stepsDiscarded(assign *ast.AssignStmt, results, rhsIndex int) bool {
 	// Multi-value context: lhs positions correspond 1:1 when a single
 	// call feeds the statement; otherwise position rhsIndex holds the
-	// single result of Each.
+	// single result.
 	stepsLHS := -1
-	if len(assign.Rhs) == 1 && name == "FindMin" && len(assign.Lhs) == 2 {
-		stepsLHS = 1
+	if len(assign.Rhs) == 1 && len(assign.Lhs) == results {
+		stepsLHS = results - 1
 	} else if rhsIndex < len(assign.Lhs) {
 		stepsLHS = rhsIndex
 	}

@@ -37,17 +37,27 @@ func GoodWalk(m *real.Manager, nodes []*model.Node, area int64) *model.Node {
 // BadDiscard throws the traversal cost away twice over.
 func BadDiscard(m *real.Manager, l *reslists.List) *model.Entry {
 	l.Each(func(e *model.Entry) bool { return true }) // want `steps result of List.Each discarded`
-	best, _ := l.FindMin(func(e *model.Entry) int64 { // want `steps result of List.FindMin discarded`
-		return e.Config.ReqArea
-	})
+	best, _ := l.BestFit()                            // want `steps result of List.BestFit discarded`
+	m.ChargeSearch(1)
+	return best
+}
+
+// BadDiscardScans drops the steps of each other scan, and of a bare
+// call.
+func BadDiscardScans(m *real.Manager, l *reslists.List) *model.Entry {
+	l.WorstFit()                   // want `steps result of List.WorstFit discarded`
+	best, _ := l.BestFitBalanced() // want `steps result of List.BestFitBalanced discarded`
 	m.ChargeSearch(1)
 	return best
 }
 
 // GoodCharge forwards the steps to the counters.
-func GoodCharge(m *real.Manager, l *reslists.List) {
+func GoodCharge(m *real.Manager, l *reslists.List) *model.Entry {
 	steps := l.Each(func(e *model.Entry) bool { return true })
 	m.ChargeSearch(steps)
+	best, steps := l.BestFit()
+	m.ChargeSearch(steps)
+	return best
 }
 
 // JustifiedWalk documents a deliberate exception.

@@ -83,19 +83,59 @@ func (l *List) Each(visit func(*model.Entry) bool) (steps uint64) {
 	return steps
 }
 
-// FindMin walks the whole list and returns the entry minimising
-// key(entry) (ties: first encountered), together with the search
-// steps spent. A nil entry means the list was empty.
-func (l *List) FindMin(key func(*model.Entry) int64) (best *model.Entry, steps uint64) {
-	var bestKey int64
-	steps = l.Each(func(e *model.Entry) bool {
-		k := key(e)
-		if best == nil || k < bestKey {
-			best, bestKey = e, k
+// BestFit walks the whole list and returns the first entry, in list
+// order, whose node has the least AvailableArea (the paper's best-fit
+// criterion), with the search steps spent: one per entry, the whole
+// list. A nil entry means the list was empty.
+func (l *List) BestFit() (best *model.Entry, steps uint64) {
+	if l.head == nil {
+		return nil, 0
+	}
+	best = l.head
+	least := best.Node.AvailableArea
+	for e := best.INext; e != nil; e = e.INext {
+		if a := e.Node.AvailableArea; a < least {
+			best, least = e, a
 		}
-		return true
-	})
-	return best, steps
+	}
+	return best, uint64(l.size)
+}
+
+// WorstFit is BestFit for the greatest AvailableArea: the first entry
+// in list order whose node has the most free fabric.
+func (l *List) WorstFit() (best *model.Entry, steps uint64) {
+	if l.head == nil {
+		return nil, 0
+	}
+	best = l.head
+	most := best.Node.AvailableArea
+	for e := best.INext; e != nil; e = e.INext {
+		if a := e.Node.AvailableArea; a > most {
+			best, most = e, a
+		}
+	}
+	return best, uint64(l.size)
+}
+
+// BestFitBalanced is BestFit with the load-balancing tie-break: among
+// the entries whose nodes share the least AvailableArea, the first in
+// list order whose node runs the fewest tasks.
+func (l *List) BestFitBalanced() (best *model.Entry, steps uint64) {
+	if l.head == nil {
+		return nil, 0
+	}
+	best = l.head
+	least, load := best.Node.AvailableArea, best.Node.RunningTasks()
+	for e := best.INext; e != nil; e = e.INext {
+		a := e.Node.AvailableArea
+		if a > least {
+			continue
+		}
+		if r := e.Node.RunningTasks(); a < least || r < load {
+			best, least, load = e, a, r
+		}
+	}
+	return best, uint64(l.size)
 }
 
 // CheckInvariants validates the internal linkage: size matches the

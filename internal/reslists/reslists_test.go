@@ -103,36 +103,89 @@ func TestEachStepsAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestFindMin(t *testing.T) {
-	l := new(List)
-	var entries []*model.Entry
-	areas := []int64{900, 300, 700, 300, 500}
-	for i, a := range areas {
-		n := model.NewNode(i, 4000, true)
-		e, _ := n.SendBitstream(&model.Config{No: i, ReqArea: 100})
-		n.AvailableArea = a // directly set for the test key
-		n.TotalArea = a + 100
-		entries = append(entries, e)
-		l.Add(e)
-	}
-	best, steps := l.FindMin(func(e *model.Entry) int64 { return e.Node.AvailableArea })
-	if best == nil || best.Node.AvailableArea != 300 {
-		t.Fatalf("FindMin returned %v", best)
-	}
-	if steps != uint64(len(areas)) {
-		t.Fatalf("FindMin steps=%d, want %d", steps, len(areas))
-	}
-	// Ties: first encountered in list order (list is LIFO of adds).
-	if best != entries[3] {
-		t.Fatalf("tie-break wrong: got node %d", best.Node.No)
-	}
+// fitScans pairs each closure-free scan with the order it minimises:
+// better(a, b) reports whether a strictly beats b.
+var fitScans = []struct {
+	name   string
+	scan   func(*List) (*model.Entry, uint64)
+	better func(a, b *model.Entry) bool
+}{
+	{"BestFit", (*List).BestFit, func(a, b *model.Entry) bool {
+		return a.Node.AvailableArea < b.Node.AvailableArea
+	}},
+	{"WorstFit", (*List).WorstFit, func(a, b *model.Entry) bool {
+		return a.Node.AvailableArea > b.Node.AvailableArea
+	}},
+	{"BestFitBalanced", (*List).BestFitBalanced, func(a, b *model.Entry) bool {
+		if a.Node.AvailableArea != b.Node.AvailableArea {
+			return a.Node.AvailableArea < b.Node.AvailableArea
+		}
+		return a.Node.RunningTasks() < b.Node.RunningTasks()
+	}},
 }
 
-func TestFindMinEmptyList(t *testing.T) {
-	l := new(List)
-	best, steps := l.FindMin(func(*model.Entry) int64 { return 0 })
-	if best != nil || steps != 0 {
-		t.Fatalf("empty FindMin: %v, %d", best, steps)
+// TestFitScansMatchReference builds random idle lists whose nodes tie
+// often on AvailableArea and on their running-task count, and checks
+// each scan against a plain walk of a slice kept in list order: the
+// first strict minimum in list order wins, and the steps are the
+// list's length. The slice is kept by the test itself (Add puts an
+// entry at the head), not read back from the list.
+func TestFitScansMatchReference(t *testing.T) {
+	for _, sc := range fitScans {
+		if got, steps := sc.scan(new(List)); got != nil || steps != 0 {
+			t.Fatalf("%s on an empty list: %v, %d steps", sc.name, got, steps)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 500; round++ {
+		l := new(List)
+		var order []*model.Entry // the list's order, head first
+		nodes := make([]*model.Node, 1+r.Intn(12))
+		for i := range nodes {
+			n := model.NewNode(i, 1<<20, true)
+			// Busy regions set the node's running-task count: 0, 1 or 2.
+			for k := r.Intn(3); k > 0; k-- {
+				e, err := n.SendBitstream(&model.Config{No: 100 + k, ReqArea: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Task = mkTask(k)
+			}
+			nodes[i] = n
+		}
+		for k := r.Intn(25); k > 0; k-- {
+			// Some nodes hold several idle regions of the configuration.
+			e, err := nodes[r.Intn(len(nodes))].SendBitstream(&model.Config{No: 7, ReqArea: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Add(e)
+			order = slices.Insert(order, 0, e)
+			if r.Intn(5) == 0 {
+				gone := order[r.Intn(len(order))]
+				l.Remove(gone)
+				order = slices.DeleteFunc(order, func(e *model.Entry) bool { return e == gone })
+			}
+		}
+		for _, n := range nodes {
+			n.AvailableArea = int64(300 * r.Intn(3)) // set for the test: many ties
+		}
+		for _, sc := range fitScans {
+			var want *model.Entry
+			for _, e := range order {
+				if want == nil || sc.better(e, want) {
+					want = e
+				}
+			}
+			got, steps := sc.scan(l)
+			if got != want {
+				t.Fatalf("round %d: %s picked %v (position %d), want %v (position %d) of %d",
+					round, sc.name, got, slices.Index(order, got), want, slices.Index(order, want), len(order))
+			}
+			if steps != uint64(len(order)) {
+				t.Fatalf("round %d: %s charged %d steps for a list of %d", round, sc.name, steps, len(order))
+			}
+		}
 	}
 }
 

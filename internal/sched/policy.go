@@ -257,9 +257,7 @@ func (p *paperPolicy) pickIdleEntry(m *resinfo.Manager, cfgNo int) *model.Entry 
 			return false
 		})
 	case WorstFit:
-		pick, steps = idle.FindMin(func(e *model.Entry) int64 {
-			return -e.Node.AvailableArea
-		})
+		pick, steps = idle.WorstFit()
 	case RandomFit:
 		seen := int64(0)
 		steps = idle.Each(func(e *model.Entry) bool {
@@ -270,16 +268,11 @@ func (p *paperPolicy) pickIdleEntry(m *resinfo.Manager, cfgNo int) *model.Entry 
 			return true
 		})
 	default: // BestFit, the paper criterion, optionally load-balanced.
-		key := func(e *model.Entry) int64 { return e.Node.AvailableArea }
 		if p.opts.LoadBalance {
-			// Composite key: area first, running-task count as the
-			// tie-break. A node's region count is bounded by
-			// TotalArea/minConfigArea, far below 1024.
-			key = func(e *model.Entry) int64 {
-				return e.Node.AvailableArea*1024 + int64(e.Node.RunningTasks())
-			}
+			pick, steps = idle.BestFitBalanced()
+		} else {
+			pick, steps = idle.BestFit()
 		}
-		pick, steps = idle.FindMin(key)
 	}
 	m.ChargeSearch(steps)
 	assertRunnable(pick)

@@ -371,6 +371,58 @@ func TestDecideOnNodePaths(t *testing.T) {
 	}
 }
 
+// TestDecideOnNodeExactFit: every area check of the targeted retry
+// accepts an exact fit. A blank node whose TotalArea equals the
+// configuration's ReqArea is configured (in either mode), free fabric
+// equal to it is partially configured, and free plus idle area that
+// reaches it exactly is reclaimed, evicting the idle regions up to and
+// including the one that reaches it, and no further.
+func TestDecideOnNodeExactFit(t *testing.T) {
+	p := New(Options{})
+	for _, partial := range []bool{true, false} {
+		m := rig(t, []int64{1000}, []int64{1000}, partial)
+		if d := p.DecideOnNode(m, task(0, 0, 1000), m.Nodes()[0]); d.Action != ActConfigure {
+			t.Errorf("partial=%v: blank node of exactly ReqArea: %v, want configure", partial, d)
+		}
+	}
+
+	// C0 runs on a 3,000-unit node, leaving 2,000 free: exactly C1.
+	m := rig(t, []int64{3000}, []int64{1000, 2000}, true)
+	n := m.Nodes()[0]
+	e, _ := m.Configure(n, m.Configs()[0])
+	if err := m.StartTask(e, task(100, 0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if d := p.DecideOnNode(m, task(1, 1, 2000), n); d.Action != ActPartialConfigure || d.Node != n {
+		t.Errorf("free fabric of exactly ReqArea: %v, want partial-configure", d)
+	}
+
+	// C0 (1,000) runs beside idle C1 (500) and C2 (700), leaving 800
+	// free. C3 needs 1,300: the free fabric plus C1 reach it exactly,
+	// so C1 alone is evicted and C2 stays.
+	m = rig(t, []int64{3000}, []int64{1000, 500, 700, 1300}, true)
+	n = m.Nodes()[0]
+	busy, _ := m.Configure(n, m.Configs()[0])
+	if err := m.StartTask(busy, task(100, 0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	c1, _ := m.Configure(n, m.Configs()[1])
+	if _, err := m.Configure(n, m.Configs()[2]); err != nil {
+		t.Fatal(err)
+	}
+	if n.AvailableArea != 800 {
+		t.Fatalf("AvailableArea = %d, want 800", n.AvailableArea)
+	}
+	d := p.DecideOnNode(m, task(2, 3, 1300), n)
+	if d.Action != ActReconfigure || len(d.Evict) != 1 || d.Evict[0] != c1 {
+		t.Fatalf("free plus idle area of exactly ReqArea: %v evicting %v, want reconfigure evicting only C1", d, d.Evict)
+	}
+	mustApply(t, m, task(2, 3, 1300), d)
+	if n.AvailableArea != 0 {
+		t.Fatalf("after the exact reclaim AvailableArea = %d, want 0", n.AvailableArea)
+	}
+}
+
 func TestDecideOnNodeFullModeBusyReclaim(t *testing.T) {
 	// Full-mode node with a running task cannot be reclaimed even if
 	// idle area would suffice (there is none by construction, but the

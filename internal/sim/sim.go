@@ -7,10 +7,12 @@
 // the same ticks as the paper's literal tick-by-tick loop.
 //
 // Because every event time is an integer tick and the engine pops
-// them in non-decreasing order, the queue is a radix heap (Ahuja,
-// Mehlhorn, Orlin and Tarjan, 1990): 65 buckets of intrusive FIFO
-// lists keyed by the highest bit in which an event's time differs
-// from the earliest pending time, amortized O(1) per event.
+// them in non-decreasing order, the queue is a 64-way radix heap
+// (Ahuja, Mehlhorn, Orlin and Tarjan, 1990): intrusive FIFO lists
+// filed by the 6-bit digit in which an event's time first differs from
+// a lower bound of the pending times, 64 lists to a level. An event is
+// relinked at most once per level it moves down, so a completion 100
+// to 100,000 ticks out is relinked once or twice before it fires.
 //
 // Every event carries a pre-bound Handler with its payload in the A/B
 // slots; that is the only form a checkpoint can encode, since a
@@ -94,7 +96,7 @@ type Event struct {
 
 	// The fields a bucket walk reads sit next to At, so one cache line
 	// holds them all.
-	next, prev *Event // bucket list links while queued
+	next, prev *Event // bucket list links while queued; a head's prev is its list's tail
 	index      int    // bucket number while queued; -1 not queued; -2 on the free list
 
 	Kind string // diagnostic label, e.g. "arrival", "completion"
@@ -105,32 +107,45 @@ type Event struct {
 	seq uint64 // insertion order; snapshots and CheckInvariants read it
 }
 
-// bucket is one FIFO list of the radix heap.
-type bucket struct {
-	head, tail *Event
-}
+// The radix heap files events by 6-bit digits of the order-preserving
+// key uint64(At)^1<<63. Level l holds the events whose key first
+// differs from base's in digit l (bits 6l to 6l+5), one bucket per
+// value of that digit; bucket (l, d) is heads[l<<digitBits|d]. The
+// top level's digit has only the key's last four bits, so it needs 16
+// buckets, not 64.
+const (
+	digitBits = 6
+	digits    = 1 << digitBits
+	levels    = (64 + digitBits - 1) / digitBits
+	nbuckets  = (levels-1)*digits + 1<<(64-(levels-1)*digitBits)
+)
 
 // Queue holds future events and pops them in (At, insertion order).
 // The zero value is ready to use.
 //
-// It is a radix heap over the order-preserving key uint64(At)^1<<63.
-// base lies at or below every pending time, and is the earliest one
-// once Pop or PeekTime settles. An event sits in bucket
-// bits.Len64(key(At)^key(base)), so bucket 0 holds exactly the events
-// at base and every event in bucket i is earlier than every event in
-// bucket i+1. The sign flips cancel in the XOR, which is why
-// bucketOf reads the raw bits. mask bit i-1 is set while bucket i
-// (i >= 1) is non-empty.
+// It is a 64-way radix heap. base lies at or below every pending time.
+// An event at t sits at level l = ⌊(bits.Len64(key(t)^key(base))−1)/6⌋
+// (level 0 when t == base), in the bucket of key(t)'s digit l. Level 0
+// is base's aligned 64-tick window, one tick per bucket; every event
+// at level l is earlier than every event at a higher level, and within
+// a level the buckets run in digit order. So the earliest event heads
+// the lowest non-empty level-0 bucket. mask[l] bit d is set while
+// bucket (l, d) is non-empty, and levelMask bit l while mask[l] is
+// non-zero.
 //
-// Same-tick events keep insertion order without comparing seq: equal
-// times always share a bucket, and a bucket list is only appended to
-// or relinked in list order.
+// Each bucket is a FIFO list threaded through the events' next links
+// and ending in nil. Its head's prev names its tail, so a bucket costs
+// one pointer, and appending and unlinking stay O(1). Same-tick events
+// keep insertion order without comparing seq: equal times always share
+// a bucket, and a bucket list is only appended to or relinked in list
+// order.
 type Queue struct {
-	buckets [65]bucket
-	mask    uint64
-	base    Time
-	n       int
-	nextSeq uint64
+	heads     [nbuckets]*Event
+	mask      [levels]uint64
+	levelMask uint64
+	base      Time
+	n         int
+	nextSeq   uint64
 
 	// free holds recycled Event structs for reuse by ScheduleEvent.
 	free []*Event
@@ -147,75 +162,93 @@ type Queue struct {
 func (q *Queue) Len() int { return q.n }
 
 // bucketOf returns the bucket an event at t belongs in for the current
-// base.
+// base. The sign flips cancel in the XOR, so the level reads the raw
+// bits; only the top level's digit holds the flipped sign bit.
 func (q *Queue) bucketOf(t Time) int {
-	return bits.Len64(uint64(t ^ q.base))
+	l := (bits.Len64(uint64(t^q.base)|1) - 1) / digitBits
+	shift := uint(l * digitBits)
+	return l<<digitBits | int((uint64(t)^1<<63)>>shift&(digits-1))
 }
 
-// bit returns bucket i's mask bit. Bucket 0 has none: uint(i-1)
-// wraps, and a shift that wide yields 0.
-func bit(i int) uint64 { return 1 << uint(i-1) }
-
-// queued reports whether ev is linked into one of q's buckets. A
-// zero-value Event (index 0) is not, unless it heads bucket 0.
+// queued reports whether ev is linked into one of q's buckets: every
+// queued event has a prev, a head its own tail (itself when alone).
 func (q *Queue) queued(ev *Event) bool {
-	i := ev.index
-	return i >= 0 && (ev.prev != nil || q.buckets[i].head == ev)
+	return ev.index >= 0 && ev.prev != nil
 }
 
 // link appends ev to the tail of bucket i.
 func (q *Queue) link(ev *Event, i int) {
-	b := &q.buckets[i]
+	h := q.heads[i]
 	ev.index = i
 	ev.next = nil
-	ev.prev = b.tail
-	if b.tail == nil {
-		b.head = ev
-		q.mask |= bit(i)
-	} else {
-		b.tail.next = ev
+	if h == nil {
+		q.heads[i] = ev
+		ev.prev = ev
+		q.mask[i>>digitBits] |= 1 << uint(i&(digits-1))
+		q.levelMask |= 1 << uint(i>>digitBits)
+		return
 	}
-	b.tail = ev
+	tail := h.prev
+	tail.next = ev
+	ev.prev = tail
+	h.prev = ev
 }
 
 // unlink takes queued ev out of its bucket in O(1).
 func (q *Queue) unlink(ev *Event) {
 	i := ev.index
-	b := &q.buckets[i]
-	if ev.prev == nil {
-		b.head = ev.next
-	} else {
+	h := q.heads[i]
+	switch {
+	case ev == h:
+		q.heads[i] = ev.next
+		if ev.next == nil {
+			q.clearBit(i)
+		} else {
+			ev.next.prev = ev.prev
+		}
+	case ev.next == nil: // the tail
+		ev.prev.next = nil
+		h.prev = ev.prev
+	default:
 		ev.prev.next = ev.next
-	}
-	if ev.next == nil {
-		b.tail = ev.prev
-	} else {
 		ev.next.prev = ev.prev
-	}
-	if b.head == nil {
-		q.mask &^= bit(i)
 	}
 	ev.next, ev.prev = nil, nil
 	ev.index = -1
 	q.n--
 }
 
-// settle refills the empty bucket 0: base moves to the minimum time of
-// the lowest non-empty bucket, whose events are relinked, in list
-// order, into the buckets below it. Those are all empty, and every
-// higher bucket keeps its number under the new base. The caller
-// guarantees bucket 0 is empty and the queue is not.
-func (q *Queue) settle() {
-	i := bits.TrailingZeros64(q.mask) + 1
-	b := q.buckets[i]
-	q.buckets[i] = bucket{}
-	q.mask &^= bit(i)
-	lo := b.head.At
-	for ev := b.head.next; ev != nil; ev = ev.next {
-		lo = min(lo, ev.At)
+// clearBit clears bucket i's mask bit, and its level's bit once the
+// level is empty.
+func (q *Queue) clearBit(i int) {
+	l := i >> digitBits
+	q.mask[l] &^= 1 << uint(i&(digits-1))
+	if q.mask[l] == 0 {
+		q.levelMask &^= 1 << uint(l)
 	}
-	q.base = lo
-	q.relink(b.head)
+}
+
+// fill makes level 0 non-empty; the caller guarantees the queue is
+// not empty. While it is empty, the lowest non-empty bucket (l, d)
+// holds the earliest events. base moves up to the lowest time that
+// bucket can hold, which lies at or below all of them, and its events
+// are relinked, in list order, into levels below l: they now first
+// differ from base below digit l. Every other bucket keeps its level
+// and digit, since the new base agrees with the old one above digit l
+// and with each of them in digit l.
+func (q *Queue) fill() {
+	for q.mask[0] == 0 {
+		l := bits.TrailingZeros64(q.levelMask)
+		d := bits.TrailingZeros64(q.mask[l])
+		i := l<<digitBits | d
+		ev := q.heads[i]
+		q.heads[i] = nil
+		q.clearBit(i)
+		shift := uint(l * digitBits)
+		k := (uint64(q.base)^1<<63)>>(shift+digitBits)<<(shift+digitBits) | uint64(d)<<shift
+		q.base = Time(k ^ 1<<63)
+		q.relink(ev)
+	}
 }
 
 // relink files each event of a detached list, from ev on, into its
@@ -229,21 +262,28 @@ func (q *Queue) relink(ev *Event) {
 }
 
 // rebase lowers base to t, below the current base, without
-// allocating. With j = bucketOf(t), the events of the buckets below j
-// all belong in bucket j under t, so those buckets merge into it in
-// order; higher buckets keep their events. Bucket j itself is empty:
-// its events would have to lie below the old base. A push lands below
+// allocating. If t first differs from base in digit j, every event
+// below level j agrees with base from digit j up, so under t all of
+// them belong in one level-j bucket, the one of base's digit j; they
+// merge into it in level and digit order, which is time order. That
+// bucket is empty: its events would have to lie below the old base.
+// Events at level j and above keep their buckets. A push lands below
 // base when a caller schedules at the current tick after a PeekTime
-// has settled base on a later one.
+// has moved base up to a later bucket.
 func (q *Queue) rebase(t Time) {
-	j := q.bucketOf(t)
+	j := q.bucketOf(t) >> digitBits
 	q.base = t
-	for i := 0; i < j; i++ {
-		ev := q.buckets[i].head
-		q.buckets[i] = bucket{}
-		q.relink(ev)
+	for l := 0; l < j; l++ {
+		m := q.mask[l]
+		q.mask[l] = 0
+		for ; m != 0; m &= m - 1 {
+			i := l<<digitBits | bits.TrailingZeros64(m)
+			ev := q.heads[i]
+			q.heads[i] = nil
+			q.relink(ev)
+		}
 	}
-	q.mask &^= bit(j) - 1
+	q.levelMask &^= 1<<uint(j) - 1
 }
 
 // alloc returns a zeroed Event from the free list, or a fresh one.
@@ -336,13 +376,11 @@ func (q *Queue) ScheduleEvent(at Time, kind string, h Handler, a, b any) *Event 
 //
 //dreamsim:noalloc
 func (q *Queue) PeekTime() (t Time, ok bool) {
-	if q.buckets[0].head == nil {
-		if q.mask == 0 {
-			return 0, false
-		}
-		q.settle()
+	if q.levelMask == 0 {
+		return 0, false
 	}
-	return q.base, true
+	q.fill()
+	return q.base&^(digits-1) | Time(bits.TrailingZeros64(q.mask[0])), true
 }
 
 // Pop removes and returns the earliest pending event (ties broken by
@@ -352,13 +390,11 @@ func (q *Queue) PeekTime() (t Time, ok bool) {
 //
 //dreamsim:noalloc
 func (q *Queue) Pop() *Event {
-	if q.buckets[0].head == nil {
-		if q.mask == 0 {
-			return nil
-		}
-		q.settle()
+	if q.levelMask == 0 {
+		return nil
 	}
-	ev := q.buckets[0].head
+	q.fill()
+	ev := q.heads[bits.TrailingZeros64(q.mask[0])]
 	if invariant.Enabled {
 		invariant.Assertf(ev.At >= q.lastPopped,
 			"sim: event queue popped tick %d after tick %d — simulated time must be monotone",
@@ -390,15 +426,20 @@ func (q *Queue) Remove(ev *Event) bool {
 //
 //dreamsim:noalloc
 func (q *Queue) Reset() {
-	for i := range q.buckets {
-		for ev := q.buckets[i].head; ev != nil; {
-			next := ev.next
-			q.release(ev)
-			ev = next
+	for ; q.levelMask != 0; q.levelMask &= q.levelMask - 1 {
+		l := bits.TrailingZeros64(q.levelMask)
+		for m := q.mask[l]; m != 0; m &= m - 1 {
+			i := l<<digitBits | bits.TrailingZeros64(m)
+			for ev := q.heads[i]; ev != nil; {
+				next := ev.next
+				q.release(ev)
+				ev = next
+			}
+			q.heads[i] = nil
 		}
+		q.mask[l] = 0
 	}
-	free := q.free
-	*q = Queue{free: free}
+	q.base, q.n, q.nextSeq, q.lastPopped = 0, 0, 0, 0
 }
 
 // CheckInvariants validates the radix heap (see CheckStructure) and
@@ -409,10 +450,11 @@ func (q *Queue) CheckInvariants() error {
 }
 
 // CheckStructure validates the radix heap without allocating: each
-// queued event sits in bucketOf(At) for the current base (so bucket 0
-// holds only events at base), mask matches the non-empty buckets,
-// every back link mirrors a forward link, each index names its bucket
-// and Len equals the linked count.
+// queued event sits in bucketOf(At) for the current base (so it lies
+// at or above base), the masks match the non-empty buckets and
+// levels, every back link mirrors a forward link, each head's prev
+// names its tail, each index names its bucket and Len equals the
+// linked count.
 func (q *Queue) CheckStructure() error {
 	return q.check(false)
 }
@@ -424,24 +466,31 @@ func (q *Queue) check(sameTick bool) error {
 	if sameTick {
 		lastSeq = make(map[Time]uint64)
 	}
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		if i > 0 && (b.head != nil) != (q.mask&bit(i) != 0) {
-			return fmt.Errorf("sim: event queue mask bit of bucket %d is stale", i)
+	for l := range q.mask {
+		if (q.mask[l] != 0) != (q.levelMask&(1<<uint(l)) != 0) {
+			return fmt.Errorf("sim: event queue level mask bit of level %d is stale", l)
+		}
+	}
+	if q.levelMask>>levels != 0 || q.mask[levels-1]>>(nbuckets-(levels-1)*digits) != 0 {
+		return fmt.Errorf("sim: event queue masks name buckets past the top level's %d", nbuckets-(levels-1)*digits)
+	}
+	for i, h := range q.heads {
+		if (h != nil) != (q.mask[i>>digitBits]&(1<<uint(i&(digits-1))) != 0) {
+			return fmt.Errorf("sim: event queue mask bit of bucket (%d, %d) is stale", i>>digitBits, i&(digits-1))
 		}
 		var prev *Event
-		for ev := b.head; ev != nil; prev, ev = ev, ev.next {
+		for ev := h; ev != nil; prev, ev = ev, ev.next {
 			if n++; n > q.n {
 				return fmt.Errorf("sim: event queue links more than its %d events", q.n)
 			}
-			if ev.prev != prev {
+			if ev != h && ev.prev != prev {
 				return fmt.Errorf("sim: event %q at %d has a broken back link in bucket %d", ev.Kind, ev.At, i)
 			}
 			if ev.index != i {
 				return fmt.Errorf("sim: event %q at %d in bucket %d has index %d", ev.Kind, ev.At, i, ev.index)
 			}
 			if ev.At < q.base || q.bucketOf(ev.At) != i {
-				return fmt.Errorf("sim: event %q at %d filed in bucket %d under base %d", ev.Kind, ev.At, i, q.base)
+				return fmt.Errorf("sim: event %q at %d filed in bucket (%d, %d) under base %d", ev.Kind, ev.At, i>>digitBits, i&(digits-1), q.base)
 			}
 			if sameTick {
 				if s, ok := lastSeq[ev.At]; ok && ev.seq <= s {
@@ -450,7 +499,7 @@ func (q *Queue) check(sameTick bool) error {
 				lastSeq[ev.At] = ev.seq
 			}
 		}
-		if b.tail != prev {
+		if h != nil && h.prev != prev {
 			return fmt.Errorf("sim: event queue bucket %d tail mismatch", i)
 		}
 	}

@@ -140,28 +140,29 @@ func TestEngineEventJump(t *testing.T) {
 	}
 }
 
-// TestEnginePeekThenScheduleNow: a PeekTime that settles base on a
-// later tick, followed by an event scheduled at the current tick, sends
-// the push below base, the Engine's path to the queue's rebase. The
-// new event must fire first, at now, and the peeked one after it.
+// TestEnginePeekThenScheduleNow: a PeekTime that moves base up to a
+// later 64-tick window, followed by an event scheduled at the current
+// tick, sends the push below base, the Engine's path to the queue's
+// rebase. The new event must fire first, at now, and the peeked one
+// after it.
 func TestEnginePeekThenScheduleNow(t *testing.T) {
 	var e Engine
 	var fired []string
 	record := func(ev *Event, _ Time) { fired = append(fired, ev.Kind) }
 	e.ScheduleEventAt(3, "first", record, nil, nil)
-	e.ScheduleEventAt(10, "late", record, nil, nil)
+	e.ScheduleEventAt(100, "late", record, nil, nil)
 	if !e.Step() || e.Now() != 3 {
 		t.Fatalf("first step ended at %d, want 3", e.Now())
 	}
-	if next, ok := e.Queue.PeekTime(); !ok || next != 10 || e.Queue.base != 10 {
-		t.Fatalf("PeekTime = %d, %v with base %d; want 10 settled", next, ok, e.Queue.base)
+	if next, ok := e.Queue.PeekTime(); !ok || next != 100 || e.Queue.base <= e.Now() {
+		t.Fatalf("PeekTime = %d, %v with base %d; want 100 with base past now %d", next, ok, e.Queue.base, e.Now())
 	}
 	e.ScheduleEventAt(e.Now(), "now", record, nil, nil)
 	if err := e.Queue.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if end := drain(&e); end != 10 || !slices.Equal(fired, []string{"first", "now", "late"}) {
-		t.Fatalf("fired %v ending at %d, want [first now late] ending at 10", fired, end)
+	if end := drain(&e); end != 100 || !slices.Equal(fired, []string{"first", "now", "late"}) {
+		t.Fatalf("fired %v ending at %d, want [first now late] ending at 100", fired, end)
 	}
 }
 

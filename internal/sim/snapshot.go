@@ -18,8 +18,8 @@ import (
 // themselves are the live queued structs and must not be mutated.
 func (q *Queue) Pending() []*Event {
 	out := make([]*Event, 0, q.n)
-	for i := range q.buckets {
-		for ev := q.buckets[i].head; ev != nil; ev = ev.next {
+	for _, h := range q.heads {
+		for ev := h; ev != nil; ev = ev.next {
 			out = append(out, ev)
 		}
 	}

@@ -118,6 +118,7 @@ type Generator struct {
 	r       *rng.RNG
 	configs []*model.Config
 	zipf    *rng.Zipf // non-nil when ConfigPopularity > 0
+	reqTime reqTimeDraw
 	now     int64
 	emitted int
 }
@@ -132,6 +133,7 @@ func NewGenerator(r *rng.RNG, spec *Spec, configs []*model.Config) (*Generator, 
 		return nil, fmt.Errorf("workload: generator needs a non-empty configurations list")
 	}
 	g := &Generator{spec: spec, r: r, configs: configs}
+	g.reqTime = newReqTimeDraw(spec.TaskReqTimeLow, spec.TaskReqTimeHigh, spec.TaskTimeDist)
 	if spec.ConfigPopularity > 0 {
 		g.zipf = rng.NewZipf(len(configs), spec.ConfigPopularity)
 	}
@@ -165,31 +167,42 @@ func (g *Generator) Next() (*model.Task, bool) {
 		prefNo = cfg.No
 		needed = cfg.ReqArea
 	}
-	task := g.get(no, needed, prefNo, g.reqTime(), g.now)
+	task := g.get(no, needed, prefNo, g.reqTime.draw(g.r), g.now)
 	task.Data = needed * 64 // synthetic input payload, feeds the optional data-transfer model
 	return task, true
 }
 
-// reqTime draws t_required under the configured distribution,
-// clamped into [TaskReqTimeLow, TaskReqTimeHigh].
-func (g *Generator) reqTime() int64 {
-	return drawReqTime(g.r, g.spec.TaskReqTimeLow, g.spec.TaskReqTimeHigh, g.spec.TaskTimeDist)
+// reqTimeDraw is one t_required range and distribution, the single
+// draw shared by the Generator and the scenario compiler's per-class
+// streams: identical ranges and distribution consume identical RNG
+// draws, so a class that mirrors the flag-level spec reproduces its
+// sequence exactly. The lognormal's μ and σ depend only on the range,
+// so they are computed once, when the stream is built.
+type reqTimeDraw struct {
+	lo, hi    int64
+	dist      DistKind
+	mu, sigma float64 // lognormal only
 }
 
-// drawReqTime is the single t_required draw shared by the Generator
-// and the scenario compiler's per-class streams: identical ranges and
-// distribution consume identical RNG draws, so a class that mirrors
-// the flag-level spec reproduces its sequence exactly.
-func drawReqTime(r *rng.RNG, lo, hi int64, dist DistKind) int64 {
-	switch dist {
+// newReqTimeDraw builds the draw over [lo, hi] under dist.
+func newReqTimeDraw(lo, hi int64, dist DistKind) reqTimeDraw {
+	d := reqTimeDraw{lo: lo, hi: hi, dist: dist}
+	if dist == DistLognormal {
+		d.mu = (math.Log(float64(lo)) + math.Log(float64(hi))) / 2
+		d.sigma = (math.Log(float64(hi)) - math.Log(float64(lo))) / 6
+	}
+	return d
+}
+
+// draw returns one t_required, clamped into [lo, hi].
+func (d *reqTimeDraw) draw(r *rng.RNG) int64 {
+	switch d.dist {
 	case DistLognormal:
-		mu := (math.Log(float64(lo)) + math.Log(float64(hi))) / 2
-		sigma := (math.Log(float64(hi)) - math.Log(float64(lo))) / 6
-		return clamp64(int64(r.Lognormal(mu, sigma)+0.5), lo, hi)
+		return clamp64(int64(r.Lognormal(d.mu, d.sigma)+0.5), d.lo, d.hi)
 	case DistPareto:
-		return clamp64(int64(r.Pareto(float64(lo), 1.5)+0.5), lo, hi)
+		return clamp64(int64(r.Pareto(float64(d.lo), 1.5)+0.5), d.lo, d.hi)
 	default:
-		return r.Int64Range(lo, hi)
+		return r.Int64Range(d.lo, d.hi)
 	}
 }
 

@@ -62,8 +62,7 @@ type classState struct {
 	gshape, gscale float64 // gamma
 	wshape, wscale float64 // weibull
 	// Per-class attribute draws.
-	reqLo, reqHi   int64
-	dist           DistKind
+	reqTime        reqTimeDraw
 	areaLo, areaHi int64 // closest-match synthetic area range
 	closest        float64
 	pool           []*model.Config // preferred-config pool (area-filtered)
@@ -172,9 +171,9 @@ func NewScenarioSource(r *rng.RNG, scn *Scenario, spec *Spec, configs []*model.C
 			}
 		}
 
-		st.reqLo, st.reqHi, st.dist = spec.TaskReqTimeLow, spec.TaskReqTimeHigh, spec.TaskTimeDist
+		st.reqTime = newReqTimeDraw(spec.TaskReqTimeLow, spec.TaskReqTimeHigh, spec.TaskTimeDist)
 		if c.ReqTimeLow != 0 || c.ReqTimeHigh != 0 {
-			st.reqLo, st.reqHi, st.dist = c.ReqTimeLow, c.ReqTimeHigh, c.TimeDist
+			st.reqTime = newReqTimeDraw(c.ReqTimeLow, c.ReqTimeHigh, c.TimeDist)
 		}
 		st.closest = spec.ClosestMatchPct
 		if c.ClosestMatch >= 0 {
@@ -292,7 +291,7 @@ func (s *ScenarioSource) Next() (*model.Task, bool) {
 		prefNo = cfg.No
 		needed = cfg.ReqArea
 	}
-	task := s.get(no, needed, prefNo, drawReqTime(st.r, st.reqLo, st.reqHi, st.dist), now)
+	task := s.get(no, needed, prefNo, st.reqTime.draw(st.r), now)
 	task.Class = best
 	task.Data = needed * 64 // synthetic input payload, as in the Generator
 	st.next = now + s.gap(st, now)
