@@ -458,11 +458,10 @@ func TestCensusMidRun(t *testing.T) {
 }
 
 // TestPlacementBlocksThroughRuns runs overloaded simulations over 250
-// nodes, several 64-member placement-scan blocks per capability
-// shard, with Debug on: after every event CheckInvariants re-derives
-// each SoA slot from its node and checks every block's bounds and
-// entry count, across the engine's own transition mix in each
-// scenario.
+// nodes, four 64-slot placement-scan blocks, with Debug on: after
+// every event CheckInvariants re-derives each SoA slot from its node
+// and checks every block's bounds and entry count, across the
+// engine's own transition mix in each scenario.
 func TestPlacementBlocksThroughRuns(t *testing.T) {
 	scenarios := []struct {
 		name string

@@ -303,12 +303,11 @@ var goldenCases = []goldenCase{
 	},
 	{
 		// The capability extension over 600 partial nodes under
-		// overload: nodes split into one placement-scan shard per
-		// capability set, several of them longer than one 64-member
-		// scan block, and configurations that require a capability
-		// skip the nodes lacking it. Algorithm 1's step sum then runs
-		// across shards, counting compatible nodes' regions and one
-		// step per incompatible node.
+		// overload: at least four capability sets, three of them held
+		// by more nodes than one 64-slot scan block covers, and
+		// configurations that require a capability skip the nodes
+		// lacking it. Algorithm 1's step sum then counts compatible
+		// nodes' regions and one step per incompatible node.
 		name: "multi-shard-caps",
 		file: "snap_shards_golden.json",
 		params: func(*walkWitness) Params {
@@ -322,11 +321,11 @@ var goldenCases = []goldenCase{
 		},
 		snapAt: 9000,
 		atPause: func(t *testing.T, s *Simulator) {
-			if n := s.mgr.ShardCount(); n < 4 {
-				t.Fatalf("population split into %d capability shards, want at least 4", n)
+			if n := shardsLongerThan(s.mgr.Nodes(), 0); n < 4 {
+				t.Fatalf("population has %d distinct capability sets, want at least 4", n)
 			}
 			if long := shardsLongerThan(s.mgr.Nodes(), 64); long < 3 {
-				t.Fatalf("%d shards longer than 64 members, want at least 3", long)
+				t.Fatalf("%d capability sets held by more than 64 nodes, want at least 3", long)
 			}
 		},
 		reached: func(t *testing.T, _ *walkWitness, res *Result) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 
 	"dreamsim/internal/fault"
 	"dreamsim/internal/metrics"
@@ -619,13 +620,18 @@ func (s *Simulator) restore(r *snapshot.Reader, version uint64) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if seed != s.params.Seed || partial != s.params.Partial ||
-		nodes != len(s.mgr.Nodes()) || configs != len(s.mgr.Configs()) ||
-		policyName != s.policy.Name() || faultsOn != s.faultsOn || depsOn != s.depsOn ||
-		classes != len(s.classAcc) {
-		return fmt.Errorf("%w: snapshot fingerprint (seed %d, %d nodes, %d configs, policy %q) does not match run parameters (seed %d, %d nodes, %d configs, policy %q)",
-			snapshot.ErrCorrupt, seed, nodes, configs, policyName,
-			s.params.Seed, len(s.mgr.Nodes()), len(s.mgr.Configs()), s.policy.Name())
+	var diff []string
+	diff = mismatch(diff, "seed", seed, s.params.Seed)
+	diff = mismatch(diff, "partial reconfiguration", partial, s.params.Partial)
+	diff = mismatch(diff, "nodes", nodes, len(s.mgr.Nodes()))
+	diff = mismatch(diff, "configurations", configs, len(s.mgr.Configs()))
+	diff = mismatch(diff, "policy", policyName, s.policy.Name())
+	diff = mismatch(diff, "fault injection", faultsOn, s.faultsOn)
+	diff = mismatch(diff, "task dependencies", depsOn, s.depsOn)
+	diff = mismatch(diff, "task classes", classes, len(s.classAcc))
+	if len(diff) > 0 {
+		return fmt.Errorf("%w: snapshot fingerprint does not match run parameters: %s",
+			snapshot.ErrCorrupt, strings.Join(diff, "; "))
 	}
 
 	// Engine position. The clock moves now; the queue counters apply
@@ -775,6 +781,15 @@ func (s *Simulator) restore(r *snapshot.Reader, version uint64) error {
 		}
 	}
 	return r.Err()
+}
+
+// mismatch appends a note naming one fingerprint field and both of its
+// values to diff when the snapshot's value differs from the run's.
+func mismatch[T comparable](diff []string, field string, snap, run T) []string {
+	if snap == run {
+		return diff
+	}
+	return append(diff, fmt.Sprintf("%s %v in the snapshot, %v in the run", field, snap, run))
 }
 
 // restoreQueue rebuilds the suspension queue from a version 3 queue

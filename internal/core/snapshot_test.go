@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"dreamsim/internal/fault"
@@ -188,9 +189,24 @@ func TestSnapshotRejectsWrongParams(t *testing.T) {
 	if _, err := RestoreSnapshot(q, snap); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("node-count mismatch gave %v, want ErrCorrupt", err)
 	}
+	// Fields that the node, configuration and policy counts do not
+	// reveal: the error must name the one that differs, with both
+	// values.
 	q = smallParams(20, 300, false)
-	if _, err := RestoreSnapshot(q, snap); err == nil {
-		t.Fatal("reconfiguration-mode mismatch accepted")
+	_, err := RestoreSnapshot(q, snap)
+	if !errors.Is(err, snapshot.ErrCorrupt) ||
+		!strings.Contains(err.Error(), "partial reconfiguration true in the snapshot, false in the run") {
+		t.Fatalf("reconfiguration-mode mismatch gave %v, want ErrCorrupt naming the mode", err)
+	}
+	q = p
+	q.Faults = fault.Plan{CrashRate: 0.0005, MeanDowntime: 300}
+	_, err = RestoreSnapshot(q, snap)
+	if !errors.Is(err, snapshot.ErrCorrupt) ||
+		!strings.Contains(err.Error(), "fault injection false in the snapshot, true in the run") {
+		t.Fatalf("fault-plan mismatch gave %v, want ErrCorrupt naming fault injection", err)
+	}
+	if strings.Contains(err.Error(), "seed") || strings.Contains(err.Error(), "partial") {
+		t.Fatalf("fault-plan mismatch names fields that match: %v", err)
 	}
 }
 

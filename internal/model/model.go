@@ -44,53 +44,6 @@ func (s NodeState) String() string {
 	}
 }
 
-// CapBits assigns one bit per capability name, in first-seen order
-// over the nodes' Caps and then the configurations' RequiredCaps — the
-// dense encoding the indexed placement search uses for O(1) subset
-// tests. It returns false when the name space exceeds 64 capabilities
-// (callers then fall back to string subset tests).
-func CapBits(nodes []*Node, configs []*Config) (map[string]uint64, bool) {
-	bits := make(map[string]uint64)
-	add := func(caps []string) bool {
-		for _, c := range caps {
-			if _, ok := bits[c]; ok {
-				continue
-			}
-			if len(bits) == 64 {
-				return false
-			}
-			bits[c] = 1 << len(bits)
-		}
-		return true
-	}
-	for _, n := range nodes {
-		if !add(n.Caps) {
-			return nil, false
-		}
-	}
-	for _, cfg := range configs {
-		if !add(cfg.RequiredCaps) {
-			return nil, false
-		}
-	}
-	return bits, true
-}
-
-// CapMaskOf folds a capability list into its bitmask under the given
-// assignment. Names absent from the assignment report false —
-// the mask cannot represent them.
-func CapMaskOf(bits map[string]uint64, caps []string) (uint64, bool) {
-	var mask uint64
-	for _, c := range caps {
-		b, ok := bits[c]
-		if !ok {
-			return 0, false
-		}
-		mask |= b
-	}
-	return mask, true
-}
-
 // TaskStatus tracks a task through its lifecycle.
 type TaskStatus int
 

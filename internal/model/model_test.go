@@ -2,8 +2,6 @@ package model
 
 import (
 	"errors"
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -321,28 +319,5 @@ func TestStringers(t *testing.T) {
 	_ = n.AddTaskToNode(e, task)
 	if !strings.Contains(e.String(), "T9") {
 		t.Errorf("busy entry string: %s", e)
-	}
-}
-
-// TestCapBits pins the bit assignment: one bit per name in first-seen
-// order, node capabilities before configuration requirements, and no
-// assignment once the names outnumber 64.
-func TestCapBits(t *testing.T) {
-	nodes := []*Node{{Caps: []string{"dsp", "bram"}}, {}, {Caps: []string{"bram", "hbm"}}}
-	configs := []*Config{{RequiredCaps: []string{"io", "dsp"}}}
-	bits, ok := CapBits(nodes, configs)
-	want := map[string]uint64{"dsp": 1, "bram": 2, "hbm": 4, "io": 8}
-	if !ok || !reflect.DeepEqual(bits, want) {
-		t.Fatalf("CapBits = %v, %v; want %v, true", bits, ok, want)
-	}
-	many := make([]string, 65)
-	for i := range many {
-		many[i] = fmt.Sprintf("c%d", i)
-	}
-	if _, ok := CapBits([]*Node{{Caps: many[:64]}}, nil); !ok {
-		t.Fatal("64 names rejected")
-	}
-	if bits, ok := CapBits([]*Node{{Caps: many[:64]}}, []*Config{{RequiredCaps: many[64:]}}); ok || bits != nil {
-		t.Fatalf("65 names gave %d bits, %v", len(bits), ok)
 	}
 }

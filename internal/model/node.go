@@ -65,7 +65,8 @@ type Node struct {
 	Down bool
 	// Slot is the node's position in its resource manager's node
 	// slice, maintained by resinfo.New; the manager's SoA scan arrays
-	// (free area, capability mask, state flags) are indexed by it.
+	// (free area, reclaimable area, entry count, state flags) are
+	// indexed by it.
 	Slot int
 }
 

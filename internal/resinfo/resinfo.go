@@ -34,9 +34,8 @@ type Manager struct {
 	idle    []*reslists.List // config No -> idle list
 	c       *metrics.Counters
 
-	// SoA scan block: the capability-sharded, blocked dense arrays the
-	// placement scans walk and the node census (see soa.go), kept in
-	// sync by reindex.
+	// SoA scan block: the blocked dense arrays the placement scans
+	// walk and the node census (see soa.go), kept in sync by reindex.
 	soa *soaState
 
 	// evict is FindAnyIdleNode's reusable victim buffer; the returned
@@ -93,7 +92,7 @@ func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counter
 	for i, n := range nodes {
 		n.Slot = i
 	}
-	m.soa = newSoaState(nodes, configs)
+	m.soa = newSoaState(nodes)
 	return m, nil
 }
 
@@ -371,21 +370,9 @@ func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 //
 //dreamsim:noalloc
 func (m *Manager) FindAnyIdleNode(cfg *model.Config) (*model.Node, []*model.Entry) {
-	s := m.soa
-	req, reqOK := s.reqMask(cfg.RequiredCaps)
-	masked := s.maskOK && reqOK
-	hit := int64(len(m.nodes)) // the first node that fits; none yet
-	for si := range s.shards {
-		sh := &s.shards[si]
-		if masked && sh.mask&req != req {
-			continue
-		}
-		if p := m.firstReclaimable(sh, cfg.ReqArea, hit, cfg.RequiredCaps, !masked); p >= 0 {
-			hit = p
-		}
-	}
-	steps := m.alg1Steps(req, masked, cfg.RequiredCaps, hit)
-	if hit == int64(len(m.nodes)) {
+	hit := m.firstReclaimable(cfg)
+	steps := m.alg1Steps(cfg.RequiredCaps, hit)
+	if hit == len(m.nodes) {
 		m.search(steps)
 		return nil, nil
 	}
@@ -416,9 +403,7 @@ func (m *Manager) FindAnyIdleNode(cfg *model.Config) (*model.Node, []*model.Entr
 //dreamsim:noalloc
 func (m *Manager) AnyBusyNodeCouldFit(cfg *model.Config) bool {
 	// The linear walk exits at the first match, so the charge is that
-	// node's position (+1) — recovered by the sharded first-fit scan's
-	// minimum-slot reduction — or the whole list when no busy node
-	// fits.
+	// node's position (+1), or the whole list when no busy node fits.
 	if pos := m.scanFirstFit(cfg, soaBusy); pos >= 0 {
 		m.search(uint64(pos) + 1)
 		return true
@@ -437,28 +422,7 @@ func (m *Manager) AnyBusyNodeCouldFit(cfg *model.Config) bool {
 //
 //lint:metering fault-path liveness probe; uncharged so fault-free metering stays identical
 func (m *Manager) AnyDownNodeCouldFit(cfg *model.Config) bool {
-	s := m.soa
-	if s.census.Down == 0 {
-		return false
-	}
-	req, reqOK := s.reqMask(cfg.RequiredCaps)
-	masked := s.maskOK && reqOK
-	for si := range s.shards {
-		sh := &s.shards[si]
-		if masked && sh.mask&req != req {
-			continue
-		}
-		for _, p := range sh.members {
-			if s.flags[p]&soaDown == 0 || s.total[p] < int64(cfg.ReqArea) {
-				continue
-			}
-			if !masked && !m.nodes[p].HasCaps(cfg.RequiredCaps) {
-				continue
-			}
-			return true
-		}
-	}
-	return false
+	return m.soa.census.Down > 0 && m.scanFirstFit(cfg, soaDown) >= 0
 }
 
 // CheckInvariants validates global consistency: every node passes its

@@ -11,9 +11,10 @@ import (
 // Checkpoint support. The manager's dynamic state is the fabric
 // picture: which configurations sit on which nodes, which tasks run
 // on which regions, which nodes are down — plus the ORDER of the
-// per-configuration idle lists, because FindMin breaks ties by
-// first-encountered and Each walks charge metering in list order, so
-// list order is observable in scheduling decisions and counters.
+// per-configuration idle lists, because the BestFit, WorstFit and
+// BestFitBalanced scans break ties by first-encountered and Each walks
+// charge metering in list order, so list order is observable in
+// scheduling decisions and counters.
 //
 // Everything else is derived and rebuilt rather than stored: node
 // AvailableArea follows Eq. 4 from the resident configurations, the
