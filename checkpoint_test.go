@@ -164,10 +164,12 @@ func TestCheckpointEquivalenceAcrossWorkers(t *testing.T) {
 		refs[i] = ref
 	}
 	for _, workers := range []int{1, 4, 8} {
-		got, err := exec.MapWorkers(context.Background(), workers, n,
-			func(_ context.Context, _, i int) (Result, error) {
+		got := make([]Result, n)
+		err := exec.DoWorkers(context.Background(), workers, n,
+			func(_ context.Context, _, i int) error {
 				res, _, err := runCheckpointed(params[i], pauseSeeds[i])
-				return res, err
+				got[i] = res
+				return err
 			})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

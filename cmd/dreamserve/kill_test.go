@@ -138,9 +138,11 @@ func (p *proc) status(t *testing.T, id string) (status string, completed string)
 	return pick("status"), pick("completed")
 }
 
-// kill/sweep workload: 8 units (two node counts × two task counts ×
-// both reconfiguration scenarios), big enough that the first SIGKILL
-// always lands mid-run.
+// kill/sweep workload: killUnits units (two node counts × two task
+// counts × both reconfiguration scenarios), each long enough to write
+// several checkpoints.
+const killUnits = 8
+
 const killSpec = `{
   "params": {"Nodes": 20, "Configs": 15, "TaskTimeRange": [100, 20000], "Seed": 42},
   "node_counts": [20, 30],
@@ -193,17 +195,37 @@ func TestKillAndRecover(t *testing.T) {
 	t.Logf("kill-point seed: %d", seed)
 
 	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", "j000001")
 	p := startServer(t, dir)
 	submitKillSpec(t, p)
 
-	kills, midRun := 0, false
+	// The first kill waits for a unit's checkpoint, so at least one
+	// restart resumes from a snapshot. Whether a kill landed mid-run is
+	// read from the state directory before the restart: after it, the
+	// resumed job may finish before the first status poll.
 	deadline = time.Now().Add(5 * time.Minute)
 	for {
-		time.Sleep(time.Duration(30+rnd.Intn(120)) * time.Millisecond)
+		if snaps, _ := filepath.Glob(filepath.Join(jobDir, "ck-*.snap")); len(snaps) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no unit ever wrote a checkpoint")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	kills, midRun := 0, false
+	for {
+		if kills > 0 {
+			time.Sleep(time.Duration(30+rnd.Intn(120)) * time.Millisecond)
+		}
 		p.kill()
 		kills++
 		if time.Now().After(deadline) {
 			t.Fatalf("job still unfinished after %d kills", kills)
+		}
+		results, _ := os.ReadFile(filepath.Join(jobDir, "results.ndjson"))
+		if bytes.Count(results, []byte("\n")) < killUnits {
+			midRun = true
 		}
 		p = startServer(t, dir)
 		st, completed := p.status(t, "j000001")
@@ -231,7 +253,6 @@ func TestKillAndRecover(t *testing.T) {
 		case "failed", "cancelled":
 			t.Fatalf("job ended %q after kill %d", st, kills)
 		default:
-			midRun = true
 			t.Logf("kill %d: resumed %q with %s units persisted", kills, st, completed)
 		}
 	}

@@ -25,13 +25,11 @@
 package dreamsim
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
 
 	"dreamsim/internal/core"
-	"dreamsim/internal/exec"
 	"dreamsim/internal/fault"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/monitor"
@@ -602,18 +600,7 @@ func GenerateTrace(w io.Writer, p Params) error {
 // With Params.Parallelism > 1 the two scenarios run concurrently;
 // results are identical either way.
 func Compare(p Params) (full, partial Result, err error) {
-	if err := checkSweep(p); err != nil {
-		return Result{}, Result{}, err
-	}
-	workers := workersFor(p.Parallelism, 2)
-	scratch := newScratchPool(workers)
-	res, err := exec.MapWorkers(context.Background(), workers, 2,
-		func(_ context.Context, w, i int) (Result, error) {
-			q := p
-			q.PartialReconfig = i == 1
-			return runScratch(q, scratch.get(w), nil, nil)
-		})
-	scratch.release()
+	res, err := sweep(p.Parallelism, appendPair(nil, p, ""), nil)
 	if err != nil {
 		return Result{}, Result{}, err
 	}

@@ -3,9 +3,9 @@ package dreamsim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
-	"dreamsim/internal/metrics"
 	"dreamsim/internal/plot"
 )
 
@@ -132,20 +132,22 @@ func (f Figure) ShapeHolds() bool {
 	return true
 }
 
-// CSV renders the figure data as comma-separated rows.
+// CSV renders the figure data as comma-separated rows: a header,
+// then one row per task count. Integral values print without
+// decimals, every other value as %.4g.
 func (f Figure) CSV() string {
-	var cw, cwo metrics.Series
-	cwo.Name = "without partial configuration"
-	cw.Name = "with partial configuration"
+	val := func(v float64) string {
+		if v == float64(int64(v)) {
+			return strconv.FormatInt(int64(v), 10)
+		}
+		return fmt.Sprintf("%.4g", v)
+	}
+	var b strings.Builder
+	b.WriteString("x,without partial configuration,with partial configuration\n")
 	for i, n := range f.TaskCounts {
-		cwo.Add(float64(n), f.Without[i])
-		cw.Add(float64(n), f.With[i])
+		fmt.Fprintf(&b, "%d,%s,%s\n", n, val(f.Without[i]), val(f.With[i]))
 	}
-	mf := metrics.Figure{
-		ID: string(f.ID), Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel,
-		Series: []metrics.Series{cwo, cw},
-	}
-	return mf.CSV()
+	return b.String()
 }
 
 // Plot renders the figure as an ASCII chart.

@@ -7,7 +7,6 @@ import (
 
 	"dreamsim/internal/model"
 	"dreamsim/internal/rng"
-	"dreamsim/internal/taskgraph"
 	"dreamsim/internal/workload"
 )
 
@@ -144,30 +143,65 @@ func LoadSWF(r io.Reader, m SWFMapping) ([]GraphTask, error) {
 // the given parameters: `layers` levels of up to `width` parallel
 // tasks, an edge from one level to the next with probability
 // edgeProb, submissions submitGap ticks apart. The task attribute
-// ranges come from p (Table II by default).
+// ranges come from p (Table II by default). Every task past the first
+// level depends on at least one task of the level before it.
 func RandomLayeredGraph(p Params, layers, width int, edgeProb float64, submitGap int64) (GraphWorkload, error) {
-	spec := taskgraph.LayeredSpec{
-		Layers: layers, Width: width, EdgeProb: edgeProb,
-		Workload: p.spec(), SubmitGap: submitGap,
+	switch {
+	case layers < 1 || width < 1:
+		return GraphWorkload{}, fmt.Errorf("dreamsim: need at least 1 layer and width, got %d/%d", layers, width)
+	case edgeProb < 0 || edgeProb > 1:
+		return GraphWorkload{}, fmt.Errorf("dreamsim: edge probability %v outside [0,1]", edgeProb)
+	case submitGap < 0:
+		return GraphWorkload{}, fmt.Errorf("dreamsim: negative submit gap %d", submitGap)
 	}
-	g, err := taskgraph.GenerateLayered(rng.New(p.Seed), spec)
-	if err != nil {
+	ws := p.spec()
+	if err := ws.Validate(); err != nil {
 		return GraphWorkload{}, err
 	}
-	wl := GraphWorkload{TotalWork: g.TotalWork()}
-	wl.CriticalPath, _ = g.CriticalPath()
-	for _, v := range g.Vertices() {
-		gt := GraphTask{
-			ID:           v.Task.No,
-			RequiredTime: v.Task.RequiredTime,
-			PrefConfig:   v.Task.PrefConfig,
-			NeededArea:   v.Task.NeededArea,
-			SubmitTime:   v.Task.CreateTime,
+	r := rng.New(p.Seed)
+	configs := workload.GenConfigs(r.Split(), &ws)
+	var wl GraphWorkload
+	// chain[i] is the longest dependency chain ending with task i. A
+	// task depends only on earlier tasks, so one pass in slice order
+	// sees every chain before it is extended.
+	var chain []int64
+	var prev []int // the IDs of the previous level
+	for layer := 0; layer < layers; layer++ {
+		var cur []int
+		for n := 1 + r.Intn(width); n > 0; n-- {
+			gt := GraphTask{ID: len(wl.Tasks), SubmitTime: int64(len(wl.Tasks)) * submitGap}
+			if gt.SubmitTime < 0 {
+				return GraphWorkload{}, fmt.Errorf("dreamsim: task %d submits past the clock's range", gt.ID)
+			}
+			if r.Bool(ws.ClosestMatchPct) {
+				gt.PrefConfig = len(configs) + r.Intn(1<<20)
+				gt.NeededArea = r.Int64Range(ws.ConfigAreaLow, ws.ConfigAreaHigh)
+			} else {
+				cfg := configs[r.Intn(len(configs))]
+				gt.PrefConfig, gt.NeededArea = cfg.No, cfg.ReqArea
+			}
+			gt.RequiredTime = r.Int64Range(ws.TaskReqTimeLow, ws.TaskReqTimeHigh)
+			if layer > 0 {
+				for _, id := range prev {
+					if r.Bool(edgeProb) {
+						gt.DependsOn = append(gt.DependsOn, id)
+					}
+				}
+				if len(gt.DependsOn) == 0 { // keep layers dependent
+					gt.DependsOn = append(gt.DependsOn, prev[r.Intn(len(prev))])
+				}
+			}
+			var longest int64
+			for _, id := range gt.DependsOn {
+				longest = max(longest, chain[id])
+			}
+			chain = append(chain, longest+gt.RequiredTime)
+			wl.CriticalPath = max(wl.CriticalPath, chain[gt.ID])
+			wl.TotalWork += gt.RequiredTime
+			wl.Tasks = append(wl.Tasks, gt)
+			cur = append(cur, gt.ID)
 		}
-		for _, parent := range v.Parents {
-			gt.DependsOn = append(gt.DependsOn, parent.Task.No)
-		}
-		wl.Tasks = append(wl.Tasks, gt)
+		prev = cur
 	}
 	return wl, nil
 }

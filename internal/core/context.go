@@ -102,7 +102,6 @@ func NewRunContext() *RunContext { return &RunContext{} }
 // the backing array when it is large enough.
 func growClear[T any](s []T, n int) []T {
 	if cap(s) < n {
-		//lint:allocfree grow path: reallocates only when a donated context's capacity is outgrown; steady-state runs reuse the array (gated by TestTickZeroAlloc)
 		return make([]T, n)
 	}
 	s = s[:n]

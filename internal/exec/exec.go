@@ -1,11 +1,12 @@
 // Package exec is the experiment-level parallel executor: it fans
 // independent simulation units (matrix cells, scenario halves,
 // replication seeds) out across a bounded worker pool. Units are
-// claimed in index order, results are assembled by index, and the
-// first unit error cancels the remaining unclaimed units via context
-// — so a failed sweep reports the same error a sequential sweep
-// would, and a successful sweep produces results in the same slots
-// regardless of worker count or OS scheduling.
+// claimed in index order, each unit writes its result to its own
+// index's slot, and the first unit error cancels the remaining
+// unclaimed units via context — so a failed sweep reports the same
+// error a sequential sweep would, and a successful sweep produces
+// results in the same slots regardless of worker count or OS
+// scheduling.
 //
 // The executor imposes no determinism of its own; it relies on every
 // unit being a pure function of its index (in DReAMSim each unit
@@ -82,23 +83,4 @@ func DoWorkers(ctx context.Context, workers, n int, unit func(ctx context.Contex
 		}
 	}
 	return ctx.Err()
-}
-
-// MapWorkers runs fn for every index in [0, n) under DoWorkers'
-// scheduling rules and assembles the results in index order. On error
-// the partial results are discarded.
-func MapWorkers[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, w, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := DoWorkers(ctx, workers, n, func(ctx context.Context, w, i int) error {
-		v, err := fn(ctx, w, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

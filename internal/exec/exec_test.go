@@ -94,34 +94,6 @@ func TestDoWorkersHonorsParentCancellation(t *testing.T) {
 	}
 }
 
-func TestMapWorkersAssemblesInOrder(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		out, err := exec.MapWorkers(context.Background(), workers, 50, func(_ context.Context, _, i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestMapWorkersDiscardsResultsOnError(t *testing.T) {
-	out, err := exec.MapWorkers(context.Background(), 2, 10, func(_ context.Context, _, i int) (int, error) {
-		if i == 4 {
-			return 0, errors.New("nope")
-		}
-		return i, nil
-	})
-	if err == nil || out != nil {
-		t.Fatalf("got (%v, %v), want (nil, error)", out, err)
-	}
-}
-
 // TestDoWorkersExclusiveIdentity pins the worker-identity contract: a
 // worker index is never held by two units at once, so per-worker
 // scratch state needs no locking.

@@ -807,23 +807,14 @@ func (prog *Program) suppressedAt(analyzer string, pos token.Pos) bool {
 	if fp == nil {
 		return false
 	}
-	for _, d := range fp.pkg.directives[position.Filename] {
-		if d.name == analyzer && (d.pos.Line == position.Line || d.pos.Line == position.Line-1) {
-			return true
-		}
-	}
+	var enclosing *ast.FuncDecl
 	for _, decl := range fp.file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil || pos < fd.Pos() || pos >= fd.End() {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			if m := directiveRe.FindStringSubmatch(c.Text); m != nil && m[1] == analyzer {
-				return true
-			}
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
+			enclosing = fd
 		}
 	}
-	return false
+	first, last := docLines(prog.Fset, enclosing)
+	return cover(fp.pkg.directives[position.Filename], analyzer, position.Line, first, last)
 }
 
 // A ProgramPass provides one whole-program analyzer with the Program.

@@ -81,6 +81,32 @@ type directive struct {
 	name   string
 	reason string
 	pos    token.Position
+	used   bool // it covered at least one finding
+}
+
+// cover marks every directive of analyzer among dirs that covers a
+// finding on line — on that line, on the line above, or within the
+// doc comment (lines docFirst to docLast) of the enclosing function —
+// and reports whether there was one.
+func cover(dirs []directive, analyzer string, line, docFirst, docLast int) bool {
+	found := false
+	for i := range dirs {
+		d := &dirs[i]
+		if d.name == analyzer && (d.pos.Line == line || d.pos.Line == line-1 ||
+			docFirst <= d.pos.Line && d.pos.Line <= docLast) {
+			d.used = true
+			found = true
+		}
+	}
+	return found
+}
+
+// docLines returns the line span of fd's doc comment, or (0, -1).
+func docLines(fset *token.FileSet, fd *ast.FuncDecl) (first, last int) {
+	if fd == nil || fd.Doc == nil {
+		return 0, -1
+	}
+	return fset.Position(fd.Doc.Pos()).Line, fset.Position(fd.Doc.End()).Line
 }
 
 var directiveRe = regexp.MustCompile(`^//\s*lint:([a-z]+)\b[ \t]*(.*)$`)
@@ -103,22 +129,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // given position: same line, the line immediately above, or the doc
 // comment of the enclosing function declaration.
 func (p *Pass) suppressed(pos token.Pos, position token.Position) bool {
-	for _, d := range p.pkg.directives[position.Filename] {
-		if d.name != p.Analyzer.Name {
-			continue
-		}
-		if d.pos.Line == position.Line || d.pos.Line == position.Line-1 {
-			return true
-		}
-	}
-	if fd := p.enclosingFunc(pos); fd != nil && fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if m := directiveRe.FindStringSubmatch(c.Text); m != nil && m[1] == p.Analyzer.Name {
-				return true
-			}
-		}
-	}
-	return false
+	first, last := docLines(p.Fset, p.enclosingFunc(pos))
+	return cover(p.pkg.directives[position.Filename], p.Analyzer.Name, position.Line, first, last)
 }
 
 // enclosingFunc returns the function declaration containing pos, if
@@ -159,9 +171,11 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 }
 
 // Run applies each analyzer to each in-scope package and returns the
-// findings sorted by position. Directives with an empty justification
-// are reported under the pseudo-analyzer "directive" so that every
-// exception in the tree carries its why.
+// findings sorted by position. Directives that name no analyzer of the
+// suite, carry an empty justification, or suppress no finding of an
+// analyzer that ran over their package are reported under the
+// pseudo-analyzer "directive", so that every exception in the tree
+// carries its why and still excuses something.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	knownNames := make(map[string]bool, len(analyzers))
@@ -169,6 +183,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		knownNames[a.Name] = true
 	}
 	for _, pkg := range pkgs {
+		for _, file := range pkg.directives {
+			for i := range file {
+				file[i].used = false // marks of an earlier Run
+			}
+		}
 		for _, a := range analyzers {
 			if a.Run == nil || (a.Scope != nil && !a.Scope(pkg.Path)) {
 				continue
@@ -190,18 +209,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				})
 			}
 		}
-		for _, file := range pkg.directives {
-			for _, d := range file {
-				switch {
-				case !knownNames[d.name]:
-					diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: "directive",
-						Message: fmt.Sprintf("unknown analyzer %q in //lint: directive", d.name)})
-				case strings.TrimSpace(d.reason) == "":
-					diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: "directive",
-						Message: fmt.Sprintf("//lint:%s directive needs a justification", d.name)})
-				}
-			}
-		}
 	}
 	var prog *Program
 	for _, a := range analyzers {
@@ -217,6 +224,28 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Analyzer: a.Name,
 				Message:  fmt.Sprintf("internal error: %v", err),
 			})
+		}
+	}
+	for _, pkg := range pkgs {
+		ran := make(map[string]bool, len(analyzers))
+		for _, a := range analyzers {
+			ran[a.Name] = a.RunProgram != nil || a.Scope == nil || a.Scope(pkg.Path)
+		}
+		for _, file := range pkg.directives {
+			for _, d := range file {
+				msg := ""
+				switch {
+				case !knownNames[d.name]:
+					msg = fmt.Sprintf("unknown analyzer %q in //lint: directive", d.name)
+				case strings.TrimSpace(d.reason) == "":
+					msg = fmt.Sprintf("//lint:%s directive needs a justification", d.name)
+				case ran[d.name] && !d.used:
+					msg = fmt.Sprintf("//lint:%s directive suppresses no finding", d.name)
+				default:
+					continue
+				}
+				diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: "directive", Message: msg})
+			}
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

@@ -26,7 +26,7 @@ var MapOrder = &Analyzer{
 // outputSinkMethods are method names whose invocation inside a
 // map-range body makes iteration order observable: stream writers,
 // printers, encoders, and the metric/figure accumulators
-// (metrics.Series.Add, monitor.Recorder.Observe, ...).
+// (monitor.Recorder.Observe, ...).
 var outputSinkMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Print": true, "Printf": true, "Println": true,

@@ -1,9 +1,9 @@
 // The sharedstate analyzer: the parallel engine's safety contract,
 // checked instead of by-convention. Every closure handed to
-// exec.DoWorkers or exec.MapWorkers runs concurrently with its
-// siblings, so any mutable state it reaches from outside its own
-// frame — captured variables, package-level variables, memory behind
-// captured pointers — must be either
+// exec.DoWorkers runs concurrently with its siblings, so any mutable
+// state it reaches from outside its own frame — captured variables,
+// package-level variables, memory behind captured pointers — must be
+// either
 //
 //   - written only through a per-unit slot (indexed by the closure's
 //     unit or worker index parameter, like out[i] = v, or by a local
@@ -30,39 +30,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // SharedState flags unsynchronized shared mutable state reachable
 // from exec worker closures.
 var SharedState = &Analyzer{
 	Name: "sharedstate",
-	Doc: "closures handed to exec.DoWorkers/MapWorkers must " +
+	Doc: "closures handed to exec.DoWorkers must " +
 		"not write shared state except through per-unit indices, " +
 		"per-worker donation, sync/atomic, or a held mutex",
 	RunProgram: runSharedState,
 }
 
-// workerUnitFuncs maps an executor package's import-path suffix to the
-// functions whose final argument is a concurrently-run unit closure.
-var workerUnitFuncs = map[string]map[string]bool{
-	"internal/exec": {"DoWorkers": true, "MapWorkers": true},
-}
-
-// unitDispatcher resolves a call to one of the recognised worker-pool
-// entry points, returning the display name ("exec.DoWorkers") used in
-// findings.
-func unitDispatcher(callee *types.Func) (string, bool) {
-	if callee == nil || callee.Pkg() == nil {
-		return "", false
-	}
-	for suffix, names := range workerUnitFuncs {
-		if pathHasSuffix(callee.Pkg().Path(), suffix) && names[callee.Name()] {
-			base := suffix[strings.LastIndexByte(suffix, '/')+1:]
-			return base + "." + callee.Name(), true
-		}
-	}
-	return "", false
+// isDoWorkers reports whether callee is exec.DoWorkers, the one
+// worker-pool entry point, whose final argument is a concurrently-run
+// unit closure.
+func isDoWorkers(callee *types.Func) bool {
+	return callee != nil && callee.Pkg() != nil &&
+		pathHasSuffix(callee.Pkg().Path(), "internal/exec") && callee.Name() == "DoWorkers"
 }
 
 func runSharedState(pp *ProgramPass) error {
@@ -77,20 +62,17 @@ func runSharedState(pp *ProgramPass) error {
 			if !ok {
 				return true
 			}
-			callee := StaticCallee(fi.Pkg.Info, call)
-			name, ok := unitDispatcher(callee)
-			if !ok || len(call.Args) == 0 {
+			if !isDoWorkers(StaticCallee(fi.Pkg.Info, call)) || len(call.Args) == 0 {
 				return true
 			}
 			unit := ast.Unparen(call.Args[len(call.Args)-1])
 			lit, ok := unit.(*ast.FuncLit)
 			if !ok {
 				pp.Reportf(unit.Pos(),
-					"unit passed to %s is not a func literal; its shared-state safety cannot be checked",
-					name)
+					"unit passed to exec.DoWorkers is not a func literal; its shared-state safety cannot be checked")
 				return true
 			}
-			checkUnit(pp, prog, fi, lit, name)
+			checkUnit(pp, prog, fi, lit, "exec.DoWorkers")
 			return true
 		})
 	}

@@ -1,8 +1,7 @@
 // Package exec mirrors the simulator executor's API shape for the
-// sharedstate fixture: the analyzer recognises worker-pool callees by
-// the internal/exec import-path suffix and the DoWorkers and
-// MapWorkers names, so the fixture needs its own copy with matching
-// signatures.
+// sharedstate fixture: the analyzer recognises the worker pool by the
+// internal/exec import-path suffix and the DoWorkers name, so the
+// fixture needs its own copy with a matching signature.
 package exec
 
 import "context"

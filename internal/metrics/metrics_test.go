@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestComputeTableI(t *testing.T) {
 	c := &Counters{
@@ -59,57 +56,5 @@ func TestComputeZeroDenominators(t *testing.T) {
 	if r.AvgWastedAreaPerTask != 0 || r.AvgRunningTimePerTask != 0 ||
 		r.AvgReconfigCountPerNode != 0 || r.AvgWaitingTimePerTask != 0 {
 		t.Errorf("zero counters produced non-zero averages: %+v", r)
-	}
-}
-
-func TestSeriesAndFigure(t *testing.T) {
-	var with, without Series
-	with.Name = "with partial configuration"
-	without.Name = "without partial configuration"
-	for i := 1; i <= 3; i++ {
-		with.Add(float64(i*1000), float64(i))
-		without.Add(float64(i*1000), float64(i*2))
-	}
-	fig := Figure{
-		ID: "6a", Title: "Average wasted area per task",
-		XLabel: "Total tasks generated", YLabel: "area units",
-		Series: []Series{without, with},
-	}
-	y, ok := with.YAt(2000)
-	if !ok || y != 2 {
-		t.Fatalf("YAt = %v,%v", y, ok)
-	}
-	if _, ok := with.YAt(999); ok {
-		t.Fatal("YAt hit a missing x")
-	}
-	csv := fig.CSV()
-	if !strings.HasPrefix(csv, "x,without partial configuration,with partial configuration\n") {
-		t.Fatalf("CSV header wrong:\n%s", csv)
-	}
-	if !strings.Contains(csv, "\n2000,4,2\n") {
-		t.Fatalf("CSV row wrong:\n%s", csv)
-	}
-	lines := strings.Count(csv, "\n")
-	if lines != 4 { // header + 3 rows
-		t.Fatalf("CSV has %d lines:\n%s", lines, csv)
-	}
-}
-
-func TestCSVMissingValues(t *testing.T) {
-	a := Series{Name: "a", Points: []Point{{X: 1, Y: 10}, {X: 2, Y: 20}}}
-	b := Series{Name: "b", Points: []Point{{X: 2, Y: 200}}}
-	fig := Figure{ID: "t", Series: []Series{a, b}}
-	csv := fig.CSV()
-	if !strings.Contains(csv, "\n1,10,\n") {
-		t.Fatalf("missing-value row wrong:\n%s", csv)
-	}
-}
-
-func TestTrimFloat(t *testing.T) {
-	if trimFloat(100000) != "100000" {
-		t.Errorf("integer formatting: %s", trimFloat(100000))
-	}
-	if trimFloat(1.25) != "1.25" {
-		t.Errorf("fraction formatting: %s", trimFloat(1.25))
 	}
 }

@@ -419,8 +419,6 @@ func (m *Manager) AnyBusyNodeCouldFit(cfg *model.Config) bool {
 // walk is deliberately uncharged: it is a fault-path liveness probe,
 // not part of the paper's search model, so fault-free runs charge
 // exactly the steps they always did.
-//
-//lint:metering fault-path liveness probe; uncharged so fault-free metering stays identical
 func (m *Manager) AnyDownNodeCouldFit(cfg *model.Config) bool {
 	return m.soa.census.Down > 0 && m.scanFirstFit(cfg, soaDown) >= 0
 }

@@ -254,7 +254,7 @@ func (s *Server) runUnit(ctx context.Context, js *jobState, u int) error {
 		return errCancelled
 	}
 
-	p := js.job.Spec.unitParams(u)
+	p := js.job.unit(u)
 	var run *dreamsim.CheckpointedRun
 	if snap := js.job.ReadCheckpoint(u); snap != nil {
 		r, err := dreamsim.ResumeRun(p, snap)

@@ -315,7 +315,7 @@ func TestRestartFailsUnrunnableJob(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(nil, nil)
 	spec.Params.Nodes = 1 << 62
-	if err := spec.normalize(); err != nil {
+	if _, _, err := spec.grid(); err != nil {
 		t.Fatal(err)
 	}
 	jobDir := filepath.Join(dir, "jobs", "j000001")

@@ -52,70 +52,21 @@ func (s *JobSpec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// normalize fills grid defaults and validates the spec shape.
-func (s *JobSpec) normalize() error {
+// grid fills the grid defaults and lowers the spec onto its units
+// through dreamsim.GridUnits, the RunMatrix unit model, so one job
+// reproduces the library sweep exactly.
+func (s *JobSpec) grid() (units int, unit func(u int) dreamsim.Params, err error) {
 	if len(s.NodeCounts) == 0 {
 		s.NodeCounts = []int{s.Params.Nodes}
 	}
 	if len(s.TaskCounts) == 0 {
 		s.TaskCounts = []int{s.Params.Tasks}
 	}
-	seen := make(map[int]bool)
-	for _, n := range s.NodeCounts {
-		if n <= 0 {
-			return fmt.Errorf("serve: node count %d", n)
-		}
-		if seen[n] {
-			return fmt.Errorf("serve: duplicate node count %d", n)
-		}
-		seen[n] = true
+	units, unit, err = dreamsim.GridUnits(s.Params, s.NodeCounts, s.TaskCounts)
+	if err != nil {
+		return 0, nil, fmt.Errorf("serve: %w", err)
 	}
-	seen = make(map[int]bool)
-	for _, n := range s.TaskCounts {
-		if n <= 0 {
-			return fmt.Errorf("serve: task count %d", n)
-		}
-		if seen[n] {
-			return fmt.Errorf("serve: duplicate task count %d", n)
-		}
-		seen[n] = true
-	}
-	return nil
-}
-
-// validate reports the first unit of the normalized spec that cannot
-// run. Units differ from the base parameters only in node count, task
-// count and reconfiguration mode; no check reads the mode or couples
-// the two counts, so one unit per distinct node count and one per
-// distinct task count cover the whole grid.
-func (s *JobSpec) validate() error {
-	for i := range s.NodeCounts {
-		if err := s.unitParams(2 * i * len(s.TaskCounts)).Validate(); err != nil {
-			return err
-		}
-	}
-	for j := 1; j < len(s.TaskCounts); j++ {
-		if err := s.unitParams(2 * j).Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// units is the job's total unit count: two scenarios per grid cell.
-func (s *JobSpec) units() int { return 2 * len(s.NodeCounts) * len(s.TaskCounts) }
-
-// unitParams lowers unit u onto run parameters: cell u/2 in row-major
-// grid order (node counts outer), full scenario on even units,
-// partial on odd — the RunMatrix unit model, so one job reproduces
-// the library sweep exactly.
-func (s *JobSpec) unitParams(u int) dreamsim.Params {
-	cell := u / 2
-	p := s.Params
-	p.Nodes = s.NodeCounts[cell/len(s.TaskCounts)]
-	p.Tasks = s.TaskCounts[cell%len(s.TaskCounts)]
-	p.PartialReconfig = u%2 == 1
-	return p
+	return units, unit, nil
 }
 
 // ResultLine is one line of results.ndjson.
@@ -145,6 +96,8 @@ type Job struct {
 	ID    string
 	Spec  JobSpec
 	Units int
+	// unit lowers a unit number onto its run parameters.
+	unit func(u int) dreamsim.Params
 	// Completed is the number of result lines safely on disk — always
 	// a contiguous prefix of the unit sequence.
 	Completed int
@@ -155,16 +108,46 @@ type Job struct {
 	dir string
 }
 
+// newJob fills spec's grid defaults and lowers it onto its units.
+func newJob(id, dir string, spec JobSpec) (*Job, error) {
+	units, unit, err := spec.grid()
+	if err != nil {
+		return nil, err
+	}
+	return &Job{ID: id, Spec: spec, Units: units, unit: unit, dir: dir}, nil
+}
+
+// validate reports the first unit of the job that cannot run. Units
+// differ from the base parameters only in node count, task count and
+// reconfiguration mode; no check reads the mode or couples the two
+// counts, so the first cell of each grid row and the cells of the
+// first row cover every count.
+func (j *Job) validate() error {
+	row := 2 * len(j.Spec.TaskCounts)
+	for u := 0; u < j.Units; u += row {
+		if err := j.unit(u).Validate(); err != nil {
+			return err
+		}
+	}
+	for u := 2; u < row; u += 2 {
+		if err := j.unit(u).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // jobDir names are zero-padded so lexical order is submission order.
 func (st *Store) jobDir(id string) string { return filepath.Join(st.dir, "jobs", id) }
 
 // CreateJob checks that every unit of the spec can run, then
 // allocates the next job ID and persists the spec.
 func (st *Store) CreateJob(spec JobSpec) (*Job, error) {
-	if err := spec.normalize(); err != nil {
+	j, err := newJob("", "", spec)
+	if err != nil {
 		return nil, err
 	}
-	if err := spec.validate(); err != nil {
+	if err := j.validate(); err != nil {
 		return nil, err
 	}
 	ids, err := st.jobIDs()
@@ -179,19 +162,19 @@ func (st *Store) CreateJob(spec JobSpec) (*Job, error) {
 		}
 		next++
 	}
-	id := fmt.Sprintf("j%06d", next)
-	dir := st.jobDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	j.ID = fmt.Sprintf("j%06d", next)
+	j.dir = st.jobDir(j.ID)
+	if err := os.MkdirAll(j.dir, 0o755); err != nil {
 		return nil, err
 	}
-	blob, err := json.MarshalIndent(spec, "", "  ")
+	blob, err := json.MarshalIndent(j.Spec, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "spec.json"), blob); err != nil {
+	if err := writeFileAtomic(filepath.Join(j.dir, "spec.json"), blob); err != nil {
 		return nil, err
 	}
-	return &Job{ID: id, Spec: spec, Units: spec.units(), dir: dir}, nil
+	return j, nil
 }
 
 // jobIDs lists existing job directories in ID order.
@@ -242,11 +225,10 @@ func (st *Store) loadJob(id string) (*Job, error) {
 	if err := json.Unmarshal(blob, &tmp); err != nil {
 		return nil, fmt.Errorf("spec.json: %w", err)
 	}
-	spec := JobSpec(tmp)
-	if err := spec.normalize(); err != nil {
+	j, err := newJob(id, dir, JobSpec(tmp))
+	if err != nil {
 		return nil, err
 	}
-	j := &Job{ID: id, Spec: spec, Units: spec.units(), dir: dir}
 	if msg, err := os.ReadFile(filepath.Join(dir, "error")); err == nil {
 		j.Err = string(msg)
 	}
@@ -259,7 +241,7 @@ func (st *Store) loadJob(id string) (*Job, error) {
 	// An older build may have accepted a spec this one cannot run; fail
 	// the job instead of resuming it.
 	if j.Err == "" && !j.Cancelled && j.Completed < j.Units {
-		if verr := spec.validate(); verr != nil {
+		if verr := j.validate(); verr != nil {
 			if err := j.MarkError(verr.Error()); err != nil {
 				return nil, err
 			}

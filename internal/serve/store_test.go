@@ -23,11 +23,12 @@ func testSpec(nodes, tasks []int) JobSpec {
 
 func TestSpecUnitLowering(t *testing.T) {
 	spec := testSpec([]int{10, 20}, []int{100, 200, 300})
-	if err := spec.normalize(); err != nil {
+	units, unit, err := spec.grid()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spec.units(); got != 12 {
-		t.Fatalf("units = %d, want 12", got)
+	if units != 12 {
+		t.Fatalf("units = %d, want 12", units)
 	}
 	// Row-major cells, node counts outer; even units full, odd partial
 	// — the RunMatrix unit model.
@@ -43,7 +44,7 @@ func TestSpecUnitLowering(t *testing.T) {
 		{20, 300, false}, {20, 300, true},
 	}
 	for u, want := range wants {
-		p := spec.unitParams(u)
+		p := unit(u)
 		if p.Nodes != want.nodes || p.Tasks != want.tasks || p.PartialReconfig != want.partial {
 			t.Fatalf("unit %d lowered to nodes=%d tasks=%d partial=%v, want %+v",
 				u, p.Nodes, p.Tasks, p.PartialReconfig, want)
@@ -53,11 +54,12 @@ func TestSpecUnitLowering(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	spec := testSpec(nil, nil)
-	if err := spec.normalize(); err != nil {
+	units, _, err := spec.grid()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.units() != 2 {
-		t.Fatalf("defaulted grid has %d units, want 2", spec.units())
+	if units != 2 {
+		t.Fatalf("defaulted grid has %d units, want 2", units)
 	}
 	oversized := testSpec(nil, nil)
 	oversized.Params.Nodes = 1 << 62
@@ -72,9 +74,9 @@ func TestSpecValidation(t *testing.T) {
 		testSpec([]int{10, 1 << 62}, []int{100, 200}),
 		bogus,
 	} {
-		err := bad.normalize()
+		j, err := newJob("", "", bad)
 		if err == nil {
-			err = bad.validate()
+			err = j.validate()
 		}
 		if err == nil {
 			t.Fatalf("spec %+v accepted", bad)

@@ -1,12 +1,8 @@
 package dreamsim
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"dreamsim/internal/exec"
+	"slices"
 )
 
 // Cell is one experiment point: both scenarios at one (nodes, tasks)
@@ -25,43 +21,53 @@ type Matrix struct {
 	NodeCounts []int
 	TaskCounts []int
 	Cells      []Cell // row-major: node count outer, task count inner
-
-	// cellIdx maps (nodes, tasks) to the cell's index; built by
-	// RunMatrix so CellAt answers in O(1) instead of scanning the grid
-	// once per figure point.
-	cellIdx map[[2]int]int
 }
 
-// validateGrid rejects coordinate grids that would produce duplicate
-// (nodes, tasks) cells: every coordinate must map to exactly one cell
-// or CellAt (and every figure drawn through it) becomes ambiguous.
-func validateGrid(nodeCounts, taskCounts []int) error {
-	seenN := make(map[int]bool, len(nodeCounts))
-	for _, n := range nodeCounts {
-		if seenN[n] {
-			return fmt.Errorf("dreamsim: duplicate node count %d in matrix grid", n)
+// GridUnits is the unit model of a paired sweep over a (nodes, tasks)
+// grid, which RunMatrix and dreamserve's jobs share so that one job
+// reproduces the library sweep exactly. The grid's cells are its
+// coordinates in row-major order, node counts outer; cell i runs base
+// with the cell's counts under full reconfiguration as unit 2i and
+// under partial reconfiguration as unit 2i+1. unit lowers unit u, for
+// u in [0, units), onto its run parameters. Every count must be at
+// least 1 and appear once, so each coordinate names exactly one cell;
+// the error names the first count that breaks this, and callers add
+// their own prefix.
+func GridUnits(base Params, nodeCounts, taskCounts []int) (units int, unit func(u int) Params, err error) {
+	for _, c := range []struct {
+		name   string
+		counts []int
+	}{{"node", nodeCounts}, {"task", taskCounts}} {
+		seen := make(map[int]bool, len(c.counts))
+		for _, n := range c.counts {
+			switch {
+			case n < 1:
+				return 0, nil, fmt.Errorf("%s count %d", c.name, n)
+			case seen[n]:
+				return 0, nil, fmt.Errorf("duplicate %s count %d", c.name, n)
+			}
+			seen[n] = true
 		}
-		seenN[n] = true
 	}
-	seenT := make(map[int]bool, len(taskCounts))
-	for _, t := range taskCounts {
-		if seenT[t] {
-			return fmt.Errorf("dreamsim: duplicate task count %d in matrix grid", t)
-		}
-		seenT[t] = true
+	unit = func(u int) Params {
+		p := base
+		p.Nodes = nodeCounts[u/2/len(taskCounts)]
+		p.Tasks = taskCounts[u/2%len(taskCounts)]
+		p.PartialReconfig = u%2 == 1
+		return p
 	}
-	return nil
+	return 2 * len(nodeCounts) * len(taskCounts), unit, nil
 }
 
 // RunMatrix sweeps both scenarios over the cross product of node and
 // task counts (nil grids default to the paper's {100, 200} ×
-// PaperTaskCounts). Every (cell, scenario) pair is an independent
-// simulation unit, so base.Parallelism of them run concurrently; the
-// assembled matrix is byte-identical to a sequential sweep. onCell,
-// when non-nil, observes each finished cell (progress reporting);
-// with Parallelism > 1 cells may finish — and be observed — out of
-// grid order, and onCell must be safe to call from the run's worker
-// goroutines (calls themselves are serialised).
+// PaperTaskCounts), in GridUnits' unit order. Every unit is an
+// independent simulation, so base.Parallelism of them run
+// concurrently; the assembled matrix is byte-identical to a
+// sequential sweep. onCell, when non-nil, observes each finished cell
+// (progress reporting); with Parallelism > 1 cells may finish — and be
+// observed — out of grid order, and onCell must be safe to call from
+// the run's worker goroutines (calls themselves are serialised).
 func RunMatrix(base Params, nodeCounts, taskCounts []int, onCell func(Cell)) (*Matrix, error) {
 	if nodeCounts == nil {
 		nodeCounts = []int{100, 200}
@@ -69,82 +75,43 @@ func RunMatrix(base Params, nodeCounts, taskCounts []int, onCell func(Cell)) (*M
 	if taskCounts == nil {
 		taskCounts = PaperTaskCounts
 	}
-	if err := validateGrid(nodeCounts, taskCounts); err != nil {
-		return nil, err
+	n, unit, err := GridUnits(base, nodeCounts, taskCounts)
+	if err != nil {
+		return nil, fmt.Errorf("dreamsim: %w", err)
 	}
-	if err := checkSweep(base); err != nil {
-		return nil, err
+	m := &Matrix{NodeCounts: nodeCounts, TaskCounts: taskCounts, Cells: make([]Cell, n/2)}
+	units := make([]sweepUnit, n)
+	for u := range units {
+		p := unit(u)
+		units[u] = sweepUnit{p, fmt.Sprintf("matrix cell %d nodes/%d tasks", p.Nodes, p.Tasks)}
+		m.Cells[u/2].Nodes, m.Cells[u/2].Tasks = p.Nodes, p.Tasks
 	}
-	n := len(nodeCounts) * len(taskCounts)
-	m := &Matrix{NodeCounts: nodeCounts, TaskCounts: taskCounts, cellIdx: make(map[[2]int]int, n)}
-	m.Cells = make([]Cell, 0, n)
-	for _, nodes := range nodeCounts {
-		for _, tasks := range taskCounts {
-			m.cellIdx[[2]int{nodes, tasks}] = len(m.Cells)
-			m.Cells = append(m.Cells, Cell{Nodes: nodes, Tasks: tasks})
+	var onPair func(int, Result, Result)
+	if onCell != nil {
+		onPair = func(i int, full, partial Result) {
+			c := m.Cells[i]
+			c.Full, c.Partial = full, partial
+			onCell(c)
 		}
 	}
-
-	// Two units per cell: the full and partial halves fan out
-	// independently (unit order full-then-partial per cell, so one
-	// worker reproduces the historical sequential order exactly).
-	pending := make([]atomic.Int32, len(m.Cells))
-	for i := range pending {
-		pending[i].Store(2)
-	}
-	var cellMu sync.Mutex
-	workers := workersFor(base.Parallelism, 2*len(m.Cells))
-	scratch := newScratchPool(workers)
-	err := exec.DoWorkers(context.Background(), workers, 2*len(m.Cells),
-		func(_ context.Context, w, u int) error {
-			cell := &m.Cells[u/2]
-			p := base
-			p.Nodes = cell.Nodes
-			p.Tasks = cell.Tasks
-			p.PartialReconfig = u%2 == 1
-			res, err := runScratch(p, scratch.get(w), nil, nil)
-			if err != nil {
-				return fmt.Errorf("dreamsim: matrix cell %d nodes/%d tasks: %w", cell.Nodes, cell.Tasks, err)
-			}
-			if p.PartialReconfig {
-				//lint:sharedstate units 2k and 2k+1 share cell u/2 but write disjoint fields (Partial vs Full), and readers are ordered after both writes by the pending[u/2] atomic decrement
-				cell.Partial = res
-			} else {
-				//lint:sharedstate units 2k and 2k+1 share cell u/2 but write disjoint fields (Partial vs Full), and readers are ordered after both writes by the pending[u/2] atomic decrement
-				cell.Full = res
-			}
-			// The half that completes the cell reports it; the atomic
-			// decrement orders it after the sibling's result write.
-			if pending[u/2].Add(-1) == 0 && onCell != nil {
-				cellMu.Lock()
-				onCell(*cell)
-				cellMu.Unlock()
-			}
-			return nil
-		})
-	scratch.release()
+	res, err := sweep(base.Parallelism, units, onPair)
 	if err != nil {
 		return nil, err
+	}
+	for i := range m.Cells {
+		m.Cells[i].Full, m.Cells[i].Partial = res[2*i], res[2*i+1]
 	}
 	return m, nil
 }
 
-// CellAt returns the cell at a coordinate, or nil if absent. Matrices
-// built by RunMatrix answer from the coordinate map; hand-assembled
-// ones fall back to a scan.
+// CellAt returns the cell at a coordinate, or nil if absent. Cells are
+// in RunMatrix's row-major order, node counts outer.
 func (m *Matrix) CellAt(nodes, tasks int) *Cell {
-	if m.cellIdx != nil {
-		if i, ok := m.cellIdx[[2]int{nodes, tasks}]; ok {
-			return &m.Cells[i]
-		}
+	i, j := slices.Index(m.NodeCounts, nodes), slices.Index(m.TaskCounts, tasks)
+	if i < 0 || j < 0 || i*len(m.TaskCounts)+j >= len(m.Cells) {
 		return nil
 	}
-	for i := range m.Cells {
-		if m.Cells[i].Nodes == nodes && m.Cells[i].Tasks == tasks {
-			return &m.Cells[i]
-		}
-	}
-	return nil
+	return &m.Cells[i*len(m.TaskCounts)+j]
 }
 
 // Figure extracts one paper figure from the matrix. Every task count
@@ -177,15 +144,7 @@ func (m *Matrix) Figure(id FigureID) (Figure, error) {
 func (m *Matrix) Figures() ([]Figure, error) {
 	var out []Figure
 	for _, id := range FigureIDs() {
-		spec := figureRegistry[id]
-		found := false
-		for _, n := range m.NodeCounts {
-			if n == spec.nodes {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(m.NodeCounts, figureRegistry[id].nodes) {
 			continue
 		}
 		fig, err := m.Figure(id)

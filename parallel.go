@@ -3,23 +3,26 @@ package dreamsim
 // The parallel experiment engine. A single simulation is one
 // sequential event loop (one clock mutating one resource population;
 // see DESIGN.md §14), but every experiment helper above it — the
-// full/partial halves of Compare, the cells of RunMatrix, the seeds
-// of RunReplicated and ComparePaired — is a set of completely
-// independent runs: each unit derives all of its randomness from its
-// own Params (seed, node count, task count, scenario), never from
-// shared state. Fanning the units across a worker pool therefore
-// yields byte-identical results to a sequential sweep, regardless of
-// worker count and OS scheduling; only wall-clock time changes.
-// Params.Parallelism selects the worker count; internal/exec supplies
-// the pool.
+// full/partial halves of Compare, the cells of RunMatrix and
+// RunScenarioSet, the seeds of RunReplicated and ComparePaired — is a
+// set of completely independent runs: each unit derives all of its
+// randomness from its own Params (seed, node count, task count,
+// scenario), never from shared state. Fanning the units across a
+// worker pool therefore yields byte-identical results to a sequential
+// sweep, regardless of worker count and OS scheduling; only wall-clock
+// time changes. Each helper lowers its units onto sweep, the one
+// fan-out; Params.Parallelism selects the worker count, and
+// internal/exec supplies the pool.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"dreamsim/internal/core"
+	"dreamsim/internal/exec"
 )
 
 // DefaultParallelism returns the worker count the CLI tools default
@@ -31,25 +34,67 @@ func DefaultParallelism() int { return runtime.NumCPU() }
 //lint:deadexport (a) benchsuite, a separate module, calls it
 func EffectiveIntraParallel(int) int { return 1 }
 
-// checkSweep rejects parameters no sweep can honour: every unit would
-// create, and overwrite, the same TimelinePath.
-func checkSweep(p Params) error {
-	if p.TimelinePath != "" {
-		return fmt.Errorf("dreamsim: a sweep cannot stream a timeline file: every run would write %s", p.TimelinePath)
-	}
-	return nil
+// sweepUnit is one run of a sweep: its parameters and the label its
+// error gets ("" returns the run's error as it is).
+type sweepUnit struct {
+	p     Params
+	label string
 }
 
-// workersFor normalises a Params.Parallelism value (0 and 1 both mean
-// sequential) and caps it at the number of available units.
-func workersFor(parallelism, units int) int {
-	if parallelism < 1 {
-		parallelism = 1
+// appendPair appends p's full and partial runs, in that order, as one
+// sweep pair.
+func appendPair(units []sweepUnit, p Params, label string) []sweepUnit {
+	p.PartialReconfig = false
+	full := sweepUnit{p, label}
+	p.PartialReconfig = true
+	return append(units, full, sweepUnit{p, label})
+}
+
+// sweep is the one fan-out under every experiment helper. It runs the
+// units on the worker set newScratchPool hands out, through one
+// exec.DoWorkers call with min(parallelism, len(units)) workers, and
+// writes unit u's result only to out[u]. The first error by unit index
+// wins, so a failed sweep reports what a sequential one would.
+//
+// onPair, when non-nil, sees pair i (units 2i and 2i+1, the full and
+// partial halves of one cell; the units then come in pairs) once both
+// halves are in. Its calls are serialised under one mutex; with more
+// than one worker, pairs may complete out of order.
+func sweep(parallelism int, units []sweepUnit, onPair func(i int, full, partial Result)) ([]Result, error) {
+	for _, u := range units {
+		if u.p.TimelinePath != "" {
+			return nil, fmt.Errorf("dreamsim: a sweep cannot stream a timeline file: every run would write %s", u.p.TimelinePath)
+		}
 	}
-	if parallelism > units {
-		parallelism = units
+	out := make([]Result, len(units))
+	var mu sync.Mutex
+	halves := make([]int8, len(units)/2)
+	workers := min(max(parallelism, 1), len(units))
+	scratch := newScratchPool(workers)
+	err := exec.DoWorkers(context.Background(), workers, len(units),
+		func(_ context.Context, w, u int) error {
+			res, err := runScratch(units[u].p, scratch.get(w), nil, nil)
+			if err != nil {
+				if units[u].label == "" {
+					return err
+				}
+				return fmt.Errorf("dreamsim: %s: %w", units[u].label, err)
+			}
+			out[u] = res
+			if onPair != nil {
+				mu.Lock()
+				if halves[u/2]++; halves[u/2] == 2 {
+					onPair(u/2, out[u&^1], out[u|1])
+				}
+				mu.Unlock()
+			}
+			return nil
+		})
+	scratch.release()
+	if err != nil {
+		return nil, err
 	}
-	return parallelism
+	return out, nil
 }
 
 // scratchPool is one sweep's worker set: a run context per worker,
@@ -103,8 +148,8 @@ func newScratchPool(workers int) scratchPool {
 func (s scratchPool) get(w int) *core.RunContext { return s[w] }
 
 // release gives the set back to sweepContexts. Call it only once
-// exec.DoWorkers or MapWorkers has returned: both wait for every
-// worker, so no unit still holds a context. A run that failed leaves
+// exec.DoWorkers has returned: it waits for every worker, so no unit
+// still holds a context. A run that failed leaves
 // its context reusable (the next run's prepare clears it; only its
 // task free list is lost). The set is put twice. A sync.Pool keeps an
 // item in the putting P's private slot when that slot is free, and

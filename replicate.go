@@ -1,11 +1,9 @@
 package dreamsim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"dreamsim/internal/exec"
 	"dreamsim/internal/report"
 	"dreamsim/internal/stats"
 )
@@ -33,22 +31,12 @@ func RunReplicated(p Params, seeds []uint64) ([]MetricStats, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("dreamsim: RunReplicated needs at least one seed")
 	}
-	if err := checkSweep(p); err != nil {
-		return nil, err
+	units := make([]sweepUnit, 0, len(seeds))
+	for _, seed := range seeds {
+		p.Seed = seed
+		units = append(units, sweepUnit{p, fmt.Sprintf("seed %d", seed)})
 	}
-	workers := workersFor(p.Parallelism, len(seeds))
-	scratch := newScratchPool(workers)
-	results, err := exec.MapWorkers(context.Background(), workers, len(seeds),
-		func(_ context.Context, w, i int) (Result, error) {
-			q := p
-			q.Seed = seeds[i]
-			res, err := runScratch(q, scratch.get(w), nil, nil)
-			if err != nil {
-				return Result{}, fmt.Errorf("dreamsim: seed %d: %w", seeds[i], err)
-			}
-			return res, nil
-		})
-	scratch.release()
+	results, err := sweep(p.Parallelism, units, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -108,54 +96,34 @@ type PairedMetric struct {
 // ComparePaired runs both reconfiguration scenarios under each seed
 // (each pair over identical inputs) and reports, per Table I metric,
 // the paired difference with confidence — statistical backing for
-// the paper's single-run comparisons. Seed pairs fan out across
-// p.Parallelism workers (each pair runs its two scenarios
-// sequentially so total concurrency stays bounded); the statistics
-// fold in seed order and are identical at any worker count.
+// the paper's single-run comparisons. Seed i's full run is unit 2i and
+// its partial run unit 2i+1; the units fan out across p.Parallelism
+// workers, and the statistics fold in seed order, so they are
+// identical at any worker count.
 func ComparePaired(p Params, seeds []uint64) ([]PairedMetric, error) {
 	if len(seeds) < 2 {
 		return nil, fmt.Errorf("dreamsim: ComparePaired needs at least two seeds")
 	}
-	if err := checkSweep(p); err != nil {
-		return nil, err
+	units := make([]sweepUnit, 0, 2*len(seeds))
+	for _, seed := range seeds {
+		p.Seed = seed
+		units = appendPair(units, p, fmt.Sprintf("seed %d", seed))
 	}
-	type pair struct{ full, partial Result }
-	workers := workersFor(p.Parallelism, len(seeds))
-	scratch := newScratchPool(workers)
-	pairs, err := exec.MapWorkers(context.Background(), workers, len(seeds),
-		func(_ context.Context, w, i int) (pair, error) {
-			// Each pair runs its two scenarios sequentially on the
-			// worker's context, so total concurrency stays bounded.
-			q := p
-			q.Seed = seeds[i]
-			q.Parallelism = 1 // the seed fan-out is the unit of parallelism
-			q.PartialReconfig = false
-			full, err := runScratch(q, scratch.get(w), nil, nil)
-			if err != nil {
-				return pair{}, fmt.Errorf("dreamsim: seed %d: %w", seeds[i], err)
-			}
-			q.PartialReconfig = true
-			partial, err := runScratch(q, scratch.get(w), nil, nil)
-			if err != nil {
-				return pair{}, fmt.Errorf("dreamsim: seed %d: %w", seeds[i], err)
-			}
-			return pair{full: full, partial: partial}, nil
-		})
-	scratch.release()
+	res, err := sweep(p.Parallelism, units, nil)
 	if err != nil {
 		return nil, err
 	}
 	fullVals := map[string][]float64{}
 	partVals := map[string][]float64{}
 	var order []string
-	for _, pr := range pairs {
-		for _, row := range report.MetricRows(pr.full.rep) {
+	for i := 0; i < len(res); i += 2 {
+		for _, row := range report.MetricRows(res[i].rep) {
 			if _, seen := fullVals[row.Name]; !seen {
 				order = append(order, row.Name)
 			}
 			fullVals[row.Name] = append(fullVals[row.Name], row.Value)
 		}
-		for _, row := range report.MetricRows(pr.partial.rep) {
+		for _, row := range report.MetricRows(res[i+1].rep) {
 			partVals[row.Name] = append(partVals[row.Name], row.Value)
 		}
 	}

@@ -1,15 +1,10 @@
 package dreamsim
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
-
-	"dreamsim/internal/exec"
 )
 
 // NamedScenario pairs a scenario's display name with its text — the
@@ -45,67 +40,41 @@ type ScenarioCell struct {
 }
 
 // RunScenarioSet sweeps both reconfiguration methods over a set of
-// workload scenarios — the scenario-file analogue of RunMatrix. Every
-// (scenario, method) pair is an independent simulation unit, so
-// base.Parallelism of them run concurrently; results are
-// byte-identical to a sequential sweep. onCell, when non-nil,
-// observes each finished cell; with Parallelism > 1 cells may finish
-// out of set order (calls are serialised).
+// workload scenarios — the scenario-file analogue of RunMatrix, with
+// scenario i's full run as unit 2i and its partial run as unit 2i+1.
+// Every unit is an independent simulation, so base.Parallelism of them
+// run concurrently; results are byte-identical to a sequential sweep.
+// onCell, when non-nil, observes each finished cell; with
+// Parallelism > 1 cells may finish out of set order (calls are
+// serialised).
 func RunScenarioSet(base Params, set []NamedScenario, onCell func(ScenarioCell)) ([]ScenarioCell, error) {
 	if len(set) == 0 {
 		return nil, fmt.Errorf("dreamsim: empty scenario set")
 	}
-	if err := checkSweep(base); err != nil {
-		return nil, err
-	}
 	seen := make(map[string]bool, len(set))
+	units := make([]sweepUnit, 0, 2*len(set))
 	for _, s := range set {
 		if seen[s.Name] {
 			return nil, fmt.Errorf("dreamsim: duplicate scenario name %q in set", s.Name)
 		}
 		seen[s.Name] = true
+		p := base
+		p.ScenarioText = s.Text
+		units = appendPair(units, p, fmt.Sprintf("scenario %q", s.Name))
+	}
+	var onPair func(int, Result, Result)
+	if onCell != nil {
+		onPair = func(i int, full, partial Result) {
+			onCell(ScenarioCell{Name: set[i].Name, Full: full, Partial: partial})
+		}
+	}
+	res, err := sweep(base.Parallelism, units, onPair)
+	if err != nil {
+		return nil, err
 	}
 	cells := make([]ScenarioCell, len(set))
 	for i := range cells {
-		cells[i].Name = set[i].Name
-	}
-
-	// Two units per scenario, full-then-partial, mirroring RunMatrix:
-	// one worker reproduces the sequential order exactly.
-	pending := make([]atomic.Int32, len(cells))
-	for i := range pending {
-		pending[i].Store(2)
-	}
-	var cellMu sync.Mutex
-	workers := workersFor(base.Parallelism, 2*len(cells))
-	scratch := newScratchPool(workers)
-	err := exec.DoWorkers(context.Background(), workers, 2*len(cells),
-		func(_ context.Context, w, u int) error {
-			cell := &cells[u/2]
-			p := base
-			p.ScenarioText = set[u/2].Text
-			p.PartialReconfig = u%2 == 1
-			res, err := runScratch(p, scratch.get(w), nil, nil)
-			if err != nil {
-				return fmt.Errorf("dreamsim: scenario %q: %w", cell.Name, err)
-			}
-			if p.PartialReconfig {
-				//lint:sharedstate units 2k and 2k+1 share cell u/2 but write disjoint fields (Partial vs Full), and readers are ordered after both writes by the pending[u/2] atomic decrement
-				cell.Partial = res
-			} else {
-				//lint:sharedstate units 2k and 2k+1 share cell u/2 but write disjoint fields (Partial vs Full), and readers are ordered after both writes by the pending[u/2] atomic decrement
-				cell.Full = res
-			}
-			if pending[u/2].Add(-1) == 0 && onCell != nil {
-				cellMu.Lock()
-				onCell(*cell)
-				cellMu.Unlock()
-			}
-			return nil
-		})
-	scratch.release()
-	if err != nil {
-		return nil, err
+		cells[i] = ScenarioCell{Name: set[i].Name, Full: res[2*i], Partial: res[2*i+1]}
 	}
 	return cells, nil
 }
