@@ -54,3 +54,23 @@ func TestFigureCSVGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureCSVFormatting pins Figure.CSV's layout on a hand-built
+// figure: a fixed header, then one row per task count with the
+// without-partial value before the with-partial one; integral values
+// print without decimals, whatever their size, and the rest as %.4g.
+func TestFigureCSVFormatting(t *testing.T) {
+	fig := dreamsim.Figure{
+		ID:         dreamsim.Fig6a,
+		TaskCounts: []int{1000, 2000, 100000},
+		Without:    []float64{4, 1.25, 1.0 / 3},
+		With:       []float64{0, 100000, 1234567.5},
+	}
+	const want = "x,without partial configuration,with partial configuration\n" +
+		"1000,4,0\n" +
+		"2000,1.25,100000\n" +
+		"100000,0.3333,1.235e+06\n"
+	if got := fig.CSV(); got != want {
+		t.Errorf("CSV:\n%s\nwant:\n%s", got, want)
+	}
+}
