@@ -83,6 +83,11 @@ func main() {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		// A partial load hides the callers of an export and the roots
+		// whose paths a directive prunes.
+		fmt.Fprintln(os.Stderr, "dreamlint: deadexport and unused-directive findings need the whole module (./...)")
+	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
 		file := relPath(cwd, d.Pos.Filename)

@@ -35,7 +35,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		dir        = flag.String("dir", "dreamserve-state", "state directory (jobs, results, checkpoints)")
-		workers    = flag.Int("workers", 0, "concurrent sweep units (0 = one per CPU)")
+		workers    = flag.Int("workers", 0, "concurrent sweep units (0 = GOMAXPROCS)")
 		ckEvents   = flag.Uint64("checkpoint-events", serve.DefaultCheckpointEvents, "checkpoint cadence in processed simulation events")
 		rateCap    = flag.Int("rate-capacity", 0, "submission token-bucket capacity (0 = unlimited)")
 		rateRefill = flag.Float64("rate-refill", 1, "submission tokens refilled per second")

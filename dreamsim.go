@@ -166,7 +166,7 @@ type Params struct {
 	// Parallelism bounds how many independent simulation units the
 	// experiment helpers (Compare, RunMatrix, RunFigure, RunReplicated,
 	// ComparePaired) execute concurrently. 0 and 1 both mean
-	// sequential; DefaultParallelism() uses every CPU. Results are
+	// sequential; DefaultParallelism() uses GOMAXPROCS. Results are
 	// byte-identical at any value because each unit derives all of its
 	// randomness from its own Params — parallelism only changes wall-
 	// clock time. A single Run is unaffected.

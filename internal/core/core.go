@@ -192,7 +192,11 @@ type pooledSource interface {
 
 // New builds a simulator: it generates the resource population and
 // the task source from independent, seed-derived RNG streams so that
-// partial/full scenario pairs share identical inputs.
+// partial/full scenario pairs share identical inputs. Each consumer
+// gets its own Split of rng.New(Seed), in this order: configurations,
+// nodes, tasks, network delays, then, when the run has them, the
+// random-fit policy New builds, a scenario's fault-event script and
+// the fault injector.
 func New(params Params) (*Simulator, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -269,12 +273,11 @@ func New(params Params) (*Simulator, error) {
 	ctx.prepare(len(nodes), mgr.Configs(), depMax, plan.Enabled())
 
 	s := &Simulator{
-		params: params,
-		ctx:    ctx,
-		eng:    &ctx.eng,
-		mgr:    mgr,
-		policy: policy,
-		//lint:rngflow the checkpoint must capture the very stream the policy consumes; a Split substream would diverge from it
+		params:    params,
+		ctx:       ctx,
+		eng:       &ctx.eng,
+		mgr:       mgr,
+		policy:    policy,
 		policyRNG: policyRNG,
 		source:    source,
 		sus:       &ctx.sus,

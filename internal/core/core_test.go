@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"dreamsim/internal/fault"
 	"dreamsim/internal/model"
 	"dreamsim/internal/report"
+	"dreamsim/internal/rng"
 	"dreamsim/internal/sched"
 	"dreamsim/internal/workload"
 )
@@ -305,6 +307,42 @@ func TestPolicyOptionsFlowThrough(t *testing.T) {
 	res = mustRun(t, p)
 	if !strings.Contains(res.Policy, "random-fit") {
 		t.Fatalf("policy name %q", res.Policy)
+	}
+}
+
+// TestNewSplitsOneStreamPerConsumer: New gives each consumer of
+// randomness its own Split of rng.New(Seed), in its documented order:
+// configurations, nodes, tasks, delays, policy, faults. A stream that
+// two consumers share (the policy handed the root itself, or the
+// injector handed the policy's stream) makes one consumer's draws
+// move the other's, and a checkpoint would restore one position for
+// both.
+func TestNewSplitsOneStreamPerConsumer(t *testing.T) {
+	p := smallParams(30, 300, true)
+	p.PolicyOptions = sched.Options{Placement: sched.RandomFit}
+	p.Faults = fault.Plan{CrashRate: 0.002, MeanDowntime: 200}
+	s, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := rng.New(p.Seed)
+	var splits [6]*rng.RNG
+	for i := range splits {
+		splits[i] = root.Split()
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *rng.RNG
+	}{{"policy", s.policyRNG, splits[4]}, {"fault", s.inj.RNG(), splits[5]}} {
+		if c.got == nil {
+			t.Errorf("New built no %s stream", c.name)
+			continue
+		}
+		g0, g1 := c.got.State()
+		w0, w1 := c.want.State()
+		if g0 != w0 || g1 != w1 {
+			t.Errorf("%s stream is not its own Split of the root", c.name)
+		}
 	}
 }
 

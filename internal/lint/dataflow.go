@@ -1,23 +1,19 @@
-// Cross-function dataflow for the whole-program analyzers
-// (allocfree, sharedstate, rngflow). A Program merges every loaded
-// package over the shared token.FileSet into one function index plus
-// a package-level call graph, and computes a conservative
-// escape/effect Summary per declared function: does it allocate,
-// which package-level variables does it (transitively) write, which
-// of its parameters does it call, retain, or write through — and
-// with what index discipline. The single-function analyzers keep
-// their per-package Pass; the dataflow analyzers run once over the
+// Cross-function dataflow for the whole-program analyzer allocfree. A
+// Program merges every loaded package over the shared token.FileSet
+// into one function index plus a package-level call graph, and
+// computes a conservative effect Summary per declared function: which
+// of its parameters does it call or retain. The single-function
+// analyzers keep their per-package Pass; allocfree runs once over the
 // Program so a finding two calls deep, or in another package, is
-// still attributed to the annotated root that reaches it.
+// still attributed to the annotated root that reaches it. deadexport
+// also runs over the Program, but reads only its packages.
 //
 // The summaries are deliberately conservative in the "miss nothing
-// we claim to check" direction for the facts the analyzers gate on,
-// with documented soundness gaps where full precision would need a
+// we claim to check" direction for the facts allocfree gates on, with
+// a documented soundness gap where full precision would need a
 // points-to analysis: effects through interface dispatch and through
-// function values are not propagated (the allocfree analyzer instead
-// reports dynamic call sites themselves), and a pointer returned by
-// an arbitrary function is not assumed to alias its arguments unless
-// the callee matches the recognised donation shape (`return s[w]`).
+// function values are not propagated (allocfree instead reports
+// dynamic call sites themselves).
 package lint
 
 import (
@@ -93,7 +89,7 @@ func relativeTo(pkg *types.Package) types.Qualifier {
 }
 
 // Effect is one position-addressed fact (an allocation site, a
-// dynamic call, a package-level write, ...).
+// dynamic call, ...).
 type Effect struct {
 	Pos  token.Pos
 	Desc string
@@ -106,27 +102,8 @@ type CallEdge struct {
 	// ArgParam maps a callee parameter index (receiver = 0 when the
 	// callee is a method) to the caller parameter index passed there,
 	// for arguments that are plain parameter identifiers. It is how
-	// retention, call-through and write effects compose across calls.
+	// retention and call-through compose across calls.
 	ArgParam map[int]int
-}
-
-// ParamWrite describes writes reachable from one parameter's pointee.
-type ParamWrite struct {
-	// Plain is set when at least one write has no recognised index
-	// discipline.
-	Plain bool
-	// IndexedBy holds the caller-parameter indices i such that some
-	// write goes through exactly one index expression equal to
-	// parameter i (the per-worker donation shape s[w] = ...).
-	IndexedBy map[int]bool
-}
-
-// ResultAlias records the donation shape `return s[w]`: the result
-// aliases parameter Param's pointee at the index held in parameter
-// IndexedBy.
-type ResultAlias struct {
-	Param     int
-	IndexedBy int
 }
 
 // Summary is the conservative escape/effect summary of one function.
@@ -142,22 +119,6 @@ type Summary struct {
 	// the call: a field, a slice/map element, a package-level
 	// variable, a channel, a composite literal, or the return value.
 	RetainsParam map[int]bool
-
-	// GlobalWrites lists direct writes to package-level variables.
-	GlobalWrites []Effect
-
-	// WritesGlobal is the transitive closure of GlobalWrites over
-	// static calls; GlobalEvidence locates one witness (a direct
-	// write or the call that reaches one).
-	WritesGlobal   bool
-	GlobalEvidence Effect
-
-	// ParamWrites maps a parameter index to the writes reachable
-	// from its pointee, composed transitively across static calls.
-	ParamWrites map[int]*ParamWrite
-
-	// Result records the recognised result-aliasing shape, if any.
-	Result *ResultAlias
 }
 
 // noallocDirective matches the annotation in a function doc comment.
@@ -317,17 +278,15 @@ func (prog *Program) summarize(fi *FuncInfo) {
 	s := &Summary{
 		CallsParam:   map[int]bool{},
 		RetainsParam: map[int]bool{},
-		ParamWrites:  map[int]*ParamWrite{},
 	}
 	fi.Summary = s
 	w := &effectWalker{prog: prog, fi: fi, sum: s}
 	w.block(fi.Decl.Body)
 }
 
-// effectWalker performs the local effect pass: writes, retention,
-// parameter calls, call edges, and the result-alias shape. FuncLit
-// bodies are walked inline — their effects (through captures) belong
-// to the declaring function.
+// effectWalker performs the local effect pass: retention, parameter
+// calls and call edges. FuncLit bodies are walked inline — their
+// effects (through captures) belong to the declaring function.
 type effectWalker struct {
 	prog *Program
 	fi   *FuncInfo
@@ -347,9 +306,6 @@ func (w *effectWalker) stmt(st ast.Stmt) {
 	switch st := st.(type) {
 	case *ast.AssignStmt:
 		for _, lhs := range st.Lhs {
-			if st.Tok != token.DEFINE {
-				w.write(lhs)
-			}
 			w.expr(lhs)
 		}
 		for _, rhs := range st.Rhs {
@@ -363,7 +319,6 @@ func (w *effectWalker) stmt(st ast.Stmt) {
 			}
 		}
 	case *ast.IncDecStmt:
-		w.write(st.X)
 		w.expr(st.X)
 	case *ast.ExprStmt:
 		w.expr(st.X)
@@ -388,12 +343,6 @@ func (w *effectWalker) stmt(st ast.Stmt) {
 		w.stmtOpt(st.Post)
 		w.block(st.Body)
 	case *ast.RangeStmt:
-		if st.Key != nil && st.Tok != token.DEFINE {
-			w.write(st.Key)
-		}
-		if st.Value != nil && st.Tok != token.DEFINE {
-			w.write(st.Value)
-		}
 		w.expr(st.X)
 		w.block(st.Body)
 	case *ast.SwitchStmt:
@@ -454,31 +403,12 @@ func (w *effectWalker) stmtOpt(st ast.Stmt) {
 	}
 }
 
-// returnStmt records retention of returned parameters and the
-// `return s[w]` result-alias shape.
+// returnStmt records retention of returned parameters.
 func (w *effectWalker) returnStmt(st *ast.ReturnStmt) {
 	for _, r := range st.Results {
 		w.expr(r)
 		if p := w.fi.paramIndex(w.identObj(r)); p >= 0 {
 			w.sum.RetainsParam[p] = true
-		}
-	}
-	if len(st.Results) == 1 {
-		if ix, ok := ast.Unparen(st.Results[0]).(*ast.IndexExpr); ok {
-			base := w.fi.paramIndex(w.identObj(ix.X))
-			idx := w.fi.paramIndex(w.identObj(ix.Index))
-			if base >= 0 && idx >= 0 {
-				if w.sum.Result == nil {
-					w.sum.Result = &ResultAlias{Param: base, IndexedBy: idx}
-				} else if w.sum.Result.Param != base || w.sum.Result.IndexedBy != idx {
-					w.sum.Result = &ResultAlias{Param: -1} // inconsistent
-				}
-				return
-			}
-		}
-		// Any other single-result return invalidates an alias claim.
-		if w.sum.Result != nil {
-			w.sum.Result = &ResultAlias{Param: -1}
 		}
 	}
 }
@@ -489,74 +419,6 @@ func (w *effectWalker) identObj(e ast.Expr) types.Object {
 		return w.fi.Pkg.Info.ObjectOf(id)
 	}
 	return nil
-}
-
-// write classifies one lvalue: package-level variable, parameter
-// pointee (with its index discipline), or local (ignored).
-func (w *effectWalker) write(lhs ast.Expr) {
-	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-		// Rebinding a variable: a package-level effect only when the
-		// variable itself is package-level.
-		if v, ok := w.fi.Pkg.Info.ObjectOf(id).(*types.Var); ok && v.Parent() == w.fi.Pkg.Types.Scope() {
-			w.sum.GlobalWrites = append(w.sum.GlobalWrites, Effect{
-				Pos: lhs.Pos(), Desc: fmt.Sprintf("package-level variable %q", v.Name()),
-			})
-		}
-		return
-	}
-	base, indexParams, indexCount := w.lvalueBase(lhs)
-	if base == nil {
-		return
-	}
-	obj := w.fi.Pkg.Info.ObjectOf(base)
-	if obj == nil {
-		return
-	}
-	if v, ok := obj.(*types.Var); ok && v.Parent() == w.fi.Pkg.Types.Scope() {
-		// A write through a package-level variable still mutates
-		// package-reachable state.
-		w.sum.GlobalWrites = append(w.sum.GlobalWrites, Effect{
-			Pos: lhs.Pos(), Desc: fmt.Sprintf("package-level variable %q", v.Name()),
-		})
-		return
-	}
-	p := w.fi.paramIndex(obj)
-	if p < 0 {
-		return
-	}
-	pw := w.sum.ParamWrites[p]
-	if pw == nil {
-		pw = &ParamWrite{IndexedBy: map[int]bool{}}
-		w.sum.ParamWrites[p] = pw
-	}
-	if indexCount == 1 && len(indexParams) == 1 {
-		pw.IndexedBy[indexParams[0]] = true
-	} else {
-		pw.Plain = true
-	}
-}
-
-// lvalueBase walks selector/index/star chains to the base identifier,
-// collecting which caller parameters appear as indices.
-func (w *effectWalker) lvalueBase(e ast.Expr) (base *ast.Ident, indexParams []int, indexCount int) {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x, indexParams, indexCount
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			indexCount++
-			if p := w.fi.paramIndex(w.identObj(x.Index)); p >= 0 {
-				indexParams = append(indexParams, p)
-			}
-			e = x.X
-		default:
-			return nil, indexParams, indexCount
-		}
-	}
 }
 
 // retainIfParam records parameter retention for stores into escaping
@@ -729,8 +591,8 @@ func pointerLike(t types.Type) bool {
 	return false
 }
 
-// fixpoint propagates CallsParam, RetainsParam, WritesGlobal, and
-// ParamWrites across static call edges until stable.
+// fixpoint propagates CallsParam and RetainsParam across static call
+// edges until stable.
 func (prog *Program) fixpoint() {
 	for changed := true; changed; {
 		changed = false
@@ -742,12 +604,6 @@ func (prog *Program) fixpoint() {
 					continue
 				}
 				cs := cfi.Summary
-				if cs.WritesGlobal && !s.WritesGlobal {
-					s.WritesGlobal = true
-					s.GlobalEvidence = Effect{Pos: e.Pos,
-						Desc: fmt.Sprintf("call to %s writes %s", cfi.Name(), witness(cs))}
-					changed = true
-				}
 				for q, p := range e.ArgParam {
 					if cs.CallsParam[q] && !s.CallsParam[p] {
 						s.CallsParam[p] = true
@@ -757,45 +613,10 @@ func (prog *Program) fixpoint() {
 						s.RetainsParam[p] = true
 						changed = true
 					}
-					if cw := cs.ParamWrites[q]; cw != nil {
-						pw := s.ParamWrites[p]
-						if pw == nil {
-							pw = &ParamWrite{IndexedBy: map[int]bool{}}
-							s.ParamWrites[p] = pw
-							changed = true
-						}
-						if cw.Plain && !pw.Plain {
-							pw.Plain = true
-							changed = true
-						}
-						for r := range cw.IndexedBy {
-							if rp, ok := e.ArgParam[r]; ok {
-								if !pw.IndexedBy[rp] {
-									pw.IndexedBy[rp] = true
-									changed = true
-								}
-							} else if !pw.Plain {
-								pw.Plain = true
-								changed = true
-							}
-						}
-					}
 				}
-			}
-			if len(s.GlobalWrites) > 0 && !s.WritesGlobal {
-				s.WritesGlobal = true
-				s.GlobalEvidence = s.GlobalWrites[0]
-				changed = true
 			}
 		}
 	}
-}
-
-func witness(s *Summary) string {
-	if len(s.GlobalWrites) > 0 {
-		return s.GlobalWrites[0].Desc
-	}
-	return s.GlobalEvidence.Desc
 }
 
 // suppressedAt is program-wide suppression: a //lint:NAME directive

@@ -8,19 +8,23 @@ import (
 
 // DetRand forbids nondeterministic value sources inside simulation
 // code. The simulator's headline guarantee — byte-identical results
-// for identical (Spec, Seed) inputs, across goroutine counts and
-// across processes — dies the moment a simulation path consults the
-// wall clock or an ambiently-seeded generator, so those sources are
-// banned by machine rather than by review:
+// for identical (Spec, Seed) inputs, across goroutine counts, across
+// processes and across hosts — dies the moment a simulation path
+// consults the wall clock, an ambiently-seeded generator or the host
+// environment, so those sources are banned by machine rather than by
+// review:
 //
 //   - time.Now / time.Since / time.Until and the timer constructors
 //     (After, Tick, NewTimer, NewTicker, AfterFunc): simulated time is
 //     sim.Clock timeticks, never the host clock;
 //   - math/rand and math/rand/v2: all randomness must flow through
-//     internal/rng, which is explicitly seeded (see the seedflow
-//     analyzer);
+//     internal/rng, which is explicitly seeded from Params;
 //   - crypto/rand: cryptographic entropy is nondeterministic by
-//     definition.
+//     definition;
+//   - os.Getenv / os.LookupEnv / os.Environ / os.Hostname: a value
+//     read from the host is the same in every process on one machine,
+//     so a seed or decision derived from it passes the cross-process
+//     determinism tests there and still differs on the next host.
 //
 // The analyzer covers every package; a site where the host clock is
 // legitimate carries a //lint:detrand justification.
@@ -37,6 +41,12 @@ var forbiddenTimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"After": true, "Tick": true, "AfterFunc": true,
 	"NewTimer": true, "NewTicker": true, "Sleep": true,
+}
+
+// forbiddenOSFuncs are the "os" package members that read the host's
+// environment or identity.
+var forbiddenOSFuncs = map[string]bool{
+	"Getenv": true, "LookupEnv": true, "Environ": true, "Hostname": true,
 }
 
 // forbiddenRandPkgs are import paths banned outright in simulation
@@ -67,12 +77,18 @@ func runDetRand(pass *Pass) error {
 			if obj == nil || obj.Pkg() == nil {
 				return true
 			}
-			if obj.Pkg().Path() == "time" && forbiddenTimeFuncs[sel.Sel.Name] {
-				if _, isFunc := obj.(*types.Func); isFunc {
-					pass.Reportf(sel.Pos(),
-						"time.%s in simulation code: simulated time is sim.Clock timeticks, not the host clock",
-						sel.Sel.Name)
-				}
+			if _, isFunc := obj.(*types.Func); !isFunc {
+				return true
+			}
+			switch path := obj.Pkg().Path(); {
+			case path == "time" && forbiddenTimeFuncs[sel.Sel.Name]:
+				pass.Reportf(sel.Pos(),
+					"time.%s in simulation code: simulated time is sim.Clock timeticks, not the host clock",
+					sel.Sel.Name)
+			case path == "os" && forbiddenOSFuncs[sel.Sel.Name]:
+				pass.Reportf(sel.Pos(),
+					"os.%s in simulation code: a run depends only on its Params, not on the host environment",
+					sel.Sel.Name)
 			}
 			return true
 		})

@@ -60,8 +60,8 @@ func TestDirectiveParsing(t *testing.T) {
 // type-checked, with their directives collected.
 func TestLoadMultiPackage(t *testing.T) {
 	pkgs, err := Load(".", []string{
-		"./testdata/src/sharedstate/internal/exec",
-		"./testdata/src/sharedstate/ss",
+		"./testdata/src/deadexport/lib",
+		"./testdata/src/deadexport/user",
 	})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -80,8 +80,8 @@ func TestLoadMultiPackage(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"dreamsim/internal/lint/testdata/src/sharedstate/internal/exec",
-		"dreamsim/internal/lint/testdata/src/sharedstate/ss",
+		"dreamsim/internal/lint/testdata/src/deadexport/lib",
+		"dreamsim/internal/lint/testdata/src/deadexport/user",
 	} {
 		if !seen[want] {
 			t.Errorf("Load did not return %s (got %v)", want, seen)

@@ -266,9 +266,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // Analyzers returns the full DReAMSim suite in stable order: the
 // single-package AST analyzers first, then the whole-program
-// dataflow analyzers, then deadexport.
+// dataflow analyzer allocfree, then deadexport.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, Metering, SeedFlow, AllocFree, SharedState, RNGFlow, DeadExport}
+	return []*Analyzer{DetRand, MapOrder, Metering, AllocFree, DeadExport}
 }
 
 // An Exception is one //lint:NAME justification directive — the

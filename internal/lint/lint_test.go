@@ -34,10 +34,7 @@ func TestAnalyzers(t *testing.T) {
 		{"detrand", []*Analyzer{DetRand}},
 		{"maporder", []*Analyzer{MapOrder}},
 		{"metering", []*Analyzer{Metering}},
-		{"seedflow", []*Analyzer{SeedFlow}},
 		{"allocfree", []*Analyzer{AllocFree}},
-		{"sharedstate", []*Analyzer{SharedState}},
-		{"rngflow", []*Analyzer{RNGFlow}},
 		{"deadexport", []*Analyzer{DeadExport}},
 		{"directive", Analyzers()},
 	}

@@ -18,7 +18,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,7 @@ type Config struct {
 	// Dir is the state directory (jobs land under Dir/jobs).
 	Dir string
 	// Workers bounds how many sweep units run concurrently; 0 means
-	// one per CPU.
+	// dreamsim.DefaultParallelism().
 	Workers int
 	// CheckpointEvents is the checkpoint cadence: a unit pauses and
 	// persists a snapshot every this-many processed simulation events.
@@ -97,7 +96,7 @@ var errCancelled = errors.New("serve: job cancelled")
 // jobs, and starts the dispatcher.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+		cfg.Workers = dreamsim.DefaultParallelism()
 	}
 	if cfg.CheckpointEvents == 0 {
 		cfg.CheckpointEvents = DefaultCheckpointEvents
@@ -178,8 +177,6 @@ func (s *Server) dispatch() {
 }
 
 // runJob executes one job's units on the worker pool.
-//
-//lint:sharedstate every write runUnit reaches through js (buffered map, job progress, results file) happens under js.mu in complete/AppendResult — cross-function lock discipline the summary cannot see
 func (s *Server) runJob(js *jobState) {
 	if js.cancel.Load() {
 		s.finishJob(js, errCancelled)

@@ -25,9 +25,11 @@ import (
 	"dreamsim/internal/exec"
 )
 
-// DefaultParallelism returns the worker count the CLI tools default
-// to: one worker per CPU.
-func DefaultParallelism() int { return runtime.NumCPU() }
+// DefaultParallelism returns the worker count the CLI tools and
+// dreamserve default to: GOMAXPROCS, the number of goroutines the Go
+// scheduler runs at once. A wider sweep would build run contexts that
+// wait for a thread.
+func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // Deprecated: EffectiveIntraParallel returns 1; every run is sequential.
 //
@@ -67,6 +69,11 @@ func sweep(parallelism int, units []sweepUnit, onPair func(i int, full, partial 
 		}
 	}
 	out := make([]Result, len(units))
+	if len(units) == 0 {
+		// newScratchPool(0) would trim the pooled worker set to nothing,
+		// and the process's next sweep would start cold.
+		return out, nil
+	}
 	var mu sync.Mutex
 	halves := make([]int8, len(units)/2)
 	workers := min(max(parallelism, 1), len(units))
