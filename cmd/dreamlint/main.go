@@ -84,8 +84,10 @@ func main() {
 
 	diags := lint.Run(pkgs, analyzers)
 	if len(patterns) != 1 || patterns[0] != "./..." {
-		// A partial load hides the callers of an export and the roots
-		// whose paths a directive prunes.
+		// A partial load hides the callers of an export: deadexport
+		// flags exports that the rest of the module uses, and a
+		// //lint:deadexport directive kept for such a use can read as
+		// suppressing nothing.
 		fmt.Fprintln(os.Stderr, "dreamlint: deadexport and unused-directive findings need the whole module (./...)")
 	}
 	enc := json.NewEncoder(os.Stdout)

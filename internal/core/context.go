@@ -175,7 +175,6 @@ func (ctx *RunContext) terminalOf(no int) model.TaskStatus {
 // for sources (SWF traces) whose numbering exceeds the Deps range.
 func (ctx *RunContext) setTerminal(no int, st model.TaskStatus) {
 	if no >= len(ctx.terminal) {
-		//lint:allocfree grow path: extends once per task-number high-water mark, then indexes in place (gated by TestTickZeroAlloc)
 		ctx.terminal = append(ctx.terminal, make([]model.TaskStatus, no+1-len(ctx.terminal))...)
 	}
 	ctx.terminal[no] = st
@@ -193,7 +192,6 @@ func (ctx *RunContext) blockedTask(no int) *model.Task {
 func (ctx *RunContext) setBlocked(task *model.Task) {
 	no := task.No
 	if no >= len(ctx.depBlocked) {
-		//lint:allocfree grow path: extends once per task-number high-water mark, then indexes in place (gated by TestTickZeroAlloc)
 		ctx.depBlocked = append(ctx.depBlocked, make([]*model.Task, no+1-len(ctx.depBlocked))...)
 	}
 	if ctx.depBlocked[no] == nil {

@@ -430,8 +430,6 @@ func (s *Simulator) Start() error {
 // number of events processed so far; a nil pause never stops early.
 // This is the run's one event loop: Run and every checkpointed run
 // drive it.
-//
-//dreamsim:noalloc
 func (s *Simulator) RunUntil(pause func(now int64, processed uint64) bool) bool {
 	for {
 		if s.err != nil {
@@ -512,7 +510,6 @@ func (s *Simulator) classAccOf(task *model.Task) *metrics.ClassCounters {
 // scheduleNextArrival pulls the next task from the source and queues
 // its arrival event.
 func (s *Simulator) scheduleNextArrival() {
-	//lint:allocfree interface dispatch: a source's Next is its own allocation contract; the pooled generator recycles task structs and TestTickZeroAlloc gates the closed loop
 	task, ok := s.source.Next()
 	if !ok {
 		s.arrDone = true
@@ -531,8 +528,6 @@ func (s *Simulator) scheduleNextArrival() {
 }
 
 // handleArrival runs the scheduling algorithm for a newly arrived task.
-//
-//dreamsim:noalloc
 func (s *Simulator) handleArrival(task *model.Task, now int64) {
 	if s.err != nil {
 		return
@@ -557,7 +552,6 @@ func (s *Simulator) handleArrival(task *model.Task, now int64) {
 			return
 		}
 	}
-	//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
 	d := s.policy.Decide(s.mgr, task)
 	s.dispatch(task, d, now)
 	s.debugCheck()
@@ -597,7 +591,6 @@ func (s *Simulator) releaseChildren(parentNo int, now int64) {
 		switch s.parentGate(child) {
 		case gateReady:
 			s.ctx.clearBlocked(childNo)
-			//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
 			s.dispatch(child, s.policy.Decide(s.mgr, child), now)
 		case gateDiscard:
 			s.ctx.clearBlocked(childNo)
@@ -730,7 +723,6 @@ func (s *Simulator) release(task *model.Task) {
 		invariant.Assertf(task.CompletionEvent == nil, "core: task %d released with its completion event pending", task.No)
 	}
 	if s.recycle != nil {
-		//lint:allocfree interface dispatch: Release returns the struct to the source's free list; it allocates nothing by contract
 		s.recycle.Release(task)
 	}
 }
@@ -738,8 +730,6 @@ func (s *Simulator) release(task *model.Task) {
 // handleCompletion is the paper's TaskCompletionProc: release the
 // region, update lists and statistics, then feed the freed node to
 // the suspension queue.
-//
-//dreamsim:noalloc
 func (s *Simulator) handleCompletion(task *model.Task, node *model.Node, now int64) {
 	if s.err != nil {
 		return
@@ -956,7 +946,6 @@ func (s *Simulator) retrySuspended(node *model.Node, now int64) {
 		if qt.Resolved != nil && !f.Fits(qt.Resolved) {
 			return true // cannot fit: one search step, nothing else
 		}
-		//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
 		d := s.policy.DecideOnNode(s.mgr, qt, node)
 		if d.Places() {
 			s.sus.Remove(qt)
@@ -979,7 +968,6 @@ func (s *Simulator) drainQueue(now int64) {
 		s.ctx.drainScratch = s.sus.AppendTasks(s.ctx.drainScratch[:0])
 		for _, qt := range s.ctx.drainScratch {
 			was := qt.Resolved
-			//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
 			d := s.policy.Decide(s.mgr, qt)
 			switch {
 			case d.Places():
@@ -1038,11 +1026,9 @@ func (s *Simulator) maybeDefrag(node *model.Node) {
 // running and suspended task counts and the per-class running gauge.
 func (s *Simulator) emit(kind string, now int64, task *model.Task) {
 	if s.params.OnEvent != nil {
-		//lint:allocfree observer hook: user-supplied; runs nil on the gated hot path
 		s.params.OnEvent(kind, now, task)
 	}
 	if s.params.Recorder != nil && (kind == "place" || kind == "complete") {
-		//lint:allocfree monitoring path: the recorder amortizes per closed window, not per event, and the gated tick benchmark runs with Recorder == nil
 		s.params.Recorder.Observe(now, s.mgr.Census(), int(s.c.RunningTasks), s.sus.Len(), s.classRunning)
 	}
 }
@@ -1066,7 +1052,6 @@ func (s *Simulator) debugCheck() {
 	if !s.params.Debug || s.err != nil {
 		return
 	}
-	//lint:allocfree debug-only path: guarded by params.Debug, which is off on the gated hot path
 	if err := s.checkStructures(true); err != nil {
 		s.fail(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/xml"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -312,37 +313,62 @@ func TestPolicyOptionsFlowThrough(t *testing.T) {
 
 // TestNewSplitsOneStreamPerConsumer: New gives each consumer of
 // randomness its own Split of rng.New(Seed), in its documented order:
-// configurations, nodes, tasks, delays, policy, faults. A stream that
-// two consumers share (the policy handed the root itself, or the
-// injector handed the policy's stream) makes one consumer's draws
-// move the other's, and a checkpoint would restore one position for
-// both.
+// configurations, nodes, tasks, delays, policy, a scenario's
+// fault-event script, faults. A stream that two consumers share (the
+// policy handed the root itself, the injector handed the policy's
+// stream, or the storm script drawn from the task stream) makes one
+// consumer's draws move the other's, and a checkpoint would restore
+// one position for both. The storm case checks the script New drew
+// and dropped by drawing it again from the Split it must come from.
 func TestNewSplitsOneStreamPerConsumer(t *testing.T) {
-	p := smallParams(30, 300, true)
-	p.PolicyOptions = sched.Options{Placement: sched.RandomFit}
-	p.Faults = fault.Plan{CrashRate: 0.002, MeanDowntime: 200}
-	s, err := New(p)
+	scn, err := workload.ParseScenario(stormScenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := rng.New(p.Seed)
-	var splits [6]*rng.RNG
-	for i := range splits {
-		splits[i] = root.Split()
-	}
 	for _, c := range []struct {
-		name      string
-		got, want *rng.RNG
-	}{{"policy", s.policyRNG, splits[4]}, {"fault", s.inj.RNG(), splits[5]}} {
-		if c.got == nil {
-			t.Errorf("New built no %s stream", c.name)
-			continue
-		}
-		g0, g1 := c.got.State()
-		w0, w1 := c.want.State()
-		if g0 != w0 || g1 != w1 {
-			t.Errorf("%s stream is not its own Split of the root", c.name)
-		}
+		name     string
+		scenario *workload.Scenario
+	}{{"plain", nil}, {"storm", scn}} {
+		t.Run(c.name, func(t *testing.T) {
+			p := smallParams(30, 300, true)
+			p.PolicyOptions = sched.Options{Placement: sched.RandomFit}
+			p.Faults = fault.Plan{CrashRate: 0.002, MeanDowntime: 200}
+			p.Scenario = c.scenario
+			s, err := New(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := rng.New(p.Seed)
+			var splits [7]*rng.RNG
+			for i := range splits {
+				splits[i] = root.Split()
+			}
+			faultSplit := splits[5]
+			if c.scenario != nil {
+				want := c.scenario.FaultEvents(splits[5], len(s.mgr.Nodes()))
+				if len(want) == 0 {
+					t.Fatal("the storm drew no fault events")
+				}
+				if !reflect.DeepEqual(s.inj.Plan().Script, want) {
+					t.Errorf("storm script is not drawn from its own Split of the root after the policy stream")
+				}
+				faultSplit = splits[6]
+			}
+			for _, c := range []struct {
+				name      string
+				got, want *rng.RNG
+			}{{"policy", s.policyRNG, splits[4]}, {"fault", s.inj.RNG(), faultSplit}} {
+				if c.got == nil {
+					t.Errorf("New built no %s stream", c.name)
+					continue
+				}
+				g0, g1 := c.got.State()
+				w0, w1 := c.want.State()
+				if g0 != w0 || g1 != w1 {
+					t.Errorf("%s stream is not its own Split of the root", c.name)
+				}
+			}
+		})
 	}
 }
 

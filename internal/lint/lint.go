@@ -45,9 +45,8 @@ type Analyzer struct {
 	// and RunProgram is set.
 	Run func(*Pass) error
 	// RunProgram performs the check once over the whole loaded
-	// program (every package merged over the shared FileSet) — for
-	// the cross-function dataflow analyzers, whose findings may sit
-	// in a different package than the root that reaches them.
+	// program (every package merged over the shared FileSet), for an
+	// analyzer whose verdict on one package depends on the others.
 	RunProgram func(*ProgramPass) error
 }
 
@@ -216,7 +215,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			continue
 		}
 		if prog == nil {
-			prog = NewProgram(pkgs)
+			prog = newProgram(pkgs)
 		}
 		pp := &ProgramPass{Analyzer: a, Program: prog, diags: &diags}
 		if err := a.RunProgram(pp); err != nil {
@@ -265,10 +264,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // Analyzers returns the full DReAMSim suite in stable order: the
-// single-package AST analyzers first, then the whole-program
-// dataflow analyzer allocfree, then deadexport.
+// single-package AST analyzers first, then the whole-program analyzer
+// deadexport.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, Metering, AllocFree, DeadExport}
+	return []*Analyzer{DetRand, MapOrder, Metering, DeadExport}
 }
 
 // An Exception is one //lint:NAME justification directive — the

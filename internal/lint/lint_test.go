@@ -34,7 +34,6 @@ func TestAnalyzers(t *testing.T) {
 		{"detrand", []*Analyzer{DetRand}},
 		{"maporder", []*Analyzer{MapOrder}},
 		{"metering", []*Analyzer{Metering}},
-		{"allocfree", []*Analyzer{AllocFree}},
 		{"deadexport", []*Analyzer{DeadExport}},
 		{"directive", Analyzers()},
 	}

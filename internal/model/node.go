@@ -162,7 +162,6 @@ func (n *Node) SendBitstreamReusing(cfg *Config, spare *Entry) (*Entry, error) {
 	}
 	e := spare
 	if e == nil {
-		//lint:allocfree pool miss: callers recycle entries through spare; a nil spare allocates once per entry high-water mark (gated by TestSearchZeroAlloc)
 		e = new(Entry)
 	}
 	*e = Entry{Config: cfg, Node: n}
@@ -175,7 +174,9 @@ func (n *Node) SendBitstreamReusing(cfg *Config, spare *Entry) (*Entry, error) {
 // MakeNodeBlank removes all configurations (paper method). Every
 // entry must be idle; the freed area returns to AvailableArea so that
 // AvailableArea == TotalArea afterwards. It returns the removed
-// entries so callers (the resource lists) can unlink them.
+// entries so callers (the resource lists) can unlink them. The node
+// keeps its Entries array for the next configurations, so the
+// returned slice is valid until the node is next configured.
 func (n *Node) MakeNodeBlank() ([]*Entry, error) {
 	for _, e := range n.Entries {
 		if e.Task != nil {
@@ -184,7 +185,7 @@ func (n *Node) MakeNodeBlank() ([]*Entry, error) {
 		}
 	}
 	removed := n.Entries
-	n.Entries = nil
+	n.Entries = n.Entries[:0]
 	n.AvailableArea = n.TotalArea
 	return removed, nil
 }
@@ -245,15 +246,16 @@ func (n *Node) AddTaskToNode(e *Entry, task *Task) error {
 }
 
 // Fail crashes the node: the tasks it was running are detached and
-// returned (the caller requeues them), every resident configuration
-// is invalidated — the fabric state is lost with the node — and the
-// node is marked down so placement searches exclude it. The removed
-// entries are returned so callers (the resource lists) can unlink
-// them. Failing a node that is already down is an error; callers
-// treat repeat crashes as no-ops before the state change.
-func (n *Node) Fail() (tasks []*Task, removed []*Entry, err error) {
+// appended to tasks (the caller requeues them), every resident
+// configuration is invalidated — the fabric state is lost with the
+// node — and the node is marked down so placement searches exclude
+// it. The removed entries are returned so callers (the resource
+// lists) can unlink them; as in MakeNodeBlank, they share the node's
+// Entries array. Failing a node that is already down is an error;
+// callers treat repeat crashes as no-ops before the state change.
+func (n *Node) Fail(tasks []*Task) (_ []*Task, removed []*Entry, err error) {
 	if n.Down {
-		return nil, nil, fmt.Errorf("%w: node %d", ErrNodeDown, n.No)
+		return tasks, nil, fmt.Errorf("%w: node %d", ErrNodeDown, n.No)
 	}
 	for _, e := range n.Entries {
 		if e.Task != nil {
@@ -262,7 +264,7 @@ func (n *Node) Fail() (tasks []*Task, removed []*Entry, err error) {
 		}
 	}
 	removed = n.Entries
-	n.Entries = nil
+	n.Entries = n.Entries[:0]
 	n.AvailableArea = n.TotalArea
 	n.Down = true
 	return tasks, removed, nil

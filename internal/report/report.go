@@ -202,8 +202,6 @@ const dashes = "----------------------------------------------------------------
 
 // AppendTableI appends TableIText's output to dst and returns the
 // extended buffer — the allocation-free core of the text rendering.
-//
-//dreamsim:noalloc
 func AppendTableI(dst []byte, r metrics.Report) []byte {
 	dst = appendCell(dst, "performance metric", -34)
 	dst = appendCell(dst, "value", 18)
@@ -221,8 +219,6 @@ func AppendTableI(dst []byte, r metrics.Report) []byte {
 
 // AppendCompare appends CompareText's output to dst and returns the
 // extended buffer.
-//
-//dreamsim:noalloc
 func AppendCompare(dst []byte, nameA string, a metrics.Report, nameB string, b metrics.Report) []byte {
 	dst = appendCell(dst, "performance metric", -34)
 	dst = appendCell(dst, nameA, 18)

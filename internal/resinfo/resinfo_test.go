@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"dreamsim/internal/invariant"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
 	"dreamsim/internal/rng"
@@ -32,6 +33,34 @@ func rig(t *testing.T, nodeAreas, cfgAreas []int64, partial bool) (*Manager, *me
 		t.Fatal(err)
 	}
 	return m, c
+}
+
+// TestBlankIndexBuildZeroAlloc gates the blank index's build, which a
+// run pays once, on its first search for a blank node: the radix sort
+// of the slots by TotalArea (sortByKey) and the blank bits fill arrays
+// that newSoaState allocated up front. Each round drops the index and
+// lets the search rebuild it over 300 nodes whose areas take two radix
+// passes and repeat.
+func TestBlankIndexBuildZeroAlloc(t *testing.T) {
+	if invariant.Enabled || invariant.RaceEnabled {
+		t.Skip("assertions and race instrumentation allocate")
+	}
+	areas := make([]int64, 300)
+	for i := range areas {
+		areas[i] = 1000 + int64(i*7919%3000)/10*10
+	}
+	m, _ := rig(t, areas, []int64{500}, true)
+	cfg := m.Configs()[0]
+	rebuild := func() {
+		m.soa.indexed = false
+		clear(m.soa.blank)
+		if n := m.BestBlankNode(cfg); n == nil || n.TotalArea != 1000 {
+			t.Fatalf("the blank index found %v, want the smallest node", n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, rebuild); allocs != 0 {
+		t.Fatalf("building the blank index allocates %v allocs/op, want 0", allocs)
+	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -341,8 +341,6 @@ func (s *soaState) checkBlock(nodes []*model.Node, b int) error {
 // tightened to its exact maximum. Slots ascend, so the strict < keeps
 // the lower slot on a tie, as the paper's walk in node order does. The
 // caller charges the walk.
-//
-//dreamsim:noalloc
 func (m *Manager) scanBest(cfg *model.Config) *model.Node {
 	s := m.soa
 	best := -1
@@ -382,8 +380,6 @@ func (m *Manager) scanBest(cfg *model.Config) *model.Node {
 // first set blank bit at or after the area's lower bound in the blank
 // index's order whose node passes HasCaps. The caller charges the
 // walk.
-//
-//dreamsim:noalloc
 func (m *Manager) scanBlank(cfg *model.Config) *model.Node {
 	s := m.soa
 	if s.census.Blank == 0 {
@@ -424,8 +420,6 @@ func (s *soaState) areaBefore(a, b int32) bool {
 // from then on sync flips the bits. It runs on first use rather than
 // in New, so a manager that never meets a blank node never pays for
 // the sort.
-//
-//dreamsim:noalloc
 func (s *soaState) buildBlankIndex() {
 	for i := range s.order {
 		s.order[i] = int32(i)
@@ -445,8 +439,6 @@ func (s *soaState) buildBlankIndex() {
 // above the highest bit in which the smallest and largest keys differ
 // are shared by every key and take no pass. tmp is a buffer of the
 // same length as idx.
-//
-//dreamsim:noalloc
 func sortByKey(idx, tmp []int32, key []int64) {
 	if len(idx) < 2 {
 		return
@@ -485,8 +477,6 @@ func radixKey(k int64) uint64 { return uint64(k) ^ 1<<63 }
 // Blocks whose bound lies below ReqArea are skipped, and a block
 // visited to its end without a hit has its bound tightened to the
 // exact maximum.
-//
-//dreamsim:noalloc
 func (m *Manager) firstReclaimable(cfg *model.Config) int {
 	s := m.soa
 	for b := range s.blocks {
@@ -516,8 +506,6 @@ func (m *Manager) firstReclaimable(cfg *model.Config) int {
 // slot by slot; with them every slot before limit is walked. A node
 // holding exactly one entry costs one step either way, so only the
 // others need HasCaps.
-//
-//dreamsim:noalloc
 func (m *Manager) alg1Steps(caps []string, limit int) uint64 {
 	s := m.soa
 	var steps int64
@@ -547,8 +535,6 @@ func (m *Manager) alg1Steps(caps []string, limit int) uint64 {
 // scanFirstFit returns the lowest slot flagged want whose TotalArea
 // reaches ReqArea and whose node has the required capabilities, or -1:
 // the early-exit walk in node order.
-//
-//dreamsim:noalloc
 func (m *Manager) scanFirstFit(cfg *model.Config, want uint8) int {
 	s := m.soa
 	for p, f := range s.flags {

@@ -272,7 +272,6 @@ func (q *SusQueue) alloc() int32 {
 		return at
 	}
 	if len(q.arena) == cap(q.arena) {
-		//lint:allocfree pool miss: the arena grows once per suspension-depth high-water mark and is reused across runs, amortized to zero in steady state
 		q.arena = slices.Grow(q.arena, len(q.arena))
 	}
 	q.arena = append(q.arena, susElem{})
@@ -501,8 +500,6 @@ func (q *SusQueue) Walk(every bool, f *Filter, visit func(*model.Task) bool) (st
 // AppendTasks appends the queued tasks in FIFO order to dst and
 // returns the extended slice; callers that recycle the backing array
 // across passes allocate nothing.
-//
-//dreamsim:noalloc
 func (q *SusQueue) AppendTasks(dst []*model.Task) []*model.Task {
 	for at := q.arena[0].next[lvlFIFO]; at != 0; at = q.arena[at].next[lvlFIFO] {
 		dst = append(dst, q.arena[at].task)

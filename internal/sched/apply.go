@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"dreamsim/internal/invariant"
 	"dreamsim/internal/model"
 	"dreamsim/internal/resinfo"
 )
@@ -20,6 +21,15 @@ func Apply(m *resinfo.Manager, task *model.Task, d Decision) (*model.Entry, int6
 	case ActAllocate:
 		if d.Entry == nil {
 			return nil, 0, fmt.Errorf("sched: allocate decision without entry")
+		}
+		if invariant.Enabled {
+			// The manager pools and zeroes the Entry of every region it
+			// removes, so a decision holds only until the next state
+			// transition: every caller applies it in the call that
+			// made it. (A reconfigure's stale victims fail EvictIdle's
+			// ownership check instead.)
+			invariant.Assertf(d.Entry.Node != nil && d.Entry.Config == d.Config,
+				"sched: allocate decision names a region that is no longer resident")
 		}
 		if err := m.StartTask(d.Entry, task); err != nil {
 			return nil, 0, err

@@ -1,17 +1,24 @@
 package sched
 
 import (
-	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"dreamsim/internal/invariant"
 	"dreamsim/internal/model"
 	"dreamsim/internal/rng"
 )
 
-// TestPlacementsAgainstMidDecisionCrash covers all four Allocation
-// placement criteria against a node that crashes between Decide and
-// Apply: applying the stale decision must fail with the model's
-// down-node guard, and a fresh decision must exclude the crashed node.
+// TestPlacementsAgainstMidDecisionCrash pins the crash contract for
+// all four Allocation placement criteria. A crash pools the dead
+// node's regions like an eviction, so a decision is valid only until
+// the next state transition, and every caller applies it in the call
+// that made it. After the node chosen by a decision crashes, the
+// decision's region is zeroed in the pool, a fresh decision routes
+// around the crashed node, and the crashed region serves the next
+// Configure. Builds with -tags invariants also check that applying
+// the stale decision trips Apply's liveness assertion.
 func TestPlacementsAgainstMidDecisionCrash(t *testing.T) {
 	cases := []struct {
 		name string
@@ -42,14 +49,24 @@ func TestPlacementsAgainstMidDecisionCrash(t *testing.T) {
 			if d.Action != ActAllocate {
 				t.Fatalf("decision = %s, want allocate (all nodes hold an idle C0 region)", d)
 			}
-			victim := d.TargetNode()
+			victim, stale := d.TargetNode(), d.Entry
 
 			// The node crashes between the decision and its application.
 			if _, err := m.CrashNode(victim); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := Apply(m, tk, d); !errors.Is(err, model.ErrNodeDown) {
-				t.Fatalf("Apply on crashed node: err = %v, want ErrNodeDown", err)
+			if *stale != (model.Entry{}) {
+				t.Fatalf("the crashed node's region was not pooled: %+v", *stale)
+			}
+			if invariant.Enabled {
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no longer resident") {
+							t.Errorf("applying the stale decision: recovered %v, want the liveness assertion", r)
+						}
+					}()
+					Apply(m, tk, d)
+				}()
 			}
 
 			// A fresh decision must route around the crashed node.
@@ -63,6 +80,15 @@ func TestPlacementsAgainstMidDecisionCrash(t *testing.T) {
 			}
 			if _, _, err := Apply(m, tk, d2); err != nil {
 				t.Fatalf("applying rerouted decision: %v", err)
+			}
+
+			// The crashed region serves the next Configure.
+			e, err := m.Configure(alt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e != stale {
+				t.Fatal("the next Configure built a new region instead of reusing the crashed one")
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Fatal(err)

@@ -295,6 +295,36 @@ func TestQueuePushPopZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestQueueResetZeroAlloc gates the reset every run starts with, and
+// the Len check a run ends with: Reset returns each pending event to
+// the pool, so refilling the queue to the same depth and resetting it
+// again allocates nothing.
+func TestQueueResetZeroAlloc(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariants build trades allocations for assertions")
+	}
+	if invariant.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var q Queue
+	refill := func() {
+		for i := 0; i < 256; i++ {
+			q.ScheduleEvent(Time(i*7919%1000), "r", nop, nil, nil)
+		}
+		if q.Len() != 256 {
+			t.Fatalf("the queue holds %d events, want 256", q.Len())
+		}
+		q.Reset()
+		if q.Len() != 0 {
+			t.Fatalf("Reset left %d events queued", q.Len())
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(100, refill); allocs != 0 {
+		t.Fatalf("refilling and resetting the queue allocates %v allocs/op, want 0", allocs)
+	}
+}
+
 // BenchmarkQueuePushPop measures the pooled event path; the 0 B/op,
 // 0 allocs/op result is gated in CI (perf-smoke) for both cases.
 // shallow never holds more than three events; deep keeps 2,000

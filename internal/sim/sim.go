@@ -157,8 +157,6 @@ type Queue struct {
 }
 
 // Len reports the number of pending events.
-//
-//dreamsim:noalloc
 func (q *Queue) Len() int { return q.n }
 
 // bucketOf returns the bucket an event at t belongs in for the current
@@ -290,7 +288,6 @@ func (q *Queue) rebase(t Time) {
 func (q *Queue) alloc() *Event {
 	n := len(q.free)
 	if n == 0 {
-		//lint:allocfree pool miss: one Event per pool high-water mark, amortized to zero in steady state (gated by TestQueuePushPopZeroAlloc)
 		return &Event{index: -1}
 	}
 	ev := q.free[n-1]
@@ -325,7 +322,6 @@ func (q *Queue) release(ev *Event) {
 // it — typically after Pop in a manual drain loop. Releasing a queued
 // event panics; cancel with Remove instead (which releases itself).
 //
-//dreamsim:noalloc
 //lint:deadexport (c) test support: perf-smoke's BenchmarkQueuePushPop 0-alloc gate drains the queue through it
 func (q *Queue) Release(ev *Event) {
 	if q.queued(ev) {
@@ -336,8 +332,6 @@ func (q *Queue) Release(ev *Event) {
 
 // Push schedules ev. It panics if the event is already queued, was
 // freed, or has no Handle.
-//
-//dreamsim:noalloc
 func (q *Queue) Push(ev *Event) {
 	if ev.Handle == nil {
 		panic("sim: event with nil Handle")
@@ -361,8 +355,6 @@ func (q *Queue) Push(ev *Event) {
 // the Event from the pool. This is the allocation-free path: with a
 // pre-bound Handler and pointer payloads, steady-state scheduling
 // performs no heap allocation.
-//
-//dreamsim:noalloc
 func (q *Queue) ScheduleEvent(at Time, kind string, h Handler, a, b any) *Event {
 	ev := q.alloc()
 	ev.At, ev.Kind, ev.Handle = at, kind, h
@@ -373,8 +365,6 @@ func (q *Queue) ScheduleEvent(at Time, kind string, h Handler, a, b any) *Event 
 
 // PeekTime returns the timestamp of the earliest pending event; ok is
 // false when the queue is empty.
-//
-//dreamsim:noalloc
 func (q *Queue) PeekTime() (t Time, ok bool) {
 	if q.levelMask == 0 {
 		return 0, false
@@ -387,8 +377,6 @@ func (q *Queue) PeekTime() (t Time, ok bool) {
 // insertion order). It returns nil when the queue is empty. The
 // caller owns the event until it calls Release (the Engine does this
 // automatically after firing).
-//
-//dreamsim:noalloc
 func (q *Queue) Pop() *Event {
 	if q.levelMask == 0 {
 		return nil
@@ -408,8 +396,6 @@ func (q *Queue) Pop() *Event {
 // Remove cancels a queued event and returns its memory to the pool.
 // It reports whether the event was actually pending. The handle is
 // dead after a successful Remove.
-//
-//dreamsim:noalloc
 func (q *Queue) Remove(ev *Event) bool {
 	if !q.queued(ev) {
 		return false
@@ -423,8 +409,6 @@ func (q *Queue) Remove(ev *Event) bool {
 // free list, so the next run reuses the same memory. Sequence
 // numbering restarts so FIFO-within-tick ordering is reproduced
 // exactly across runs.
-//
-//dreamsim:noalloc
 func (q *Queue) Reset() {
 	for ; q.levelMask != 0; q.levelMask &= q.levelMask - 1 {
 		l := bits.TrailingZeros64(q.levelMask)
@@ -532,8 +516,6 @@ func (e *Engine) Reset() {
 
 // ScheduleEventAt queues h with its payload to run at absolute time
 // at. Scheduling in the past panics: causality must hold.
-//
-//dreamsim:noalloc
 func (e *Engine) ScheduleEventAt(at Time, kind string, h Handler, a, b any) *Event {
 	if at < e.Clock.Now() {
 		panic(fmt.Sprintf("sim: scheduling %q at %d before now %d", kind, at, e.Clock.Now()))
@@ -543,8 +525,6 @@ func (e *Engine) ScheduleEventAt(at Time, kind string, h Handler, a, b any) *Eve
 
 // ScheduleEventAfter queues h with its payload to run delay ticks
 // from now.
-//
-//dreamsim:noalloc
 func (e *Engine) ScheduleEventAfter(delay Time, kind string, h Handler, a, b any) *Event {
 	if delay < 0 {
 		panic("sim: negative delay")
@@ -560,7 +540,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // inside their own firing).
 func (e *Engine) fire(ev *Event) {
 	e.processed++
-	//lint:allocfree dynamic dispatch: the callback's allocation discipline is the scheduling site's contract; TestTickZeroAlloc gates the closed loop at runtime
 	ev.Handle(ev, ev.At)
 	if ev.index == -1 {
 		e.Queue.release(ev)
@@ -569,8 +548,6 @@ func (e *Engine) fire(ev *Event) {
 
 // Step fires the single earliest event (advancing the clock to it)
 // and reports whether an event was available.
-//
-//dreamsim:noalloc
 func (e *Engine) Step() bool {
 	ev := e.Queue.Pop()
 	if ev == nil {
