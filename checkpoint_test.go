@@ -217,8 +217,9 @@ func TestCheckpointRejectsUncheckpointable(t *testing.T) {
 
 // TestAbandonedRunsLeaveNoGoroutines: a checkpointed run owns no
 // goroutines, so runs started or resumed and then dropped unfinished
-// leave the goroutine count where it was, with no garbage collection
-// needed to reclaim anything.
+// do not raise the goroutine count, with no garbage collection needed
+// to reclaim anything. Only a rise can come from the calls under test:
+// a goroutine another test left may exit meanwhile and lower it.
 func TestAbandonedRunsLeaveNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -244,7 +245,7 @@ func TestAbandonedRunsLeaveNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("50 abandoned StartRun and ResumeRun calls moved the goroutine count from %d to %d", before, after)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("50 abandoned StartRun and ResumeRun calls raised the goroutine count from %d to %d", before, after)
 	}
 }

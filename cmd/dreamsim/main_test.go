@@ -126,6 +126,26 @@ func TestSweepsRejectTimelineOut(t *testing.T) {
 	}
 }
 
+// TestAbsurdIntervalFailsValidation: an arrival interval above the
+// cap, from the flag or from a scenario's interval line, fails before
+// the run starts instead of wrapping the arrival clock mid-run.
+func TestAbsurdIntervalFailsValidation(t *testing.T) {
+	scn := filepath.Join(t.TempDir(), "huge.scn")
+	text := "dreamsim-scenario v1\ntasks 10\ninterval 9000000000000000000\n"
+	if err := os.WriteFile(scn, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-interval", "9000000000000000000", "-tasks", "10", "-nodes", "5"},
+		{"-scenario", scn, "-nodes", "5"},
+	} {
+		out, code := runCmd(t, args...)
+		if code != 1 || !strings.Contains(out, "exceeds the limit") {
+			t.Errorf("%v: exit %d, want 1 and a validation error:\n%s", args, code, out)
+		}
+	}
+}
+
 // TestErrorLine: fail names the command once, whether or not the
 // error already starts with the dreamsim package's prefix.
 func TestErrorLine(t *testing.T) {

@@ -34,8 +34,8 @@ func main() {
 		jsonOut    = flag.String("json", "", "save the full sweep matrix as JSON ('all' mode only)")
 		printParms = flag.Bool("print-params", false, "print the Table II simulation parameters and exit")
 		parallel   = flag.Int("parallel", dreamsim.DefaultParallelism(), "concurrent sweep workers (1 = sequential; results identical either way)")
-		scenario   = flag.String("scenario", "", "apply this workload scenario file to every sweep cell")
-		scenarios  = flag.String("scenarios", "", "comma-separated scenario files: sweep both reconfiguration methods over each (scenario-set mode)")
+		scenario   = flag.String("scenario", "", "apply this workload scenario file to every sweep cell (its interval line governs; the grid sets task counts)")
+		scenarios  = flag.String("scenarios", "", "comma-separated scenario files: sweep both reconfiguration methods over each, under each file's own task count and interval (scenario-set mode)")
 
 		faultCrashRate  = flag.Float64("fault-crash-rate", 0, "mean random node crashes per timetick in every cell (0 = off)")
 		faultDowntime   = flag.Float64("fault-downtime", 0, "mean downtime of randomly crashed nodes, in timeticks")
@@ -96,6 +96,9 @@ func main() {
 		scn, err := dreamsim.LoadScenario(*scenario)
 		fail(err)
 		base.ScenarioText = scn.Text
+		// DefaultParams' interval would otherwise win over the
+		// scenario's interval line, as any non-zero field does.
+		base.NextTaskMaxInterval = 0
 	}
 
 	if *outDir != "" {
@@ -164,7 +167,9 @@ func runScenarioSet(base dreamsim.Params, list string) {
 		fail(err)
 		set = append(set, scn)
 	}
-	base.Tasks = 0 // each scenario's own task count governs
+	// Each scenario's own task count and interval govern; non-zero
+	// fields would win over the scenario's lines.
+	base.Tasks, base.NextTaskMaxInterval = 0, 0
 	cells, err := dreamsim.RunScenarioSet(base, set, func(c dreamsim.ScenarioCell) {
 		fmt.Fprintf(os.Stderr, "scenario done: %s\n", c.Name)
 	})

@@ -203,7 +203,7 @@ func TestRepeatedRunDrawsEveryTaskFromFreeList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := s.Source().(*workload.Generator)
+		gen := s.Source().(*workload.ScenarioSource)
 		second, err := s.Run()
 		if err != nil {
 			t.Fatal(err)

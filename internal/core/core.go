@@ -53,7 +53,8 @@ type Params struct {
 	Source workload.TaskSource
 	// Scenario, when set, compiles the declarative scenario (traffic
 	// classes, bursty arrivals, load timelines, scheduled events) onto
-	// the task source and fault schedule. Spec still governs resource
+	// the task source and fault schedule; nil counts as the empty
+	// scenario, the flag-level run. Spec still governs resource
 	// generation and the resolved task count/interval (the public
 	// layer folds the scenario's tasks/interval lines into an unset
 	// Spec via ApplyDefaults). Ignored when Source is set.
@@ -145,8 +146,8 @@ type Simulator struct {
 	mgr     *resinfo.Manager
 	policy  sched.Policy
 	source  workload.TaskSource
-	recycle workload.Recycler // the source's free list; nil when it has none
-	pooled  pooledSource      // the source New built, holding ctx's free list until Finish
+	recycle workload.Recycler        // the source's free list; nil when it has none
+	pooled  *workload.ScenarioSource // the source New built, holding ctx's free list until Finish
 	sus     *reslists.SusQueue
 	c       *metrics.Counters
 	// policyRNG is the RandomFit placement stream when the core built
@@ -183,13 +184,6 @@ type Simulator struct {
 	drainCheckQueued bool  // a drain-check event is queued
 }
 
-// pooledSource is a source whose task free list can move in and out:
-// the pooled workload sources (Generator, ScenarioSource).
-type pooledSource interface {
-	Lend(free []*model.Task)
-	Reclaim() []*model.Task
-}
-
 // New builds a simulator: it generates the resource population and
 // the task source from independent, seed-derived RNG streams so that
 // partial/full scenario pairs share identical inputs. Each consumer
@@ -218,20 +212,13 @@ func New(params Params) (*Simulator, error) {
 	}
 
 	source := params.Source
+	var pooled *workload.ScenarioSource
 	if source == nil {
-		if params.Scenario != nil {
-			src, err := workload.NewScenarioSource(taskR, params.Scenario, &params.Spec, configs)
-			if err != nil {
-				return nil, err
-			}
-			source = src
-		} else {
-			gen, err := workload.NewGenerator(taskR, &params.Spec, configs)
-			if err != nil {
-				return nil, err
-			}
-			source = gen
+		src, err := workload.NewScenarioSource(taskR, params.Scenario, &params.Spec, configs)
+		if err != nil {
+			return nil, err
 		}
+		source, pooled = src, src
 	}
 	policy := params.Policy
 	var policyRNG *rng.RNG
@@ -280,6 +267,7 @@ func New(params Params) (*Simulator, error) {
 		policy:    policy,
 		policyRNG: policyRNG,
 		source:    source,
+		pooled:    pooled,
 		sus:       &ctx.sus,
 		c:         counters,
 	}
@@ -328,12 +316,9 @@ func New(params Params) (*Simulator, error) {
 	// A source New built draws from and releases into the context's
 	// free list, so the task structs of a worker's earlier runs serve
 	// this one's arrivals. A caller's Source keeps its own list.
-	if params.Source == nil {
-		if p, ok := source.(pooledSource); ok {
-			p.Lend(ctx.tasks)
-			ctx.tasks = nil
-			s.pooled = p
-		}
+	if pooled != nil {
+		pooled.Lend(ctx.tasks)
+		ctx.tasks = nil
 	}
 	return s, nil
 }

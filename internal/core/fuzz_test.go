@@ -17,10 +17,12 @@ import (
 // after every event). Any violation of Eq. 4, list linkage,
 // suspension-queue consistency or task accounting fails the property,
 // and so does any run that breaks one of the paper's accounting
-// identities (see identities).
+// identities (see identities). A third of the runs draw their tasks
+// from a random scenario (see randomScenario), so the identities also
+// see multi-class streams.
 func TestQuickRandomRuns(t *testing.T) {
 	f := func(seed uint16, nodes, tasks, cfgs uint8, partial bool,
-		placement uint8, lb, noSus, poisson bool, netHigh uint8, retries uint8) bool {
+		placement uint8, lb, noSus, poisson bool, netHigh uint8, retries uint8, scn uint16) bool {
 
 		spec := workload.TableII(int(nodes%20)+3, int(tasks%120)+10)
 		spec.Configs = int(cfgs%20) + 2
@@ -40,10 +42,14 @@ func TestQuickRandomRuns(t *testing.T) {
 			Debug:         true,
 			MaxSusRetries: int64(retries % 5 * 100),
 		}
+		if scn%3 == 0 {
+			p.Scenario = randomScenario(scn / 3)
+		}
 		var id identities
 		p.OnEvent = id.observe
 		s, err := New(p)
 		if err != nil {
+			t.Logf("New: %v", err)
 			return false
 		}
 		res, err := s.Run()
@@ -54,6 +60,14 @@ func TestQuickRandomRuns(t *testing.T) {
 		c := res.Counters
 		if err := id.check(c); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
+			return false
+		}
+		if err := id.checkClasses(s.classNames, s.classAcc); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			return false
+		}
+		if p.Scenario != nil && p.Scenario.MultiClass() && len(s.classAcc) != len(p.Scenario.Classes) {
+			t.Errorf("seed %d: %d classes accounted, the scenario has %d", seed, len(s.classAcc), len(p.Scenario.Classes))
 			return false
 		}
 		if c.GeneratedTasks != int64(spec.Tasks) {
@@ -91,8 +105,12 @@ func TestQuickRandomRuns(t *testing.T) {
 //   - Eq. 10: the configuration delays of the placements sum to
 //     ConfigurationTime (no bitstream bandwidth, so a placement's
 //     configuration delay is its configuration's ConfigTime).
+//
+// On a multi-class run it also checks Eq. 8 per class: the waits of a
+// class's placements sum to that class's WaitTime.
 type identities struct {
 	wait, configDelay int64
+	classWait         []int64       // by task class
 	due               map[int]int64 // task number -> completion tick
 	late              error         // the first completion off its tick
 }
@@ -101,7 +119,12 @@ type identities struct {
 func (id *identities) observe(kind string, now int64, task *model.Task) {
 	switch kind {
 	case "place":
-		id.wait += now - task.CreateTime + task.CommDelay + task.ConfigDelay
+		wait := now - task.CreateTime + task.CommDelay + task.ConfigDelay
+		id.wait += wait
+		for len(id.classWait) <= task.Class {
+			id.classWait = append(id.classWait, 0)
+		}
+		id.classWait[task.Class] += wait
 		id.configDelay += task.ConfigDelay
 		if id.due == nil {
 			id.due = map[int]int64{}
@@ -125,6 +148,55 @@ func (id *identities) check(c metrics.Counters) error {
 		return fmt.Errorf("Eq. 10: the placements' configuration delays sum to %d, ConfigurationTime is %d", id.configDelay, c.ConfigurationTime)
 	}
 	return nil
+}
+
+// checkClasses reports the first class whose placements' waits do not
+// sum to its accumulated WaitTime. names and acc are the run's per-class
+// accounting, empty unless the run has two or more classes.
+func (id *identities) checkClasses(names []string, acc []metrics.ClassCounters) error {
+	for i := range acc {
+		var wait int64
+		if i < len(id.classWait) {
+			wait = id.classWait[i]
+		}
+		if wait != acc[i].WaitTime {
+			return fmt.Errorf("per-class Eq. 8: class %q placements' waits sum to %d, its WaitTime is %d", names[i], wait, acc[i].WaitTime)
+		}
+	}
+	return nil
+}
+
+// randomScenario derives a fault-free scenario from bits: one to three
+// classes, each with its own arrival process (uniform, Poisson, gamma
+// or Weibull) and some with their own t_required range, and sometimes
+// a load timeline or an arrival spike. Its task count and interval
+// come from the run's Spec.
+func randomScenario(bits uint16) *workload.Scenario {
+	scn := &workload.Scenario{}
+	n := 1 + int(bits%3)
+	bits /= 3
+	for i := 0; i < n; i++ {
+		c := workload.ClassSpec{
+			Name:         fmt.Sprintf("c%d", i),
+			Fraction:     float64(1 + i),
+			Arrival:      workload.ArrivalSpec{Set: true, Kind: workload.ArrivalKind(bits % 4), CV: 0.5 + float64(i)},
+			Popularity:   -1,
+			ClosestMatch: -1,
+		}
+		bits /= 4
+		if bits%2 == 1 {
+			c.ReqTimeLow, c.ReqTimeHigh = 100, 5000
+		}
+		bits /= 2
+		scn.Classes = append(scn.Classes, c)
+	}
+	if bits%2 == 1 {
+		scn.Timeline = []workload.TimePoint{{At: 0, Mult: 0.5}, {At: 1500, Mult: 2}}
+	}
+	if bits/2%2 == 1 {
+		scn.Events = []workload.ScheduledEvent{{Kind: workload.EventSpike, Start: 500, End: 1200, Mult: 3}}
+	}
+	return scn
 }
 
 // TestQuickRandomHeteroRuns repeats the property with the capability

@@ -68,19 +68,20 @@ func TestStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamRecyclesThroughGenerator proves the free list is actually
+// TestStreamRecyclesThroughSource proves the free list is actually
 // exercised: on an overloaded run (suspensions force terminal
-// completions to interleave with pending arrivals) the generator must
-// hand out recycled task structs instead of allocating every one.
-func TestStreamRecyclesThroughGenerator(t *testing.T) {
+// completions to interleave with pending arrivals) the synthetic
+// source must hand out recycled task structs instead of allocating
+// every one.
+func TestStreamRecyclesThroughSource(t *testing.T) {
 	p := smallParams(10, 400, true)
 	s, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, ok := s.Source().(*workload.Generator)
+	gen, ok := s.Source().(*workload.ScenarioSource)
 	if !ok {
-		t.Fatalf("synthetic source is %T, want *workload.Generator", s.Source())
+		t.Fatalf("synthetic source is %T, want *workload.ScenarioSource", s.Source())
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestObserverRunRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := s.Source().(*workload.Generator)
+	gen := s.Source().(*workload.ScenarioSource)
 	got, err := s.Run()
 	if err != nil {
 		t.Fatal(err)

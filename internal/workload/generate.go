@@ -95,9 +95,10 @@ func drawCaps(r *rng.RNG, kinds []string, prob float64) []string {
 // TaskSource yields the task arrival stream of a run, one task at a
 // time — the streaming contract that keeps simulation memory bounded
 // by the live task set rather than the workload size. Implementations:
-// *Generator (synthetic), *TraceReader (recorded workloads) and the
-// SliceSource replay wrapper. Sources that additionally implement
-// Recycler hand out pooled task structs.
+// *ScenarioSource (synthetic, for flag-level runs and scenario files
+// alike), *TraceReader (recorded workloads) and the SliceSource replay
+// wrapper. Sources that additionally implement Recycler hand out
+// pooled task structs.
 type TaskSource interface {
 	// Next returns the next task in arrival order, or ok=false when
 	// the stream is exhausted. Tasks arrive with CreateTime set and
@@ -105,79 +106,9 @@ type TaskSource interface {
 	Next() (task *model.Task, ok bool)
 }
 
-// Generator synthesises the task stream (the paper's CreateTask /
-// job submission manager). It is deterministic given its RNG, and it
-// is lazy: each Next draws exactly one task, so a million-task
-// workload never exists in memory at once. It is the single synthetic
-// generation code path — materialized workloads are expressed over it
-// (Drain + SliceSource), never drawn by separate logic, so a pooled
-// run and its replay cannot drift.
-type Generator struct {
-	taskPool
-	spec    *Spec
-	r       *rng.RNG
-	configs []*model.Config
-	zipf    *rng.Zipf // non-nil when ConfigPopularity > 0
-	reqTime reqTimeDraw
-	now     int64
-	emitted int
-}
-
-// NewGenerator builds a synthetic task source over the given
-// configurations list (needed to draw each task's Cpref).
-func NewGenerator(r *rng.RNG, spec *Spec, configs []*model.Config) (*Generator, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("workload: generator needs a non-empty configurations list")
-	}
-	g := &Generator{spec: spec, r: r, configs: configs}
-	g.reqTime = newReqTimeDraw(spec.TaskReqTimeLow, spec.TaskReqTimeHigh, spec.TaskTimeDist)
-	if spec.ConfigPopularity > 0 {
-		g.zipf = rng.NewZipf(len(configs), spec.ConfigPopularity)
-	}
-	return g, nil
-}
-
-// Next implements TaskSource.
-func (g *Generator) Next() (*model.Task, bool) {
-	if g.emitted >= g.spec.Tasks {
-		return nil, false
-	}
-	g.now += g.gap()
-	no := g.emitted
-	g.emitted++
-
-	var prefNo int
-	var needed model.Area
-	if g.r.Bool(g.spec.ClosestMatchPct) {
-		// Cpref deliberately absent from the configurations list:
-		// the scheduler must fall back to C_ClosestMatch. The needed
-		// area is drawn from the same distribution as real configs.
-		prefNo = len(g.configs) + g.r.Intn(1<<20)
-		needed = g.r.Int64Range(g.spec.ConfigAreaLow, g.spec.ConfigAreaHigh)
-	} else {
-		var cfg *model.Config
-		if g.zipf != nil {
-			cfg = g.configs[g.zipf.Draw(g.r)]
-		} else {
-			cfg = g.configs[g.r.Intn(len(g.configs))]
-		}
-		prefNo = cfg.No
-		needed = cfg.ReqArea
-	}
-	task := g.get(no, needed, prefNo, g.reqTime.draw(g.r), g.now)
-	task.Data = needed * 64 // synthetic input payload, feeds the optional data-transfer model
-	return task, true
-}
-
-// reqTimeDraw is one t_required range and distribution, the single
-// draw shared by the Generator and the scenario compiler's per-class
-// streams: identical ranges and distribution consume identical RNG
-// draws, so a class that mirrors the flag-level spec reproduces its
-// sequence exactly. The lognormal's μ and σ depend only on the range,
-// so they are computed once, when the stream is built.
+// reqTimeDraw is one traffic class's t_required range and
+// distribution. The lognormal's μ and σ depend only on the range, so
+// they are computed once, when the source is built.
 type reqTimeDraw struct {
 	lo, hi    int64
 	dist      DistKind
@@ -215,23 +146,6 @@ func clamp64(v, lo, hi int64) int64 {
 		return hi
 	}
 	return v
-}
-
-// gap draws the next inter-arrival gap.
-func (g *Generator) gap() int64 {
-	switch g.spec.Arrival {
-	case ArrivalPoisson:
-		// Exponential gaps with the same mean as U[1, max]:
-		// mean = (1+max)/2. Clamp to >= 1 tick.
-		mean := float64(1+g.spec.NextTaskMaxInterval) / 2
-		gap := int64(g.r.ExpRate(1/mean) + 0.5)
-		if gap < 1 {
-			gap = 1
-		}
-		return gap
-	default:
-		return g.r.Int64Range(1, g.spec.NextTaskMaxInterval)
-	}
 }
 
 // Drain pulls every remaining task from src into a slice — the

@@ -19,7 +19,7 @@ type Recycler interface {
 }
 
 // taskPool is the LIFO free list behind the pooled sources
-// (Generator, ScenarioSource, TraceReader). It is not safe for
+// (ScenarioSource, TraceReader). It is not safe for
 // concurrent use; a source and its releasing consumer live on one
 // goroutine.
 type taskPool struct {

@@ -826,9 +826,9 @@ func (s *Scenario) Validate() error {
 
 // ScenarioFromSpec lifts a flag-level Spec into the scenario format:
 // one class named "all" repeating the spec's per-task knobs, the
-// spec's arrival process at scenario level. The result compiles back
-// onto a Generator that is byte-identical to running the Spec
-// directly — the equivalence gate the legacy surface is tested
+// spec's arrival process at scenario level. The result is degenerate,
+// so it compiles to a source whose stream is the flag-level run's
+// draw for draw — the equivalence gate the flag surface is tested
 // against.
 //
 //lint:deadexport (c) test support: the oracle of the root package's scenario equivalence gate and of workload's tests

@@ -155,9 +155,15 @@ type Spec struct {
 // set-up. Set-up holds about 175 B per node, so MaxNodes nodes take
 // about 180 MB: about 200 times the largest documented run of 5,000
 // nodes.
+//
+// MaxInterval caps NextTaskMaxInterval, so the arrival clock moves
+// about 2^29 ticks a task at most and cannot wrap within a run that
+// finishes. Below the cap a gap's float arithmetic is exact, and no
+// uniform or Poisson gap comes near the source's 1e12-tick gap clamp.
 const (
-	MaxNodes   = 1 << 20
-	MaxConfigs = 1 << 16
+	MaxNodes    = 1 << 20
+	MaxConfigs  = 1 << 16
+	MaxInterval = 1 << 30
 )
 
 // Validate reports the first incoherent parameter, or nil.
@@ -167,6 +173,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: negative task count %d", s.Tasks)
 	case s.NextTaskMaxInterval < 1:
 		return fmt.Errorf("workload: NextTaskMaxInterval %d < 1", s.NextTaskMaxInterval)
+	case s.NextTaskMaxInterval > MaxInterval:
+		return fmt.Errorf("workload: NextTaskMaxInterval %d exceeds the limit of %d", s.NextTaskMaxInterval, MaxInterval)
 	case s.TaskReqTimeLow < 1 || s.TaskReqTimeHigh < s.TaskReqTimeLow:
 		return fmt.Errorf("workload: invalid t_required range [%d,%d]", s.TaskReqTimeLow, s.TaskReqTimeHigh)
 	case s.ClosestMatchPct < 0 || s.ClosestMatchPct > 1:

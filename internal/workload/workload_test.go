@@ -38,6 +38,8 @@ func TestSpecValidateRejects(t *testing.T) {
 	bad := []func(*Spec){
 		func(s *Spec) { s.Tasks = -1 },
 		func(s *Spec) { s.NextTaskMaxInterval = 0 },
+		func(s *Spec) { s.NextTaskMaxInterval = MaxInterval + 1 },
+		func(s *Spec) { s.NextTaskMaxInterval = 9000000000000000000 },
 		func(s *Spec) { s.TaskReqTimeLow = 0 },
 		func(s *Spec) { s.TaskReqTimeHigh = 50 },
 		func(s *Spec) { s.ClosestMatchPct = 1.5 },
@@ -64,6 +66,7 @@ func TestSpecValidateRejects(t *testing.T) {
 	}
 	s := TableII(MaxNodes, 1000)
 	s.Configs = MaxConfigs
+	s.NextTaskMaxInterval = MaxInterval
 	if err := s.Validate(); err != nil {
 		t.Errorf("counts at the caps rejected: %v", err)
 	}
@@ -446,5 +449,26 @@ func TestWriteTraceRejectsInvalid(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, []*model.Task{bad}); err == nil {
 		t.Fatal("invalid task written")
+	}
+}
+
+// BenchmarkNext measures the flag-level source's per-task cost on a
+// 5,000-node Table II spec, releasing each task straight back as a
+// run's completions do, so the free list serves every draw.
+func BenchmarkNext(b *testing.B) {
+	spec := TableII(5000, b.N)
+	r := rng.New(1)
+	src, err := NewGenerator(r, &spec, GenConfigs(r.Split(), &spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		task, ok := src.Next()
+		if !ok {
+			b.Fatal("stream ended early")
+		}
+		src.Release(task)
 	}
 }

@@ -91,8 +91,8 @@ event spike 60000 62000 3
 // TestScenarioStreamedHeapCeiling extends the memory-regression gate
 // to the scenario compiler: a streamed 5000-node multi-class diurnal
 // run must keep its peak heap governed by the node count and live
-// tasks, independent of how many tasks flow through — the scenario
-// source recycles through the same free list as the Generator.
+// tasks, independent of how many tasks flow through — a multi-class
+// source recycles through the same free list as a flag-level one.
 func TestScenarioStreamedHeapCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory ceiling needs the full-size runs")

@@ -196,13 +196,9 @@ end
 			t.Fatal(err)
 		}
 		scn.ApplyDefaults(&spec)
-		src, err := workload.NewScenarioSource(rng.New(7), scn, &spec, configs)
+		s, err := workload.NewScenarioSource(rng.New(7), scn, &spec, configs)
 		if err != nil {
 			t.Fatal(err)
-		}
-		s, ok := src.(workload.ClassedSource)
-		if !ok {
-			t.Fatalf("scenario compiled to %T, want a ClassedSource", src)
 		}
 		out := map[string][][3]int64{}
 		names := s.ClassNames()

@@ -92,8 +92,8 @@ func TestScenarioCrossProcessByteIdentical(t *testing.T) {
 				pars[i], pars[0], len(blobs[i]), len(blobs[0]))
 		}
 	}
-	// The per-class rows are omitempty: their presence proves the
-	// multi-class path (not the degenerate fold) actually ran.
+	// The per-class rows are omitempty: their presence proves a
+	// multi-class run, not a single-class one, actually ran.
 	if !bytes.Contains(blobs[0], []byte(`"Classes"`)) {
 		t.Error("scenario sweep recorded no per-class rows; the determinism check is vacuous")
 	}
