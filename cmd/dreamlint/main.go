@@ -1,5 +1,5 @@
-// Command dreamlint runs DReAMSim's determinism & metering analyzer
-// suite (internal/lint) over the repository:
+// Command dreamlint runs DReAMSim's analyzer suite (internal/lint)
+// over the repository:
 //
 //	go run ./cmd/dreamlint ./...
 //

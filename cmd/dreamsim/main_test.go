@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -70,6 +72,44 @@ func TestCompareReplicatePrintsPairedTable(t *testing.T) {
 	for _, want := range []string{"paired over 3 seeds", "partial mean", "consistent", "avg_wasted_area_per_task"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestPrintPhasesSorted: the phase census lists a result's phases in
+// name order, whatever order its map yields them in. One result is
+// printed twenty times, and every census must come out sorted.
+func TestPrintPhasesSorted(t *testing.T) {
+	p := dreamsim.DefaultParams()
+	p.Nodes, p.Tasks = 40, 300
+	res, err := dreamsim.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	for range 20 {
+		printPhases("partial", res)
+	}
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, census := range strings.Split(string(out), "phase census")[1:] {
+		var names []string
+		for _, line := range strings.Split(census, "\n")[1:] {
+			if f := strings.Fields(line); len(f) == 2 {
+				names = append(names, f[0])
+			}
+		}
+		if len(names) < 4 || !sort.StringsAreSorted(names) {
+			t.Fatalf("census %d lists phases %v, want at least four in name order", i, names)
 		}
 	}
 }

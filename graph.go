@@ -53,26 +53,44 @@ func RunGraph(tasks []GraphTask, p Params) (Result, error) {
 	if len(tasks) == 0 {
 		return Result{}, fmt.Errorf("dreamsim: empty graph workload")
 	}
-	seen := make(map[int]bool, len(tasks))
-	deps := make(map[int][]int)
-	mtasks := make([]*model.Task, 0, len(tasks))
+	// no maps each ID to its task number, 0..n-1 in ascending ID order:
+	// the engine indexes its dependency tables by task number, and IDs
+	// may be negative or sparse, as SWF job numbers are. Numbers only
+	// order each parent's children, and the renumbering keeps that
+	// order.
+	no := make(map[int]int, len(tasks))
+	ids := make([]int, 0, len(tasks))
 	for _, gt := range tasks {
-		if seen[gt.ID] {
+		if _, dup := no[gt.ID]; dup {
 			return Result{}, fmt.Errorf("dreamsim: duplicate graph task ID %d", gt.ID)
 		}
 		for _, d := range gt.DependsOn {
-			if !seen[d] {
+			if _, earlier := no[d]; !earlier {
 				return Result{}, fmt.Errorf("dreamsim: task %d depends on %d, which is not an earlier task",
 					gt.ID, d)
 			}
 		}
-		seen[gt.ID] = true
-		if len(gt.DependsOn) > 0 {
-			deps[gt.ID] = append([]int(nil), gt.DependsOn...)
-		}
+		no[gt.ID] = 0
+		ids = append(ids, gt.ID)
+	}
+	sort.Ints(ids)
+	for i, id := range ids {
+		no[id] = i
+	}
+	deps := make(map[int][]int)
+	mtasks := make([]*model.Task, 0, len(tasks))
+	for _, gt := range tasks {
 		mt := model.NewTask(gt.ID, gt.NeededArea, gt.PrefConfig, gt.RequiredTime, gt.SubmitTime)
 		if err := mt.Validate(); err != nil {
 			return Result{}, err
+		}
+		mt.No = no[gt.ID]
+		if len(gt.DependsOn) > 0 {
+			parents := make([]int, len(gt.DependsOn))
+			for i, d := range gt.DependsOn {
+				parents[i] = no[d]
+			}
+			deps[mt.No] = parents
 		}
 		mtasks = append(mtasks, mt)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	quickcheck "testing/quick"
@@ -98,6 +99,69 @@ func TestRunGraphParallelFasterThanChain(t *testing.T) {
 	}
 	if resChain.TotalSimulationTime < 8*5000 {
 		t.Fatalf("chain makespan %d below serial bound", resChain.TotalSimulationTime)
+	}
+}
+
+// TestRunGraphRerunsIdentically runs one random layered graph five
+// times in one process and requires equal Results. Go randomises the
+// iteration order of every map range, so a run whose dispatch order
+// followed the order of the dependency map (which of a parent's
+// children is released first) would differ from run to run.
+func TestRunGraphRerunsIdentically(t *testing.T) {
+	p := dreamsim.DefaultParams()
+	p.Nodes = 4
+	wl, err := dreamsim.RandomLayeredGraph(p, 6, 30, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := dreamsim.RunGraph(wl.Tasks, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 2; run <= 5; run++ {
+		again, err := dreamsim.RunGraph(wl.Tasks, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d of one graph differs from run 1 (average wait %.2f against %.2f): the result depends on map iteration order",
+				run, again.AvgWaitingTimePerTask, first.AvgWaitingTimePerTask)
+		}
+	}
+}
+
+// TestRunGraphRenumbersIDs: graph IDs are only names. A parent and a
+// child with a negative ID, with two negative IDs, or with IDs 2^40
+// apart run as the same graph numbered 0 and 1 does, and the sparse one
+// allocates nothing sized by its largest ID (the engine's dependency
+// tables take about 40 bytes per task number).
+func TestRunGraphRenumbersIDs(t *testing.T) {
+	p := dreamsim.DefaultParams()
+	p.Nodes = 10
+	graph := func(parent, child int) []dreamsim.GraphTask {
+		return []dreamsim.GraphTask{
+			{ID: parent, RequiredTime: 1000, PrefConfig: 1, NeededArea: 500},
+			{ID: child, RequiredTime: 500, PrefConfig: 1, NeededArea: 500, SubmitTime: 1, DependsOn: []int{parent}},
+		}
+	}
+	want, err := dreamsim.RunGraph(graph(0, 1), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ids := range [][2]int{{0, -1}, {-7, -3}, {0, 1 << 40}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := dreamsim.RunGraph(graph(ids[0], ids[1]), p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("IDs %v: %v", ids, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("IDs %v: result differs from the graph numbered 0 and 1", ids)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("IDs %v: a two-task graph allocated %d bytes", ids, alloc)
+		}
 	}
 }
 

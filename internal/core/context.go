@@ -71,7 +71,7 @@ type RunContext struct {
 	sus reslists.SusQueue
 
 	// Dependency bookkeeping (task-graph workloads), indexed by task
-	// number; zero-length on runs without Deps.
+	// number: Spec.Tasks entries, zero on runs without Deps.
 	children        [][]int
 	terminal        []model.TaskStatus
 	depBlocked      []*model.Task
@@ -110,17 +110,17 @@ func growClear[T any](s []T, n int) []T {
 }
 
 // prepare readies the context for a fresh run over nodeCount nodes
-// and the given configurations. depMax is the highest task number
-// named by Params.Deps (-1 when absent); faults sizes downSince. All
-// state from the previous run is cleared; backing arrays are kept.
-func (ctx *RunContext) prepare(nodeCount int, configs []*model.Config, depMax int, faults bool) {
+// and the given configurations. depTasks sizes the dependency tables
+// (0 on runs without Deps); faults sizes downSince. All state from the
+// previous run is cleared; backing arrays are kept.
+func (ctx *RunContext) prepare(nodeCount int, configs []*model.Config, depTasks int, faults bool) {
 	ctx.eng.Reset()
 	ctx.used = growClear(ctx.used, nodeCount)
 	ctx.usedCount = 0
 	clear(ctx.phases[:])
 	ctx.sus.Reset(configs)
 
-	n := depMax + 1
+	n := depTasks
 	ctx.terminal = growClear(ctx.terminal, n)
 	ctx.depBlocked = growClear(ctx.depBlocked, n)
 	ctx.depBlockedCount = 0
@@ -162,38 +162,9 @@ func (ctx *RunContext) phasesMap() map[string]int64 {
 	return m
 }
 
-// terminalOf reports the terminal status of task no; zero
-// (TaskCreated) when the task has not terminated.
-func (ctx *RunContext) terminalOf(no int) model.TaskStatus {
-	if no < len(ctx.terminal) {
-		return ctx.terminal[no]
-	}
-	return 0
-}
-
-// setTerminal records task no's terminal status, growing the slice
-// for sources (SWF traces) whose numbering exceeds the Deps range.
-func (ctx *RunContext) setTerminal(no int, st model.TaskStatus) {
-	if no >= len(ctx.terminal) {
-		ctx.terminal = append(ctx.terminal, make([]model.TaskStatus, no+1-len(ctx.terminal))...)
-	}
-	ctx.terminal[no] = st
-}
-
-// blockedTask returns the arrived-but-gated task numbered no, if any.
-func (ctx *RunContext) blockedTask(no int) *model.Task {
-	if no < len(ctx.depBlocked) {
-		return ctx.depBlocked[no]
-	}
-	return nil
-}
-
 // setBlocked parks an arrived task behind its precedence gate.
 func (ctx *RunContext) setBlocked(task *model.Task) {
 	no := task.No
-	if no >= len(ctx.depBlocked) {
-		ctx.depBlocked = append(ctx.depBlocked, make([]*model.Task, no+1-len(ctx.depBlocked))...)
-	}
 	if ctx.depBlocked[no] == nil {
 		ctx.depBlockedCount++
 	}
@@ -202,16 +173,8 @@ func (ctx *RunContext) setBlocked(task *model.Task) {
 
 // clearBlocked releases task no from the gate.
 func (ctx *RunContext) clearBlocked(no int) {
-	if no < len(ctx.depBlocked) && ctx.depBlocked[no] != nil {
+	if ctx.depBlocked[no] != nil {
 		ctx.depBlocked[no] = nil
 		ctx.depBlockedCount--
 	}
-}
-
-// childrenOf lists the dependants of parent task no.
-func (ctx *RunContext) childrenOf(no int) []int {
-	if no < len(ctx.children) {
-		return ctx.children[no]
-	}
-	return nil
 }

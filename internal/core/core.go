@@ -73,8 +73,10 @@ type Params struct {
 	// Deps lists precedence constraints: Deps[child] = parent task
 	// numbers that must complete before child may be scheduled (task-
 	// graph workloads, the paper's §VII future work). A task whose
-	// parent is discarded is discarded too. dreamsim.RunGraph builds
-	// it from each GraphTask's DependsOn.
+	// parent is discarded is discarded too. Every number it names, and
+	// every task number the run's source emits, must lie in
+	// [0, Spec.Tasks). dreamsim.RunGraph builds it from each
+	// GraphTask's DependsOn.
 	Deps map[int][]int
 	// DefragThreshold, when positive, compacts fully-idle partial
 	// nodes: after the suspension retry, a node left with at least
@@ -246,18 +248,30 @@ func New(params Params) (*Simulator, error) {
 	if ctx == nil {
 		ctx = NewRunContext()
 	}
-	depMax := -1
-	for child, parents := range params.Deps {
-		if child > depMax {
-			depMax = child
+	// Task numbers index the dependency tables, which hold Spec.Tasks
+	// entries. The children lists are built in sorted child order: map
+	// iteration order would make releaseChildren's dispatch order, and
+	// with it every task-graph result, vary run to run.
+	childNos := make([]int, 0, len(params.Deps))
+	for child := range params.Deps {
+		childNos = append(childNos, child)
+	}
+	sort.Ints(childNos)
+	depTasks := 0
+	if len(childNos) > 0 {
+		depTasks = params.Spec.Tasks
+	}
+	for _, child := range childNos {
+		if child < 0 || child >= depTasks {
+			return nil, fmt.Errorf("core: Deps names task %d, outside [0, Spec.Tasks=%d)", child, depTasks)
 		}
-		for _, p := range parents {
-			if p > depMax {
-				depMax = p
+		for _, p := range params.Deps[child] {
+			if p < 0 || p >= depTasks {
+				return nil, fmt.Errorf("core: task %d depends on task %d, outside [0, Spec.Tasks=%d)", child, p, depTasks)
 			}
 		}
 	}
-	ctx.prepare(len(nodes), mgr.Configs(), depMax, plan.Enabled())
+	ctx.prepare(len(nodes), mgr.Configs(), depTasks, plan.Enabled())
 
 	s := &Simulator{
 		params:    params,
@@ -285,20 +299,10 @@ func New(params Params) (*Simulator, error) {
 		}
 	}
 	s.bindHandlers()
-	if len(params.Deps) > 0 {
-		s.depsOn = true
-		// Build the children lists in sorted child order: map iteration
-		// order would make releaseChildren's dispatch order — and with
-		// it every task-graph result — vary run to run.
-		childNos := make([]int, 0, len(params.Deps))
-		for child := range params.Deps {
-			childNos = append(childNos, child)
-		}
-		sort.Ints(childNos)
-		for _, child := range childNos {
-			for _, p := range params.Deps[child] {
-				ctx.children[p] = append(ctx.children[p], child)
-			}
+	s.depsOn = len(childNos) > 0
+	for _, child := range childNos {
+		for _, p := range params.Deps[child] {
+			ctx.children[p] = append(ctx.children[p], child)
 		}
 	}
 	if plan.Enabled() {
@@ -503,6 +507,11 @@ func (s *Simulator) scheduleNextArrival() {
 		}
 		return
 	}
+	if s.depsOn && (task.No < 0 || task.No >= len(s.ctx.terminal)) {
+		s.fail(fmt.Errorf("core: source emitted task %d, outside the dependency tables' [0, Spec.Tasks=%d)",
+			task.No, len(s.ctx.terminal)))
+		return
+	}
 	at := task.CreateTime
 	if at < s.eng.Now() {
 		s.fail(fmt.Errorf("core: source emitted task %d in the past (%d < %d)",
@@ -554,7 +563,7 @@ const (
 // parentGate checks whether task's parents allow it to run yet.
 func (s *Simulator) parentGate(task *model.Task) gateVerdict {
 	for _, p := range s.params.Deps[task.No] {
-		switch s.ctx.terminalOf(p) {
+		switch s.ctx.terminal[p] {
 		case model.TaskCompleted:
 			// satisfied
 		case model.TaskDiscarded, model.TaskLost:
@@ -568,8 +577,8 @@ func (s *Simulator) parentGate(task *model.Task) gateVerdict {
 
 // releaseChildren re-examines the dependants of a finished parent.
 func (s *Simulator) releaseChildren(parentNo int, now int64) {
-	for _, childNo := range s.ctx.childrenOf(parentNo) {
-		child := s.ctx.blockedTask(childNo)
+	for _, childNo := range s.ctx.children[parentNo] {
+		child := s.ctx.depBlocked[childNo]
 		if child == nil {
 			continue // not yet arrived; its arrival will re-check
 		}
@@ -694,7 +703,7 @@ func (s *Simulator) discard(task *model.Task, now int64) {
 	s.ctx.phases[phaseDiscard]++
 	s.emit("discard", now, task)
 	if s.depsOn {
-		s.ctx.setTerminal(task.No, model.TaskDiscarded)
+		s.ctx.terminal[task.No] = model.TaskDiscarded
 		s.releaseChildren(task.No, now)
 	}
 	s.release(task)
@@ -737,7 +746,7 @@ func (s *Simulator) handleCompletion(task *model.Task, node *model.Node, now int
 	s.emit("complete", now, task)
 
 	if s.depsOn {
-		s.ctx.setTerminal(task.No, model.TaskCompleted)
+		s.ctx.terminal[task.No] = model.TaskCompleted
 		s.releaseChildren(task.No, now)
 	}
 	s.release(task)
@@ -864,7 +873,7 @@ func (s *Simulator) lose(task *model.Task, now int64) {
 	s.ctx.phases[phaseLost]++
 	s.emit("lost", now, task)
 	if s.depsOn {
-		s.ctx.setTerminal(task.No, model.TaskLost)
+		s.ctx.terminal[task.No] = model.TaskLost
 		s.releaseChildren(task.No, now)
 	}
 	s.release(task)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/xml"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -421,8 +422,7 @@ func TestPhaseCensus(t *testing.T) {
 func TestDependencyGating(t *testing.T) {
 	// Child arrives long before its parent completes: it must be held
 	// ("hold" event), then dispatched at the parent's completion tick.
-	p := smallParams(10, 0, true)
-	p.Spec.Tasks = 0
+	p := smallParams(10, 2, true) // Deps names tasks in [0, Spec.Tasks)
 	tasks := []*model.Task{
 		model.NewTask(0, 500, 1, 5000, 0),
 		model.NewTask(1, 500, 2, 100, 10), // depends on task 0
@@ -457,6 +457,39 @@ func TestDependencyGating(t *testing.T) {
 	}
 	if res.Counters.CompletedTasks != 2 {
 		t.Fatalf("completions: %d", res.Counters.CompletedTasks)
+	}
+}
+
+// TestDepsOutsideTaskRange: the dependency tables hold Spec.Tasks
+// entries, so New rejects a Deps number outside [0, Spec.Tasks), and a
+// run whose source emits such a task number fails with an error; none
+// of them indexes a table.
+func TestDepsOutsideTaskRange(t *testing.T) {
+	for _, deps := range []map[int][]int{{1: {-1}}, {-3: {0}}, {1: {2}}, {2: {0}}} {
+		p := smallParams(10, 2, true)
+		p.Deps = deps
+		if _, err := New(p); err == nil || !strings.Contains(err.Error(), "outside [0, Spec.Tasks=2)") {
+			t.Errorf("Deps %v: New returned %v, want an out-of-range error", deps, err)
+		}
+	}
+	for _, no := range []int{-1, 2} {
+		p := smallParams(10, 2, true)
+		src, err := workload.SliceSource([]*model.Task{
+			model.NewTask(0, 500, 1, 100, 0),
+			model.NewTask(no, 500, 1, 100, 5),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Source = src
+		p.Deps = map[int][]int{1: {0}}
+		s, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("emitted task %d, outside", no)) {
+			t.Errorf("task %d: Run returned %v, want an out-of-range error", no, err)
+		}
 	}
 }
 

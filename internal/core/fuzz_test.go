@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dreamsim/internal/fault"
 	"dreamsim/internal/metrics"
 	"dreamsim/internal/model"
 	"dreamsim/internal/netmodel"
@@ -17,12 +18,14 @@ import (
 // after every event). Any violation of Eq. 4, list linkage,
 // suspension-queue consistency or task accounting fails the property,
 // and so does any run that breaks one of the paper's accounting
-// identities (see identities). A third of the runs draw their tasks
-// from a random scenario (see randomScenario), so the identities also
-// see multi-class streams.
+// identities or task conservation (see identities). A third of the
+// runs draw their tasks from a random scenario (see randomScenario),
+// so the identities also see multi-class streams, and a third inject
+// random node crashes and reconfiguration faults, so they also see
+// retried and lost tasks.
 func TestQuickRandomRuns(t *testing.T) {
 	f := func(seed uint16, nodes, tasks, cfgs uint8, partial bool,
-		placement uint8, lb, noSus, poisson bool, netHigh uint8, retries uint8, scn uint16) bool {
+		placement uint8, lb, noSus, poisson bool, netHigh uint8, retries uint8, scn uint16, faults uint8) bool {
 
 		spec := workload.TableII(int(nodes%20)+3, int(tasks%120)+10)
 		spec.Configs = int(cfgs%20) + 2
@@ -44,6 +47,14 @@ func TestQuickRandomRuns(t *testing.T) {
 		}
 		if scn%3 == 0 {
 			p.Scenario = randomScenario(scn / 3)
+		}
+		if faults%3 == 0 {
+			p.Faults = fault.Plan{
+				CrashRate:         1e-4 * float64(1+faults/3%4),
+				MeanDowntime:      2000,
+				ReconfigFaultRate: 2e-4,
+			}
+			p.Retry = fault.RetryPolicy{Budget: int64(faults / 12 % 3)}
 		}
 		var id identities
 		p.OnEvent = id.observe
@@ -73,9 +84,6 @@ func TestQuickRandomRuns(t *testing.T) {
 		if c.GeneratedTasks != int64(spec.Tasks) {
 			return false
 		}
-		if c.CompletedTasks+c.DiscardedTasks != c.GeneratedTasks {
-			return false
-		}
 		if c.RunningTasks != 0 || c.SuspendedTasks != 0 {
 			return false
 		}
@@ -96,7 +104,8 @@ func TestQuickRandomRuns(t *testing.T) {
 }
 
 // identities recomputes three of the paper's accounting identities
-// from the lifecycle events of a fault-free run, with no engine code:
+// and task conservation from the lifecycle events of a run, with no
+// engine code:
 //   - Eq. 8: the waits of the placements, each its place tick minus the
 //     task's arrival tick plus its communication and configuration
 //     delays, sum to TaskWaitTime;
@@ -104,15 +113,25 @@ func TestQuickRandomRuns(t *testing.T) {
 //     configuration delays and the task's required time;
 //   - Eq. 10: the configuration delays of the placements sum to
 //     ConfigurationTime (no bitstream bandwidth, so a placement's
-//     configuration delay is its configuration's ConfigTime).
+//     configuration delay is its configuration's ConfigTime);
+//   - task conservation: every arrival ends in one completion, discard
+//     or loss, and each of the four event counts equals its counter.
 //
-// On a multi-class run it also checks Eq. 8 per class: the waits of a
-// class's placements sum to that class's WaitTime.
+// All four hold on faulted runs too. A task a crash displaces is
+// placed again, and each placement adds its wait to TaskWaitTime, as
+// each "place" event adds it here; the crash cancels the displaced
+// placement's completion, so every completion that fires is due at
+// its last placement's tick; and a reconfiguration fault strikes
+// before any bitstream loads, so it configures nothing and emits no
+// "place". On a multi-class run it also checks Eq. 8 per class: the
+// waits of a class's placements sum to that class's WaitTime.
 type identities struct {
 	wait, configDelay int64
 	classWait         []int64       // by task class
 	due               map[int]int64 // task number -> completion tick
 	late              error         // the first completion off its tick
+
+	arrivals, completions, discards, lost int64
 }
 
 // observe is the run's OnEvent hook.
@@ -131,9 +150,16 @@ func (id *identities) observe(kind string, now int64, task *model.Task) {
 		}
 		id.due[task.No] = now + task.CommDelay + task.ConfigDelay + task.RequiredTime
 	case "complete":
+		id.completions++
 		if due := id.due[task.No]; now != due && id.late == nil {
 			id.late = fmt.Errorf("completion tick: task %d completed at tick %d, placed to complete at %d", task.No, now, due)
 		}
+	case "arrival":
+		id.arrivals++
+	case "discard":
+		id.discards++
+	case "lost":
+		id.lost++
 	}
 }
 
@@ -146,6 +172,11 @@ func (id *identities) check(c metrics.Counters) error {
 		return id.late
 	case id.configDelay != c.ConfigurationTime:
 		return fmt.Errorf("Eq. 10: the placements' configuration delays sum to %d, ConfigurationTime is %d", id.configDelay, c.ConfigurationTime)
+	case id.arrivals != id.completions+id.discards+id.lost:
+		return fmt.Errorf("task conservation: %d arrivals, but %d completions + %d discards + %d lost", id.arrivals, id.completions, id.discards, id.lost)
+	case id.arrivals != c.GeneratedTasks || id.completions != c.CompletedTasks || id.discards != c.DiscardedTasks || id.lost != c.LostTasks:
+		return fmt.Errorf("task conservation: the events count %d arrivals, %d completions, %d discards and %d lost; the counters %d, %d, %d and %d",
+			id.arrivals, id.completions, id.discards, id.lost, c.GeneratedTasks, c.CompletedTasks, c.DiscardedTasks, c.LostTasks)
 	}
 	return nil
 }

@@ -1049,10 +1049,9 @@ func (s *Simulator) restoreContext(r *snapshot.Reader, taskByNo func(no int) *mo
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if nterm < len(s.ctx.terminal) {
-		return fmt.Errorf("%w: terminal-status table covers %d tasks, run starts at %d", snapshot.ErrCorrupt, nterm, len(s.ctx.terminal))
+	if nterm > len(s.ctx.terminal) {
+		return fmt.Errorf("%w: terminal-status table covers %d tasks, run tracks %d", snapshot.ErrCorrupt, nterm, len(s.ctx.terminal))
 	}
-	s.ctx.terminal = growClear(s.ctx.terminal, nterm)
 	for i := 0; i < nterm; i++ {
 		st := r.Int()
 		if r.Err() != nil {
@@ -1074,10 +1073,10 @@ func (s *Simulator) restoreContext(r *snapshot.Reader, taskByNo func(no int) *mo
 			return r.Err()
 		}
 		t := taskByNo(no)
-		if t == nil {
+		if t == nil || no >= len(s.ctx.depBlocked) {
 			return fmt.Errorf("%w: dependency table references unknown task %d", snapshot.ErrCorrupt, no)
 		}
-		if s.ctx.blockedTask(no) != nil {
+		if s.ctx.depBlocked[no] != nil {
 			return fmt.Errorf("%w: task %d blocked twice", snapshot.ErrCorrupt, no)
 		}
 		s.ctx.setBlocked(t)

@@ -1,8 +1,9 @@
 // Package lint is DReAMSim's static-analysis suite: a small,
 // dependency-free mirror of the golang.org/x/tools/go/analysis
-// framework plus the project-specific analyzers that encode the
-// simulator's load-bearing invariants (bit-reproducibility and exact
-// search metering, see DESIGN.md "Static analysis & invariants").
+// framework plus the project-specific analyzers for the rules no test
+// can observe: simulation code reads no host clock, ambient randomness
+// or host environment, and the program ships no dead exports (see
+// DESIGN.md "Static analysis & invariants").
 //
 // The framework intentionally copies the x/tools shape — Analyzer,
 // Pass, Diagnostic — so the analyzers can be ported to a real
@@ -38,9 +39,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description shown by `dreamlint -list`.
 	Doc string
-	// Scope, when non-nil, restricts the analyzer to packages whose
-	// import path it accepts; nil means every package.
-	Scope func(pkgPath string) bool
 	// Run performs the check over one package. Exactly one of Run
 	// and RunProgram is set.
 	Run func(*Pass) error
@@ -159,22 +157,16 @@ func (p *Pass) enclosingFunc(pos token.Pos) *ast.FuncDecl {
 	return nil
 }
 
-// TypeOf returns the type of e, or nil.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	return p.Info.TypeOf(e)
-}
-
 // ObjectOf returns the object denoted by ident, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Info.ObjectOf(id)
 }
 
-// Run applies each analyzer to each in-scope package and returns the
-// findings sorted by position. Directives that name no analyzer of the
-// suite, carry an empty justification, or suppress no finding of an
-// analyzer that ran over their package are reported under the
-// pseudo-analyzer "directive", so that every exception in the tree
-// carries its why and still excuses something.
+// Run applies each analyzer to each package and returns the findings
+// sorted by position. Directives that name no analyzer of the suite,
+// carry an empty justification, or suppress no finding are reported
+// under the pseudo-analyzer "directive", so that every exception in
+// the tree carries its why and still excuses something.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	knownNames := make(map[string]bool, len(analyzers))
@@ -188,7 +180,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			}
 		}
 		for _, a := range analyzers {
-			if a.Run == nil || (a.Scope != nil && !a.Scope(pkg.Path)) {
+			if a.Run == nil {
 				continue
 			}
 			pass := &Pass{
@@ -226,10 +218,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 	for _, pkg := range pkgs {
-		ran := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			ran[a.Name] = a.RunProgram != nil || a.Scope == nil || a.Scope(pkg.Path)
-		}
 		for _, file := range pkg.directives {
 			for _, d := range file {
 				msg := ""
@@ -238,7 +226,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 					msg = fmt.Sprintf("unknown analyzer %q in //lint: directive", d.name)
 				case strings.TrimSpace(d.reason) == "":
 					msg = fmt.Sprintf("//lint:%s directive needs a justification", d.name)
-				case ran[d.name] && !d.used:
+				case !d.used:
 					msg = fmt.Sprintf("//lint:%s directive suppresses no finding", d.name)
 				default:
 					continue
@@ -264,10 +252,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // Analyzers returns the full DReAMSim suite in stable order: the
-// single-package AST analyzers first, then the whole-program analyzer
+// single-package analyzer detrand, then the whole-program analyzer
 // deadexport.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, Metering, DeadExport}
+	return []*Analyzer{DetRand, DeadExport}
 }
 
 // An Exception is one //lint:NAME justification directive — the
@@ -297,11 +285,4 @@ func Exceptions(pkgs []*Package) []Exception {
 		return a.Pos.Line < b.Pos.Line
 	})
 	return out
-}
-
-// pathHasSuffix reports whether pkgPath ends with the given
-// slash-separated suffix on an element boundary ("internal/resinfo"
-// matches "dreamsim/internal/resinfo" but not "x/myinternal/resinfo").
-func pathHasSuffix(pkgPath, suffix string) bool {
-	return pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix)
 }

@@ -32,8 +32,6 @@ func TestAnalyzers(t *testing.T) {
 		analyzers []*Analyzer
 	}{
 		{"detrand", []*Analyzer{DetRand}},
-		{"maporder", []*Analyzer{MapOrder}},
-		{"metering", []*Analyzer{Metering}},
 		{"deadexport", []*Analyzer{DeadExport}},
 		{"directive", Analyzers()},
 	}

@@ -4,9 +4,11 @@ package resinfo_test
 // paper's searches written once as plain walks over the node and
 // configuration lists (Fig. 5's phases and Algorithm 1), with no SoA
 // arrays, blocks or indexes. A randomized sequence of state
-// transitions drives one manager; after every transition each query's
-// answer and its SchedulerSearch charge must equal the reference
-// walk's, and the manager's node census must equal a recount.
+// transitions drives one manager. Each transition must charge
+// HousekeepingSteps one step per list link or unlink; after it, each
+// query's answer and its SchedulerSearch charge must equal the
+// reference walk's, and the manager's node census must equal a
+// recount.
 
 import (
 	"fmt"
@@ -332,11 +334,16 @@ func idleEntries(node *model.Node) []*model.Entry {
 	return idle
 }
 
-// mutate applies one random state transition to a random node.
+// mutate applies one random state transition to a random node, and
+// checks its HousekeepingSteps charge: one step per list link or
+// unlink, the paper's move to and from the busy list included.
 func (d *refRunner) mutate() {
 	d.t.Helper()
 	r := d.r
 	node := d.ref.nodes[r.Intn(len(d.ref.nodes))]
+	before := d.c.HousekeepingSteps
+	var what string
+	var want uint64
 	var err error
 	switch op := r.Intn(14); {
 	case op < 5: // Configure a listed configuration that fits.
@@ -345,6 +352,7 @@ func (d *refRunner) mutate() {
 			cfg.ReqArea > node.AvailableArea || !node.HasCaps(cfg.RequiredCaps) {
 			return
 		}
+		what, want = "Configure", 1
 		_, err = d.m.Configure(node, cfg)
 	case op < 9: // Start a task on an idle region.
 		idle := idleEntries(node)
@@ -352,6 +360,7 @@ func (d *refRunner) mutate() {
 			return
 		}
 		d.nextTask++
+		what, want = "StartTask", 2
 		err = d.m.StartTask(idle[r.Intn(len(idle))], &model.Task{No: d.nextTask, AssignedConfig: -1})
 	case op < 11: // Finish a running task.
 		var busy []*model.Task
@@ -363,27 +372,36 @@ func (d *refRunner) mutate() {
 		if len(busy) == 0 {
 			return
 		}
+		what, want = "FinishTask", 2
 		_, err = d.m.FinishTask(node, busy[r.Intn(len(busy))])
 	case op == 11: // Evict a prefix of the idle regions.
 		idle := idleEntries(node)
 		if len(idle) == 0 {
 			return
 		}
-		err = d.m.EvictIdle(node, idle[:1+r.Intn(len(idle))])
+		victims := idle[:1+r.Intn(len(idle))]
+		what, want = "EvictIdle", uint64(len(victims))
+		err = d.m.EvictIdle(node, victims)
 	case op == 12: // Blank a node running nothing.
 		if len(node.Entries) == 0 || node.RunningTasks() > 0 {
 			return
 		}
+		what, want = "BlankNode", uint64(len(node.Entries))
 		err = d.m.BlankNode(node)
 	default: // Crash a working node, or recover a down one.
 		if node.Down {
+			what, want = "RecoverNode", 1
 			err = d.m.RecoverNode(node)
 		} else if r.Bool(0.3) {
+			what, want = "CrashNode", uint64(len(node.Entries))
 			_, err = d.m.CrashNode(node)
 		}
 	}
 	if err != nil {
 		d.t.Fatal(err)
+	}
+	if got := d.c.HousekeepingSteps - before; got != want {
+		d.t.Fatalf("%s of node %d charged %d housekeeping steps; its list links and unlinks take %d", what, node.No, got, want)
 	}
 	d.sameCensus(fmt.Sprintf("after a transition of node %d", node.No))
 }

@@ -59,9 +59,8 @@ func WithIntraParallel(int) Option { return func(*Manager) {} }
 
 // New builds a manager over the given resources. Configurations must
 // be numbered by position (configs[i].No == i), as workload.GenConfigs
-// numbers them; the counters receive all metering.
-//
-//lint:metering construction-time setup walks; the paper meters only the running scheduler
+// numbers them; the counters receive all metering. Construction
+// charges nothing: the paper meters only the running scheduler.
 func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counters, opts ...Option) (*Manager, error) {
 	m := &Manager{
 		nodes:   nodes,
@@ -406,8 +405,6 @@ func (m *Manager) AnyDownNodeCouldFit(cfg *model.Config) bool {
 // own checks, every idle region sits in its configuration's idle list,
 // no busy region sits in any list, and list linkage is intact. Intended
 // for tests and debug runs.
-//
-//lint:metering debug validator; its walks are host-side checking, not simulated scheduler work
 func (m *Manager) CheckInvariants() error {
 	listed := 0
 	for no, l := range m.idle {

@@ -30,8 +30,6 @@ import (
 // configuration order (never map order — encoding must be
 // deterministic). Each list is written head first, each entry as
 // (node number, slot in that node's Entries).
-//
-//lint:metering serialization walks are host-side I/O between ticks, not simulated scheduler work
 func (m *Manager) EncodeState(w *snapshot.Writer) {
 	w.Int(len(m.nodes))
 	for _, n := range m.nodes {
@@ -58,8 +56,6 @@ func (m *Manager) EncodeState(w *snapshot.Writer) {
 }
 
 // entrySlot locates e within its node's entry slice.
-//
-//lint:metering serialization walks are host-side I/O between ticks, not simulated scheduler work
 func entrySlot(e *model.Entry) int {
 	for i, cur := range e.Node.Entries {
 		if cur == e {
@@ -74,8 +70,6 @@ func entrySlot(e *model.Entry) int {
 // snapshot format version. taskByNo resolves task numbers to the run's
 // restored task structs; it returns nil for unknown numbers, which
 // this validation rejects.
-//
-//lint:metering restore walks re-build host data structures between ticks; the resumed run's counters come from the snapshot
 func (m *Manager) RestoreState(r *snapshot.Reader, version uint64, taskByNo func(no int) *model.Task) error {
 	if n := r.Int(); r.Err() == nil && n != len(m.nodes) {
 		return fmt.Errorf("%w: snapshot has %d nodes, run parameters build %d", snapshot.ErrCorrupt, n, len(m.nodes))

@@ -61,8 +61,7 @@ const (
 // area from its live state. The reclaimable area is AvailableArea plus
 // the areas of the node's idle regions, or -1 when it holds no idle
 // region: Algorithm 1 only tests a node after adding an idle region.
-//
-//lint:metering flag derivation inspects one node during a state transition; the transition's walk is charged by its caller
+// It charges nothing; the transition that calls it charges its steps.
 func soaFlagsOf(n *model.Node) (uint8, int64) {
 	var f uint8
 	blank := len(n.Entries) == 0
@@ -151,8 +150,6 @@ func (c Census) Idle() int { return c.Nodes - c.Blank - c.Busy - c.Down }
 
 // newSoaState builds the scan block over a fresh population. The
 // per-slot arrays of one type share one allocation.
-//
-//lint:metering construction-time layout build; the paper meters only the running scheduler
 func newSoaState(nodes []*model.Node) *soaState {
 	n := len(nodes)
 	i64 := make([]int64, 3*n)
@@ -228,8 +225,6 @@ func flagStep(old, now, bit uint8) int {
 
 // check validates the scan block against live node state, and the
 // census against a recount.
-//
-//lint:metering debug validator; its walks are host-side checking, not simulated scheduler work
 func (s *soaState) check(nodes []*model.Node) error {
 	recount := Census{Nodes: len(nodes)}
 	for i, n := range nodes {

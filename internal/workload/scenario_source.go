@@ -154,8 +154,10 @@ func NewScenarioSource(r *rng.RNG, scn *Scenario, spec *Spec, configs []*model.C
 		// Thinned arrival: each class runs its own clock at its rate
 		// fraction of the scenario-wide process, so the merged stream
 		// has the spec's overall mean gap. A degenerate class keeps
-		// the Spec's own mean, as the flag-level run draws it.
-		mean := baseMean * totalFrac / c.Fraction
+		// the Spec's own mean, as the flag-level run draws it. A class
+		// whose fraction is tiny next to the others' gets the longest
+		// gap a draw may take, not a mean that overflows int64.
+		mean := min(baseMean*totalFrac/c.Fraction, maxGap)
 		if s.shared {
 			mean = baseMean
 		}
@@ -314,15 +316,16 @@ func (s *ScenarioSource) gap(st *classState, at int64) int64 {
 	}
 	// Clamp before the int64 conversion: a near-zero multiplier must
 	// stall the class, not overflow its clock.
-	if q > 1e12 {
-		q = 1e12
-	}
+	q = min(q, maxGap)
 	g := int64(q + 0.5)
 	if g < 1 {
 		g = 1
 	}
 	return g
 }
+
+// maxGap is the longest inter-arrival gap, in ticks, a class draws.
+const maxGap = 1e12
 
 // mult evaluates the load multiplier at a tick: the piecewise-linear
 // timeline (flat beyond its ends, 1 when absent) times every spike

@@ -267,6 +267,49 @@ func TestDegenerateScenarioIsFlagStream(t *testing.T) {
 // TestScenarioSourceMultiClass checks the compiled multi-class stream:
 // arrival times are non-decreasing overall, every class emits, area
 // filters bind, and recycling works through the free list.
+// TestExtremeRateFractions: a class's share of the arrivals follows
+// its rate fraction however far apart the fractions are. Against a
+// fraction 1e300 times its own, a class's thinned mean gap exceeds
+// int64; clamped to the longest gap, the class draws the fewest tasks
+// under every arrival kind, with the tiny fraction its own or the huge
+// one the other class's.
+func TestExtremeRateFractions(t *testing.T) {
+	spec := testSpec(2000)
+	configs := testConfigs(20)
+	for _, kind := range []string{"uniform", "poisson", "gamma 2", "weibull 0.5"} {
+		for _, fracs := range [][2]string{{"1", "1e-300"}, {"1e300", "1"}} {
+			scn, err := ParseScenario(fmt.Sprintf(`dreamsim-scenario v1
+arrival %s
+class common
+  fraction %s
+end
+class rare
+  fraction %s
+end
+`, kind, fracs[0], fracs[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewScenarioSource(rng.New(1), scn, &spec, configs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := make([]int, 2)
+			for {
+				task, ok := src.Next()
+				if !ok {
+					break
+				}
+				counts[task.Class]++
+			}
+			if counts[1] >= counts[0] {
+				t.Errorf("arrival %s, fractions %s and %s: rare drew %d of %d tasks, common %d",
+					kind, fracs[0], fracs[1], counts[1], spec.Tasks, counts[0])
+			}
+		}
+	}
+}
+
 func TestScenarioSourceMultiClass(t *testing.T) {
 	spec := testSpec(400)
 	configs := testConfigs(20)

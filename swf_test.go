@@ -34,6 +34,51 @@ func TestLoadSWF(t *testing.T) {
 	}
 }
 
+// negativeJobSWF is two jobs, the second numbered -3 and naming job 1
+// as its predecessor.
+const negativeJobSWF = `1 0 0 100 1 -1 -1 1 100 -1 1 1 1 1 1 1 -1 -1
+-3 10 0 50 1 -1 -1 1 50 -1 1 1 1 1 1 1 1 -1
+`
+
+// TestLoadSWFNegativeJobRuns: a negative job number is a name like any
+// other; the job waits for its predecessor and runs.
+func TestLoadSWFNegativeJobRuns(t *testing.T) {
+	tasks, err := dreamsim.LoadSWF(strings.NewReader(negativeJobSWF), dreamsim.SWFMapping{KeepDependencies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 2 || len(tasks[1].DependsOn) != 1 || tasks[1].ID != -3 {
+		t.Fatalf("loaded %+v, want job -3 depending on job 1", tasks)
+	}
+	p := dreamsim.DefaultParams()
+	p.Nodes = 4
+	res, err := dreamsim.RunGraph(tasks, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CompletedTasks != 2 || res.TotalSimulationTime < 150 {
+		t.Fatalf("completed %d of 2 by tick %d; job -3 must follow job 1 (100 ticks) with its own 50",
+			res.CompletedTasks, res.TotalSimulationTime)
+	}
+}
+
+// FuzzRunSWF runs what LoadSWF makes of any log, dependencies kept,
+// through RunGraph on four nodes: the run returns a result or an
+// error, and never panics.
+func FuzzRunSWF(f *testing.F) {
+	f.Add(miniSWF)
+	f.Add(negativeJobSWF)
+	f.Fuzz(func(t *testing.T, log string) {
+		tasks, err := dreamsim.LoadSWF(strings.NewReader(log), dreamsim.SWFMapping{KeepDependencies: true, MaxJobs: 32})
+		if err != nil {
+			return
+		}
+		p := dreamsim.DefaultParams()
+		p.Nodes = 4
+		_, _ = dreamsim.RunGraph(tasks, p) // either outcome passes; a panic fails
+	})
+}
+
 func TestLoadSWFAndRun(t *testing.T) {
 	tasks, err := dreamsim.LoadSWF(strings.NewReader(miniSWF), dreamsim.SWFMapping{
 		KeepDependencies: true,
